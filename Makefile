@@ -130,12 +130,6 @@ live-smoke:
 	grep -q '"rule":"suspicion"' /tmp/csm_ci_live_report.json
 	@echo "live-smoke: ok"
 
-# CI gate: type-check everything (tests and benches included), lint
-# the repo against its invariants, regenerate the parallel smoke
-# benchmark, run the test suite, then exercise the observability layer
-# end-to-end — a CSM_TRACE'd demo run, a traced + gated smoke bench,
-# and a metrics exposition check — so linting, tracing, metrics and
-# the bench gate are driven on every commit.
 # Adversary-synthesis smoke: regenerate the Table-2 tightness
 # certification (search at b = muN must find no violation, at
 # b = muN + 1 must find a shrunk replayable witness, twice
@@ -152,6 +146,12 @@ adversary-smoke:
 	  --replay test/fixtures/adversary_decode.json
 	@echo "adversary-smoke: ok"
 
+# CI gate: type-check everything (tests and benches included), lint
+# the repo against its invariants, regenerate the parallel smoke
+# benchmark, run the test suite, then exercise the observability layer
+# end-to-end — a CSM_TRACE'd demo run, a traced + gated smoke bench,
+# and a metrics exposition check — so linting, tracing, metrics and
+# the bench gate are driven on every commit.
 ci:
 	dune build @check @bench-smoke
 	$(MAKE) lint

@@ -797,7 +797,7 @@ let transport_group =
      a trace-stamped v2 frame over the identical v1 frame.
 
    Correctness booleans (v1 layout unchanged, v2 round trip, HLC
-   monotonicity, telemetry-bundle round trip) gate alongside. *)
+   monotonicity, final telemetry snapshot round trip) gate alongside. *)
 
 module Clock = Csm_obs.Clock
 module Flight = Csm_obs.Flight
@@ -860,8 +860,10 @@ let run_obs_smoke ~out =
     go (Clock.now ()) 1000
   in
   let bundle_roundtrip_ok =
-    match Agg.decode_bundle (Agg.bundle_payload ~node:0 ~flight ()) with
-    | Some b -> b.Agg.b_flight_recorded = Flight.recorded flight
+    match
+      Agg.decode (Agg.encode (Agg.capture ~flight ~node:0 ~scope:Agg.Process ()))
+    with
+    | Some s -> s.Agg.s_final && s.Agg.s_flight_recorded = Flight.recorded flight
     | None -> false
   in
   let ok =
@@ -904,13 +906,13 @@ let run_obs_smoke ~out =
    Three gates for the live telemetry path (BENCH_live.json, schema
    csm-bench-live/1, ceilings in bench/live_baseline.json):
 
-   - delta-merge determinism: the same synthetic delta payloads,
+   - delta-merge determinism: the same synthetic snapshot payloads,
      duplicated and reordered, must merge into byte-identical node
      views — the cumulative-value idempotency contract;
    - scrape allocation: exact minor-heap words per /metrics render
      over a populated store, host-independent like the obs gate;
    - end-to-end agreement: a loopback cluster with one lying node
-     streams deltas while it runs; a mid-run HTTP scrape must report
+     streams snapshots while it runs; a mid-run HTTP scrape must report
      a windowed lambda within the committed tolerance of the
      end-of-run k*accepted/run_seconds, and the lie must raise the
      suspicion alert before the run ends. *)
@@ -932,14 +934,20 @@ let live_counter_view name v =
     samples = [ { MetricO.labels = []; value = MetricO.V_counter v } ];
   }
 
-(* Synthetic deltas with cumulative values: seq i carries i*10. *)
+(* Synthetic snapshot payloads with cumulative values: seq i carries
+   i*10. *)
 let live_delta seq =
-  Agg.delta_payload ~node:1 ~scope:Agg.Node ~seq ~full:(seq = 1)
-    ~views:[ live_counter_view "csm_bench_live_total" (seq * 10) ]
-    ~events:[] ()
+  Agg.encode
+    {
+      (Agg.capture
+         ~views:[ live_counter_view "csm_bench_live_total" (seq * 10) ]
+         ~node:1 ~scope:Agg.Node ())
+      with
+      Agg.s_seq = seq;
+    }
 
 let live_apply_all live payloads =
-  List.iter (fun p -> ignore (Live.apply live p)) payloads
+  List.iter (fun p -> ignore (Live.apply live (Agg.decode p))) payloads
 
 let live_delta_determinism () =
   let p1 = live_delta 1 and p2 = live_delta 2 and p3 = live_delta 3 in
@@ -952,7 +960,8 @@ let live_delta_determinism () =
 let live_scrape_words () =
   let live = Live.create ~k:4 () in
   Live.mark_start ~now:100.0 live;
-  live_apply_all live [ live_delta 1; live_delta 2; live_delta 3 ];
+  let payloads = [ live_delta 1; live_delta 2; live_delta 3 ] in
+  live_apply_all live payloads;
   for _ = 1 to 50 do
     Live.note_commit ~now:100.5 live
   done;

@@ -29,7 +29,7 @@
 
    Live telemetry: --serve PORT / --watch / --alert / --lambda-floor
    (or CSM_TELEMETRY_INTERVAL=SEC) make the nodes stream
-   csm-node-telemetry/2 delta frames while the run is in flight; the
+   csm-node-telemetry/2 snapshots while the run is in flight; the
    client merges them idempotently into windowed rates (lambda, per-
    phase throughput, rolling latency quantiles) and evaluates SLO alert
    rules on every merge.  --serve answers /metrics (Prometheus),
@@ -38,7 +38,7 @@
 
    Observability: --trace (or CSM_CLUSTER_TRACE=1, or =PATH) stamps
    every protocol frame with the frame-v2 trace extension, gathers each
-   process's end-of-run telemetry bundle and writes ONE merged Chrome
+   process's final telemetry snapshot and writes ONE merged Chrome
    trace with cross-node flow arrows ordered by HLC.  --prom-out writes
    the cluster-merged Prometheus exposition.  --flightrec (or
    CSM_FLIGHTREC=1/PATH) arms the flight-recorder dump: a
@@ -263,12 +263,12 @@ let result_json ~n ~k ~d ~b ~rounds ~seed ~transport ~faults ?live
       ( "telemetry",
         match r.C.telemetry with
         | [] -> Json.Null
-        | bundles ->
+        | finals ->
           Json.Obj
             [
-              ("bundles", Json.Int (List.length bundles));
-              ("cross_flows", Json.Int (Agg.cross_flows bundles));
-              ("hlc", Json.Int (Agg.max_hlc bundles));
+              ("bundles", Json.Int (List.length finals));
+              ("cross_flows", Json.Int (Agg.cross_flows finals));
+              ("hlc", Json.Int (Agg.max_hlc finals));
             ] );
       ( "ledger",
         Json.List
@@ -322,19 +322,19 @@ let flightrec_json ~n ~k ~d ~b ~rounds ~seed ~transport ~faults ~reason
       ( "flights",
         Json.List
           (List.map
-             (fun (bdl : Agg.bundle) ->
+             (fun (s : Agg.snapshot) ->
                Json.Obj
                  [
-                   ("node", Json.Int bdl.Agg.b_node);
-                   ("pid", Json.Int bdl.Agg.b_pid);
-                   ("recorded", Json.Int bdl.Agg.b_flight_recorded);
+                   ("node", Json.Int s.Agg.s_node);
+                   ("pid", Json.Int s.Agg.s_pid);
+                   ("recorded", Json.Int s.Agg.s_flight_recorded);
                    ( "entries",
-                     Json.List (List.map Flight.entry_json bdl.Agg.b_flight) );
+                     Json.List (List.map Flight.entry_json s.Agg.s_flight) );
                  ])
              r.C.telemetry) );
     ]
 
-let suspicion_detected bundles =
+let suspicion_detected finals =
   List.exists
     (fun (v : Metric.view) ->
       String.equal v.Metric.name "csm_node_suspicion"
@@ -344,7 +344,7 @@ let suspicion_detected bundles =
              | Metric.V_gauge g -> g > 0.0
              | _ -> false)
            v.Metric.samples)
-    (Agg.merged_views bundles)
+    (Agg.merged_views finals)
 
 (* --replay: recompute a dump's recorded rounds from its embedded seed
    and check the reference payloads byte-identical — the flight
@@ -666,15 +666,13 @@ let run n k d b rounds seed transport dir port_base faults deadline out
     if telemetry then Agg.cross_flows result.C.telemetry else 0
   in
   if telemetry then begin
-    let bundles = result.C.telemetry in
-    let processes =
-      List.length (Agg.dedup bundles)
-    in
+    let finals = result.C.telemetry in
+    let processes = List.length (Agg.latest finals) in
     Printf.printf "telemetry: bundles=%d/%d processes=%d cross_flows=%d hlc=%s\n"
-      (List.length bundles) (n + 1) processes cross_flows
-      (Format.asprintf "%a" Clock.pp (Agg.max_hlc bundles));
+      (List.length finals) (n + 1) processes cross_flows
+      (Format.asprintf "%a" Clock.pp (Agg.max_hlc finals));
     if trace then begin
-      Json.write ~path:trace_out (Agg.cluster_trace bundles);
+      Json.write ~path:trace_out (Agg.cluster_trace finals);
       Printf.printf "trace: wrote %s (%d processes, %d cross-node flows)\n"
         trace_out processes cross_flows
     end;
@@ -684,7 +682,7 @@ let run n k d b rounds seed transport dir port_base faults deadline out
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          output_string oc (Prom.render_views (Agg.merged_views bundles)));
+          output_string oc (Prom.render_views (Agg.merged_views finals)));
       Printf.printf "prom: wrote %s (cluster-merged)\n" path
     | None -> ());
     let alert_fired =
@@ -695,7 +693,7 @@ let run n k d b rounds seed transport dir port_base faults deadline out
     let dump_reason =
       if (not no_verify) && not result.C.ok then Some "divergence"
       else if total_frame_errors result > 0 then Some "frame-errors"
-      else if suspicion_detected bundles then Some "suspicion"
+      else if suspicion_detected finals then Some "suspicion"
       else if alert_fired then Some "alert"
       else if flightrec_requested then Some "requested"
       else None
@@ -845,7 +843,7 @@ let () =
       & info [ "prom-out" ]
           ~doc:
             "Write the cluster-merged Prometheus exposition (all gathered \
-             bundles folded into one registry view) to this path.")
+             final snapshots folded into one registry view) to this path.")
   in
   let flightrec =
     Arg.(

@@ -70,9 +70,9 @@ let param_origin = "parameter"
 (* ----- configuration: sources ----- *)
 
 (* (module, value) call heads whose results are adversary-controlled.
-   [Agg.decode_bundle]/[decode_delta] are deliberately sources, not
-   sanitizers, despite the [decode_] name: they validate shape, but the
-   carried metric/event *values* remain whatever the peer claims. *)
+   [Agg.decode] is deliberately a source, not a sanitizer, despite its
+   name: it validates shape, but the carried metric *values* remain
+   whatever the peer claims. *)
 let source_refs =
   [
     (Some "Frame", "decode");
@@ -81,8 +81,7 @@ let source_refs =
     (Some "Transport", "recv");
     (Some "Unix", "read");
     (Some "Unix", "recv");
-    (Some "Agg", "decode_bundle");
-    (Some "Agg", "decode_delta");
+    (Some "Agg", "decode");
   ]
 
 let source_ref key =

@@ -27,8 +27,10 @@ module Make (F : Field_intf.S) = struct
     omega_weights : F.t array;  (* barycentric weights of the ωs *)
     omega_prepared : Sub.prepared Lazy.t;  (* fast-interp context (§6.2) *)
     alpha_prepared : Sub.prepared Lazy.t;  (* fast-eval context (§6.2) *)
-    omega_packed : Bytes.t option Lazy.t;
-        (* ωs packed for the byte kernels, when the field has them *)
+    omega_packed : Bytes.t option;
+        (* ωs packed for the byte kernels, when the field has them;
+           computed here, not lazily, because every decode fan-out
+           reads it from several domains at once *)
   }
 
   let create ~n ~k =
@@ -49,10 +51,9 @@ module Make (F : Field_intf.S) = struct
       omega_prepared = lazy (Sub.prepare omegas);
       alpha_prepared = lazy (Sub.prepare alphas);
       omega_packed =
-        lazy
-          (match F.batch () with
-          | Some b -> Some (b.Field_intf.pack omegas)
-          | None -> None);
+        (match F.batch () with
+        | Some b -> Some (b.Field_intf.pack omegas)
+        | None -> None);
     }
 
   (* Encode K scalars into N coded scalars: X̃ = C·X. *)
@@ -149,7 +150,7 @@ module Make (F : Field_intf.S) = struct
      kernels run it over the packed ωs with |coeffs| muls + adds per
      point, exactly the scalar [P.eval] count. *)
   let eval_at_omegas t (poly : P.t) =
-    match (F.batch (), Lazy.force t.omega_packed) with
+    match (F.batch (), t.omega_packed) with
     | Some b, Some xs ->
       b.Field_intf.unpack (b.Field_intf.eval_many ~coeffs:poly ~xs)
     | _ -> Array.map (P.eval poly) t.omegas

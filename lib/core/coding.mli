@@ -17,7 +17,9 @@ module Make (F : Field_intf.S) : sig
     omega_weights : F.t array;
     omega_prepared : Sub.prepared Lazy.t;
     alpha_prepared : Sub.prepared Lazy.t;
-    omega_packed : Bytes.t option Lazy.t;
+    omega_packed : Bytes.t option;
+        (** the ωs packed for the field's batch kernels, if it has any;
+            strict because decode fan-outs read it from several domains *)
   }
 
   val create : n:int -> k:int -> t

@@ -125,37 +125,35 @@ end = struct
     let c = Domain.DLS.get key in
     if c != null then Csm_metrics.Counter.bulk c ~adds ~muls ~invs:0
 
-  let batch_kernel =
-    lazy
-      (match F.batch () with
-      | None -> None
-      | Some b ->
-        let elems v = Bytes.length v / b.Field_intf.width in
-        Some
-          {
-            b with
-            Field_intf.axpy =
-              (fun ~acc ~c ~x ->
-                let n = elems x in
-                charge ~adds:n ~muls:n;
-                b.Field_intf.axpy ~acc ~c ~x);
-            dot =
-              (fun a v ->
-                let n = elems a in
-                charge ~adds:n ~muls:n;
-                b.Field_intf.dot a v);
-            scale =
-              (fun ~c ~x ->
-                charge ~adds:0 ~muls:(elems x);
-                b.Field_intf.scale ~c ~x);
-            eval_many =
-              (fun ~coeffs ~xs ->
-                let n = elems xs * Array.length coeffs in
-                charge ~adds:n ~muls:n;
-                b.Field_intf.eval_many ~coeffs ~xs);
-          })
-
-  let batch () = Lazy.force batch_kernel
+  let batch =
+    Csm_parallel.Pool.once (fun () ->
+        match F.batch () with
+        | None -> None
+        | Some b ->
+          let elems v = Bytes.length v / b.Field_intf.width in
+          Some
+            {
+              b with
+              Field_intf.axpy =
+                (fun ~acc ~c ~x ->
+                  let n = elems x in
+                  charge ~adds:n ~muls:n;
+                  b.Field_intf.axpy ~acc ~c ~x);
+              dot =
+                (fun a v ->
+                  let n = elems a in
+                  charge ~adds:n ~muls:n;
+                  b.Field_intf.dot a v);
+              scale =
+                (fun ~c ~x ->
+                  charge ~adds:0 ~muls:(elems x);
+                  b.Field_intf.scale ~c ~x);
+              eval_many =
+                (fun ~coeffs ~xs ->
+                  let n = elems xs * Array.length coeffs in
+                  charge ~adds:n ~muls:n;
+                  b.Field_intf.eval_many ~coeffs ~xs);
+            })
 
   let pp = F.pp
   let to_string = F.to_string

@@ -92,25 +92,25 @@ module Make (P : PRIME) : Field_intf.S = struct
     go n 2 []
 
   let generator =
-    lazy
-      (if p = 2 then 1
-       else
-         let factors = prime_factors (p - 1) in
-         let is_gen g =
-           List.for_all (fun q -> not (equal (pow g ((p - 1) / q)) one)) factors
-         in
-         let rec search g =
-           if g >= p then failwith "Fp: no generator found"
-           else if is_gen g then g
-           else search (g + 1)
-         in
-         search 2)
+    Csm_parallel.Pool.once (fun () ->
+        if p = 2 then 1
+        else
+          let factors = prime_factors (p - 1) in
+          let is_gen g =
+            List.for_all (fun q -> not (equal (pow g ((p - 1) / q)) one)) factors
+          in
+          let rec search g =
+            if g >= p then failwith "Fp: no generator found"
+            else if is_gen g then g
+            else search (g + 1)
+          in
+          search 2)
 
   let root_of_unity n =
     if n <= 0 then None
     else if n = 1 then Some one
     else if (p - 1) mod n <> 0 then None
-    else Some (pow (Lazy.force generator) ((p - 1) / n))
+    else Some (pow (generator ()) ((p - 1) / n))
 
   let random rng = Csm_rng.int rng p
 

@@ -272,14 +272,13 @@ end = struct
 
   (* Byte-packed batch kernels for the one- and two-byte fields; [mul]
      above is table-backed for these sizes, so the kernels inherit O(1)
-     products. *)
-  let batch_kernel =
-    lazy
-      (if m = 8 then Some (Bytes_kernel.make8 ~modulus ~mul)
-       else if m = 16 then Some (Bytes_kernel.make16 ~mul)
-       else None)
-
-  let batch () = Lazy.force batch_kernel
+     products.  Built on first use (pool bodies included), not at module
+     initialisation, so a process that never batches carries no table. *)
+  let batch =
+    Csm_parallel.Pool.once (fun () ->
+        if m = 8 then Some (Bytes_kernel.make8 ~modulus ~mul)
+        else if m = 16 then Some (Bytes_kernel.make16 ~mul)
+        else None)
 
   let pp ppf x = Format.fprintf ppf "0x%x" x
   let to_string x = Printf.sprintf "0x%x" x

@@ -1,15 +1,21 @@
-(* Cluster telemetry aggregation: the serialization, merging and
-   rendering behind the end-of-run [Telemetry] frame.
+(* Cluster telemetry: the one snapshot format every node streams to the
+   client, and the merges and renderings built on it.
 
-   Node side, [bundle_json] snapshots the process's observability state
-   — metric registry, span buffers, event-log tail, HLC, plus the
-   node's own flight-recorder ring — into one self-describing
-   [csm-node-telemetry/1] JSON document that rides a Telemetry frame's
-   payload.
+   Node side, [capture] takes this process's observability state — its
+   metric registry, event-log counters and HLC — under a per-process
+   sequence number, and [encode] renders it as the
+   [csm-node-telemetry/2] JSON payload of a Telemetry frame.  While a
+   run is in flight a streaming node sends snapshots of the families
+   that changed; its last snapshot of the run is [final]: every family,
+   plus the process's span buffers and the node's own flight-recorder
+   ring.
 
-   Client side, [decode_bundle] parses that payload back (total: a
-   Byzantine node's garbage yields [None] and is counted like any other
-   malformed frame), and the merge functions fold many bundles into
+   Client side, [decode] parses a payload back (total: a Byzantine
+   node's garbage yields [None] and is counted like any other malformed
+   frame).  One rule merges snapshots, both in the live store as they
+   arrive and in the end-of-run merges below: per source (one metric
+   registry), the newest sequence number wins.  The merges fold the
+   sources into
    - one cluster-wide metric-view list (counters sum, gauges take the
      max, histograms use [Metric.merge] — all associative and
      commutative, so arrival order cannot change the exposition), and
@@ -19,20 +25,18 @@
      so the arrows are ordered consistently even across hosts whose
      wall clocks disagree.
 
-   Loopback wrinkle: node runtimes in one process share the registry,
-   span buffers and event ring, so their bundles carry near-identical
-   copies.  Merging dedups those channels by pid (keeping the bundle
-   with the latest HLC snapshot); flight rings are per-instance and are
-   always all kept. *)
+   Loopback wrinkle: node runtimes in one process share the registry
+   and span buffers, so their snapshots are copies of one source; the
+   per-process sequence makes the newest copy win.  Flight rings are
+   per-instance and are always all kept. *)
 
-let schema = "csm-node-telemetry/1"
-let schema_v2 = "csm-node-telemetry/2"
+let schema = "csm-node-telemetry/2"
 
-(* What one bundle/delta's metric views describe.  Loopback node
-   runtimes share one process-wide registry (scope [Process]): their
-   snapshots are near-identical copies and must be deduped by pid
-   alone.  Forked node processes own their registry (scope [Node]):
-   even if two hosts' pids collide, their (pid, node) keys cannot. *)
+(* What a snapshot's metric views describe.  Loopback node runtimes
+   share one process-wide registry (scope [Process]): their snapshots
+   are copies of one source, keyed by pid alone.  Forked node processes
+   own their registry (scope [Node]): even if two hosts' pids collide,
+   their (pid, node) keys cannot. *)
 type scope = Process | Node
 
 let scope_name = function Process -> "process" | Node -> "node"
@@ -42,19 +46,57 @@ let scope_of_name = function
   | "node" -> Some Node
   | _ -> None
 
-type bundle = {
-  b_node : int;
-  b_pid : int;
-  b_scope : scope;
-  b_hlc : Clock.stamp;  (* the node's clock when it snapshotted *)
-  b_views : Metric.view list;
-  b_spans : Span.record list;
-  b_events : Event.t list;
-  b_flight : Flight.entry list;
-  b_flight_recorded : int;
+type snapshot = {
+  s_node : int;
+  s_pid : int;
+  s_scope : scope;
+  s_seq : int;  (* per-process emission number, from 1 *)
+  s_hlc : Clock.stamp;  (* the node's clock when it snapshotted *)
+  s_views : Metric.view list;  (* CUMULATIVE values for the families carried *)
+  s_events_total : int;
+  s_events_dropped : int;
+  s_final : bool;
+  s_spans : Span.record list;  (* final snapshots only *)
+  s_flight : Flight.entry list;  (* final snapshots only *)
+  s_flight_recorded : int;
 }
 
-(* ----- node side: snapshot to JSON ----- *)
+(* ----- node side ----- *)
+
+(* Sequence numbers count per process, not per node runtime: loopback
+   threads snapshot one shared registry, and numbering their copies
+   from one counter lets "newest sequence wins" pick the newest copy. *)
+let last_seq = Atomic.make 0
+
+let capture ?views ?flight ~node ~scope () =
+  let seq = Atomic.fetch_and_add last_seq 1 + 1 in
+  let views = match views with Some vs -> vs | None -> Metric.families () in
+  let base =
+    {
+      s_node = node;
+      s_pid = Unix.getpid ();
+      s_scope = scope;
+      s_seq = seq;
+      s_hlc = Clock.peek ();
+      s_views = views;
+      s_events_total = Event.total ();
+      s_events_dropped = Event.dropped ();
+      s_final = false;
+      s_spans = [];
+      s_flight = [];
+      s_flight_recorded = 0;
+    }
+  in
+  match flight with
+  | None -> base
+  | Some f ->
+    {
+      base with
+      s_final = true;
+      s_spans = Span.records ();
+      s_flight = Flight.entries f;
+      s_flight_recorded = Flight.recorded f;
+    }
 
 let attrs_json attrs =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs)
@@ -73,17 +115,6 @@ let span_json (r : Span.record) =
       ("adds", Json.Int r.Span.d_adds);
       ("muls", Json.Int r.Span.d_muls);
       ("invs", Json.Int r.Span.d_invs);
-    ]
-
-let event_json (e : Event.t) =
-  Json.Obj
-    [
-      ("seq", Json.Int e.Event.seq);
-      ("ts", Json.Float e.Event.ts);
-      ("mono", Json.Float e.Event.mono);
-      ("level", Json.Str (Event.level_name e.Event.level));
-      ("name", Json.Str e.Event.name);
-      ("attrs", attrs_json e.Event.attrs);
     ]
 
 let value_json = function
@@ -121,24 +152,33 @@ let view_json (v : Metric.view) =
              v.Metric.samples) );
     ]
 
-let bundle_json ?(scope = Process) ~node ~flight () =
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("node", Json.Int node);
-      ("pid", Json.Int (Unix.getpid ()));
-      ("registry", Json.Str (scope_name scope));
-      ("hlc", Json.Int (Clock.peek ()));
-      ("events_total", Json.Int (Event.total ()));
-      ("events_dropped", Json.Int (Event.dropped ()));
-      ("metrics", Json.List (List.map view_json (Metric.families ())));
-      ("spans", Json.List (List.map span_json (Span.records ())));
-      ("events", Json.List (List.map event_json (Event.recent ())));
-      ("flight", Flight.to_json flight);
-    ]
-
-let bundle_payload ?scope ~node ~flight () =
-  Json.to_string (bundle_json ?scope ~node ~flight ())
+let encode s =
+  Json.to_string
+    (Json.Obj
+       ([
+          ("schema", Json.Str schema);
+          ("node", Json.Int s.s_node);
+          ("pid", Json.Int s.s_pid);
+          ("registry", Json.Str (scope_name s.s_scope));
+          ("seq", Json.Int s.s_seq);
+          ("hlc", Json.Int s.s_hlc);
+          ("events_total", Json.Int s.s_events_total);
+          ("events_dropped", Json.Int s.s_events_dropped);
+          ("metrics", Json.List (List.map view_json s.s_views));
+        ]
+       @
+       if not s.s_final then []
+       else
+         [
+           ("final", Json.Bool true);
+           ("spans", Json.List (List.map span_json s.s_spans));
+           ( "flight",
+             Json.Obj
+               [
+                 ("recorded", Json.Int s.s_flight_recorded);
+                 ("entries", Json.List (List.map Flight.entry_json s.s_flight));
+               ] );
+         ]))
 
 (* ----- client side: total parsing ----- *)
 
@@ -191,22 +231,6 @@ let span_of_json j =
         d_muls;
         d_invs;
       }
-  | _ -> None
-
-let event_of_json j =
-  match
-    ( mem_int "seq" j,
-      mem_float "ts" j,
-      mem_str "level" j,
-      mem_str "name" j,
-      attrs_of_json (Json.member "attrs" j) )
-  with
-  | Some seq, Some ts, Some level, Some name, Some attrs -> (
-    match Event.level_of_string level with
-    | Some level ->
-      let mono = Option.value ~default:ts (mem_float "mono" j) in
-      Some { Event.seq; ts; mono; level; name; attrs }
-    | None -> None)
   | _ -> None
 
 let sample_of_json kind j =
@@ -274,162 +298,89 @@ let view_of_json j =
       | None -> None))
   | _ -> None
 
-let decode_bundle payload =
-  match Json.parse payload with
-  | exception Json.Parse_error _ -> None
-  | j -> (
-    match
-      ( mem_str "schema" j,
-        mem_int "node" j,
-        mem_int "pid" j,
-        mem_int "hlc" j,
-        Json.member "metrics" j,
-        Json.member "spans" j,
-        Json.member "events" j,
-        Json.member "flight" j )
-    with
-    | ( Some s,
-        Some b_node,
-        Some b_pid,
-        Some b_hlc,
-        Some (Json.List metrics),
-        Some (Json.List spans),
-        Some (Json.List events),
-        Some flight )
-      when s = schema && b_node >= 0 && b_hlc >= 0 -> (
-      match
-        ( opt_all view_of_json metrics,
-          opt_all span_of_json spans,
-          opt_all event_of_json events,
-          Json.member "entries" flight )
-      with
-      | Some b_views, Some b_spans, Some b_events, Some (Json.List entries) -> (
+(* The final-only sections as (final, spans, flight entries, recorded
+   count): all empty for a mid-run snapshot, [None] when malformed. *)
+let final_sections j =
+  match Json.member "final" j with
+  | None | Some (Json.Bool false) -> Some (false, [], [], 0)
+  | Some (Json.Bool true) -> (
+    match (Json.member "spans" j, Json.member "flight" j) with
+    | Some (Json.List spans), Some flight -> (
+      match (opt_all span_of_json spans, Json.member "entries" flight) with
+      | Some spans, Some (Json.List entries) -> (
         match opt_all Flight.decode_entry_json entries with
-        | Some b_flight ->
-          (* "registry" is absent in pre-/2 bundles; those all came from
-             shared-registry (loopback) processes, so Process is both
-             the backward-compatible and the safe default *)
-          let b_scope =
-            Option.value ~default:Process
-              (Option.bind (mem_str "registry" j) scope_of_name)
+        | Some entries ->
+          let recorded =
+            Option.value ~default:(List.length entries)
+              (mem_int "recorded" flight)
           in
-          Some
-            {
-              b_node;
-              b_pid;
-              b_scope;
-              b_hlc;
-              b_views;
-              b_spans;
-              b_events;
-              b_flight;
-              b_flight_recorded =
-                Option.value ~default:(List.length b_flight)
-                  (mem_int "recorded" flight);
-            }
+          Some (true, spans, entries, recorded)
         | None -> None)
       | _ -> None)
     | _ -> None)
+  | Some _ -> None
 
-(* ----- streaming deltas (csm-node-telemetry/2) ----- *)
-
-type delta = {
-  d_node : int;
-  d_pid : int;
-  d_scope : scope;
-  d_seq : int;  (* per-source emission number, from 1 *)
-  d_full : bool;  (* full registry snapshot vs changed-families-only *)
-  d_hlc : Clock.stamp;
-  d_views : Metric.view list;  (* CUMULATIVE values for the families carried *)
-  d_events : Event.t list;  (* the event tail new since the last emission *)
-  d_events_total : int;
-  d_events_dropped : int;
-}
-
-let delta_json ~node ~scope ~seq ~full ~views ~events () =
-  Json.Obj
-    [
-      ("schema", Json.Str schema_v2);
-      ("node", Json.Int node);
-      ("pid", Json.Int (Unix.getpid ()));
-      ("registry", Json.Str (scope_name scope));
-      ("seq", Json.Int seq);
-      ("full", Json.Bool full);
-      ("hlc", Json.Int (Clock.peek ()));
-      ("events_total", Json.Int (Event.total ()));
-      ("events_dropped", Json.Int (Event.dropped ()));
-      ("metrics", Json.List (List.map view_json views));
-      ("events", Json.List (List.map event_json events));
-    ]
-
-let delta_payload ~node ~scope ~seq ~full ~views ~events () =
-  Json.to_string (delta_json ~node ~scope ~seq ~full ~views ~events ())
-
-let decode_delta payload =
+let decode payload =
   match Json.parse payload with
   | exception Json.Parse_error _ -> None
   | j -> (
     match
       ( (mem_str "schema" j, mem_int "node" j, mem_int "pid" j),
         (Option.bind (mem_str "registry" j) scope_of_name, mem_int "seq" j),
-        (mem_int "hlc" j, Json.member "metrics" j, Json.member "events" j) )
+        (mem_int "hlc" j, Json.member "metrics" j) )
     with
-    | ( (Some s, Some d_node, Some d_pid),
-        (Some d_scope, Some d_seq),
-        (Some d_hlc, Some (Json.List metrics), Some (Json.List events)) )
-      when s = schema_v2 && d_node >= 0 && d_seq >= 1 && d_hlc >= 0 -> (
-      match (opt_all view_of_json metrics, opt_all event_of_json events) with
-      | Some d_views, Some d_events ->
-        let d_events_total =
-          max 0 (Option.value ~default:0 (mem_int "events_total" j))
-        in
-        let d_events_dropped =
-          max 0 (Option.value ~default:0 (mem_int "events_dropped" j))
-        in
+    | ( (Some s, Some s_node, Some s_pid),
+        (Some s_scope, Some s_seq),
+        (Some s_hlc, Some (Json.List metrics)) )
+      when s = schema && s_node >= 0 && s_seq >= 1 && s_hlc >= 0 -> (
+      match (opt_all view_of_json metrics, final_sections j) with
+      | Some s_views, Some (s_final, s_spans, s_flight, s_flight_recorded) ->
+        let counter key = max 0 (Option.value ~default:0 (mem_int key j)) in
         Some
           {
-            d_node;
-            d_pid;
-            d_scope;
-            d_seq;
-            d_full =
-              Option.value ~default:false
-                (Option.bind (Json.member "full" j) Json.to_bool_opt);
-            d_hlc;
-            d_views;
-            d_events;
-            d_events_total;
-            d_events_dropped;
+            s_node;
+            s_pid;
+            s_scope;
+            s_seq;
+            s_hlc;
+            s_views;
+            s_events_total = counter "events_total";
+            s_events_dropped = counter "events_dropped";
+            s_final;
+            s_spans;
+            s_flight;
+            s_flight_recorded;
           }
       | _ -> None)
     | _ -> None)
 
 (* ----- merging ----- *)
 
-(* One representative bundle per registry — keyed by (pid, node index)
-   so colliding pids across hosts cannot silently swallow a node's
-   telemetry.  Scope [Process] bundles (loopback: one shared registry
-   per process) collapse the node component, keeping the bundle with
-   the latest HLC snapshot, i.e. the most complete view of that shared
-   state; scope [Node] bundles each stand for their own registry. *)
-let dedup_key b =
-  match b.b_scope with
-  | Process -> (b.b_pid, -1)
-  | Node -> (b.b_pid, b.b_node)
+(* The registry a snapshot describes: forked nodes' own registries key
+   on (pid, node index), a shared loopback registry on pid alone. *)
+let source s =
+  match s.s_scope with Process -> (s.s_pid, -1) | Node -> (s.s_pid, s.s_node)
 
-let dedup bundles =
-  let best : (int * int, bundle) Hashtbl.t = Hashtbl.create 8 in
+let by_node a b =
+  match Int.compare a.s_node b.s_node with
+  | 0 -> (
+    match Int.compare a.s_pid b.s_pid with
+    | 0 -> Int.compare a.s_seq b.s_seq
+    | c -> c)
+  | c -> c
+
+let latest snaps =
+  let best : (int * int, snapshot) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun b ->
-      let key = dedup_key b in
+    (fun s ->
+      let key = source s in
       match Hashtbl.find_opt best key with
-      | Some prev when Clock.compare prev.b_hlc b.b_hlc >= 0 -> ()
-      | _ -> Hashtbl.replace best key b)
-    bundles;
-  let reps = Hashtbl.fold (fun _ b acc -> b :: acc) best [] in
-  List.sort (fun a b -> Int.compare a.b_node b.b_node) reps
+      | Some prev when prev.s_seq >= s.s_seq -> ()
+      | _ -> Hashtbl.replace best key s)
+    snaps;
+  List.sort by_node (Hashtbl.fold (fun _ s acc -> s :: acc) best [])
 
-let merge_samples kind (a : Metric.sample) (b : Metric.sample) =
+let merge_samples (a : Metric.sample) (b : Metric.sample) =
   let value =
     match (a.Metric.value, b.Metric.value) with
     | Metric.V_counter x, Metric.V_counter y -> Metric.V_counter (x + y)
@@ -438,11 +389,10 @@ let merge_samples kind (a : Metric.sample) (b : Metric.sample) =
       match Metric.merge x y with
       | m -> Metric.V_histogram m
       | exception Invalid_argument _ ->
-        (* bucket-layout mismatch from an untrusted bundle: keep ours *)
+        (* bucket-layout mismatch from an untrusted snapshot: keep ours *)
         Metric.V_histogram x)
     | v, _ -> v  (* kind mismatch inside one family: keep the first *)
   in
-  ignore kind;
   { a with Metric.value }
 
 let merge_views (lists : Metric.view list list) : Metric.view list =
@@ -466,7 +416,7 @@ let merge_views (lists : Metric.view list list) : Metric.view list =
                      List.map
                        (fun (q : Metric.sample) ->
                          if q.Metric.labels = s.Metric.labels then
-                           merge_samples v.Metric.kind q s
+                           merge_samples q s
                          else q)
                        acc
                    | _ :: rest -> fold rest
@@ -479,7 +429,7 @@ let merge_views (lists : Metric.view list list) : Metric.view list =
            in
            Hashtbl.replace families v.Metric.name
              { prev with Metric.samples; help }
-         | Some _ -> ()  (* kind clash across bundles: first wins *)))
+         | Some _ -> ()  (* kind clash across snapshots: first wins *)))
     lists;
   List.sort
     (fun (a : Metric.view) b -> String.compare a.Metric.name b.Metric.name)
@@ -496,11 +446,10 @@ let merge_views (lists : Metric.view list list) : Metric.view list =
          })
        !order)
 
-let merged_views bundles =
-  merge_views (List.map (fun b -> b.b_views) (dedup bundles))
+let merged_views snaps =
+  merge_views (List.map (fun s -> s.s_views) (latest snaps))
 
-let max_hlc bundles =
-  List.fold_left (fun acc b -> Clock.join acc b.b_hlc) 0 bundles
+let max_hlc snaps = List.fold_left (fun acc s -> Clock.join acc s.s_hlc) 0 snaps
 
 (* ----- the merged Chrome trace ----- *)
 
@@ -515,46 +464,63 @@ let flight_us (e : Flight.entry) =
      sub-millisecond offset — so trace order IS HLC order *)
   (Clock.ms e.f_hlc * 1000) + min (Clock.count e.f_hlc) 999
 
+(* The cross-node message a flight entry is one end of, if any: a "send"
+   naming its "dst" or a "recv" naming its "src", with its pairing key. *)
+let flow_end ~node (e : Flight.entry) =
+  let frame = Option.value ~default:"" (List.assoc_opt "frame" e.f_attrs) in
+  let peer attr =
+    Option.map
+      (fun v -> Option.value ~default:(-1) (int_of_string_opt v))
+      (List.assoc_opt attr e.f_attrs)
+  in
+  match (e.Flight.f_kind, peer "dst", peer "src") with
+  | "send", Some dst, _ ->
+    Some (`Send, flow_key ~round:e.f_round ~frame ~src:node ~dst)
+  | "recv", _, Some src ->
+    Some (`Recv, flow_key ~round:e.f_round ~frame ~src ~dst:node)
+  | _ -> None
+
 let wire_tid = 999  (* the per-process "wire" track for flight slices *)
 
-let cluster_trace (bundles : bundle list) : Json.t =
-  let reps = dedup bundles in
+let cluster_trace (snaps : snapshot list) : Json.t =
+  let reps = latest snaps in
+  let by_node_id = List.sort (fun a b -> Int.compare a.s_node b.s_node) snaps in
   (* one shared time base across spans and flight entries, so rebased
      microsecond integers stay small and exact *)
   let base_us =
     List.fold_left
-      (fun acc b ->
+      (fun acc s ->
         let acc =
           List.fold_left
             (fun acc (r : Span.record) ->
               min acc (int_of_float (r.Span.start_s *. 1e6)))
-            acc b.b_spans
+            acc s.s_spans
         in
         List.fold_left
           (fun acc e -> min acc (flight_us e))
-          acc b.b_flight)
-      max_int bundles
+          acc s.s_flight)
+      max_int snaps
   in
   let base_us = if base_us = max_int then 0 else base_us in
   let events = ref [] in
   let emit e = events := e :: !events in
   (* process-name metadata, one per node *)
   List.iter
-    (fun b ->
+    (fun s ->
       emit
         (Json.Obj
            [
              ("name", Json.Str "process_name");
              ("ph", Json.Str "M");
-             ("pid", Json.Int b.b_node);
+             ("pid", Json.Int s.s_node);
              ( "args",
                Json.Obj
-                 [ ("name", Json.Str (Printf.sprintf "node %d" b.b_node)) ] );
+                 [ ("name", Json.Str (Printf.sprintf "node %d" s.s_node)) ] );
            ]))
-    (List.sort (fun a b -> Int.compare a.b_node b.b_node) bundles);
+    by_node_id;
   (* spans: one X event each, under the owning process's pid *)
   List.iter
-    (fun b ->
+    (fun s ->
       List.iter
         (fun (r : Span.record) ->
           emit
@@ -566,33 +532,29 @@ let cluster_trace (bundles : bundle list) : Json.t =
                  ( "ts",
                    Json.Int (int_of_float (r.Span.start_s *. 1e6) - base_us) );
                  ("dur", Json.Float (r.Span.dur_s *. 1e6));
-                 ("pid", Json.Int b.b_node);
+                 ("pid", Json.Int s.s_node);
                  ("tid", Json.Int r.Span.domain);
                  ( "args",
                    Json.Obj
                      (List.map (fun (k, v) -> (k, Json.Str v)) r.Span.attrs
                      @ [ ("span_id", Json.Int r.Span.id) ]) );
                ]))
-        b.b_spans)
+        s.s_spans)
     reps;
   (* flight entries: a thin slice on the wire track of every node (all
-     bundles — rings are per-instance even in loopback) *)
+     snapshots — rings are per-instance even in loopback), plus a flow
+     event for each end of a cross-node message *)
   let flow_ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let next_flow = ref 0 in
   let flow_id key =
     match Hashtbl.find_opt flow_ids key with
     | Some id -> id
     | None ->
-      let id = !next_flow in
-      incr next_flow;
+      let id = Hashtbl.length flow_ids in
       Hashtbl.replace flow_ids key id;
       id
   in
-  let sends : (string, int * int) Hashtbl.t = Hashtbl.create 64 in
-  (* key → (node, ts) of the send side, to count matched flows *)
-  let matched = ref 0 in
   List.iter
-    (fun b ->
+    (fun s ->
       List.iter
         (fun (e : Flight.entry) ->
           let ts = flight_us e - base_us in
@@ -609,7 +571,7 @@ let cluster_trace (bundles : bundle list) : Json.t =
                  ("ph", Json.Str "X");
                  ("ts", Json.Int ts);
                  ("dur", Json.Int 1);
-                 ("pid", Json.Int b.b_node);
+                 ("pid", Json.Int s.s_node);
                  ("tid", Json.Int wire_tid);
                  ( "args",
                    Json.Obj
@@ -617,94 +579,43 @@ let cluster_trace (bundles : bundle list) : Json.t =
                      :: ("hlc", Json.Int e.f_hlc)
                      :: List.map (fun (k, v) -> (k, Json.Str v)) e.f_attrs) );
                ]);
-          match e.Flight.f_kind with
-          | "send" -> (
-            match List.assoc_opt "dst" e.f_attrs with
-            | Some dst ->
-              let key = flow_key ~round:e.f_round ~frame ~src:b.b_node
-                          ~dst:(int_of_string_opt dst |> Option.value ~default:(-1))
-              in
-              Hashtbl.replace sends key (b.b_node, ts);
-              emit
-                (Json.Obj
-                   [
-                     ("name", Json.Str frame);
-                     ("cat", Json.Str "csm.flow");
-                     ("ph", Json.Str "s");
+          match flow_end ~node:s.s_node e with
+          | None -> ()
+          | Some (dir, key) ->
+            let phase =
+              match dir with
+              | `Send -> [ ("ph", Json.Str "s") ]
+              | `Recv -> [ ("ph", Json.Str "f"); ("bp", Json.Str "e") ]
+            in
+            emit
+              (Json.Obj
+                 ([ ("name", Json.Str frame); ("cat", Json.Str "csm.flow") ]
+                 @ phase
+                 @ [
                      ("id", Json.Int (flow_id key));
                      ("ts", Json.Int ts);
-                     ("pid", Json.Int b.b_node);
+                     ("pid", Json.Int s.s_node);
                      ("tid", Json.Int wire_tid);
-                   ])
-            | None -> ())
-          | "recv" -> (
-            match List.assoc_opt "src" e.f_attrs with
-            | Some src ->
-              let key = flow_key ~round:e.f_round ~frame
-                          ~src:(int_of_string_opt src |> Option.value ~default:(-1))
-                          ~dst:b.b_node
-              in
-              emit
-                (Json.Obj
-                   [
-                     ("name", Json.Str frame);
-                     ("cat", Json.Str "csm.flow");
-                     ("ph", Json.Str "f");
-                     ("bp", Json.Str "e");
-                     ("id", Json.Int (flow_id key));
-                     ("ts", Json.Int ts);
-                     ("pid", Json.Int b.b_node);
-                     ("tid", Json.Int wire_tid);
-                   ]);
-              if Hashtbl.mem sends key then incr matched
-            | None -> ())
-          | _ -> ())
-        b.b_flight)
-    (List.sort (fun a b -> Int.compare a.b_node b.b_node) bundles);
+                   ])))
+        s.s_flight)
+    by_node_id;
   Json.Obj
     [
       ("traceEvents", Json.List (List.rev !events));
       ("displayTimeUnit", Json.Str "ms");
     ]
 
-(* Matched cross-node send→recv pairs among the bundles' flight rings:
+(* Matched cross-node send→recv pairs among the snapshots' flight rings:
    the obs-smoke assertion that the merged trace really links
    processes.  (Send and recv live on different nodes by construction —
    a node never sends to itself.) *)
-let cross_flows (bundles : bundle list) : int =
-  let sends : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let count = ref 0 in
-  let frame_of e =
-    Option.value ~default:"" (List.assoc_opt "frame" e.Flight.f_attrs)
+let cross_flows (snaps : snapshot list) : int =
+  let ends =
+    List.concat_map
+      (fun s -> List.filter_map (flow_end ~node:s.s_node) s.s_flight)
+      snaps
   in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun (e : Flight.entry) ->
-          if e.Flight.f_kind = "send" then
-            match List.assoc_opt "dst" e.f_attrs with
-            | Some dst ->
-              Hashtbl.replace sends
-                (flow_key ~round:e.f_round ~frame:(frame_of e) ~src:b.b_node
-                   ~dst:(int_of_string_opt dst |> Option.value ~default:(-1)))
-                ()
-            | None -> ())
-        b.b_flight)
-    bundles;
-  List.iter
-    (fun b ->
-      List.iter
-        (fun (e : Flight.entry) ->
-          if e.Flight.f_kind = "recv" then
-            match List.assoc_opt "src" e.f_attrs with
-            | Some src ->
-              if
-                Hashtbl.mem sends
-                  (flow_key ~round:e.f_round ~frame:(frame_of e)
-                     ~src:(int_of_string_opt src |> Option.value ~default:(-1))
-                     ~dst:b.b_node)
-              then incr count
-            | None -> ())
-        b.b_flight)
-    bundles;
-  !count
+  let sends : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  List.iter (function `Send, k -> Hashtbl.replace sends k () | _ -> ()) ends;
+  List.length
+    (List.filter (function `Recv, k -> Hashtbl.mem sends k | _ -> false) ends)

@@ -98,11 +98,6 @@ let recent () =
   in
   List.sort (fun a b -> Int.compare a.seq b.seq) items
 
-(* Surviving events with a sequence number past [after], oldest first —
-   the streaming-telemetry event tail. *)
-let since after =
-  List.filter (fun e -> e.seq > after) (recent ())
-
 let reset () =
   locked (fun () ->
       Array.fill ring 0 capacity None;

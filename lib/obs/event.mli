@@ -40,17 +40,12 @@ val emit : ?attrs:(string * string) list -> level -> string -> unit
 val recent : unit -> t list
 (** Surviving events, oldest first. *)
 
-val since : int -> t list
-(** Surviving events with [seq] strictly past the argument, oldest
-    first — the streaming-telemetry event tail. *)
-
 val total : unit -> int
 (** Events emitted since the last [reset], including overwritten ones. *)
 
 val dropped : unit -> int
 (** Events the ring overwrote before they were read (the
-    [csm_events_dropped_total] signal): the tail shipped in telemetry
-    bundles is truncated by this many entries. *)
+    [csm_events_dropped_total] signal). *)
 
 val reset : unit -> unit
 

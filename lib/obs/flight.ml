@@ -104,12 +104,3 @@ let decode_entry_json j =
     in
     Some { f_hlc = hlc; f_trace = trace; f_round = round; f_kind = kind; f_attrs = attrs }
   | _ -> None
-
-let to_json t =
-  Json.Obj
-    [
-      ("node", Json.Int t.node);
-      ("capacity", Json.Int t.cap);
-      ("recorded", Json.Int (recorded t));
-      ("entries", Json.List (List.map entry_json (entries t)));
-    ]

@@ -47,6 +47,3 @@ val entry_json : entry -> Json.t
 val decode_entry_json : Json.t -> entry option
 (** Total inverse of {!entry_json}: malformed input yields [None]. *)
 
-val to_json : t -> Json.t
-(** The node's section of a flight-recorder dump: node id, capacity,
-    total recorded count and surviving entries. *)

@@ -1,15 +1,14 @@
 (* The client-side live telemetry store.
 
-   Ingestion rule, per source (a source is one metric registry: a
-   forked node process keys as (pid, node index), a shared loopback
-   registry as (pid, -1)): apply a delta iff its sequence number is
-   strictly beyond the source's last applied one.  Deltas carry
-   CUMULATIVE family values, so this "newest wins" rule is idempotent
-   under duplication and reordering, and a lost frame merely delays
-   freshness until the next arrival (or the periodic full snapshot)
-   instead of corrupting a sum.
+   Ingestion rule, per source ([Agg.source]: one metric registry): apply
+   a snapshot iff its sequence number is strictly beyond the source's
+   last applied one — the newest-sequence rule [Agg.latest] applies to
+   a list.  Snapshots carry CUMULATIVE family values, so the rule is
+   idempotent under duplication and reordering, and a lost frame merely
+   delays freshness until the next arrival (or the periodic full
+   snapshot) instead of corrupting a sum.
 
-   Rates come from diffing: when a delta lands, the increment of each
+   Rates come from diffing: when a snapshot lands, the increment of each
    windowed family over the source's previous cumulative value is fed
    into the matching {!Window} at arrival time.  λ is special — the
    client is the ground truth for commits, so [note_commit] feeds the
@@ -22,7 +21,7 @@ let wall () = Unix.gettimeofday ()
 type source = {
   src_node : int;
   src_scope : Agg.scope;
-  mutable src_seq : int;  (* highest applied delta sequence *)
+  mutable src_seq : int;  (* highest applied snapshot sequence *)
   mutable src_hlc : Clock.stamp;
   mutable src_events_total : int;
   mutable src_events_dropped : int;
@@ -102,7 +101,7 @@ let node_views t =
             t.sources []
         in
         (* canonical source order so the merged result is deterministic
-           for a fixed set of applied deltas, whatever their arrival
+           for a fixed set of applied snapshots, whatever their arrival
            interleaving was *)
         List.map snd
           (List.sort
@@ -302,29 +301,23 @@ let feed_windows t src ~now (v : Metric.view) =
       v.Metric.samples
   | _ -> ()
 
-let source_key (d : Agg.delta) =
-  match d.Agg.d_scope with
-  | Agg.Process -> (d.Agg.d_pid, -1)
-  | Agg.Node -> (d.Agg.d_pid, d.Agg.d_node)
-
-let apply t payload =
-  match Agg.decode_delta payload with
+let apply t = function
   | None ->
     locked t (fun () -> t.n_rejected <- t.n_rejected + 1);
     `Malformed
-  | Some d ->
+  | Some (s : Agg.snapshot) ->
     let now = wall () in
     let outcome =
       locked t (fun () ->
-          let key = source_key d in
+          let key = Agg.source s in
           let src =
             match Hashtbl.find_opt t.sources key with
-            | Some s -> s
+            | Some src -> src
             | None ->
-              let s =
+              let src =
                 {
-                  src_node = d.Agg.d_node;
-                  src_scope = d.Agg.d_scope;
+                  src_node = s.Agg.s_node;
+                  src_scope = s.Agg.s_scope;
                   src_seq = 0;
                   src_hlc = 0;
                   src_events_total = 0;
@@ -332,10 +325,10 @@ let apply t payload =
                   families = Hashtbl.create 32;
                 }
               in
-              Hashtbl.replace t.sources key s;
-              s
+              Hashtbl.replace t.sources key src;
+              src
           in
-          if d.Agg.d_seq <= src.src_seq then begin
+          if s.Agg.s_seq <= src.src_seq then begin
             t.n_stale <- t.n_stale + 1;
             `Stale
           end
@@ -344,12 +337,12 @@ let apply t payload =
               (fun (v : Metric.view) ->
                 feed_windows t src ~now v;
                 Hashtbl.replace src.families v.Metric.name v)
-              d.Agg.d_views;
-            src.src_seq <- d.Agg.d_seq;
-            src.src_hlc <- Clock.join src.src_hlc d.Agg.d_hlc;
-            src.src_events_total <- max src.src_events_total d.Agg.d_events_total;
+              s.Agg.s_views;
+            src.src_seq <- s.Agg.s_seq;
+            src.src_hlc <- Clock.join src.src_hlc s.Agg.s_hlc;
+            src.src_events_total <- max src.src_events_total s.Agg.s_events_total;
             src.src_events_dropped <-
-              max src.src_events_dropped d.Agg.d_events_dropped;
+              max src.src_events_dropped s.Agg.s_events_dropped;
             t.n_applied <- t.n_applied + 1;
             `Applied
           end)

@@ -1,16 +1,16 @@
-(** The client-side live telemetry store: merge the nodes' streaming
-    [csm-node-telemetry/2] deltas idempotently, derive windowed rates
-    and rolling latency quantiles, evaluate the SLO alert rules on
-    every merge, and render it all as a Prometheus exposition for the
-    HTTP scrape endpoint and the terminal ticker.
+(** The client-side live telemetry store: merge the nodes' streamed
+    {!Agg.snapshot}s idempotently, derive windowed rates and rolling
+    latency quantiles, evaluate the SLO alert rules on every merge, and
+    render it all as a Prometheus exposition for the HTTP scrape
+    endpoint and the terminal ticker.
 
-    Idempotency: each source (one registry — (pid, node) for forked
-    nodes, pid alone for a shared loopback registry) carries a
-    monotone sequence number; a delta at or below the source's applied
-    sequence is dropped, so duplicated or reordered frames never
-    corrupt the aggregates, and because delta values are cumulative a
-    lost frame self-heals on the next arrival.  All entry points are
-    thread-safe (the scrape endpoint reads while the client merges). *)
+    Idempotency: the store applies the newest-sequence-per-source rule
+    of {!Agg.latest} as snapshots arrive — a snapshot at or below its
+    source's applied sequence is dropped, so duplicated or reordered
+    frames never corrupt the aggregates, and because snapshot values
+    are cumulative a lost frame self-heals on the next arrival.  All
+    entry points are thread-safe (the scrape endpoint reads while the
+    client merges). *)
 
 type t
 
@@ -31,11 +31,11 @@ val mark_start : ?now:float -> t -> unit
 (** Anchor the λ window's covered span at the run start, so the
     windowed rate and the whole-run average share a time origin. *)
 
-val apply : t -> string -> [ `Applied | `Stale | `Malformed ]
-(** Merge one Telemetry frame payload.  [`Stale] = duplicate or
-    reordered (sequence at or below the last applied — dropped,
-    harmless); [`Malformed] = not a well-formed
-    [csm-node-telemetry/2] document (count it as a frame error). *)
+val apply : t -> Agg.snapshot option -> [ `Applied | `Stale | `Malformed ]
+(** Merge one decoded Telemetry frame payload ({!Agg.decode}).
+    [`Stale] = duplicate or reordered (sequence at or below the last
+    applied — dropped, harmless); [`Malformed] = the payload did not
+    decode ([None]; count it as a frame error). *)
 
 val note_commit : ?now:float -> t -> unit
 (** The client accepted one round (k commands) — the λ feed. *)
@@ -45,12 +45,13 @@ val lambda : ?now:float -> t -> float
 (** Windowed committed-command throughput, commands/second. *)
 
 val deltas : t -> int * int * int
-(** (applied, stale, rejected) delta counts. *)
+(** (applied, stale, rejected) snapshot counts — the store's
+    [csm_live_deltas_*] counters. *)
 
 val alerts : t -> Alert.engine
 
 val node_views : t -> Metric.view list
-(** The cluster-merged cumulative views from the applied deltas alone
+(** The cluster-merged cumulative views from the applied snapshots alone
     (no windowed/alert synthetics) — deterministic for a fixed set of
     applied payloads, which the delta-merge determinism gate relies
     on. *)

@@ -50,8 +50,9 @@ val flightrec_dumps : reason:string -> Metric.counter
     ["frame-errors"], ["suspicion"], ["alert"], ["requested"]. *)
 
 val events_dropped : Metric.counter
-(** Event-ring entries overwritten unread ([csm_events_dropped_total]):
-    how truncated the telemetry event tails are. *)
+(** Event-ring entries overwritten unread ([csm_events_dropped_total]).
+    Its help text still names the event tail telemetry snapshots no
+    longer carry: changing it would change every exposition. *)
 
 val node_phases : phase:string -> Metric.counter
 (** Node-runtime phase completions ([commands] | [committed] |

@@ -54,19 +54,33 @@ let engaged = Domain.DLS.new_key (fun () -> false)
 let propagators : (unit -> (unit -> unit)) list ref = ref []
 let register_propagator f = propagators := f :: !propagators
 
+(* A lazy value that any domain may force at any time.  [Lazy.force]
+   raises [CamlinternalLazy.Undefined] when two domains force the same
+   suspension at once; here a racing domain computes its own copy and
+   the first published value wins, so [f] must be pure. *)
+let once f =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None -> (
+      let v = f () in
+      if Atomic.compare_and_set cell None (Some v) then v
+      else match Atomic.get cell with Some w -> w | None -> v)
+
 let env_size =
-  lazy
-    (match Sys.getenv_opt "CSM_DOMAINS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> min d hard_cap
-      | Some _ | None -> Domain.recommended_domain_count ())
-    | None -> Domain.recommended_domain_count ())
+  once (fun () ->
+      match Sys.getenv_opt "CSM_DOMAINS" with
+      | Some s -> (
+        match int_of_string_opt (String.trim s) with
+        | Some d when d >= 1 -> min d hard_cap
+        | Some _ | None -> Domain.recommended_domain_count ())
+      | None -> Domain.recommended_domain_count ())
 
 (* 0 = not yet configured: take CSM_DOMAINS / recommended on first use. *)
 let configured = ref 0
 
-let domains () = if !configured = 0 then Lazy.force env_size else !configured
+let domains () = if !configured = 0 then env_size () else !configured
 
 let set_domains d =
   if d < 1 then invalid_arg "Pool.set_domains: need at least 1 domain";

@@ -32,6 +32,13 @@ val register_propagator : (unit -> (unit -> unit)) -> unit
     counted field to route operation counts to the submitter's current
     counter, keeping measured totals exact under any domain count. *)
 
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] is a domain-safe lazy value: the first call computes
+    [f ()], later calls return the published result.  Unlike
+    [Lazy.force], callers on two domains may race: each may compute,
+    one result is published and all of them get it, so [f] must be
+    pure.  Use it for values a pool body may reach. *)
+
 val parallel_for : ?chunk:int -> int -> (int -> unit) -> unit
 (** [parallel_for ?chunk n f] runs [f i] for every [i] in [0, n);
     [chunk] indices per task (default: enough for ~4 chunks per

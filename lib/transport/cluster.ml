@@ -49,15 +49,15 @@ module Make (F : Field_intf.S) = struct
     faults : (int * Node.fault) list;
     deadline : float;
     trace : bool;  (* v2 trace extensions + per-node spans *)
-    telemetry : bool;  (* gather end-of-run Telemetry bundles *)
+    telemetry : bool;  (* gather every node's final telemetry snapshot *)
     stream : float option;
-        (* nodes emit in-flight csm-node-telemetry/2 deltas at most
-           this often; loopback threads share one registry, so there
-           only node 0 streams (independent per-thread sequence
-           numbers over one source would shadow each other) *)
+        (* nodes stream in-flight telemetry snapshots at most this
+           often; loopback threads share one registry, so there only
+           node 0 streams — one emitter tracks which shared families
+           changed *)
     live : Live.t option;
-        (* the client-side live store the deltas merge into — also fed
-           the client's own commit ticks (the λ window) *)
+        (* the client-side live store the snapshots merge into — also
+           fed the client's own commit ticks (the λ window) *)
   }
 
   type result = {
@@ -65,9 +65,9 @@ module Make (F : Field_intf.S) = struct
     reference : string array;  (* fault-free single-process payloads *)
     outputs_received : int array;  (* validated Output frames per round *)
     stats : Transport.stats option array;  (* n nodes then the client *)
-    telemetry : Agg.bundle list;
-        (* decoded node bundles (ordered by node id) then the client's
-           own, when cfg.telemetry; [] otherwise *)
+    telemetry : Agg.snapshot list;
+        (* the nodes' final snapshots (ordered by node id) then the
+           client's own, when cfg.telemetry; [] otherwise *)
     run_seconds : float;
         (* client wall time from the first Command broadcast to the
            last round's vote — the whole-run λ denominator *)
@@ -114,6 +114,32 @@ module Make (F : Field_intf.S) = struct
 
   let fault_of cfg i =
     match List.assoc_opt i cfg.faults with Some f -> f | None -> Node.Honest
+
+  let node_config cfg i =
+    (* loopback node threads share this process's registry: their
+       snapshots describe the process, and only node 0 streams in
+       flight (changed-family tracking lives in one emitter).  Forked
+       nodes own their registries: Node scope, everyone streams. *)
+    let scope = match cfg.mode with Loopback -> Agg.Process | _ -> Agg.Node in
+    let stream =
+      match cfg.mode with
+      | Loopback when i <> 0 -> None
+      | _ -> cfg.stream
+    in
+    {
+      N.node = i;
+      params = cfg.params;
+      machine = machine cfg;
+      init = initial_states cfg;
+      rounds = cfg.rounds;
+      fault = fault_of cfg i;
+      faults = cfg.faults;
+      deadline = cfg.deadline;
+      trace = cfg.trace;
+      telemetry = cfg.telemetry;
+      stream;
+      scope;
+    }
 
   let client_run cfg (tr : Transport.t) =
     let n = cfg.params.Params.n in
@@ -167,16 +193,20 @@ module Make (F : Field_intf.S) = struct
     in
     let ledger = Array.make cfg.rounds None in
     let outputs_received = Array.make cfg.rounds 0 in
-    (* a Telemetry frame carries an in-flight delta; merge it into the
-       live store (idempotent — duplicates and reordering are dropped
-       by the per-source sequence numbers) *)
-    let live_apply (fr : Frame.t) =
-      match cfg.live with
-      | None -> ()
-      | Some live -> (
-        match Live.apply live fr.Frame.payload with
-        | `Applied | `Stale -> ()
-        | `Malformed -> Transport.record_error tr)
+    (* Each Telemetry frame is decoded once: the live store merges every
+       snapshot (idempotently — duplicates and reordering are dropped by
+       the per-source sequence numbers), and each node's final snapshot
+       is kept for the end-of-run merges. *)
+    let finals : (int, Agg.snapshot) Hashtbl.t = Hashtbl.create 8 in
+    let on_telemetry (fr : Frame.t) =
+      let snap = Agg.decode fr.Frame.payload in
+      Option.iter (fun live -> ignore (Live.apply live snap)) cfg.live;
+      match snap with
+      | None -> Transport.record_error tr
+      | Some s when s.Agg.s_final ->
+        record_recv fr;
+        Hashtbl.replace finals fr.Frame.sender s
+      | Some _ -> ()
     in
     let started = Unix.gettimeofday () in
     Option.iter Live.mark_start cfg.live;
@@ -211,7 +241,7 @@ module Make (F : Field_intf.S) = struct
             when Frame.kind_eq fr.Frame.kind Frame.Telemetry
                  && fr.Frame.sender >= 0
                  && fr.Frame.sender < n ->
-            live_apply fr
+            on_telemetry fr
           | Some _ -> Transport.record_error tr
           | None -> ());
           collect ()
@@ -236,24 +266,25 @@ module Make (F : Field_intf.S) = struct
       if Option.is_some ledger.(r) then Option.iter Live.note_commit cfg.live
     done;
     let run_seconds = Unix.gettimeofday () -. started in
-    (* shutdown: every node answers with its transport counters (and,
-       in telemetry mode, its observability bundle) *)
+    (* shutdown: every node answers with its transport counters, then
+       (with telemetry or streaming on) its final snapshot *)
     let bye = Frame.make ~kind:Frame.Shutdown ~sender:n ~round:cfg.rounds "" in
     for i = 0 to n - 1 do
       send ~trace:0L ~dst:i bye
     done;
     let stats : Transport.stats option array = Array.make (n + 1) None in
-    let bundles : (int, Agg.bundle) Hashtbl.t = Hashtbl.create 8 in
+    let nodes = List.init n Fun.id in
+    let finals_due =
+      List.filter
+        (fun i ->
+          let c = node_config cfg i in
+          c.N.telemetry || Option.is_some c.N.stream)
+        nodes
+    in
     let limit = Unix.gettimeofday () +. cfg.deadline in
     let have_all () =
-      let c = ref 0 in
-      for i = 0 to n - 1 do
-        if
-          Option.is_some stats.(i)
-          && ((not cfg.telemetry) || Hashtbl.mem bundles i)
-        then incr c
-      done;
-      !c = n
+      List.for_all (fun i -> Option.is_some stats.(i)) nodes
+      && List.for_all (Hashtbl.mem finals) finals_due
     in
     let rec gather () =
       if (not (have_all ())) && Unix.gettimeofday () < limit then begin
@@ -268,61 +299,20 @@ module Make (F : Field_intf.S) = struct
         | Some fr
           when Frame.kind_eq fr.Frame.kind Frame.Telemetry
                && fr.Frame.sender >= 0
-               && fr.Frame.sender < n -> (
-          (* either an end-of-run v1 bundle or a straggling v2 delta *)
-          match
-            if cfg.telemetry then Agg.decode_bundle fr.Frame.payload else None
-          with
-          | Some bdl ->
-            record_recv fr;
-            Hashtbl.replace bundles fr.Frame.sender bdl
-          | None -> (
-            match cfg.live with
-            | Some _ -> live_apply fr
-            | None ->
-              (* no live store: in telemetry mode this was a malformed
-                 bundle; otherwise an unexpected kind we ignore, as the
-                 pre-streaming driver did *)
-              if cfg.telemetry then Transport.record_error tr))
+               && fr.Frame.sender < n ->
+          on_telemetry fr
         | Some _ -> ()  (* stragglers from the last round *)
         | None -> ());
         gather ()
       end
     in
     gather ();
-    let node_bundles =
-      List.filter_map
-        (fun i -> Hashtbl.find_opt bundles i)
-        (List.init n (fun i -> i))
+    let node_finals =
+      if cfg.telemetry then
+        List.filter_map (Hashtbl.find_opt finals) (List.init n Fun.id)
+      else []
     in
-    (ledger, outputs_received, stats, node_bundles, flight, run_seconds)
-
-  let node_config cfg i =
-    (* loopback node threads share this process's registry: their
-       snapshots describe the process, and only node 0 streams (per-
-       thread sequence numbers over one shared source would collide,
-       making most deltas look stale).  Forked nodes own their
-       registries: Node scope, everyone streams. *)
-    let scope = match cfg.mode with Loopback -> Agg.Process | _ -> Agg.Node in
-    let stream =
-      match cfg.mode with
-      | Loopback when i <> 0 -> None
-      | _ -> cfg.stream
-    in
-    {
-      N.node = i;
-      params = cfg.params;
-      machine = machine cfg;
-      init = initial_states cfg;
-      rounds = cfg.rounds;
-      fault = fault_of cfg i;
-      faults = cfg.faults;
-      deadline = cfg.deadline;
-      trace = cfg.trace;
-      telemetry = cfg.telemetry;
-      stream;
-      scope;
-    }
+    (ledger, outputs_received, stats, node_finals, flight, run_seconds)
 
   (* ---- loopback mode: one thread per node ---- *)
 
@@ -343,14 +333,14 @@ module Make (F : Field_intf.S) = struct
                 ())
         in
         let client = Loopback.endpoint net ~id:n in
-        let ledger, outputs_received, node_stats, bundles, flight, run_seconds =
+        let ledger, outputs_received, node_stats, finals, flight, run_seconds =
           client_run cfg client
         in
         List.iter Thread.join threads;
         let stats = Array.copy node_stats in
         stats.(n) <- Some (Transport.snapshot client);
         client.Transport.close ();
-        (ledger, outputs_received, stats, bundles, flight, run_seconds))
+        (ledger, outputs_received, stats, finals, flight, run_seconds))
 
   (* ---- socket mode: one forked process per node ---- *)
 
@@ -374,7 +364,7 @@ module Make (F : Field_intf.S) = struct
           | pid -> pid)
     in
     let client = Socket.endpoint ~addr ~id:n ~endpoints:(n + 1) in
-    let ledger, outputs_received, node_stats, bundles, flight, run_seconds =
+    let ledger, outputs_received, node_stats, finals, flight, run_seconds =
       client_run cfg client
     in
     let stats = Array.copy node_stats in
@@ -400,26 +390,28 @@ module Make (F : Field_intf.S) = struct
       wait ()
     in
     List.iter reap pids;
-    (ledger, outputs_received, stats, bundles, flight, run_seconds)
+    (ledger, outputs_received, stats, finals, flight, run_seconds)
 
   let run cfg =
     let n = cfg.params.Params.n in
-    let ledger, outputs_received, stats, node_bundles, client_flight, run_seconds
+    let ledger, outputs_received, stats, node_finals, client_flight, run_seconds
         =
       match cfg.mode with
       | Loopback -> run_loopback cfg
       | Uds dir -> run_socket cfg (Socket.Uds dir)
       | Tcp base -> run_socket cfg (Socket.Tcp base)
     in
-    (* the client's own bundle goes through the same wire codec as the
-       nodes', so every entry in [telemetry] has one provenance *)
+    (* the client's own final snapshot goes through the same wire codec
+       as the nodes', so every entry in [telemetry] has one provenance *)
     let telemetry =
       if not cfg.telemetry then []
       else
-        node_bundles
+        node_finals
         @ Option.to_list
-            (Agg.decode_bundle
-               (Agg.bundle_payload ~node:n ~flight:client_flight ()))
+            (Agg.decode
+               (Agg.encode
+                  (Agg.capture ~flight:client_flight ~node:n ~scope:Agg.Process
+                     ())))
     in
     (* the reference run spins up the pool — strictly after any forks *)
     let reference = reference_ledger cfg in

@@ -30,18 +30,17 @@ module Make (F : Field_intf.S) : sig
             frame-v2 trace extension and record per-node spans; off, the
             wire bytes are identical to the pre-v2 runtime *)
     telemetry : bool;
-        (** gather each node's end-of-run [csm-node-telemetry/1] bundle
-            (metrics, spans, events, flight ring) for cluster-wide
-            aggregation *)
+        (** gather each node's final [csm-node-telemetry/2] snapshot
+            (metrics, spans, flight ring) for cluster-wide aggregation *)
     stream : float option;
-        (** nodes emit in-flight [csm-node-telemetry/2] delta frames at
-            most this often (seconds).  Loopback threads share one
+        (** nodes stream in-flight snapshots at most this often
+            (seconds), then their final one.  Loopback threads share one
             registry, so there only node 0 streams; forked nodes all
-            do.  [None]: end-of-run telemetry only *)
+            do.  [None]: no in-flight telemetry *)
     live : Csm_obs.Live.t option;
-        (** client-side live store the deltas merge into; also receives
-            the client's commit ticks (k commands per accepted round —
-            the windowed-λ feed) and the run-start mark *)
+        (** client-side live store the snapshots merge into; also
+            receives the client's commit ticks (k commands per accepted
+            round — the windowed-λ feed) and the run-start mark *)
   }
 
   type result = {
@@ -54,8 +53,8 @@ module Make (F : Field_intf.S) : sig
     stats : Transport.stats option array;
         (** per-endpoint transport counters: the n nodes, then the
             client last *)
-    telemetry : Csm_obs.Agg.bundle list;
-        (** when [config.telemetry]: the decoded node bundles (node-id
+    telemetry : Csm_obs.Agg.snapshot list;
+        (** when [config.telemetry]: the nodes' final snapshots (node-id
             order) then the client's own, every entry round-tripped
             through the wire codec; [[]] otherwise *)
     run_seconds : float;

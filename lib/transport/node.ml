@@ -34,7 +34,6 @@ module Agg = Csm_obs.Agg
 module Span = Csm_obs.Span
 module Metric = Csm_obs.Metric
 module Tel = Csm_obs.Telemetry
-module Event = Csm_obs.Event
 
 type lie_spec = {
   l_offset : int;
@@ -102,11 +101,11 @@ module Make (F : Field_intf.S) = struct
     faults : (int * fault) list;  (* the whole cluster's fault map *)
     deadline : float;  (* per-wait upper bound, seconds *)
     trace : bool;  (* stamp frame-v2 trace extensions + merge HLC *)
-    telemetry : bool;  (* ship a Telemetry bundle after the Stats reply *)
+    telemetry : bool;  (* ship a final snapshot after the Stats reply *)
     stream : float option;
-        (* emit a csm-node-telemetry/2 delta frame to the client at
-           most this often (seconds) while running; None = end-of-run
-           telemetry only *)
+        (* also stream snapshots of the changed families to the client
+           at most this often (seconds) while running, then the final
+           snapshot; None = no in-flight telemetry *)
     scope : Agg.scope;
         (* what this runtime's registry snapshots describe: [Process]
            when node threads share the process registry (loopback),
@@ -147,10 +146,9 @@ module Make (F : Field_intf.S) = struct
            extended frame of the round (the client's Command) *)
     flight : Flight.t;  (* this node's always-on black box *)
     mutable shutdown : bool;
-    (* streaming-delta emitter state (config.stream = Some _) *)
-    mutable st_seq : int;  (* deltas emitted so far *)
-    mutable st_next : float;  (* wall time the next delta is due *)
-    mutable st_last_event : int;  (* newest event seq already shipped *)
+    (* in-flight snapshot emitter state (config.stream = Some _) *)
+    mutable st_emitted : int;  (* snapshots streamed so far *)
+    mutable st_next : float;  (* wall time the next snapshot is due *)
     st_sent : (string, Metric.view) Hashtbl.t;
         (* family name → view as last shipped, for changed-family
            detection (views are immutable snapshots; structural
@@ -165,9 +163,8 @@ module Make (F : Field_intf.S) = struct
       traces = Hashtbl.create 16;
       flight = Flight.create ~node ();
       shutdown = false;
-      st_seq = 0;
+      st_emitted = 0;
       st_next = 0.0;
-      st_last_event = 0;
       st_sent = Hashtbl.create 32;
     }
 
@@ -222,17 +219,32 @@ module Make (F : Field_intf.S) = struct
       tr.Transport.send ~dst
         { frame with Frame.payload = corrupt_payload frame.Frame.payload }
 
-  (* In-flight telemetry: at most every [interval] seconds, ship a
-     csm-node-telemetry/2 delta straight to the client.  Values are
-     cumulative and frames carry a per-source sequence number, so the
-     client's merge is idempotent — a duplicated, reordered or lost
-     frame can never corrupt the live aggregates.  Non-full frames
-     carry only the families that changed since the last emission; a
-     full registry snapshot goes out first and every tenth emission so
-     a late-joining scraper converges.  Like Stats, these are control
-     frames exempt from the node's fault — the live view needs even a
-     Byzantine node's health (the client validates the contents,
-     totally). *)
+  (* Refresh the runtime-health gauges a snapshot is about to carry. *)
+  let sample_health cfg =
+    if Metric.enabled () then begin
+      Tel.sample_runtime ();
+      Metric.set
+        (Tel.hlc_skew ~node:cfg.node)
+        (Clock.skew_seconds (Clock.peek ()))
+    end
+
+  (* Ship one telemetry snapshot straight to the client.  Like Stats,
+     Telemetry frames are control frames exempt from the node's fault —
+     the client needs even a Byzantine node's health (it validates the
+     contents, totally). *)
+  let send_snapshot cfg (tr : Transport.t) inbox ~round snap =
+    tr.Transport.send ~dst:cfg.params.Params.n
+      (stamp cfg inbox
+         (Frame.make ~kind:Frame.Telemetry ~sender:cfg.node ~round
+            (Agg.encode snap)))
+
+  (* In-flight telemetry: at most every [interval] seconds, stream a
+     snapshot of the families that changed since the last one.  Values
+     are cumulative and snapshots carry a per-process sequence number,
+     so the client's merge is idempotent — a duplicated, reordered or
+     lost frame can never corrupt the live aggregates.  Every family
+     goes out first and every tenth emission, so a family whose change
+     was lost in a dropped frame converges. *)
   let maybe_stream cfg (tr : Transport.t) inbox =
     match cfg.stream with
     | None -> ()
@@ -240,41 +252,20 @@ module Make (F : Field_intf.S) = struct
       let now = Unix.gettimeofday () in
       if now >= inbox.st_next then begin
         inbox.st_next <- now +. interval;
-        if Metric.enabled () then begin
-          Tel.sample_runtime ();
-          Metric.set
-            (Tel.hlc_skew ~node:cfg.node)
-            (Clock.skew_seconds (Clock.peek ()))
-        end;
-        let seq = inbox.st_seq + 1 in
-        inbox.st_seq <- seq;
-        let full = seq = 1 || seq mod 10 = 0 in
-        let families = Metric.families () in
+        inbox.st_emitted <- inbox.st_emitted + 1;
+        sample_health cfg;
+        let full = inbox.st_emitted = 1 || inbox.st_emitted mod 10 = 0 in
         let views =
-          if full then families
-          else
-            List.filter
-              (fun (v : Metric.view) ->
-                match Hashtbl.find_opt inbox.st_sent v.Metric.name with
-                | Some prev -> prev <> v
-                | None -> true)
-              families
+          List.filter
+            (fun (v : Metric.view) ->
+              full || Hashtbl.find_opt inbox.st_sent v.Metric.name <> Some v)
+            (Metric.families ())
         in
         List.iter
-          (fun (v : Metric.view) ->
-            Hashtbl.replace inbox.st_sent v.Metric.name v)
+          (fun (v : Metric.view) -> Hashtbl.replace inbox.st_sent v.Metric.name v)
           views;
-        let events = Event.since inbox.st_last_event in
-        List.iter
-          (fun (e : Event.t) ->
-            if e.Event.seq > inbox.st_last_event then
-              inbox.st_last_event <- e.Event.seq)
-          events;
-        tr.Transport.send ~dst:cfg.params.Params.n
-          (stamp cfg inbox
-             (Frame.make ~kind:Frame.Telemetry ~sender:cfg.node ~round:seq
-                (Agg.delta_payload ~node:cfg.node ~scope:cfg.scope ~seq ~full
-                   ~views ~events ())))
+        send_snapshot cfg tr inbox ~round:inbox.st_emitted
+          (Agg.capture ~views ~node:cfg.node ~scope:cfg.scope ())
       end
 
   (* An adversary-chosen round number is a Hashtbl key into the inbox:
@@ -380,7 +371,7 @@ module Make (F : Field_intf.S) = struct
 
   (* Pump until [cond] holds or [cfg.deadline] passes.  Every lap also
      gives the streaming emitter a chance to fire — waits are where a
-     node spends its wall time, so this is what keeps deltas flowing
+     node spends its wall time, so this is what keeps snapshots flowing
      even while a round stalls on a straggler. *)
   let wait_until cfg tr inbox cond =
     let limit = Unix.gettimeofday () +. cfg.deadline in
@@ -574,12 +565,6 @@ module Make (F : Field_intf.S) = struct
           Metric.observe Tel.round_latency (Unix.gettimeofday () -. t0)
       end
     done;
-    (* flush the emitter so the final cumulative values are on the wire
-       before the shutdown handshake *)
-    if cfg.stream <> None then begin
-      inbox.st_next <- 0.0;
-      maybe_stream cfg tr inbox
-    end;
     (* wait for the client's shutdown, reply with our counters (control
        frames are exempt from the node's fault: the driver needs them) *)
     ignore (wait_until cfg tr inbox (fun () -> inbox.shutdown));
@@ -587,19 +572,13 @@ module Make (F : Field_intf.S) = struct
     tr.Transport.send ~dst:n
       (Frame.make ~kind:Frame.Stats ~sender:cfg.node ~round:cfg.rounds
          (stats_payload snap));
-    (* telemetry rides after the Stats reply so the counters above never
-       include it; like Stats, it is a control frame exempt from the
-       node's fault — the aggregator needs even a Byzantine node's
-       bundle (its contents are validated, totally, on the client) *)
-    if cfg.telemetry then begin
-      if Metric.enabled () then
-        Metric.set
-          (Tel.hlc_skew ~node:cfg.node)
-          (Clock.skew_seconds (Clock.peek ()));
-      tr.Transport.send ~dst:n
-        (stamp cfg inbox
-           (Frame.make ~kind:Frame.Telemetry ~sender:cfg.node ~round:cfg.rounds
-              (Agg.bundle_payload ~node:cfg.node ~flight:inbox.flight ())))
+    (* the final snapshot rides after the Stats reply, so the counters
+       above never include it: every family at its end-of-run value,
+       plus the spans and this node's flight ring *)
+    if cfg.telemetry || Option.is_some cfg.stream then begin
+      sample_health cfg;
+      send_snapshot cfg tr inbox ~round:cfg.rounds
+        (Agg.capture ~flight:inbox.flight ~node:cfg.node ~scope:cfg.scope ())
     end;
     tr.Transport.close ()
 end

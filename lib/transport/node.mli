@@ -64,20 +64,19 @@ module Make (F : Field_intf.S) : sig
             (trace id + HLC send stamp) and enable span recording; off,
             the node's wire bytes are identical to the pre-v2 runtime *)
     telemetry : bool;
-        (** after the Stats reply, ship a [csm-node-telemetry/1] bundle
-            (metrics, spans, events, flight ring) in a Telemetry frame *)
+        (** after the Stats reply, ship the run's final
+            [csm-node-telemetry/2] snapshot (every metric family, the
+            spans and this node's flight ring) in a Telemetry frame *)
     stream : float option;
-        (** emit in-flight [csm-node-telemetry/2] delta frames to the
-            client at most this often (seconds) while running — changed
-            families with cumulative values, a full snapshot first and
-            every tenth emission, plus the new event-log tail.  [None]:
-            end-of-run telemetry only.  Deltas are control frames,
-            exempt from the node's fault like Stats *)
+        (** also stream snapshots of the changed families (every family
+            first and every tenth time) at most this often (seconds),
+            then the final one.  [None]: no in-flight telemetry.  Like
+            Stats, Telemetry frames are exempt from the node's fault *)
     scope : Csm_obs.Agg.scope;
         (** what this runtime's registry snapshots describe: [Process]
             when node threads share one registry (loopback), [Node]
             when this process owns it (forked modes) — drives the
-            client-side source keying and dedup *)
+            client-side source keying ({!Csm_obs.Agg.source}) *)
   }
 
   val corrupt_payload : string -> string
@@ -91,6 +90,7 @@ module Make (F : Field_intf.S) : sig
 
   val run : config -> Transport.t -> unit
   (** Run all configured rounds, wait for the client's [Shutdown], reply
-      with a [Stats] frame, close the transport.  Never raises on
-      Byzantine input. *)
+      with a [Stats] frame (then the final telemetry snapshot, when
+      [telemetry] or [stream] is on), close the transport.  Never
+      raises on Byzantine input. *)
 end

@@ -57,6 +57,7 @@ type peer = {
   pc : Condition.t;
   mutable fd : Unix.file_descr option;
   mutable started : bool;
+  mutable writing : bool;  (* a popped frame is mid-write; [close] waits *)
 }
 
 let endpoint ~addr ~id ~endpoints =
@@ -117,16 +118,20 @@ let endpoint ~addr ~id ~endpoints =
         conns := List.filter (fun fd -> fd != conn) !conns);
     try Unix.close conn with Unix.Unix_error _ -> ()
   in
+  (* Only the thread blocked on an fd closes it; [close] shuts fds down
+     to wake it.  Closing under it would let the next socket this
+     process opens reuse the fd number it is about to accept/read on. *)
   let _accept_thread =
     Thread.create
       (fun () ->
-        try
-          while not !closed do
-            let conn, _ = Unix.accept listener in
-            Lockdep.with_lock cm (fun () -> conns := conn :: !conns);
-            ignore (Thread.create reader conn)
-          done
-        with Unix.Unix_error _ | Invalid_argument _ -> ())
+        (try
+           while not !closed do
+             let conn, _ = Unix.accept listener in
+             Lockdep.with_lock cm (fun () -> conns := conn :: !conns);
+             ignore (Thread.create reader conn)
+           done
+         with Unix.Unix_error _ | Invalid_argument _ -> ());
+        try Unix.close listener with Unix.Unix_error _ -> ())
       ()
   in
   (* --- senders --- *)
@@ -138,6 +143,7 @@ let endpoint ~addr ~id ~endpoints =
           pc = Condition.create ();
           fd = None;
           started = false;
+          writing = false;
         })
   in
   let connect_with_backoff dst =
@@ -190,11 +196,14 @@ let endpoint ~addr ~id ~endpoints =
             while Queue.is_empty peer.pq && not !closed do
               Lockdep.wait peer.pc peer.pm
             done;
-            if Queue.is_empty peer.pq then None else Some (Queue.pop peer.pq))
+            let item = Queue.take_opt peer.pq in
+            peer.writing <- Option.is_some item;
+            item)
       in
       match item with
       | Some bytes ->
         write_frame bytes;
+        Lockdep.with_lock peer.pm (fun () -> peer.writing <- false);
         loop ()
       | None -> ()  (* closed and drained *)
     in
@@ -238,12 +247,14 @@ let endpoint ~addr ~id ~endpoints =
   in
   let close () =
     if not !closed then begin
-      (* let sender threads flush their queues (bounded) *)
+      (* let sender threads flush their queues, including a frame already
+         popped but still being written (bounded) *)
       let flush_deadline = Unix.gettimeofday () +. 1.0 in
       let pending () =
         Array.exists
           (fun p ->
-            Lockdep.with_lock p.pm (fun () -> not (Queue.is_empty p.pq)))
+            Lockdep.with_lock p.pm (fun () ->
+                p.writing || not (Queue.is_empty p.pq)))
           peers
       in
       while pending () && Unix.gettimeofday () < flush_deadline do
@@ -254,7 +265,10 @@ let endpoint ~addr ~id ~endpoints =
         (fun p ->
           Lockdep.with_lock p.pm (fun () -> Condition.broadcast p.pc))
         peers;
-      (try Unix.close listener with Unix.Unix_error _ -> ());
+      let shutdown fd =
+        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+      in
+      shutdown listener;
       Array.iter
         (fun p ->
           match p.fd with
@@ -269,7 +283,7 @@ let endpoint ~addr ~id ~endpoints =
             conns := [];
             cs)
       in
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) cs;
+      List.iter shutdown cs;
       match addr with
       | Uds dir -> (
         try Unix.unlink (Filename.concat dir (Printf.sprintf "ep-%d.sock" id))

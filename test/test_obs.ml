@@ -787,7 +787,7 @@ let flight_entry_json_total () =
         Json.Obj [ ("hlc", Json.Str "nope"); ("round", Json.Int 1) ] );
     ]
 
-(* ----- telemetry bundles and aggregation ----- *)
+(* ----- telemetry snapshots and aggregation ----- *)
 
 let agg_bundle_round_trip () =
   let f = Flight.create ~capacity:8 ~node:3 () in
@@ -795,87 +795,237 @@ let agg_bundle_round_trip () =
     ~attrs:[ ("dst", "0"); ("frame", "Output") ]
     ~hlc:(Clock.now ()) ~round:1 "send";
   Flight.record f ~hlc:(Clock.now ()) ~round:1 "phase";
-  let payload = Agg.bundle_payload ~node:3 ~flight:f () in
-  (match Agg.decode_bundle payload with
-  | None -> Alcotest.fail "own bundle did not decode"
-  | Some b ->
-    Alcotest.(check int) "node id" 3 b.Agg.b_node;
-    Alcotest.(check int) "pid" (Unix.getpid ()) b.Agg.b_pid;
-    Alcotest.(check bool) "snapshot hlc set" true (b.Agg.b_hlc > 0);
+  let final = Agg.capture ~flight:f ~node:3 ~scope:Agg.Node () in
+  (match Agg.decode (Agg.encode final) with
+  | None -> Alcotest.fail "own final snapshot did not decode"
+  | Some s ->
+    Alcotest.(check bool) "codec is the identity" true (s = final);
+    Alcotest.(check bool) "final" true s.Agg.s_final;
+    Alcotest.(check int) "pid" (Unix.getpid ()) s.Agg.s_pid;
+    Alcotest.(check bool) "snapshot hlc set" true (s.Agg.s_hlc > 0);
     Alcotest.(check int) "flight total" (Flight.recorded f)
-      b.Agg.b_flight_recorded;
-    Alcotest.(check int) "flight entries" 2 (List.length b.Agg.b_flight);
+      s.Agg.s_flight_recorded;
     Alcotest.(check (list string)) "flight kinds in order" [ "send"; "phase" ]
-      (List.map (fun e -> e.Flight.f_kind) b.Agg.b_flight));
+      (List.map (fun e -> e.Flight.f_kind) s.Agg.s_flight));
+  (* one sequence per process, whichever runtime snapshots *)
+  let mid = Agg.capture ~node:4 ~scope:Agg.Node () in
+  Alcotest.(check bool) "seq counts per process" true
+    (mid.Agg.s_seq > final.Agg.s_seq);
+  Alcotest.(check bool) "mid-run snapshot carries no ring" true
+    ((not mid.Agg.s_final) && mid.Agg.s_flight = []);
   (* Byzantine telemetry payloads are dropped, not fatal *)
+  let doc fields = Json.to_string (Json.Obj fields) in
+  let header =
+    [
+      ("schema", Json.Str Agg.schema);
+      ("node", Json.Int 1);
+      ("pid", Json.Int 7);
+      ("registry", Json.Str "node");
+      ("seq", Json.Int 1);
+      ("hlc", Json.Int 0);
+      ("metrics", Json.List []);
+    ]
+  in
+  Alcotest.(check bool) "minimal snapshot decodes" true
+    (Option.is_some (Agg.decode (doc header)));
   List.iter
     (fun (label, payload) ->
-      match Agg.decode_bundle payload with
+      match Agg.decode payload with
       | None -> ()
       | Some _ -> Alcotest.failf "decoded %s" label)
     [
       ("garbage", "\x00\xffnot json");
-      ("wrong schema", Json.to_string (Json.Obj [ ("schema", Json.Str "x/1") ]));
-      ( "schema without node",
-        Json.to_string (Json.Obj [ ("schema", Json.Str Agg.schema) ]) );
+      ( "the retired end-of-run schema",
+        doc (("schema", Json.Str "csm-node-telemetry/1") :: List.tl header) );
+      ("schema without node", doc [ ("schema", Json.Str Agg.schema) ]);
+      ( "seq 0",
+        doc
+          (List.map
+             (fun (k, v) -> if k = "seq" then (k, Json.Int 0) else (k, v))
+             header) );
+      ( "final without a flight ring",
+        doc (header @ [ ("final", Json.Bool true); ("spans", Json.List []) ]) );
+      ("final flag not a bool", doc (header @ [ ("final", Json.Int 1) ]));
     ]
 
-let mk_bundle ?(views = []) ?(flight = []) ?(scope = Agg.Process) ~node ~pid
-    ~hlc () =
+(* Random snapshots: printable strings (quotes and backslashes included)
+   exercise the escaping, and finite floats survive the JSON round trip
+   exactly, so the codec must be the identity. *)
+let snapshot_gen =
+  let open QCheck.Gen in
+  let few g = list_size (int_bound 4) g in
+  let str = string_size ~gen:printable (int_bound 6) in
+  let attrs = few (pair str str) in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let value = function
+    | Metric.K_counter -> map (fun c -> Metric.V_counter c) nat
+    | Metric.K_gauge -> map (fun g -> Metric.V_gauge g) finite
+    | Metric.K_histogram ->
+      let* bounds = few finite in
+      let+ counts = list_repeat (List.length bounds + 1) nat
+      and+ s_sum = finite
+      and+ s_count = nat in
+      Metric.V_histogram
+        {
+          Metric.s_bounds = Array.of_list bounds;
+          s_counts = Array.of_list counts;
+          s_sum;
+          s_count;
+        }
+  in
+  let view =
+    let* kind =
+      oneofl [ Metric.K_counter; Metric.K_gauge; Metric.K_histogram ]
+    in
+    let+ name = str
+    and+ help = str
+    and+ samples =
+      few
+        (let+ labels = attrs and+ value = value kind in
+         { Metric.labels; value })
+    in
+    { Metric.name; help; kind; samples }
+  in
+  let span =
+    let+ id, parent, name = triple small_signed_int small_signed_int str
+    and+ attrs = attrs
+    and+ domain, depth, start_s, dur_s = quad nat nat finite finite
+    and+ d_adds, d_muls, d_invs = triple nat nat nat in
+    {
+      Span.id;
+      parent;
+      name;
+      attrs;
+      domain;
+      depth;
+      start_s;
+      dur_s;
+      d_adds;
+      d_muls;
+      d_invs;
+    }
+  in
+  let entry =
+    let+ f_hlc, f_trace, f_round = triple nat ui64 nat
+    and+ f_kind, f_attrs = pair str attrs in
+    { Flight.f_hlc; f_trace; f_round; f_kind; f_attrs }
+  in
+  let+ s_node, s_pid, s_seq, s_hlc =
+    quad nat small_signed_int (map succ nat) nat
+  and+ s_scope = oneofl [ Agg.Process; Agg.Node ]
+  and+ s_views = few view
+  and+ s_events_total, s_events_dropped = pair nat nat
+  and+ final = opt (triple (few span) (few entry) nat) in
+  let s_spans, s_flight, s_flight_recorded =
+    Option.value ~default:([], [], 0) final
+  in
   {
-    Agg.b_node = node;
-    b_pid = pid;
-    b_scope = scope;
-    b_hlc = hlc;
-    b_views = views;
-    b_spans = [];
-    b_events = [];
-    b_flight = flight;
-    b_flight_recorded = List.length flight;
+    Agg.s_node;
+    s_pid;
+    s_scope;
+    s_seq;
+    s_hlc;
+    s_views;
+    s_events_total;
+    s_events_dropped;
+    s_final = Option.is_some final;
+    s_spans;
+    s_flight;
+    s_flight_recorded;
   }
 
-let agg_dedup_by_pid () =
-  let bundles =
-    [
-      mk_bundle ~node:1 ~pid:77 ~hlc:10 ();
-      mk_bundle ~node:0 ~pid:77 ~hlc:20 ();
-      mk_bundle ~node:2 ~pid:88 ~hlc:5 ();
-    ]
-  in
-  let reps = Agg.dedup bundles in
-  Alcotest.(check (list int)) "one rep per pid, sorted by node" [ 0; 2 ]
-    (List.map (fun b -> b.Agg.b_node) reps);
-  Alcotest.(check int) "latest snapshot wins" 20
-    (List.find (fun b -> b.Agg.b_pid = 77) reps).Agg.b_hlc;
-  Alcotest.(check int) "max_hlc joins all" 20 (Agg.max_hlc bundles)
+let snapshot_arb = QCheck.make ~print:Agg.encode snapshot_gen
 
-(* Node-scope bundles key on (pid, node index): two forked nodes on
-   different hosts may collide on pid, and neither may swallow the
-   other's telemetry — the regression the scope-aware dedup fixes. *)
-let agg_dedup_scope () =
-  let bundles =
+let qcheck_snapshot_round_trip =
+  QCheck.Test.make ~name:"snapshot codec round-trips" ~count:200 snapshot_arb
+    (fun s -> Agg.decode (Agg.encode s) = Some s)
+
+(* Totality: truncations and random byte flips of a valid payload
+   decode without raising — truncations (never valid JSON) to [None]. *)
+let qcheck_snapshot_decode_total =
+  QCheck.Test.make ~name:"snapshot decode total on mangled payloads" ~count:100
+    (QCheck.triple snapshot_arb
+       QCheck.(small_list (int_bound 100_000))
+       QCheck.(small_list (int_bound 100_000)))
+    (fun (s, cuts, flips) ->
+      let payload = Agg.encode s in
+      let len = String.length payload in
+      let prefixes_rejected =
+        List.for_all
+          (fun cut -> Agg.decode (String.sub payload 0 (cut mod len)) = None)
+          (0 :: (len - 1) :: cuts)
+      in
+      let garbled =
+        let b = Bytes.of_string payload in
+        List.iter
+          (fun i ->
+            let i = i mod len in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x55)))
+          flips;
+        Bytes.to_string b
+      in
+      ignore (Agg.decode garbled);
+      prefixes_rejected)
+
+let mk_snapshot ?(views = []) ?(flight = []) ?(scope = Agg.Process)
+    ?(final = true) ~node ~pid ~seq () =
+  {
+    Agg.s_node = node;
+    s_pid = pid;
+    s_scope = scope;
+    s_seq = seq;
+    s_hlc = seq;
+    s_views = views;
+    s_events_total = 0;
+    s_events_dropped = 0;
+    s_final = final;
+    s_spans = [];
+    s_flight = flight;
+    s_flight_recorded = List.length flight;
+  }
+
+let agg_latest_by_pid () =
+  let snaps =
     [
-      mk_bundle ~scope:Agg.Node ~node:1 ~pid:77 ~hlc:10 ();
-      mk_bundle ~scope:Agg.Node ~node:0 ~pid:77 ~hlc:20 ();
-      mk_bundle ~scope:Agg.Node ~node:1 ~pid:77 ~hlc:30 ();
-      mk_bundle ~scope:Agg.Node ~node:2 ~pid:88 ~hlc:5 ();
+      mk_snapshot ~node:1 ~pid:77 ~seq:10 ();
+      mk_snapshot ~node:0 ~pid:77 ~seq:20 ();
+      mk_snapshot ~node:2 ~pid:88 ~seq:5 ();
     ]
   in
-  let reps = Agg.dedup bundles in
+  let reps = Agg.latest snaps in
+  Alcotest.(check (list int)) "one rep per pid, sorted by node" [ 0; 2 ]
+    (List.map (fun s -> s.Agg.s_node) reps);
+  Alcotest.(check int) "newest sequence wins" 20
+    (List.find (fun s -> s.Agg.s_pid = 77) reps).Agg.s_seq;
+  Alcotest.(check int) "max_hlc joins all" 20 (Agg.max_hlc snaps)
+
+(* Node-scope snapshots key on (pid, node index): two forked nodes on
+   different hosts may collide on pid, and neither may swallow the
+   other's telemetry. *)
+let agg_latest_scope () =
+  let snaps =
+    [
+      mk_snapshot ~scope:Agg.Node ~node:1 ~pid:77 ~seq:10 ();
+      mk_snapshot ~scope:Agg.Node ~node:0 ~pid:77 ~seq:20 ();
+      mk_snapshot ~scope:Agg.Node ~node:1 ~pid:77 ~seq:30 ();
+      mk_snapshot ~scope:Agg.Node ~node:2 ~pid:88 ~seq:5 ();
+    ]
+  in
+  let reps = Agg.latest snaps in
   Alcotest.(check (list int)) "one rep per (pid, node), sorted" [ 0; 1; 2 ]
-    (List.map (fun b -> b.Agg.b_node) reps);
-  Alcotest.(check int) "latest snapshot wins per node" 30
-    (List.find (fun b -> b.Agg.b_node = 1) reps).Agg.b_hlc;
-  (* a Process-scope loopback bundle still dedups on pid alone *)
+    (List.map (fun s -> s.Agg.s_node) reps);
+  Alcotest.(check int) "newest sequence wins per node" 30
+    (List.find (fun s -> s.Agg.s_node = 1) reps).Agg.s_seq;
+  (* a Process-scope loopback snapshot still keys on pid alone *)
   let mixed =
     [
-      mk_bundle ~scope:Agg.Process ~node:0 ~pid:99 ~hlc:1 ();
-      mk_bundle ~scope:Agg.Process ~node:1 ~pid:99 ~hlc:2 ();
-      mk_bundle ~scope:Agg.Node ~node:1 ~pid:99 ~hlc:3 ();
+      mk_snapshot ~scope:Agg.Process ~node:0 ~pid:99 ~seq:1 ();
+      mk_snapshot ~scope:Agg.Process ~node:1 ~pid:99 ~seq:2 ();
+      mk_snapshot ~scope:Agg.Node ~node:1 ~pid:99 ~seq:3 ();
     ]
   in
   Alcotest.(check int) "process scope still keys on pid" 2
-    (List.length (Agg.dedup mixed))
+    (List.length (Agg.latest mixed))
 
 let counter_view name v =
   {
@@ -935,15 +1085,15 @@ let agg_cross_flow_pairing () =
   Flight.record recv ~attrs:[ ("frame", "Share") ] ~hlc:(Clock.now ()) ~round:1
     "recv";
   Flight.record recv ~hlc:(Clock.now ()) ~round:1 "phase";
-  let bundles =
+  let finals =
     [
-      mk_bundle ~node:0 ~pid:100 ~hlc:1 ~flight:(Flight.entries send) ();
-      mk_bundle ~node:1 ~pid:101 ~hlc:2 ~flight:(Flight.entries recv) ();
+      mk_snapshot ~node:0 ~pid:100 ~seq:1 ~flight:(Flight.entries send) ();
+      mk_snapshot ~node:1 ~pid:101 ~seq:2 ~flight:(Flight.entries recv) ();
     ]
   in
-  Alcotest.(check int) "exactly the matched pair" 1 (Agg.cross_flows bundles);
+  Alcotest.(check int) "exactly the matched pair" 1 (Agg.cross_flows finals);
   (* the merged trace carries the pair as s/f flow events *)
-  let trace = Json.to_string (Agg.cluster_trace bundles) in
+  let trace = Json.to_string (Agg.cluster_trace finals) in
   let has sub =
     let n = String.length sub in
     let rec go i =
@@ -1095,33 +1245,36 @@ let qcheck_window_merge_total =
       Window.slots_total (Window.merge a b)
       = Window.slots_total a +. Window.slots_total b)
 
-(* a synthetic delta payload: one node's cumulative counter value *)
-let delta_payload ~node ~seq ~full v =
-  Agg.delta_payload ~node ~scope:Agg.Node ~seq ~full
-    ~views:
-      [
-        {
-          Metric.name = "csm_test_live_total";
-          help = "";
-          kind = Metric.K_counter;
-          samples =
-            [ { Metric.labels = [ ("node", string_of_int node) ];
-                value = Metric.V_counter v } ];
-        };
-      ]
-    ~events:[] ()
+(* a synthetic mid-run payload: one node's cumulative counter value *)
+let delta_payload ~node ~seq v =
+  Agg.encode
+    (mk_snapshot ~scope:Agg.Node ~final:false
+       ~views:
+         [
+           {
+             Metric.name = "csm_test_live_total";
+             help = "";
+             kind = Metric.K_counter;
+             samples =
+               [ { Metric.labels = [ ("node", string_of_int node) ];
+                   value = Metric.V_counter v } ];
+           };
+         ]
+       ~node ~pid:(Unix.getpid ()) ~seq ())
+
+let apply_payload live p = Live.apply live (Agg.decode p)
 
 let live_delta_merge_idempotent () =
-  let p1 = delta_payload ~node:0 ~seq:1 ~full:true 5 in
-  let p2 = delta_payload ~node:0 ~seq:2 ~full:false 8 in
-  let p3 = delta_payload ~node:0 ~seq:3 ~full:false 12 in
+  let p1 = delta_payload ~node:0 ~seq:1 5 in
+  let p2 = delta_payload ~node:0 ~seq:2 8 in
+  let p3 = delta_payload ~node:0 ~seq:3 12 in
   let ordered = Live.create ~k:1 () in
-  List.iter (fun p -> ignore (Live.apply ordered p)) [ p1; p2; p3 ];
+  List.iter (fun p -> ignore (apply_payload ordered p)) [ p1; p2; p3 ];
   let chaotic = Live.create ~k:1 () in
   (* duplicated and reordered: the per-source seq plus cumulative
      values must converge to the same state *)
   List.iter
-    (fun p -> ignore (Live.apply chaotic p))
+    (fun p -> ignore (apply_payload chaotic p))
     [ p1; p1; p2; p1; p3; p2; p3; p3 ];
   Alcotest.(check string) "same merged views"
     (Prom.render_views (Live.node_views ordered))
@@ -1131,10 +1284,56 @@ let live_delta_merge_idempotent () =
   Alcotest.(check int) "five stale" 5 stale;
   Alcotest.(check int) "none rejected" 0 rejected;
   Alcotest.(check bool) "garbage rejected" true
-    (Live.apply chaotic "\x00nope" = `Malformed);
+    (apply_payload chaotic "\x00nope" = `Malformed);
   (* a fresh source (different node) does not collide *)
   Alcotest.(check bool) "other node applies" true
-    (Live.apply chaotic (delta_payload ~node:1 ~seq:1 ~full:true 2) = `Applied)
+    (apply_payload chaotic (delta_payload ~node:1 ~seq:1 2) = `Applied)
+
+(* One rule, both merges: whatever order a mix of mid-run and final
+   snapshots arrives in — duplicates included, Process and Node scope
+   alike — the live store converges to the views the end-of-run merge
+   computes from the final snapshots alone, and the end-of-run merge
+   of the whole mix picks those same finals. *)
+let qcheck_newest_seq_wins =
+  let open QCheck.Gen in
+  (* source [i]: seqs 1..n from one process; the last is final and
+     carries every family, earlier ones only the counter, sometimes *)
+  let source i =
+    let* scope = oneofl [ Agg.Process; Agg.Node ] and* n = int_range 1 5 in
+    let+ steps = list_repeat n (triple (int_bound 3) (int_bound 9) bool) in
+    let total = ref 0 in
+    List.mapi
+      (fun j (thread, inc, with_gauge) ->
+        total := !total + inc;
+        let final = j = n - 1 in
+        let node = match scope with Agg.Node -> i | Agg.Process -> thread in
+        let gauge = gauge_view "csm_test_live_gauge" (float_of_int (i + j)) in
+        mk_snapshot ~scope ~final
+          ~views:
+            (counter_view "csm_test_live_total" !total
+            :: (if with_gauge || final then [ gauge ] else []))
+          ~node ~pid:(100 + i) ~seq:(j + 1) ())
+      steps
+  in
+  let arrivals =
+    let* m = int_range 1 4 in
+    let* snaps = flatten_l (List.init m source) in
+    let all = List.concat snaps in
+    shuffle_l (all @ all)
+  in
+  QCheck.Test.make ~name:"newest seq per source wins in any order" ~count:200
+    (QCheck.make
+       ~print:(fun l -> String.concat "\n" (List.map Agg.encode l))
+       arrivals)
+    (fun arrivals ->
+      let live = Live.create ~k:1 () in
+      List.iter
+        (fun s -> ignore (apply_payload live (Agg.encode s)))
+        arrivals;
+      let finals = List.filter (fun s -> s.Agg.s_final) arrivals in
+      let expected = Prom.render_views (Agg.merged_views finals) in
+      Prom.render_views (Live.node_views live) = expected
+      && Prom.render_views (Agg.merged_views arrivals) = expected)
 
 let live_lambda_window () =
   let live = Live.create ~k:2 () in
@@ -1244,12 +1443,7 @@ let event_overwrite_counts_drops () =
       done;
       Alcotest.(check int) "overwrites counted" 5 (Event.dropped ());
       Alcotest.(check int) "ring holds capacity" Event.capacity
-        (List.length (Event.recent ()));
-      (* since: the tail strictly after a seq *)
-      let all = Event.recent () in
-      let nth = List.nth all (List.length all - 3) in
-      Alcotest.(check int) "since tail" 2
-        (List.length (Event.since nth.Event.seq)))
+        (List.length (Event.recent ())))
 
 let suites =
   [
@@ -1289,8 +1483,11 @@ let suites =
           flight_entry_json_total;
         Alcotest.test_case "telemetry bundle round trip" `Quick
           agg_bundle_round_trip;
-        Alcotest.test_case "bundle dedup by pid" `Quick agg_dedup_by_pid;
-        Alcotest.test_case "bundle dedup scope-aware" `Quick agg_dedup_scope;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_snapshot_round_trip;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_snapshot_decode_total;
+        Alcotest.test_case "latest snapshot per pid" `Quick agg_latest_by_pid;
+        Alcotest.test_case "latest snapshot scope-aware" `Quick
+          agg_latest_scope;
         Alcotest.test_case "view merge sums/maxes, order-free" `Quick
           agg_merge_views;
         Alcotest.test_case "cross-node flow pairing" `Quick
@@ -1311,6 +1508,7 @@ let suites =
         QCheck_alcotest.to_alcotest ~long:false qcheck_window_merge_total;
         Alcotest.test_case "delta merge idempotent under dup/reorder" `Quick
           live_delta_merge_idempotent;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_newest_seq_wins;
         Alcotest.test_case "lambda window from commit ticks" `Quick
           live_lambda_window;
         Alcotest.test_case "alert spec parse fixpoint" `Quick

@@ -234,6 +234,32 @@ let decode_errors_deterministic () =
   Alcotest.(check (list int)) "error nodes" [ 1; 6 ] (run 1);
   Alcotest.(check (list int)) "error nodes (4 domains)" [ 1; 6 ] (run 4)
 
+(* A fresh engine per round at width 8: every decode fan-out is the
+   first to reach that coding context's precomputed values, so a value
+   left as a [Lazy.t] would be forced by several domains at once and
+   raise CamlinternalLazy.Undefined (OCaml 5). *)
+let fresh_engines_at_width_8 () =
+  let module G = Gf2m.Gf256 in
+  let module EG = Engine.Make (G) in
+  let slots = 8 and k = 6 and b = 2 in
+  let machine = EG.M.register_bank ~slots in
+  let d = EG.M.degree machine in
+  let n = Params.composite_degree ~k ~d + (2 * b) + 1 in
+  let params = Params.make ~network:Params.Sync ~n ~k ~d ~b in
+  let r = Csm_rng.create 0x1A2 in
+  let init = Array.init k (fun _ -> Array.init slots (fun _ -> G.random r)) in
+  with_domains 8 (fun () ->
+      for _ = 1 to 2_000 do
+        let engine = EG.create ~machine ~params ~init in
+        let commands =
+          Array.init k (fun _ ->
+              EG.M.register_write ~slots ~slot:(Csm_rng.int r slots) (G.random r))
+        in
+        match (EG.round engine ~commands ~byzantine:(fun _ -> false) ()).EG.decoded with
+        | Some _ -> ()
+        | None -> Alcotest.fail "fault-free decode failed"
+      done)
+
 let suites =
   [
     ( "parallel.pool",
@@ -257,5 +283,7 @@ let suites =
         QCheck_alcotest.to_alcotest ~long:false qcheck_round_deterministic;
         Alcotest.test_case "byzantine reporting" `Quick
           decode_errors_deterministic;
+        Alcotest.test_case "fresh engines race no lazy at width 8" `Quick
+          fresh_engines_at_width_8;
       ] );
   ]

@@ -459,7 +459,38 @@ let loopback_send_recv () =
   a.Transport.close ();
   b.Transport.close ()
 
-(* ----- node runtime pieces ----- *)
+(* A frame handed to [send] just before [close] must still arrive, even
+   when the sender thread has already dequeued it and is mid-connect or
+   mid-write as [close] starts: a node's last frame (its final
+   telemetry snapshot) is sent exactly that way. *)
+let socket_close_flushes_last_frame () =
+  let dir = Filename.temp_file "csm_sock_close" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let iterations = 300 in
+  (* big enough that the write is still in progress when [close] looks *)
+  let payload = String.make (512 * 1024) 'x' in
+  let lost = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      for i = 1 to iterations do
+        let addr = Csm_transport.Socket.Uds dir in
+        let b = Csm_transport.Socket.endpoint ~addr ~id:1 ~endpoints:2 in
+        let a = Csm_transport.Socket.endpoint ~addr ~id:0 ~endpoints:2 in
+        let f = Frame.make ~kind:Frame.Telemetry ~sender:0 ~round:i payload in
+        a.Transport.send ~dst:1 f;
+        a.Transport.close ();
+        (match b.Transport.recv ~timeout:1.0 with
+        | Some g when g = f -> ()
+        | _ -> incr lost);
+        b.Transport.close ()
+      done);
+  check Alcotest.int "frames lost at close" 0 !lost
 
 let stats_payload_round_trip () =
   let s =
@@ -550,22 +581,31 @@ let contains_sub hay needle =
   done;
   !found
 
-(* Traced run: every endpoint ships a telemetry bundle, flight rings
-   pair cross-node send→recv flows, the merged Chrome trace carries
-   flow events, and an untraced run gathers nothing. *)
+(* Traced run with streaming on too: the stream ends in exactly one
+   final snapshot per node (plus the client's own), flight rings pair
+   cross-node send→recv flows, the merged Chrome trace carries flow
+   events, and an untraced run gathers nothing. *)
 let cluster_loopback_telemetry () =
-  let r = C.run (cluster_cfg ~trace:true ~telemetry:true ()) in
+  let live = Live.create ~k:1 () in
+  let r =
+    C.run (cluster_cfg ~trace:true ~telemetry:true ~stream:0.001 ~live ())
+  in
   checkb "verified" true r.C.ok;
-  let bundles = r.C.telemetry in
-  check Alcotest.int "bundles: 3 nodes + client" 4 (List.length bundles);
+  check Alcotest.int "no frame errors" 0 (total_frame_errors r);
+  let finals = r.C.telemetry in
+  check Alcotest.int "finals: 3 nodes + client" 4 (List.length finals);
   List.iteri
-    (fun i (b : Agg.bundle) ->
-      check Alcotest.int "bundle node order" i b.Agg.b_node;
-      checkb "flight ring non-empty" true (b.Agg.b_flight <> []))
-    bundles;
-  checkb "cross-node flows paired" true (Agg.cross_flows bundles >= 1);
-  checkb "hlc advanced" true (Agg.max_hlc bundles > 0);
-  let trace = Json.to_string (Agg.cluster_trace bundles) in
+    (fun i (s : Agg.snapshot) ->
+      check Alcotest.int "node order" i s.Agg.s_node;
+      checkb "final" true s.Agg.s_final;
+      checkb "flight ring non-empty" true (s.Agg.s_flight <> []))
+    finals;
+  let applied, _, rejected = Live.deltas live in
+  checkb "the live store merged the stream" true (applied > 0);
+  check Alcotest.int "no rejected snapshots" 0 rejected;
+  checkb "cross-node flows paired" true (Agg.cross_flows finals >= 1);
+  checkb "hlc advanced" true (Agg.max_hlc finals > 0);
+  let trace = Json.to_string (Agg.cluster_trace finals) in
   checkb "merged trace parses" true
     (match Json.parse trace with
     | _ -> true
@@ -575,11 +615,11 @@ let cluster_loopback_telemetry () =
   checkb "trace has wire slices" true (contains_sub trace "\"cat\":\"csm.wire\"");
   (* telemetry off: nothing gathered, result shape unchanged *)
   let r0 = C.run (cluster_cfg ()) in
-  checkb "no bundles untraced" true
+  checkb "no snapshots untraced" true
     (match r0.C.telemetry with [] -> true | _ -> false)
 
 (* In-flight streaming: a loopback run with a live store merges the
-   nodes' csm-node-telemetry/2 deltas while rounds are still running,
+   nodes' csm-node-telemetry/2 snapshots while rounds are still running,
    the commit ticks feed the lambda window, and a lying node (well-
    formed wrong Result vectors) trips the suspicion alert before the
    run ends — the live-observability acceptance path. *)
@@ -603,11 +643,11 @@ let cluster_loopback_streaming () =
       checkb "run_seconds measured" true (r.C.run_seconds > 0.0);
       check Alcotest.int "every round committed" 8 (Live.commits live);
       let applied, _, rejected = Live.deltas live in
-      checkb "deltas applied in flight" true (applied > 0);
-      check Alcotest.int "no rejected deltas" 0 rejected;
+      checkb "snapshots applied in flight" true (applied > 0);
+      check Alcotest.int "no rejected snapshots" 0 rejected;
       checkb "windowed lambda positive" true (lam > 0.0);
       (* the decoder attributed the lie: suspicion reached the live
-         view through the deltas and fired the alert mid-run *)
+         view through the snapshots and fired the alert mid-run *)
       checkb "suspicion alert fired" true
         (Alert.first_fired (Live.alerts live) "suspicion" <> None);
       let scrape = Live.scrape live in
@@ -623,18 +663,17 @@ let cluster_loopback_streaming () =
           (List.mem_assoc "schema" fields && List.mem_assoc "lambda" fields)
       | _ -> Alcotest.fail "windows.json not an object"
       | exception Json.Parse_error m -> Alcotest.failf "windows.json: %s" m);
-      (* idempotency end-to-end: re-applying a stale synthetic delta
-         changes nothing *)
+      (* idempotency end-to-end: re-applying a stale synthetic snapshot
+         of the loopback registry changes nothing *)
       let before = Csm_obs.Prom.render_views (Live.node_views live) in
-      (match
-         Live.apply live
-           (Agg.delta_payload ~node:0 ~scope:Agg.Process ~seq:1 ~full:false
-              ~views:[] ~events:[] ())
-       with
+      let stale =
+        { (Agg.capture ~views:[] ~node:0 ~scope:Agg.Process ()) with Agg.s_seq = 1 }
+      in
+      (match Live.apply live (Agg.decode (Agg.encode stale)) with
       | `Stale -> ()
-      | `Applied -> Alcotest.fail "stale delta applied"
-      | `Malformed -> Alcotest.fail "synthetic delta malformed");
-      check Alcotest.string "state unchanged by stale delta" before
+      | `Applied -> Alcotest.fail "stale snapshot applied"
+      | `Malformed -> Alcotest.fail "synthetic snapshot malformed");
+      check Alcotest.string "state unchanged by stale snapshot" before
         (Csm_obs.Prom.render_views (Live.node_views live)))
 
 (* ----- loopback vs socket equivalence through the binary ----- *)
@@ -759,6 +798,8 @@ let suites =
           sim_sizes_equal_wire_bytes;
         Alcotest.test_case "loopback send/recv/deadline/stats" `Quick
           loopback_send_recv;
+        Alcotest.test_case "socket close flushes a dequeued frame" `Quick
+          socket_close_flushes_last_frame;
         Alcotest.test_case "stats payload round trip" `Quick
           stats_payload_round_trip;
         Alcotest.test_case "cluster loopback fault-free" `Quick
