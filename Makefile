@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; `make ci` is the full local gate.
 
-.PHONY: all build test lint lint-update lockdep-export bench-smoke bench-gate rs-smoke metrics-smoke cluster-smoke obs-smoke live-smoke adversary-smoke ci clean
+.PHONY: all build test lint lint-update lockdep-export bench-smoke bench-gate rs-smoke metrics-smoke cluster-smoke obs-smoke live-smoke adversary-smoke e2e-smoke ci clean
 
 all: build
 
@@ -46,23 +46,22 @@ bench-smoke:
 	dune build @bench-smoke
 
 # Regression gate over the smoke bench: determinism + ledger invariants
-# and the op-count anchor in bench/baseline.json (see bin/bench_gate.ml).
-# The last committed BENCH_parallel.json serves as the informational
-# "previous" point.
+# and the op-count anchor in bench/baseline.json.  Every gate in this
+# file is bin/bench_gate running the check list of one committed
+# bench/*baseline.json.
 bench-gate:
 	dune exec bench/main.exe -- --smoke --out /tmp/csm_ci_bench.json
 	dune exec bin/bench_gate.exe -- --current /tmp/csm_ci_bench.json \
-	  --previous BENCH_parallel.json --baseline bench/baseline.json
+	  --baseline bench/baseline.json
 
 # Optimistic-decode fast-path smoke: regenerate the GF(2^8) rs bench
-# (modes on / off / force-fallback) and gate its determinism, exact
+# (modes on = optimistic / off = Gao) and gate its determinism, exact
 # warm decode op count and on-vs-off speedups against
-# bench/rs_baseline.json.  The last committed BENCH_rs.json is the
-# informational "previous" point.
+# bench/rs_baseline.json.
 rs-smoke:
 	dune exec bench/main.exe -- --rs-smoke --out /tmp/csm_ci_rs_bench.json
 	dune exec bin/bench_gate.exe -- --current /tmp/csm_ci_rs_bench.json \
-	  --previous BENCH_rs.json --baseline bench/rs_baseline.json
+	  --baseline bench/rs_baseline.json
 
 # Drive the metrics registry end-to-end: a --metrics run must emit a
 # well-formed Prometheus exposition with the per-node protocol signals.
@@ -100,9 +99,9 @@ obs-smoke:
 	dune exec bench/main.exe -- --obs-smoke --out /tmp/csm_ci_obs_bench.json
 	dune exec bin/bench_gate.exe -- --current /tmp/csm_ci_obs_bench.json \
 	  --baseline bench/obs_baseline.json
-	CSM_FLIGHTREC=/tmp/csm_obs_flightrec.json \
-	  dune exec bin/csm_cluster.exe -- --transport socket \
+	dune exec bin/csm_cluster.exe -- --transport socket \
 	  -n 4 -k 1 -d 1 -b 1 --rounds 2 \
+	  --flightrec --flightrec-out /tmp/csm_obs_flightrec.json \
 	  --trace --trace-out /tmp/csm_obs_trace.json --expect-cross-flows 1
 	dune exec bin/csm_cluster.exe -- --replay /tmp/csm_obs_flightrec.json
 	grep -q '"ph":"s"' /tmp/csm_obs_trace.json
@@ -146,12 +145,24 @@ adversary-smoke:
 	  --replay test/fixtures/adversary_decode.json
 	@echo "adversary-smoke: ok"
 
+# End-to-end cluster benchmark smoke (bench/e2e, see its README): short
+# untraced runs of the fault-free loopback and socket workloads and one
+# traced run of the lying loopback workload.  Each run must exit 0:
+# every round accepted by b+1 matching Outputs and equal to the
+# single-process reference.  Timings are printed, never gated here.
+e2e-smoke:
+	bash bench/e2e/run.sh --workload lb8-honest --seconds 2 --trace 0
+	bash bench/e2e/run.sh --workload sock4-honest --seconds 2 --trace 0
+	bash bench/e2e/run.sh --workload lb8-lie --seconds 2 --trace
+	@echo "e2e-smoke: ok"
+
 # CI gate: type-check everything (tests and benches included), lint
 # the repo against its invariants, regenerate the parallel smoke
 # benchmark, run the test suite, then exercise the observability layer
 # end-to-end — a CSM_TRACE'd demo run, a traced + gated smoke bench,
 # and a metrics exposition check — so linting, tracing, metrics and
-# the bench gate are driven on every commit.
+# the bench gate are driven on every commit; then every smoke target,
+# ending with the end-to-end cluster benchmark.
 ci:
 	dune build @check @bench-smoke
 	$(MAKE) lint
@@ -161,13 +172,14 @@ ci:
 	CSM_TRACE=/tmp/csm_ci_bench_trace.json \
 	  dune exec bench/main.exe -- --smoke --out /tmp/csm_ci_bench.json
 	dune exec bin/bench_gate.exe -- --current /tmp/csm_ci_bench.json \
-	  --previous BENCH_parallel.json --baseline bench/baseline.json
+	  --baseline bench/baseline.json
 	$(MAKE) rs-smoke
 	$(MAKE) metrics-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) live-smoke
 	$(MAKE) adversary-smoke
+	$(MAKE) e2e-smoke
 
 clean:
 	dune clean

@@ -1,139 +1,176 @@
 (* Bench regression gate:
 
-     bench_gate --current BENCH.json --baseline bench/baseline.json
-                [--previous OLD_BENCH.json] [--tolerance PCT]
+     bench_gate --current REPORT.json --baseline bench/X_baseline.json
 
-   Dispatches on the report's "schema" field.
+   One interpreter for every smoke report.  A baseline (schema
+   csm-bench-baseline/2) names the report schema it gates ("report"),
+   the make target that regenerates that report ("make"), why its
+   numbers are what they are ("comment"), and a list of checks.  Each
+   check names a report field by dotted path, where "*" stands for every
+   element of a list, and carries exactly one rule:
 
-   csm-bench-parallel/2 (the parallel smoke bench, vs
-   bench/baseline.json):
+     {"field": F, "equals": V}          boolean, integer or string
+     {"field": F, "min": V}             floor
+     {"field": F, "max": V}             ceiling
+     {"field": F, "near": V, "pct": P}  within P percent of V
+     {"field": F, "length": N}          a list of exactly N elements
 
-   - the current run must be deterministic across domain widths and its
-     operation ledger identical at every width (these are boolean
-     results computed by the bench itself);
-   - the benched configuration (n/k/d/b) must match the baseline — a
-     silent config change would make op-count comparisons meaningless;
-   - the ledger grand total must stay within --tolerance percent of the
-     baseline's (the counts are exact, so the default tolerance exists
-     only to allow deliberate, reviewed drift via a baseline update).
+   The bound's JSON type fixes the field's: an integer bound reads an
+   integer field (a float there is a mistyped field), a float bound any
+   number.  Absolute wall-clock timings are deliberately not gated by
+   the committed baselines: they measure the CI host, not the code
+   (ratios and agreement percentages are host-independent to first
+   order).
 
-   csm-bench-rs/1 (the optimistic-decode smoke bench, vs
-   bench/rs_baseline.json):
-
-   - deterministic / ledger_identical booleans as above (here: decoded
-     output and decode op counts agree across modes and domain widths);
-   - config n/k/d/b must match the baseline;
-   - the warm fault-free optimistic decode must cost at most the
-     committed decode_ops_warm_max field operations (exact count);
-   - the on-vs-off speedups (op-count and same-host wall-clock ratios)
-     must clear the committed min_speedup_ops / min_speedup_wall
-     floors.
-
-   csm-bench-obs/1 (the observability overhead bench, vs
-   bench/obs_baseline.json):
-
-   - the wire/clock/bundle correctness booleans computed by the bench
-     must all hold (v1 layout unchanged, v2 round trip, HLC
-     monotonicity, telemetry-bundle round trip);
-   - the allocation counts — exact minor-heap words per operation,
-     deterministic for a fixed code path — must stay under the
-     committed disabled_overhead_words_max / v2_extra_words_max
-     ceilings.
-
-   csm-bench-live/1 (the streaming-telemetry smoke bench, vs
-   bench/live_baseline.json):
-
-   - the end-to-end booleans must hold (delta merge deterministic
-     under duplication/reordering, the HTTP scrape landed mid-run, the
-     lying node raised the suspicion alert before run end, the run
-     verified with no frame errors or rejected deltas);
-   - the /metrics render allocation must stay under the committed
-     scrape_words_max ceiling;
-   - the mid-run windowed lambda must agree with the end-of-run
-     k*accepted/run_seconds within lambda_agreement_pct_max (both
-     lambdas measure this host, but their ratio is host-independent
-     to first order).
-
-   csm-bench-adversary/1 (the Table-2 tightness certification, vs
-   bench/adversary_baseline.json):
-
-   - the certification booleans must all hold, globally and per bound:
-     two runs at the same seed byte-identical (deterministic), no
-     violation found with b = muN adversarial nodes
-     (safety_holds_at_bound), a violation witness at b = muN + 1
-     (witness_found_above_bound), and every shrunk witness replaying
-     byte-for-byte from its own trace (replay_ok);
-   - the searched configuration (budget / seed / schedule and the
-     number of certified bounds) must match the committed baseline — a
-     silently smaller budget would certify a smaller strategy class
-     than the one reviewed.
-
-   Absolute wall-clock timings are deliberately NOT gated: they measure
-   the CI host, not the code (the rs speedup is a same-process ratio,
-   which is host-independent to first order).  The previous report,
-   when given, is compared informationally (printed, never fatal) so
-   gradual drift is visible in CI logs.
-
-   Exit codes: 0 ok, 1 regression, 2 usage/IO/parse error. *)
+   Exit codes: 0 ok; 1 a check failed (each failure is named in the
+   summary line); 2 usage/IO/parse error, a malformed baseline, a
+   report schema other than the baseline's, or a missing or mistyped
+   field. *)
 
 open Cmdliner
 module Json = Csm_obs.Json
 
 let fail_usage fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt
 
-(* A missing or unreadable report is almost always a stale checkout:
-   name the `make` target whose smoke run regenerates the file. *)
-let regen_target path =
-  let base = Filename.basename path in
-  let contains sub =
-    let ls = String.length sub and lb = String.length base in
-    let rec go i = i + ls <= lb && (String.sub base i ls = sub || go (i + 1)) in
-    go 0
-  in
-  if contains "adversary" then "adversary-smoke"
-  else if contains "live" then "live-smoke"
-  else if contains "obs" then "obs-smoke"
-  else if contains "rs" then "rs-smoke"
-  else "bench-smoke"
-
-let load path =
-  let hint = Printf.sprintf "(regenerate it with `make %s`)" (regen_target path) in
+let load ?(hint = "") path =
   try Json.parse_file path with
-  | Sys_error m -> fail_usage "bench_gate: %s %s" m hint
-  | Json.Parse_error m -> fail_usage "bench_gate: %s: %s %s" path m hint
+  | Sys_error m -> fail_usage "bench_gate: %s%s" m hint
+  | Json.Parse_error m -> fail_usage "bench_gate: %s: %s%s" path m hint
 
-let str_field j key =
-  match Option.bind (Json.member key j) Json.to_string_opt with
-  | Some s -> s
-  | None -> fail_usage "bench_gate: missing string field %S" key
+let str key j = Option.bind (Json.member key j) Json.to_string_opt
 
-let int_field j key =
-  match Option.bind (Json.member key j) Json.to_int_opt with
-  | Some i -> i
-  | None -> fail_usage "bench_gate: missing integer field %S" key
+type rule =
+  | Equals of Json.t
+  | Min of Json.t
+  | Max of Json.t
+  | Near of Json.t * float
+  | Length of int
 
-let bool_field j key =
-  match Option.bind (Json.member key j) Json.to_bool_opt with
-  | Some b -> b
-  | None -> fail_usage "bench_gate: missing boolean field %S" key
-
-let float_field j key =
-  match Option.bind (Json.member key j) Json.to_float_opt with
-  | Some f -> f
-  | None -> fail_usage "bench_gate: missing number field %S" key
-
-let with_checks f =
-  let failures = ref [] in
-  let check name ok detail =
-    if ok then Printf.printf "ok    %-24s %s\n" name detail
-    else begin
-      Printf.printf "FAIL  %-24s %s\n" name detail;
-      failures := name :: !failures
-    end
+let rule_of check =
+  let keys =
+    match check with
+    | Json.Obj fields ->
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (List.filter (fun (k, _) -> k <> "field") fields)
+    | _ -> []
   in
-  f check;
+  match keys with
+  | [ ("equals", ((Json.Bool _ | Json.Int _ | Json.Str _) as v)) ] -> Equals v
+  | [ ("min", ((Json.Int _ | Json.Float _) as v)) ] -> Min v
+  | [ ("max", ((Json.Int _ | Json.Float _) as v)) ] -> Max v
+  | [ ("near", ((Json.Int _ | Json.Float _) as v)); ("pct", p) ]
+    when Option.is_some (Json.to_float_opt p) ->
+    Near (v, Option.value ~default:0.0 (Json.to_float_opt p))
+  | [ ("length", Json.Int n) ] -> Length n
+  | _ -> fail_usage "bench_gate: bad check %s" (Json.to_string check)
+
+(* Every (name, value) that a dotted path reaches; "*" fans out over a
+   list, naming each element by its index. *)
+let rec resolve name j = function
+  | [] -> [ (name, j) ]
+  | "*" :: rest -> (
+    match j with
+    | Json.List items ->
+      List.concat
+        (List.mapi (fun i x -> resolve (Printf.sprintf "%s[%d]" name i) x rest)
+           items)
+    | _ -> fail_usage "bench_gate: field %s is not a list" name)
+  | key :: rest -> (
+    let name = if name = "" then key else name ^ "." ^ key in
+    match Json.member key j with
+    | Some v -> resolve name v rest
+    | None -> fail_usage "bench_gate: missing field %s" name)
+
+(* The report value read as the bound's type, or exit 2. *)
+let typed name bound v =
+  let got =
+    match bound with
+    | Json.Int _ -> Option.map (fun i -> Json.Int i) (Json.to_int_opt v)
+    | Json.Float _ -> Option.map (fun f -> Json.Float f) (Json.to_float_opt v)
+    | Json.Bool _ -> Option.map (fun b -> Json.Bool b) (Json.to_bool_opt v)
+    | _ -> Option.map (fun s -> Json.Str s) (Json.to_string_opt v)
+  in
+  match got with
+  | Some x -> x
+  | None ->
+    fail_usage "bench_gate: field %s is %s, need the type of %s" name
+      (Json.to_string v) (Json.to_string bound)
+
+let num j = Option.value ~default:Float.nan (Json.to_float_opt j)
+
+let compare_values a b =
+  match (a, b) with
+  | Json.Int x, Json.Int y -> Int.compare x y
+  | Json.Bool x, Json.Bool y -> Bool.compare x y
+  | Json.Str x, Json.Str y -> String.compare x y
+  | _ -> Float.compare (num a) (num b)
+
+(* (passed, detail) of one rule on one field value. *)
+let evaluate name rule v =
+  let show = Json.to_string in
+  let versus label b pass =
+    let x = typed name b v in
+    ( pass (compare_values x b),
+      Printf.sprintf "current=%s %s=%s" (show x) label (show b) )
+  in
+  match rule with
+  | Equals b -> versus "want" b (fun c -> c = 0)
+  | Min b -> versus "min" b (fun c -> c >= 0)
+  | Max b -> versus "max" b (fun c -> c <= 0)
+  | Near (b, pct) ->
+    let x = typed name b v in
+    let drift = 100.0 *. Float.abs (num x -. num b) /. num b in
+    ( drift <= pct,
+      Printf.sprintf "current=%s baseline=%s drift=%.2f%% (tolerance %.2f%%)"
+        (show x) (show b) drift pct )
+  | Length n -> (
+    match v with
+    | Json.List items ->
+      let len = List.length items in
+      (len = n, Printf.sprintf "current=%d want=%d elements" len n)
+    | _ -> fail_usage "bench_gate: field %s is not a list" name)
+
+let run current baseline =
+  let base = load baseline in
+  if str "schema" base <> Some "csm-bench-baseline/2" then
+    fail_usage "bench_gate: %s: need schema csm-bench-baseline/2" baseline;
+  let report, checks =
+    match (str "report" base, Json.member "checks" base) with
+    | Some r, Some (Json.List cs) -> (r, cs)
+    | _ -> fail_usage "bench_gate: %s: need \"report\" and \"checks\"" baseline
+  in
+  let hint =
+    match str "make" base with
+    | Some target -> Printf.sprintf " (regenerate it with `make %s`)" target
+    | None -> ""
+  in
+  let cur = load ~hint current in
+  (match str "schema" cur with
+  | Some s when String.equal s report -> ()
+  | s ->
+    fail_usage "bench_gate: %s has schema %s; %s gates %s" current
+      (Option.value ~default:"(none)" s)
+      baseline report);
+  let failures = ref [] in
+  List.iter
+    (fun check ->
+      let field =
+        match str "field" check with
+        | Some f -> f
+        | None -> fail_usage "bench_gate: bad check %s" (Json.to_string check)
+      in
+      let rule = rule_of check in
+      List.iter
+        (fun (name, v) ->
+          let ok, detail = evaluate name rule v in
+          Printf.printf "%s %-32s %s\n" (if ok then "ok   " else "FAIL ") name
+            detail;
+          if not ok then failures := name :: !failures)
+        (resolve "" cur (String.split_on_char '.' field)))
+    checks;
   if !failures = [] then begin
-    Printf.printf "bench_gate: all checks passed\n";
+    print_endline "bench_gate: all checks passed";
     0
   end
   else begin
@@ -142,286 +179,17 @@ let with_checks f =
     1
   end
 
-let check_config check cur base =
-  List.iter
-    (fun key ->
-      let c = int_field cur key and b = int_field base key in
-      check (Printf.sprintf "config.%s" key) (c = b)
-        (Printf.sprintf "current=%d baseline=%d" c b))
-    [ "n"; "k"; "d"; "b" ]
-
-(* ----- csm-bench-rs/1: the optimistic fast-path smoke bench ----- *)
-
-let run_rs cur base =
-  with_checks (fun check ->
-      check "deterministic"
-        (bool_field cur "deterministic")
-        "identical decode across modes, widths and fault counts";
-      check "ledger_identical"
-        (bool_field cur "ledger_identical")
-        "per-mode decode op counts identical across domain widths";
-      check_config check cur base;
-      let warm =
-        match
-          Option.bind (Json.member "modes" cur) (fun m ->
-              Option.bind (Json.member "on" m) (fun on ->
-                  Option.bind
-                    (Json.member "decode_ops_warm" on)
-                    Json.to_int_opt))
-        with
-        | Some i -> i
-        | None -> fail_usage "bench_gate: missing field modes.on.decode_ops_warm"
-      in
-      let warm_max = int_field base "decode_ops_warm_max" in
-      check "decode_ops_warm"
-        (warm <= warm_max)
-        (Printf.sprintf "current=%d max=%d (warm fault-free optimistic decode)"
-           warm warm_max);
-      List.iter
-        (fun (key, floor_key) ->
-          let v = float_field cur key and floor = float_field base floor_key in
-          check key (v >= floor)
-            (Printf.sprintf "current=%.2fx floor=%.2fx" v floor))
-        [
-          ("speedup_ops_on_vs_off", "min_speedup_ops");
-          ("speedup_wall_on_vs_off", "min_speedup_wall");
-        ])
-
-(* ----- csm-bench-obs/1: observability allocation overhead ----- *)
-
-let run_obs cur base =
-  with_checks (fun check ->
-      List.iter
-        (fun (key, detail) -> check key (bool_field cur key) detail)
-        [
-          ( "v1_bytes_unchanged",
-            "untraced frames keep the pre-v2 wire layout byte-for-byte" );
-          ("v2_roundtrip_ok", "trace-stamped v2 frames decode totally");
-          ("hlc_monotone", "every HLC read is strictly larger than the last");
-          ( "bundle_roundtrip_ok",
-            "telemetry bundles survive an encode/decode cycle" );
-        ];
-      List.iter
-        (fun (key, max_key, detail) ->
-          let v = float_field cur key and m = float_field base max_key in
-          check key (v <= m)
-            (Printf.sprintf "current=%.2f max=%.2f words/op (%s)" v m detail))
-        [
-          ( "disabled_overhead_words",
-            "disabled_overhead_words_max",
-            "per-frame cost with tracing off: HLC read + flight append" );
-          ( "v2_extra_words",
-            "v2_extra_words_max",
-            "v2-over-v1 frame encode+decode allocation delta" );
-        ])
-
-(* ----- csm-bench-live/1: streaming telemetry end-to-end ----- *)
-
-let run_live cur base =
-  with_checks (fun check ->
-      List.iter
-        (fun (key, detail) -> check key (bool_field cur key) detail)
-        [
-          ( "delta_merge_deterministic",
-            "duplicated/reordered deltas merge to byte-identical views" );
-          ( "mid_run_scrape",
-            "the HTTP scrape landed while the cluster was still committing" );
-          ( "suspicion_fired",
-            "the lying node raised the suspicion alert before run end" );
-          ( "verify_ok",
-            "lie corrected, every round accepted, no frame errors, no \
-             rejected deltas" );
-        ];
-      check_config check cur base;
-      let words = float_field cur "scrape_words"
-      and words_max = float_field base "scrape_words_max" in
-      check "scrape_words"
-        (words <= words_max)
-        (Printf.sprintf "current=%.2f max=%.2f words per /metrics render"
-           words words_max);
-      let agree = float_field cur "lambda_agreement_pct"
-      and agree_max = float_field base "lambda_agreement_pct_max" in
-      check "lambda_agreement_pct"
-        (agree <= agree_max)
-        (Printf.sprintf
-           "mid-run windowed lambda within %.2f%% of end-of-run value (max \
-            %.2f%%)"
-           agree agree_max))
-
-(* ----- csm-bench-adversary/1: Table-2 tightness certification ----- *)
-
-let run_adversary cur base =
-  with_checks (fun check ->
-      (* the certificate itself: every boolean computed by the bench
-         must hold, globally and per bound *)
-      List.iter
-        (fun (key, detail) -> check key (bool_field cur key) detail)
-        [
-          ( "deterministic",
-            "two full certifications at the same seed are byte-identical" );
-          ( "safety_holds_at_bound",
-            "no searched strategy with b = muN nodes violates any bound" );
-          ( "witness_found_above_bound",
-            "a violation witness exists at b = muN + 1 for every bound" );
-          ( "replay_ok",
-            "every shrunk witness replays byte-for-byte from its trace" );
-        ];
-      (match Json.member "bounds" cur with
-      | Some (Json.List bounds) ->
-        let want = int_field base "bounds_certified" in
-        check "bounds_certified"
-          (List.length bounds = want)
-          (Printf.sprintf "current=%d baseline=%d (one per Table-2 \
-                           inequality)"
-             (List.length bounds) want);
-        List.iter
-          (fun bj ->
-            let name = str_field bj "bound" in
-            List.iter
-              (fun key ->
-                check
-                  (Printf.sprintf "%s.%s" name key)
-                  (bool_field bj key)
-                  (str_field bj "inequality"))
-              [
-                "safety_holds_at_bound";
-                "witness_found_above_bound";
-                "replay_ok";
-              ])
-          bounds
-      | Some _ | None -> fail_usage "bench_gate: missing list field \"bounds\"");
-      (* the searched configuration must match the committed baseline:
-         a silently smaller budget or different seed would certify a
-         smaller strategy class than the one reviewed *)
-      List.iter
-        (fun key ->
-          let c = int_field cur key and b = int_field base key in
-          check (Printf.sprintf "config.%s" key) (c = b)
-            (Printf.sprintf "current=%d baseline=%d" c b))
-        [ "budget"; "seed" ];
-      let cs = str_field cur "schedule" and bs = str_field base "schedule" in
-      check "config.schedule" (cs = bs)
-        (Printf.sprintf "current=%s baseline=%s" cs bs))
-
-(* ----- csm-bench-lint/1: the static analyzer run itself ----- *)
-
-let run_lint cur base =
-  with_checks (fun check ->
-      check "taint" (bool_field cur "taint")
-        "the gated lint run includes the whole-program passes (R6-R9)";
-      let findings = int_field cur "findings" in
-      check "findings" (findings = 0)
-        (Printf.sprintf
-           "current=%d (must be 0: fix it or justify it in lint/baseline.json)"
-           findings);
-      let files = int_field cur "files_scanned"
-      and files_min = int_field base "files_scanned_min" in
-      check "files_scanned" (files >= files_min)
-        (Printf.sprintf "current=%d min=%d (a shrunken scan would gate nothing)"
-           files files_min);
-      let wall = float_field cur "wall_s"
-      and wall_max = float_field base "wall_s_max" in
-      check "wall_s" (wall <= wall_max)
-        (Printf.sprintf "current=%.2fs max=%.2fs (whole-program lint budget)"
-           wall wall_max))
-
-(* ----- csm-bench-parallel/2: the parallel smoke bench ----- *)
-
-let run_parallel cur base previous tolerance =
-  with_checks (fun check ->
-      (* 1. invariants of the current run *)
-      check "deterministic"
-        (bool_field cur "deterministic")
-        "identical decode across domain widths";
-      check "ledger_identical"
-        (bool_field cur "ledger_identical")
-        "identical op ledger across domain widths";
-      (* 2. config must match the baseline *)
-      check_config check cur base;
-      (* 3. op total vs baseline, within tolerance *)
-      let cur_ops = int_field cur "ledger_grand_total" in
-      let base_ops = int_field base "ledger_grand_total" in
-      let drift_pct =
-        if base_ops = 0 then if cur_ops = 0 then 0.0 else infinity
-        else
-          100.0
-          *. Float.abs (float_of_int (cur_ops - base_ops))
-          /. float_of_int base_ops
-      in
-      check "ledger_grand_total"
-        (drift_pct <= tolerance)
-        (Printf.sprintf
-           "current=%d baseline=%d drift=%.2f%% (tolerance %.2f%%)" cur_ops
-           base_ops drift_pct tolerance);
-      (* 4. informational comparison with the previous run *)
-      match previous with
-      | None -> ()
-      | Some path when not (Sys.file_exists path) ->
-        Printf.printf "note  previous report %s not found (first run?)\n" path
-      | Some path -> (
-        let prev = load path in
-        match
-          Option.bind (Json.member "ledger_grand_total" prev) Json.to_int_opt
-        with
-        | None ->
-          (* pre-/2 report without the op total: nothing to compare *)
-          Printf.printf "note  previous report %s predates ledger_grand_total\n"
-            path
-        | Some prev_ops ->
-          Printf.printf
-            "note  ops vs previous run: current=%d previous=%d (%+d)\n" cur_ops
-            prev_ops (cur_ops - prev_ops)))
-
-let run current baseline previous tolerance =
-  let cur = load current in
-  let base = load baseline in
-  match str_field cur "schema" with
-  | "csm-bench-parallel/2" -> run_parallel cur base previous tolerance
-  | "csm-bench-rs/1" -> run_rs cur base
-  | "csm-bench-obs/1" -> run_obs cur base
-  | "csm-bench-live/1" -> run_live cur base
-  | "csm-bench-adversary/1" -> run_adversary cur base
-  | "csm-bench-lint/1" -> run_lint cur base
-  | schema ->
-    fail_usage
-      "bench_gate: %s has schema %s (need csm-bench-parallel/2, \
-       csm-bench-rs/1, csm-bench-obs/1, csm-bench-live/1, \
-       csm-bench-adversary/1 or csm-bench-lint/1)"
-      current schema
-
 let () =
-  let current =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "current" ] ~docv:"FILE" ~doc:"Smoke-bench report to gate.")
-  in
-  let baseline =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Committed baseline (bench/baseline.json).")
-  in
-  let previous =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "previous" ] ~docv:"FILE"
-          ~doc:
-            "Previous run's report, compared informationally (never fatal; \
-             silently noted when missing).")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 5.0
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed op-count drift vs the baseline, in percent.")
+  let file name doc =
+    Arg.(required & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
   in
   let cmd =
     Cmd.v
       (Cmd.info "bench_gate"
-         ~doc:"Gate CI on the smoke benches' invariants (parallel or rs)")
-      Term.(const run $ current $ baseline $ previous $ tolerance)
+         ~doc:"Gate CI on a smoke report against a committed baseline")
+      Term.(
+        const run
+        $ file "current" "Smoke-bench report to gate."
+        $ file "baseline" "Committed baseline (bench/*baseline.json).")
   in
   exit (Cmd.eval' cmd)

@@ -46,11 +46,6 @@ let schedule_conv =
   let print ppf s = Format.pp_print_string ppf (Adv.Search.schedule_name s) in
   Arg.conv (parse, print)
 
-let default_budget () =
-  match Option.bind (Sys.getenv_opt "CSM_ADVERSARY_BUDGET") int_of_string_opt with
-  | Some b when b > 0 -> b
-  | _ -> 1000
-
 let fixture_stem = function
   | Adv.Oracle.Decode_sync -> "decode"
   | Adv.Oracle.Decode_partial -> "decode_partial"
@@ -153,11 +148,8 @@ let () =
   let budget =
     Arg.(
       value
-      & opt int (default_budget ())
-      & info [ "budget" ] ~docv:"N"
-          ~doc:
-            "Oracle evaluations per search (default \
-             $(b,CSM_ADVERSARY_BUDGET) or 1000).")
+      & opt int 1000
+      & info [ "budget" ] ~docv:"N" ~doc:"Oracle evaluations per search.")
   in
   let schedule =
     Arg.(

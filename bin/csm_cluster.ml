@@ -36,12 +36,11 @@
    /healthz and /windows.json mid-run; an alert rising edge is a
    flight-recorder dump trigger (reason "alert").
 
-   Observability: --trace (or CSM_CLUSTER_TRACE=1, or =PATH) stamps
-   every protocol frame with the frame-v2 trace extension, gathers each
-   process's final telemetry snapshot and writes ONE merged Chrome
-   trace with cross-node flow arrows ordered by HLC.  --prom-out writes
-   the cluster-merged Prometheus exposition.  --flightrec (or
-   CSM_FLIGHTREC=1/PATH) arms the flight-recorder dump: a
+   Observability: --trace stamps every protocol frame with the
+   frame-v2 trace extension, gathers each process's final telemetry
+   snapshot and writes ONE merged Chrome trace with cross-node flow
+   arrows ordered by HLC.  --prom-out writes the cluster-merged
+   Prometheus exposition.  --flightrec arms the flight-recorder dump: a
    csm-flightrec/1 document is written on ledger divergence, frame
    errors, decoder suspicion, or on request.  --replay FILE recomputes
    a dump's recorded rounds from its embedded seed and checks them
@@ -420,19 +419,10 @@ let replay_dump path =
     rounds seed;
   exit (if !ok then 0 else 1)
 
-(* CSM_CLUSTER_TRACE / CSM_FLIGHTREC: unset/empty/0 = off, 1/true = on
-   with the default output path, anything else = on, value is the path *)
-let env_spec name =
-  match Sys.getenv_opt name with
-  | None | Some "" | Some "0" -> None
-  | Some v -> Some v
-
-let env_path spec =
-  match spec with Some "1" | Some "true" | None -> None | Some p -> Some p
-
 let run n k d b rounds seed transport dir port_base faults deadline out
-    no_verify expect_frame_errors trace_flag trace_out prom_out flightrec_flag
-    flightrec_out expect_cross_flows replay serve watch alerts_s lambda_floor =
+    no_verify expect_frame_errors trace_flag trace_out prom_out
+    flightrec_requested flightrec_out expect_cross_flows replay serve watch
+    alerts_s lambda_floor =
   (match replay with Some path -> replay_dump path | None -> ());
   Exporter.install ();
   List.iter
@@ -476,28 +466,10 @@ let run n k d b rounds seed transport dir port_base faults deadline out
       Printf.eprintf "csm_cluster: unknown --transport %s\n" other;
       exit 2
   in
-  let trace_env = env_spec "CSM_CLUSTER_TRACE" in
-  let flightrec_env = env_spec "CSM_FLIGHTREC" in
-  let trace =
-    trace_flag || Option.is_some trace_env || Option.is_some trace_out
-  in
-  let trace_out =
-    match (trace_out, env_path trace_env) with
-    | Some p, _ -> p
-    | None, Some p -> p
-    | None, None -> "csm-cluster-trace.json"
-  in
-  let flightrec_armed =
-    flightrec_flag || Option.is_some flightrec_env
-    || Option.is_some flightrec_out
-  in
-  let flightrec_requested = flightrec_flag || Option.is_some flightrec_env in
-  let flightrec_out =
-    match (flightrec_out, env_path flightrec_env) with
-    | Some p, _ -> p
-    | None, Some p -> p
-    | None, None -> "csm-flightrec.json"
-  in
+  let trace = trace_flag || Option.is_some trace_out in
+  let trace_out = Option.value ~default:"csm-cluster-trace.json" trace_out in
+  let flightrec_armed = flightrec_requested || Option.is_some flightrec_out in
+  let flightrec_out = Option.value ~default:"csm-flightrec.json" flightrec_out in
   let telemetry = trace || flightrec_armed in
   (* ---- live streaming telemetry (--serve / --watch / --alert /
      CSM_TELEMETRY_INTERVAL) ---- *)
@@ -824,8 +796,7 @@ let () =
       & info [ "trace" ]
           ~doc:
             "Stamp every protocol frame with the frame-v2 trace extension and \
-             write one merged Chrome trace (also: CSM_CLUSTER_TRACE=1 or \
-             =PATH).")
+             write one merged Chrome trace.")
   in
   let trace_out =
     Arg.(
@@ -850,8 +821,7 @@ let () =
       value & flag
       & info [ "flightrec" ]
           ~doc:
-            "Arm the flight recorder and always dump at end of run (also: \
-             CSM_FLIGHTREC=1 or =PATH).")
+            "Arm the flight recorder and always dump at end of run.")
   in
   let flightrec_out =
     Arg.(

@@ -103,10 +103,9 @@ module Make (F : Field_intf.S) = struct
   (* Step 4: decode from the received results ((node, vector) pairs;
      missing nodes model withholding).  Attributed to [role].
 
-     The algorithm defaults to [RS.default_algorithm] (CSM_RS_FASTPATH):
-     the optimistic modes share one [RS.fast_ctx] across all coordinates
-     and rounds, cached on the engine and rebuilt only when the set of
-     reporting nodes changes.
+     The algorithm defaults to [RS.Optimistic], which shares one
+     [RS.fast_ctx] across all coordinates and rounds, cached on the
+     engine and rebuilt only when the set of reporting nodes changes.
 
      The [dim] coordinates are independent Reed–Solomon instances, so
      they decode across the domain pool (chunk 1: one decode is the
@@ -115,11 +114,9 @@ module Make (F : Field_intf.S) = struct
      the decoded record is bit-identical for any domain count.  All
      coordinates are decoded even after one fails, keeping the work (and
      the operation counts) independent of scheduling. *)
-  let decode_results ?(scope = Scope.null) ?(role = "decoder") ?algorithm t
-      (received : (int * F.t array) list) : decoded option =
-    let algorithm =
-      match algorithm with Some a -> a | None -> RS.default_algorithm ()
-    in
+  let decode_results ?(scope = Scope.null) ?(role = "decoder")
+      ?(algorithm = RS.Optimistic) t (received : (int * F.t array) list) :
+      decoded option =
     Span.with_ ~ops:scope.Scope.ops ~name:"engine.decode" (fun () ->
     scope.Scope.run ~role (fun () ->
         let dim = result_dim t in
@@ -139,8 +136,7 @@ module Make (F : Field_intf.S) = struct
         in
         let ctx =
           match algorithm with
-          | RS.Optimistic | RS.Optimistic_fallback_only
-            when Array.length xs >= kdim -> (
+          | RS.Optimistic when Array.length xs >= kdim -> (
             match t.rs_ctx with
             | Some (pxs, c) when xs_equal pxs xs -> Some c
             | _ ->

@@ -51,11 +51,10 @@ module Make (F : Field_intf.S) : sig
     decoded option
   (** Noisy-interpolation decoding of received (node, gᵢ) results;
       [None] when any coordinate exceeds the decoding radius.  The
-      algorithm defaults to [RS.default_algorithm ()] (CSM_RS_FASTPATH):
-      optimistic modes reuse the engine-cached [rs_ctx] across
-      coordinates and rounds and pass nodes with accumulated
-      csm_node_suspicion as erasure candidates for the decoder's last
-      resort. *)
+      algorithm defaults to [RS.Optimistic], which reuses the
+      engine-cached [rs_ctx] across coordinates and rounds and passes
+      nodes with accumulated csm_node_suspicion as erasure candidates
+      for the decoder's last resort. *)
 
   val node_update_state :
     ?scope:Scope.t -> t -> node:int -> next_states:F.t array array -> unit

@@ -268,9 +268,8 @@ module Make (F : Field_intf.S) = struct
           let try_decode now =
             if not decode_attempted.(i) then begin
               decode_attempted.(i) <- true;
-              (* algorithm defaults to RS.default_algorithm (), so the
-                 CSM_RS_FASTPATH optimistic fast path governs the
-                 simulated nodes exactly as it does the socket runtime *)
+              (* the default optimistic fast path governs the simulated
+                 nodes exactly as it does the socket runtime *)
               decoded.(i) <- E.decode_results ~scope engine !received;
               match decode_times with
               | Some times -> times.(i) <- now

@@ -6,8 +6,14 @@
 
    Total on untrusted input: a malformed request line is a 400, an
    unknown path a 404, a non-GET method a 405; socket errors close the
-   connection and the loop continues.  The accept loop polls with a
+   connection and the loop continues.  A client that goes away
+   mid-response is such an error, not a SIGPIPE ([serve] ignores the
+   signal process-wide), and one that stalls is cut off by per-connection
+   send/receive timeouts, so no client holds the loop for more than
+   about [io_timeout] per read or write.  The accept loop polls with a
    select timeout so [stop] is honoured within ~a quarter second. *)
+
+let io_timeout = 1.0
 
 type response = { status : int; content_type : string; body : string }
 
@@ -108,13 +114,17 @@ let accept_loop t handler =
     | _ :: _, _, _ -> (
       match Unix.accept t.sock with
       | fd, _ -> (
-        try serve_connection handler fd
+        try
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO io_timeout;
+          Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_timeout;
+          serve_connection handler fd
         with Unix.Unix_error _ -> ( try Unix.close fd with Unix.Unix_error _ -> ()))
       | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
 let serve ?(port = 0) handler =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

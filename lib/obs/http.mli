@@ -20,6 +20,13 @@ val serve : ?port:int -> (string -> response option) -> t
 (** Bind 127.0.0.1:[port] (default 0 = ephemeral) and serve [handler
     path] per GET request; [None] renders a 404.  The handler runs on
     the server thread — keep it quick and thread-safe.
+
+    Ignores SIGPIPE for the whole process, so a client that disconnects
+    mid-response costs that connection only (the write fails with
+    [EPIPE]).  Each connection gets 1 s send and receive timeouts: a
+    client that sends no complete request in time is answered 400, and
+    one that stops reading is dropped, so an idle client cannot hold
+    the one-at-a-time loop or [stop].
     @raise Unix.Unix_error when the port cannot be bound. *)
 
 val port : t -> int

@@ -23,10 +23,8 @@
      matrices are round-independent (Remark 4) and can be cached by the
      caller via [prepare_fast].
 
-   The algorithm default is environment-selectable (CSM_RS_FASTPATH =
-   on | off | force-fallback) so the protocol stack and the cluster
-   nodes switch modes without recompilation, and benches can pin each
-   mode explicitly. *)
+   [decode] defaults to the optimistic decoder; callers that compare
+   decoders (benches, tests) pin one with [?algorithm]. *)
 
 module Field_intf = Csm_field.Field_intf
 
@@ -246,8 +244,7 @@ module Make (F : Field_intf.S) = struct
      zero-error full agreement, which Gao also finds); the erasure last
      resort extends the reach beyond that radius under the
      erasure-and-error certificate 2e + s <= n − k. *)
-  let decode_optimistic ?ctx ?(suspects = []) ?(force_fallback = false) ~k
-      pairs =
+  let decode_optimistic ?ctx ?(suspects = []) ~k pairs =
     let n = Array.length pairs in
     if n < k || k < 1 then None
     else begin
@@ -257,62 +254,60 @@ module Make (F : Field_intf.S) = struct
         | _ -> prepare_fast ~k (Array.map fst pairs)
       in
       let candidate =
-        if force_fallback then None
-        else
-          Csm_obs.Span.with_ ~name:"rs.fastpath" (fun () ->
-              let head = Array.init k (fun i -> snd pairs.(i)) in
-              (* n dot products of length k: interpolate through the
-                 head, then walk the tail Vandermonde rows, bailing at
-                 the first disagreeing point.  The scalar loop and the
-                 byte-packed kernels charge identical op counts, so
-                 ledgers are backend-independent. *)
-              let scalar_dot row v =
-                let acc = ref F.zero in
-                for j = 0 to Array.length row - 1 do
-                  acc := F.add !acc (F.mul row.(j) v.(j))
+        Csm_obs.Span.with_ ~name:"rs.fastpath" (fun () ->
+            let head = Array.init k (fun i -> snd pairs.(i)) in
+            (* n dot products of length k: interpolate through the
+               head, then walk the tail Vandermonde rows, bailing at
+               the first disagreeing point.  The scalar loop and the
+               byte-packed kernels charge identical op counts, so
+               ledgers are backend-independent. *)
+            let scalar_dot row v =
+              let acc = ref F.zero in
+              for j = 0 to Array.length row - 1 do
+                acc := F.add !acc (F.mul row.(j) v.(j))
+              done;
+              !acc
+            in
+            let coeffs, ok =
+              match (F.batch (), ctx.fc_interp_b, ctx.fc_vand_b) with
+              | Some b, Some irows, Some vrows ->
+                let hv = b.Field_intf.pack head in
+                let coeffs =
+                  Array.map (fun row -> b.Field_intf.dot row hv) irows
+                in
+                let cv = b.Field_intf.pack coeffs in
+                let ok = ref true and j = ref 0 in
+                while !ok && !j < Array.length vrows do
+                  if
+                    F.equal (b.Field_intf.dot vrows.(!j) cv)
+                      (snd pairs.(k + !j))
+                  then incr j
+                  else ok := false
                 done;
-                !acc
-              in
-              let coeffs, ok =
-                match (F.batch (), ctx.fc_interp_b, ctx.fc_vand_b) with
-                | Some b, Some irows, Some vrows ->
-                  let hv = b.Field_intf.pack head in
-                  let coeffs =
-                    Array.map (fun row -> b.Field_intf.dot row hv) irows
-                  in
-                  let cv = b.Field_intf.pack coeffs in
-                  let ok = ref true and j = ref 0 in
-                  while !ok && !j < Array.length vrows do
-                    if
-                      F.equal (b.Field_intf.dot vrows.(!j) cv)
-                        (snd pairs.(k + !j))
-                    then incr j
-                    else ok := false
-                  done;
-                  (coeffs, !ok)
-                | _ ->
-                  let coeffs =
-                    Array.map (fun row -> scalar_dot row head) ctx.fc_interp
-                  in
-                  let ok = ref true and j = ref 0 in
-                  while !ok && !j < Array.length ctx.fc_vand do
-                    if
-                      F.equal
-                        (scalar_dot ctx.fc_vand.(!j) coeffs)
-                        (snd pairs.(k + !j))
-                    then incr j
-                    else ok := false
-                  done;
-                  (coeffs, !ok)
-              in
-              if ok then
-                Some
-                  {
-                    poly = P.normalize coeffs;
-                    agreement = List.init n Fun.id;
-                    errors = [];
-                  }
-              else None)
+                (coeffs, !ok)
+              | _ ->
+                let coeffs =
+                  Array.map (fun row -> scalar_dot row head) ctx.fc_interp
+                in
+                let ok = ref true and j = ref 0 in
+                while !ok && !j < Array.length ctx.fc_vand do
+                  if
+                    F.equal
+                      (scalar_dot ctx.fc_vand.(!j) coeffs)
+                      (snd pairs.(k + !j))
+                  then incr j
+                  else ok := false
+                done;
+                (coeffs, !ok)
+            in
+            if ok then
+              Some
+                {
+                  poly = P.normalize coeffs;
+                  agreement = List.init n Fun.id;
+                  errors = [];
+                }
+            else None)
       in
       match candidate with
       | Some d ->
@@ -359,40 +354,20 @@ module Make (F : Field_intf.S) = struct
               Some { poly = d.poly; agreement; errors })
     end
 
-  type algorithm = Berlekamp_welch | Gao | Optimistic | Optimistic_fallback_only
-
-  (* CSM_RS_FASTPATH: on (default) | off | force-fallback.  Read once. *)
-  let env_algorithm =
-    lazy
-      (match Sys.getenv_opt "CSM_RS_FASTPATH" with
-      | Some "off" -> Gao
-      | Some "force-fallback" -> Optimistic_fallback_only
-      | Some "on" | Some "" | None -> Optimistic
-      | Some other ->
-        invalid_arg
-          (Printf.sprintf
-             "CSM_RS_FASTPATH=%s (expected on | off | force-fallback)" other))
-
-  let default_algorithm () = Lazy.force env_algorithm
+  type algorithm = Berlekamp_welch | Gao | Optimistic
 
   let algorithm_name = function
     | Berlekamp_welch -> "berlekamp_welch"
     | Gao -> "gao"
     | Optimistic -> "optimistic"
-    | Optimistic_fallback_only -> "optimistic_fallback_only"
 
-  let decode ?algorithm ?ctx ?suspects ~k pairs =
-    let algorithm =
-      match algorithm with Some a -> a | None -> default_algorithm ()
-    in
+  let decode ?(algorithm = Optimistic) ?ctx ?suspects ~k pairs =
     Csm_obs.Span.with_ ~name:"rs.decode" (fun () ->
         let result =
           match algorithm with
           | Berlekamp_welch -> decode_bw ~k pairs
           | Gao -> decode_gao ~k pairs
           | Optimistic -> decode_optimistic ?ctx ?suspects ~k pairs
-          | Optimistic_fallback_only ->
-            decode_optimistic ?ctx ?suspects ~force_fallback:true ~k pairs
         in
         let module Metric = Csm_obs.Metric in
         let module Tel = Csm_obs.Telemetry in

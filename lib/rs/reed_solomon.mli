@@ -44,7 +44,6 @@ module Make (F : Field_intf.S) : sig
   val decode_optimistic :
     ?ctx:fast_ctx ->
     ?suspects:int list ->
-    ?force_fallback:bool ->
     k:int ->
     (F.t * F.t) array ->
     decoded option
@@ -55,18 +54,11 @@ module Make (F : Field_intf.S) : sig
       [suspects] (indices into the pair array) is nonempty — to
       erasure-assisted decoding with the suspects pre-erased, always
       re-validated against the full pair set.  Agrees with [decode_gao]
-      on every input within the unique-decoding radius.
-      [force_fallback] skips the candidate attempt (CI hook).  A [ctx]
-      that does not match the pairs' points is ignored (a fresh one is
+      on every input within the unique-decoding radius.  A [ctx] that
+      does not match the pairs' points is ignored (a fresh one is
       built), so a stale cache can never corrupt a decode. *)
 
-  type algorithm = Berlekamp_welch | Gao | Optimistic | Optimistic_fallback_only
-
-  val default_algorithm : unit -> algorithm
-  (** Selected by CSM_RS_FASTPATH: unset/["on"] ↦ [Optimistic], ["off"]
-      ↦ [Gao], ["force-fallback"] ↦ [Optimistic_fallback_only] (read
-      once, then cached).
-      @raise Invalid_argument on any other value. *)
+  type algorithm = Berlekamp_welch | Gao | Optimistic
 
   val decode :
     ?algorithm:algorithm ->
@@ -75,8 +67,8 @@ module Make (F : Field_intf.S) : sig
     k:int ->
     (F.t * F.t) array ->
     decoded option
-  (** Default algorithm is [default_algorithm ()]; [ctx]/[suspects] are
-      used by the optimistic modes and ignored otherwise. *)
+  (** Default algorithm is [Optimistic]; [ctx]/[suspects] are used by
+      it and ignored otherwise. *)
 
   val decode_erasures : k:int -> (F.t * F.t) array -> decoded option
   (** Erasure-only (crash-fault) decoding: all received symbols trusted;

@@ -477,9 +477,8 @@ module Make (F : Field_intf.S) = struct
              (fun (r', j) g acc -> if r' = r then (j, g) :: acc else acc)
              inbox.results [])
       in
-      (* decode algorithm comes from RS.default_algorithm (), i.e. the
-         CSM_RS_FASTPATH env var: optimistic verify-first fast path by
-         default, with Gao + suspicion-guided erasures as fallback *)
+      (* the default decoder: optimistic verify-first fast path, with
+         Gao + suspicion-guided erasures as fallback *)
       match E.decode_results engine received with
       | None ->
         phase inbox ~round:r "decode-failed";

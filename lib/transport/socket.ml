@@ -15,7 +15,9 @@
    protocol round.  Connections are opened lazily with retry and
    exponential backoff (peers of a freshly forked cluster come up in
    arbitrary order); a frame that cannot be written after a reconnect
-   is dropped.
+   is dropped.  A write to a peer that has died fails with EPIPE rather
+   than killing this process: creating an endpoint ignores SIGPIPE, so
+   one crashed node costs the cluster that node only.
 
    Deadlines: [recv ~timeout] bounds how long a round waits on the
    mailbox, the receiver-side defence against withholding peers. *)
@@ -62,6 +64,7 @@ type peer = {
 
 let endpoint ~addr ~id ~endpoints =
   if id < 0 || id >= endpoints then invalid_arg "Socket.endpoint: bad id";
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let closed = ref false in
   let incoming : Frame.t Queue.t = Queue.create () in
   let im = Lockdep.create "socket.incoming" in

@@ -17,4 +17,9 @@ val sockaddr_of : addr -> int -> Unix.sockaddr
 val endpoint : addr:addr -> id:int -> endpoints:int -> Transport.t
 (** Create endpoint [id] of a cluster of [endpoints]: binds and listens
     immediately (so peers can connect as soon as they come up), connects
-    outbound lazily on first [send] to each destination. *)
+    outbound lazily on first [send] to each destination.
+
+    Ignores SIGPIPE for the whole process: a send to a peer that has
+    died fails with [EPIPE] on that peer's sender thread (the frame is
+    dropped and the connection retried) instead of killing the process
+    with signal 13. *)

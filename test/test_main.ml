@@ -27,4 +27,5 @@ let () =
          Test_transport.suites;
          Test_adversary.suites;
          Test_lint.suites;
+         Test_bench_gate.suites;
        ])

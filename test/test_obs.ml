@@ -1428,6 +1428,62 @@ let http_serve_scrape () =
   (* stop is idempotent and frees the port *)
   Http.stop srv
 
+let http_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let http_status port path = Option.map fst (Http.get ~port path)
+
+(* A scraper that hangs up before reading a large response makes the
+   server's writes fail; that must cost the connection, not the process
+   (an unignored SIGPIPE kills it). *)
+let http_client_hangup_survives () =
+  let big = String.make (4 * 1024 * 1024) 'x' in
+  let srv =
+    Http.serve ~port:0 (function
+      | "/big" -> Some (Http.text big)
+      | "/healthz" -> Some (Http.text "ok\n")
+      | _ -> None)
+  in
+  Fun.protect
+    ~finally:(fun () -> Http.stop srv)
+    (fun () ->
+      let port = Http.port srv in
+      for _ = 1 to 3 do
+        let fd = http_connect port in
+        let req = "GET /big HTTP/1.1\r\nHost: x\r\n\r\n" in
+        ignore (Unix.write_substring fd req 0 (String.length req));
+        Unix.close fd;
+        Thread.delay 0.05
+      done;
+      Alcotest.(check (option int)) "server still answers" (Some 200)
+        (http_status port "/healthz"))
+
+(* An idle connection holds the one-at-a-time loop for at most its
+   receive timeout: a GET behind it is answered, and stop returns. *)
+let http_idle_client_bounded () =
+  let srv = Http.serve ~port:0 (fun _ -> Some (Http.text "ok\n")) in
+  let port = Http.port srv in
+  let idle = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Unix.close !idle;
+      Http.stop srv)
+    (fun () ->
+      idle := [ http_connect port ];
+      Alcotest.(check (option int)) "GET behind an idle client" (Some 200)
+        (http_status port "/healthz");
+      idle := http_connect port :: !idle;
+      Thread.delay 0.3;
+      let stopped = Atomic.make false in
+      let th = Thread.create (fun () -> Http.stop srv; Atomic.set stopped true) () in
+      let rec wait polls =
+        Atomic.get stopped || (polls > 0 && (Thread.delay 0.1; wait (polls - 1)))
+      in
+      Alcotest.(check bool) "stop returns within 2 s" true (wait 20);
+      Thread.join th)
+
 let event_overwrite_counts_drops () =
   let saved = Event.current_level () in
   Event.reset ();
@@ -1517,6 +1573,10 @@ let suites =
           alert_engine_edges;
         Alcotest.test_case "http scrape endpoint serves and 404s" `Quick
           http_serve_scrape;
+        Alcotest.test_case "http client hang-up costs the connection only"
+          `Quick http_client_hangup_survives;
+        Alcotest.test_case "http idle client cannot hold the loop" `Quick
+          http_idle_client_bounded;
         Alcotest.test_case "event ring overwrite counts drops" `Quick
           event_overwrite_counts_drops;
       ] );

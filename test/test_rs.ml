@@ -241,8 +241,8 @@ let optimistic_hit () =
   done
 
 let optimistic_fallback_matches_gao () =
-  (* within the radius the optimistic decoder must equal Gao exactly,
-     whether the fast path was attempted (and missed) or disabled *)
+  (* within the radius the optimistic decoder must equal Gao exactly
+     once the fast path has missed *)
   for _ = 1 to 40 do
     let k = 1 + Csm_rng.int rng 6 in
     let n = k + 2 + Csm_rng.int rng 14 in
@@ -259,10 +259,10 @@ let optimistic_fallback_matches_gao () =
       if not (P.equal d.RS.poly msg) then Alcotest.fail "optimistic wrong poly";
       if e > 0 && d.RS.errors <> positions then
         Alcotest.fail "optimistic wrong error positions");
-    match RS.decode ~algorithm:RS.Optimistic_fallback_only ~k pairs with
-    | None -> Alcotest.fail "fallback-only failed within radius"
+    match RS.decode_gao ~k pairs with
+    | None -> Alcotest.fail "gao failed within radius"
     | Some d ->
-      if not (P.equal d.RS.poly msg) then Alcotest.fail "fallback-only wrong poly"
+      if not (P.equal d.RS.poly msg) then Alcotest.fail "gao wrong poly"
   done
 
 let optimistic_erasure_rescue () =
@@ -388,8 +388,8 @@ let bm_wrong_length_is_none () =
 
 (* On classical points (powers of a primitive n-th root of unity, so the
    syndrome decoder applies too), all five decode entry points must
-   agree: BW, Gao, BM, optimistic, and optimistic with the fast path
-   force-disabled.  Within the radius they must all return the original
+   agree: BW, Gao, BM, optimistic, and [RS.decode] at its default
+   algorithm.  Within the radius they must all return the original
    message; beyond it they must still agree with each other (including
    agreeing to fail). *)
 let qcheck_cross_decoder =
@@ -412,7 +412,7 @@ let qcheck_cross_decoder =
           RS.decode_bw ~k pairs;
           RS.decode_gao ~k pairs;
           RS.decode_optimistic ~k pairs;
-          RS.decode ~algorithm:RS.Optimistic_fallback_only ~k pairs;
+          RS.decode ~k pairs;
         ]
       in
       let polys =

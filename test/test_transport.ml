@@ -492,6 +492,48 @@ let socket_close_flushes_last_frame () =
       done);
   check Alcotest.int "frames lost at close" 0 !lost
 
+(* Sends to a peer that has gone away fail with EPIPE on the sender
+   thread instead of killing this process (SIGPIPE), and the sender
+   reconnects once a peer listens at that address again. *)
+let socket_dead_peer_survives () =
+  let dir = Filename.temp_file "csm_sock_dead" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let addr = Csm_transport.Socket.Uds dir in
+  let endpoint id = Csm_transport.Socket.endpoint ~addr ~id ~endpoints:2 in
+  let frame round =
+    Frame.make ~kind:Frame.Commit ~sender:0 ~round (String.make 4096 'x')
+  in
+  (* up to [tries] 0.1 s receive waits for the frame of [round] *)
+  let rec await tr round tries =
+    match tr.Transport.recv ~timeout:0.1 with
+    | Some f when f.Frame.round = round -> true
+    | _ -> tries > 1 && await tr round (tries - 1)
+  in
+  let a = endpoint 0 and b = endpoint 1 in
+  let b' = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun tr -> tr.Transport.close ())
+        (a :: b :: Option.to_list !b');
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      a.Transport.send ~dst:1 (frame 0);
+      checkb "peer up: delivered" true (await b 0 20);
+      b.Transport.close ();
+      for r = 1 to 20 do
+        a.Transport.send ~dst:1 (frame r);
+        Thread.delay 0.005
+      done;
+      let again = endpoint 1 in
+      b' := Some again;
+      a.Transport.send ~dst:1 (frame 99);
+      checkb "peer back: delivered" true (await again 99 50))
+
 let stats_payload_round_trip () =
   let s =
     {
@@ -800,6 +842,8 @@ let suites =
           loopback_send_recv;
         Alcotest.test_case "socket close flushes a dequeued frame" `Quick
           socket_close_flushes_last_frame;
+        Alcotest.test_case "socket send to a dead peer is not fatal" `Quick
+          socket_dead_peer_survives;
         Alcotest.test_case "stats payload round trip" `Quick
           stats_payload_round_trip;
         Alcotest.test_case "cluster loopback fault-free" `Quick
