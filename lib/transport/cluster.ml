@@ -301,7 +301,16 @@ module Make (F : Field_intf.S) = struct
                && fr.Frame.sender >= 0
                && fr.Frame.sender < n ->
           on_telemetry fr
-        | Some _ -> ()  (* stragglers from the last round *)
+        | Some fr
+          when Frame.kind_eq fr.Frame.kind Frame.Output
+               && fr.Frame.sender >= 0
+               && fr.Frame.sender < n -> (
+          (* an Output that missed its round's vote is dropped, but a
+             malformed one still counts, as it would have in time *)
+          match W.decode_matrix_bin fr.Frame.payload with
+          | Some _ -> ()
+          | None -> Transport.record_error tr)
+        | Some _ -> ()  (* other stragglers from the last round *)
         | None -> ());
         gather ()
       end

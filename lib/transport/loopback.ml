@@ -8,11 +8,15 @@
    Endpoints may live on different threads of one process (the cluster
    driver runs one node per thread); mailboxes are mutex-guarded and
    [recv] polls with a short sleep, which is plenty for protocol-scale
-   message rates.
+   message rates.  Unlike {!Socket}, it does not wake on arrival, on
+   purpose: a loopback cluster's threads share one OCaml domain, so
+   with waking receivers a round would be nothing but that process's
+   CPU time, and its round time would follow the host's CPU speed from
+   one run to the next.  The sleeps keep loopback timings steady.
 
    Counting: received frames/bytes are recorded at delivery into the
    destination mailbox (send time), mirroring the socket transport's
-   reader-thread intake — so both transports report identical counts
+   receiver-thread intake — so both transports report identical counts
    for the same protocol run. *)
 
 module Frame = Csm_wire.Frame

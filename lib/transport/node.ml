@@ -21,6 +21,13 @@
    wedge the node; collect loops bound their waiting with the
    [deadline] so silent peers cannot stall a round either.
 
+   A wait blocks in [Transport.recv] (over sockets it wakes on the next
+   frame), and intake keeps one record per live round with its commit
+   and result counts, so a wait condition costs O(1).  A round's
+   record is dropped once the round is decided, and a round window
+   bounds how many records a node holds — memory stays flat however
+   many rounds a node runs.
+
    The runtime's own faults ([Drop]/[Delay]/[Corrupt]) apply to the
    frames it *sends* — that is how the cluster driver turns a node
    Byzantine at the transport layer. *)
@@ -112,15 +119,20 @@ module Make (F : Field_intf.S) = struct
            [Node] when this process owns it (forked modes) *)
   }
 
-  (* Peers whose protocol frames will actually arrive (and validate). *)
+  (* Nodes this node hears from each round, itself included: every peer
+     whose fault still sends protocol frames (a [Corrupt] peer's arrive
+     malformed, but they arrive, and are counted as frame errors within
+     the round), and this node, whose own fault bends what it sends, not
+     what it receives. *)
   let expected_peers cfg =
-    let n = cfg.params.Params.n in
-    let dead i =
+    let live i =
+      i = cfg.node
+      ||
       match List.assoc_opt i cfg.faults with
-      | Some f -> not (delivers f)
-      | None -> false
+      | Some Drop -> false
+      | Some _ | None -> true
     in
-    n - List.length (List.filter dead (List.init n (fun i -> i)))
+    List.length (List.filter live (List.init cfg.params.Params.n Fun.id))
 
   (* Mangle a payload so every total decoder rejects it: flip a byte and
      drop the last one — the fixed-width decoders check exact length,
@@ -136,14 +148,36 @@ module Make (F : Field_intf.S) = struct
 
   (* ---- inbox: validated protocol state, filled by [pump] ---- *)
 
+  (* What a round record holds from one sender: a malformed frame still
+     tells the node that it has heard from that sender this round. *)
+  type 'a heard = Unheard | Malformed | Valid of 'a
+
+  (* One live round's validated intake.  [dispatch] fills it and keeps
+     the counts, so a wait condition reads them in O(1). *)
+  type round_in = {
+    mutable command : (string * F.t array array) option;
+        (* the client's payload and its decoded commands *)
+    commits : string heard array;  (* sender → Commit payload *)
+    mutable n_commits : int;  (* senders heard from *)
+    results : F.t array heard array;  (* sender → gⱼ, own included *)
+    mutable n_results : int;
+    mutable trace_id : int64;
+        (* causal trace id, adopted from the first valid extended frame
+           of the round (the client's Command); 0 untraced *)
+  }
+
+  (* How far ahead of its lowest undecided round a node accepts
+     protocol frames.  The client sends round r+1's Command only after
+     its vote on round r, which waits for this node's Output r (or the
+     deadline), so an honest peer is at most one round ahead.  The
+     rest is margin for a node that fell behind on a deadline to catch
+     up; beyond it a frame is a forged round.  At most [window + 1]
+     round records are ever live. *)
+  let window = 8
+
   type inbox = {
-    commands : (int, string * F.t array array) Hashtbl.t;
-        (* round → (payload, decoded commands), client frames only *)
-    commits : (int * int, string) Hashtbl.t;  (* (round, sender) → payload *)
-    results : (int * int, F.t array) Hashtbl.t;  (* (round, sender) → gⱼ *)
-    traces : (int, int64) Hashtbl.t;
-        (* round → causal trace id, adopted from the first valid
-           extended frame of the round (the client's Command) *)
+    live : (int, round_in) Hashtbl.t;  (* rounds next .. next+window *)
+    mutable next : int;  (* lowest round not yet decided *)
     flight : Flight.t;  (* this node's always-on black box *)
     mutable shutdown : bool;
     (* in-flight snapshot emitter state (config.stream = Some _) *)
@@ -157,10 +191,8 @@ module Make (F : Field_intf.S) = struct
 
   let make_inbox ~node () =
     {
-      commands = Hashtbl.create 16;
-      commits = Hashtbl.create 64;
-      results = Hashtbl.create 64;
-      traces = Hashtbl.create 16;
+      live = Hashtbl.create 4;
+      next = 0;
       flight = Flight.create ~node ();
       shutdown = false;
       st_emitted = 0;
@@ -168,8 +200,68 @@ module Make (F : Field_intf.S) = struct
       st_sent = Hashtbl.create 32;
     }
 
+  (* Most round records one node of this instance has held at once. *)
+  let peak = Atomic.make 0
+
+  let peak_rounds () = Atomic.get peak
+
+  let rec note_peak held =
+    let p = Atomic.get peak in
+    if held > p && not (Atomic.compare_and_set peak p held) then note_peak held
+
+  (* The record of round [r], created on first use. *)
+  let round_in cfg inbox r =
+    match Hashtbl.find_opt inbox.live r with
+    | Some st -> st
+    | None ->
+      let n = cfg.params.Params.n in
+      let st =
+        {
+          command = None;
+          commits = Array.make n Unheard;
+          n_commits = 0;
+          results = Array.make n Unheard;
+          n_results = 0;
+          trace_id = 0L;
+        }
+      in
+      Hashtbl.replace inbox.live r st;
+      note_peak (Hashtbl.length inbox.live);
+      st
+
+  (* Note what [sender] sent: its first frame of the round counts it as
+     heard, and a valid frame replaces a malformed one. *)
+  let hear slots sender v =
+    match (slots.(sender), v) with
+    | Unheard, _ ->
+      slots.(sender) <- v;
+      true
+    | Malformed, Valid _ ->
+      slots.(sender) <- v;
+      false
+    | (Malformed | Valid _), _ -> false
+
+  let hear_commit st sender v =
+    if hear st.commits sender v then st.n_commits <- st.n_commits + 1
+
+  let hear_result st sender v =
+    if hear st.results sender v then st.n_results <- st.n_results + 1
+
+  (* Round [r] is decided: forget its record and move the window. *)
+  let decided inbox r =
+    Hashtbl.remove inbox.live r;
+    inbox.next <- r + 1
+
+  (* Has round [r]'s Command arrived? *)
+  let commanded inbox r =
+    match Hashtbl.find_opt inbox.live r with
+    | Some st -> Option.is_some st.command
+    | None -> false
+
   let trace_of inbox round =
-    Option.value ~default:0L (Hashtbl.find_opt inbox.traces round)
+    match Hashtbl.find_opt inbox.live round with
+    | Some st -> st.trace_id
+    | None -> 0L
 
   (* Stamp an outbound protocol frame (trace mode): promote it to
      wire v2 carrying the round's trace id and a fresh HLC send stamp. *)
@@ -269,12 +361,17 @@ module Make (F : Field_intf.S) = struct
       end
 
   (* An adversary-chosen round number is a Hashtbl key into the inbox:
-     left unvalidated, a forged stream of distinct rounds grows
-     protocol state (commands/commits/results/traces) without bound.
-     Rounds are dense — 0..rounds-1 for protocol frames, with [rounds]
-     itself serving as the shutdown/stats epoch — so a total decoder
-     bounds the key space to rounds+1 values. *)
-  let decode_round ~rounds r = if r >= 0 && r <= rounds then Some r else None
+     left unchecked, a forged stream of distinct rounds grows protocol
+     state without bound.  The round window is the total decoder that
+     bounds it: a protocol frame is kept only for an undecided round at
+     most [window] ahead and inside the run.  A frame for a decided
+     round is [Error `Decided] — a late frame of a slow peer, honest
+     and harmless unless malformed — and anything else is
+     [Error `Bad]. *)
+  let decode_round ~next ~rounds r =
+    if r >= next && r <= next + window && r < rounds then Ok r
+    else if r >= 0 && r < next then Error `Decided
+    else Error `Bad
 
   (* Intake-time validation: bound the round and decode the payload
      with the total decoders the moment the frame arrives, so a
@@ -292,17 +389,23 @@ module Make (F : Field_intf.S) = struct
       | Some e -> (Clock.observe (Clock.of_wire e.Frame.hlc), e.Frame.trace_id)
       | None -> (Clock.now (), 0L)
     in
-    let record_recv ~round () =
-      if rx_trace <> 0L && not (Hashtbl.mem inbox.traces round) then
-        (* csm-lint: allow R6 — trace ids are opaque correlation tokens: the key is the validated round, the value fixed-width, never indexed or interpreted *)
-        Hashtbl.replace inbox.traces round rx_trace;
+    let record_recv ?(attrs = []) ~round () =
       Flight.record inbox.flight ~trace:rx_trace
         ~attrs:
-          [
-            ("src", string_of_int sender);
-            ("frame", Frame.kind_name fr.Frame.kind);
-          ]
+          (("src", string_of_int sender)
+          :: ("frame", Frame.kind_name fr.Frame.kind)
+          :: attrs)
         ~hlc:rx_hlc ~round "recv"
+    in
+    (* a valid frame of a live round: log it, and return the round's
+       record with the frame's trace id adopted *)
+    let accept ~round =
+      let st = round_in cfg inbox round in
+      if rx_trace <> 0L && st.trace_id = 0L then
+        (* csm-lint: allow R6 — trace ids are opaque correlation tokens: the record is the validated round's, the value fixed-width, never indexed or interpreted *)
+        st.trace_id <- rx_trace;
+      record_recv ~round ();
+      st
     in
     let record_bad ~round reason =
       Transport.record_error tr;
@@ -315,47 +418,59 @@ module Make (F : Field_intf.S) = struct
           ]
         ~hlc:rx_hlc ~round "error"
     in
-    match decode_round ~rounds:cfg.rounds fr.Frame.round with
-    | None ->
-      (* the flight entry logs the forged value, but nothing keys on it *)
-      record_bad ~round:fr.Frame.round "bad-round"
-    | Some round -> (
-      match fr.Frame.kind with
-      | Frame.Command when sender = n -> (
-        match
-          W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim
-            fr.Frame.payload
-        with
-        | Some cs ->
-          record_recv ~round ();
-          if not (Hashtbl.mem inbox.commands round) then
-            Hashtbl.replace inbox.commands round (fr.Frame.payload, cs)
-        | None -> record_bad ~round "bad-payload")
-      | Frame.Commit when sender >= 0 && sender < n && sender <> cfg.node -> (
-        match
-          W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim
-            fr.Frame.payload
-        with
-        | Some _ ->
-          record_recv ~round ();
-          if not (Hashtbl.mem inbox.commits (round, sender)) then
-            Hashtbl.replace inbox.commits (round, sender) fr.Frame.payload
-        | None -> record_bad ~round "bad-payload")
-      | Frame.Result when sender >= 0 && sender < n && sender <> cfg.node -> (
-        let dim = cfg.machine.M.state_dim + cfg.machine.M.output_dim in
-        match W.decode_vector_bin ~dim fr.Frame.payload with
-        | Some g ->
-          record_recv ~round ();
-          if not (Hashtbl.mem inbox.results (round, sender)) then
-            Hashtbl.replace inbox.results (round, sender) g
-        | None -> record_bad ~round "bad-payload")
-      | Frame.Shutdown when sender = n ->
-        record_recv ~round ();
-        inbox.shutdown <- true
-      | _ ->
-        (* unexpected kind/sender combination: malformed at the
-           protocol level, counted like any other bad frame *)
-        record_bad ~round "unexpected-kind")
+    match fr.Frame.kind with
+    | Frame.Shutdown when sender = n ->
+      (* a control frame: it ends the run at whatever round it names *)
+      record_recv ~round:fr.Frame.round ();
+      inbox.shutdown <- true
+    | _ -> (
+      match decode_round ~next:inbox.next ~rounds:cfg.rounds fr.Frame.round with
+      | Error `Bad ->
+        (* the flight entry logs the forged value, but nothing keys on it *)
+        record_bad ~round:fr.Frame.round "bad-round"
+      | verdict -> (
+        (* the payload is checked for a decided round too: a malformed
+           frame is a frame error whenever it arrives, while a valid one
+           for a decided round is logged and dropped, touching no state *)
+        let round = match verdict with Ok r -> r | Error _ -> fr.Frame.round in
+        let keep add =
+          match verdict with
+          | Ok round -> add (accept ~round)
+          | Error _ -> record_recv ~attrs:[ ("dropped", "decided") ] ~round ()
+        in
+        let malformed add =
+          record_bad ~round "bad-payload";
+          match verdict with
+          | Ok round -> add (round_in cfg inbox round)
+          | Error _ -> ()
+        in
+        match fr.Frame.kind with
+        | Frame.Command when sender = n -> (
+          match
+            W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim
+              fr.Frame.payload
+          with
+          | Some cs ->
+            keep (fun st ->
+                if Option.is_none st.command then
+                  st.command <- Some (fr.Frame.payload, cs))
+          | None -> record_bad ~round "bad-payload")
+        | Frame.Commit when sender >= 0 && sender < n && sender <> cfg.node -> (
+          match
+            W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim
+              fr.Frame.payload
+          with
+          | Some _ -> keep (fun st -> hear_commit st sender (Valid fr.Frame.payload))
+          | None -> malformed (fun st -> hear_commit st sender Malformed))
+        | Frame.Result when sender >= 0 && sender < n && sender <> cfg.node -> (
+          let dim = cfg.machine.M.state_dim + cfg.machine.M.output_dim in
+          match W.decode_vector_bin ~dim fr.Frame.payload with
+          | Some g -> keep (fun st -> hear_result st sender (Valid g))
+          | None -> malformed (fun st -> hear_result st sender Malformed))
+        | _ ->
+          (* unexpected kind/sender combination: malformed at the
+             protocol level, counted like any other bad frame *)
+          record_bad ~round "unexpected-kind"))
 
   (* Drain everything already delivered, waiting at most [within] for
      the first frame. *)
@@ -369,17 +484,24 @@ module Make (F : Field_intf.S) = struct
     in
     drain ~timeout:within
 
-  (* Pump until [cond] holds or [cfg.deadline] passes.  Every lap also
-     gives the streaming emitter a chance to fire — waits are where a
-     node spends its wall time, so this is what keeps snapshots flowing
-     even while a round stalls on a straggler. *)
-  let wait_until cfg tr inbox cond =
+  (* Pump until [cond] holds or [cfg.deadline] passes, or, unless
+     [~in_round], the client's Shutdown arrives.  A round under way
+     runs to its end: the client sent its Command before the Shutdown,
+     so every peer that sends will send its frames for it, and stopping
+     early would leave the node's counters short of frames already in
+     flight.  Every lap also gives the streaming emitter a chance to
+     fire — waits are where a node spends its wall time, so this is
+     what keeps snapshots flowing even while a round stalls on a
+     straggler. *)
+  let wait_until ?(in_round = false) cfg tr inbox cond =
     let limit = Unix.gettimeofday () +. cfg.deadline in
+    pump cfg tr inbox;
     let rec loop () =
-      pump cfg tr inbox;
       maybe_stream cfg tr inbox;
       if cond () then true
-      else if inbox.shutdown || Unix.gettimeofday () >= limit then cond ()
+      else if
+        (inbox.shutdown && not in_round) || Unix.gettimeofday () >= limit
+      then false
       else begin
         pump ~within:0.05 cfg tr inbox;
         loop ()
@@ -399,33 +521,31 @@ module Make (F : Field_intf.S) = struct
     let n = cfg.params.Params.n in
     let b = cfg.params.Params.b in
     let me = cfg.node in
+    let st = round_in cfg inbox r in
     (* 1. the round's commands, from the client *)
-    let got_commands =
-      wait_until cfg tr inbox (fun () -> Hashtbl.mem inbox.commands r)
-    in
-    if not got_commands then false
-    else begin
-      let cmd_payload, commands = Hashtbl.find inbox.commands r in
+    ignore (wait_until cfg tr inbox (fun () -> Option.is_some st.command));
+    match st.command with
+    | None -> false
+    | Some (cmd_payload, commands) ->
       phase inbox ~round:r "commands";
       (* 2. commit: echo the command payload to every peer, then wait
-         for the peers expected to deliver; proceed on b+1 matching
+         to hear from every peer that sends; proceed on b+1 matching
          endorsements (self included) *)
       let commit = Frame.make ~kind:Frame.Commit ~sender:me ~round:r cmd_payload in
       for j = 0 to n - 1 do
         if j <> me then send_protocol cfg inbox tr ~dst:j commit
       done;
       let expected_commits = expected_peers cfg - 1 (* peers, sans self *) in
-      let commits_in () =
-        Hashtbl.fold
-          (fun (r', _) _ acc -> if r' = r then acc + 1 else acc)
-          inbox.commits 0
-      in
-      ignore (wait_until cfg tr inbox (fun () -> commits_in () >= expected_commits));
+      ignore
+        (wait_until ~in_round:true cfg tr inbox (fun () ->
+             st.n_commits >= expected_commits));
       let matching =
-        1
-        + Hashtbl.fold
-            (fun (r', _) p acc -> if r' = r && p = cmd_payload then acc + 1 else acc)
-            inbox.commits 0
+        Array.fold_left
+          (fun acc p ->
+            match p with
+            | Valid p when String.equal p cmd_payload -> acc + 1
+            | _ -> acc)
+          1 st.commits
       in
       let committed = matching >= b + 1 in
       if not committed then false
@@ -460,22 +580,16 @@ module Make (F : Field_intf.S) = struct
       for j = 0 to n - 1 do
         if j <> me then send_protocol cfg inbox tr ~dst:j result
       done;
-      Hashtbl.replace inbox.results (r, me) g;
+      hear_result st me (Valid g);
       (* 5. collect and decode *)
       let expected_results = expected_peers cfg in
-      let results_in () =
-        Hashtbl.fold
-          (fun (r', _) _ acc -> if r' = r then acc + 1 else acc)
-          inbox.results 0
-      in
       ignore
-        (wait_until cfg tr inbox (fun () -> results_in () >= expected_results));
+        (wait_until ~in_round:true cfg tr inbox (fun () ->
+             st.n_results >= expected_results));
       let received =
-        List.sort
-          (fun (a, _) (b, _) -> Int.compare a b)
-          (Hashtbl.fold
-             (fun (r', j) g acc -> if r' = r then (j, g) :: acc else acc)
-             inbox.results [])
+        List.filter_map
+          (fun j -> match st.results.(j) with Valid g -> Some (j, g) | _ -> None)
+          (List.init n Fun.id)
       in
       (* the default decoder: optimistic verify-first fast path, with
          Gao + suspicion-guided erasures as fallback *)
@@ -507,7 +621,6 @@ module Make (F : Field_intf.S) = struct
         E.node_update_state engine ~node:me ~next_states:d.E.next_states;
         true
       end
-    end
 
   (* Binary stats payload: five big-endian u64 counters. *)
   let stats_payload (s : Transport.stats) =
@@ -546,6 +659,9 @@ module Make (F : Field_intf.S) = struct
   (* ---- entry point: run all rounds, then answer the shutdown ---- *)
 
   let run cfg (tr : Transport.t) =
+    (* every exit closes the endpoint: an exception must not leak its
+       fds into a process that runs cluster after cluster *)
+    Fun.protect ~finally:tr.Transport.close @@ fun () ->
     if cfg.trace then Span.enable ();
     let engine =
       E.create ~machine:cfg.machine ~params:cfg.params ~init:cfg.init
@@ -554,12 +670,16 @@ module Make (F : Field_intf.S) = struct
     let n = cfg.params.Params.n in
     let node_attr = [ ("node", string_of_int cfg.node) ] in
     for r = 0 to cfg.rounds - 1 do
-      if not inbox.shutdown then begin
+      (* after the client's Shutdown, only the rounds whose Command came
+         before it still run: the client sent those, so every peer that
+         sends runs them too *)
+      if (not inbox.shutdown) || commanded inbox r then begin
         let t0 = Unix.gettimeofday () in
         ignore
           (Span.with_ ~name:"node.round"
              ~attrs:(("round", string_of_int r) :: node_attr)
              (fun () -> run_round cfg tr engine inbox r));
+        decided inbox r;
         if Metric.enabled () then
           Metric.observe Tel.round_latency (Unix.gettimeofday () -. t0)
       end
@@ -578,6 +698,5 @@ module Make (F : Field_intf.S) = struct
       sample_health cfg;
       send_snapshot cfg tr inbox ~round:cfg.rounds
         (Agg.capture ~flight:inbox.flight ~node:cfg.node ~scope:cfg.scope ())
-    end;
-    tr.Transport.close ()
+    end
 end

@@ -3,8 +3,9 @@
     for the commit → compute → decode round structure.  Inbound payloads
     are validated at intake with the total binary decoders: malformed
     bodies count one transport frame error and are dropped, never
-    raised; collect loops are deadline-bounded so silent peers cannot
-    stall a round. *)
+    raised; collect loops return on each arriving frame and are
+    deadline-bounded so silent peers cannot stall a round.  A node
+    keeps state only for the rounds it can still use. *)
 
 module Field_intf = Csm_field.Field_intf
 module Frame = Csm_wire.Frame
@@ -91,6 +92,23 @@ module Make (F : Field_intf.S) : sig
   val run : config -> Transport.t -> unit
   (** Run all configured rounds, wait for the client's [Shutdown], reply
       with a [Stats] frame (then the final telemetry snapshot, when
-      [telemetry] or [stream] is on), close the transport.  Never
-      raises on Byzantine input. *)
+      [telemetry] or [stream] is on).  Closes the transport on every
+      exit, exceptional included.  Never raises on Byzantine input.
+
+      A protocol frame is kept only for an undecided round at most
+      {!window} rounds ahead of the node's lowest undecided one.  A
+      valid frame for a decided round is dropped (logged in the flight
+      ring, not a frame error; a malformed one still is), one further
+      ahead or past the run counts a [bad-round] frame error.
+      [Shutdown] ends the run at any round: the rounds whose Command
+      came before it still run to their end, and no later one starts. *)
+
+  val window : int
+  (** How many rounds ahead of its lowest undecided round a node
+      accepts protocol frames. *)
+
+  val peak_rounds : unit -> int
+  (** The most round records one node run by this module has held at
+      once, over the process's life — at most [window + 1].  A test
+      hook for the round window. *)
 end

@@ -2,13 +2,16 @@
    domain by default, TCP loopback optionally), length-prefixed frames
    on byte streams.
 
-   Receive path: an accept thread hands each inbound connection to a
-   reader thread that loops { read 16 header bytes; validate via
-   [Frame.decode_header]; read the claimed body } and pushes decoded
-   frames into the endpoint's mailbox.  A malformed header is
-   unrecoverable on a byte stream (framing is lost), so it counts one
-   frame error and drops the connection — the sender can reconnect; the
-   receiver never crashes.
+   Receive path: one receiver thread waits in [select] on the listener
+   and every inbound connection, all non-blocking.  It accepts new
+   connections and reads whatever each ready one has delivered into
+   that connection's own frame in progress { 16 header bytes, validated
+   via [Frame.decode_header]; then the claimed body }, so a peer that
+   stops mid-frame holds up nobody else.  Each complete frame goes into
+   the endpoint's {!Mailbox}, waking a [recv] blocked on it.  A
+   malformed header is unrecoverable on a byte stream (framing is
+   lost), so it counts one frame error and drops the connection — the
+   sender can reconnect; the receiver never crashes.
 
    Send path: per-peer queues drained by per-peer sender threads, so
    [send] returns immediately and a dead or silent peer cannot stall a
@@ -19,8 +22,9 @@
    than killing this process: creating an endpoint ignores SIGPIPE, so
    one crashed node costs the cluster that node only.
 
-   Deadlines: [recv ~timeout] bounds how long a round waits on the
-   mailbox, the receiver-side defence against withholding peers. *)
+   Deadlines: [recv ~timeout] blocks until a frame is delivered, the
+   endpoint closes or the deadline passes — the deadline is the
+   receiver-side defence against withholding peers. *)
 
 module Frame = Csm_wire.Frame
 module Lockdep = Csm_parallel.Lockdep
@@ -35,23 +39,23 @@ let sockaddr_of addr id =
     Unix.ADDR_UNIX (Filename.concat dir (Printf.sprintf "ep-%d.sock" id))
   | Tcp base -> Unix.ADDR_INET (Unix.inet_addr_loopback, base + id)
 
-let poll_interval = 0.0005
-
 (* Backoff schedule for connect retries: 2ms doubling, capped. *)
 let backoff_delay attempt = min 0.1 (0.002 *. (2. ** float_of_int attempt))
-
-let rec really_read fd buf pos len =
-  if len > 0 then begin
-    let n = Unix.read fd buf pos len in
-    if n = 0 then raise End_of_file;
-    really_read fd buf (pos + n) (len - n)
-  end
 
 let rec really_write fd buf pos len =
   if len > 0 then begin
     let n = Unix.write fd buf pos len in
     really_write fd buf (pos + n) (len - n)
   end
+
+(* An inbound connection and its frame in progress: [got] bytes of the
+   header, then of the body once the header has validated. *)
+type inbound = {
+  conn : Unix.file_descr;
+  hdr : Bytes.t;
+  mutable body : (Frame.header * Bytes.t) option;
+  mutable got : int;
+}
 
 type peer = {
   pq : string Queue.t;
@@ -66,10 +70,7 @@ let endpoint ~addr ~id ~endpoints =
   if id < 0 || id >= endpoints then invalid_arg "Socket.endpoint: bad id";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let closed = ref false in
-  let incoming : Frame.t Queue.t = Queue.create () in
-  let im = Lockdep.create "socket.incoming" in
-  let conns : Unix.file_descr list ref = ref [] in
-  let cm = Lockdep.create "socket.conns" in
+  let incoming : Frame.t Mailbox.t = Mailbox.create "socket.incoming" in
   (* --- listener --- *)
   let domain =
     match addr with Uds _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
@@ -83,6 +84,7 @@ let endpoint ~addr ~id ~endpoints =
   | Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true);
   Unix.bind listener sa;
   Unix.listen listener 64;
+  Unix.set_nonblock listener;
   let t =
     {
       Transport.id;
@@ -94,49 +96,91 @@ let endpoint ~addr ~id ~endpoints =
       stats_mutex = Lockdep.create "socket.stats";
     }
   in
-  (* --- readers --- *)
-  let reader conn =
-    let hdr = Bytes.create Frame.header_bytes in
+  (* --- receiver --- *)
+  (* Read what [c] has delivered, completing as many frames as it holds;
+     [false] once the connection is done: end of stream, an error, or a
+     malformed header. *)
+  let rec read_frames c =
+    let part, len =
+      match c.body with
+      | None -> (c.hdr, Frame.header_bytes)
+      | Some (_, body) -> (body, Bytes.length body)
+    in
+    if c.got < len then
+      match Unix.read c.conn part c.got (len - c.got) with
+      | 0 -> false
+      | k ->
+        c.got <- c.got + k;
+        read_frames c
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+        true
+      | exception Unix.Unix_error _ -> false
+    else begin
+      c.got <- 0;
+      match c.body with
+      | None -> (
+        match Frame.decode_header (Bytes.to_string c.hdr) with
+        | None ->
+          (* framing lost: count and drop the connection *)
+          Transport.record_error t;
+          false
+        | Some h ->
+          let body_len = Frame.body_bytes h in
+          let body = Bytes.create body_len in
+          c.body <- Some (h, body);
+          read_frames c)
+      | Some (h, body) ->
+        c.body <- None;
+        Transport.record_received t (Frame.header_bytes + Bytes.length body);
+        (match Frame.of_header h ~body:(Bytes.unsafe_to_string body) with
+        | Some fr -> Mailbox.push incoming fr
+        | None -> Transport.record_error t);
+        read_frames c
+    end
+  in
+  (* The receiver owns the listener and every inbound connection, and
+     only it closes them: [close] shuts the listener down, which wakes
+     its [select].  Closing under it would let the next socket this
+     process opens reuse an fd number it is about to read. *)
+  let receiver () =
+    let inbound = ref [] in
+    let drop c =
+      inbound := List.filter (fun c' -> c' != c) !inbound;
+      try Unix.close c.conn with Unix.Unix_error _ -> ()
+    in
+    let accept () =
+      match Unix.accept ~cloexec:true listener with
+      | conn, _ ->
+        Unix.set_nonblock conn;
+        inbound :=
+          { conn; hdr = Bytes.create Frame.header_bytes; body = None; got = 0 }
+          :: !inbound
+      | exception
+          Unix.Unix_error
+            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
+        ->
+        ()
+    in
     (try
        while not !closed do
-         really_read conn hdr 0 Frame.header_bytes;
-         match Frame.decode_header (Bytes.to_string hdr) with
-         | None ->
-           (* framing lost: count and drop the connection *)
-           Transport.record_error t;
-           raise Exit
-         | Some h ->
-           let body_len = Frame.body_bytes h in
-           let body = Bytes.create body_len in
-           really_read conn body 0 body_len;
-           Transport.record_received t (Frame.header_bytes + body_len);
-           (match Frame.of_header h ~body:(Bytes.unsafe_to_string body) with
-           | Some fr -> Lockdep.with_lock im (fun () -> Queue.push fr incoming)
-           | None -> Transport.record_error t)
+         match
+           Unix.select (listener :: List.map (fun c -> c.conn) !inbound) [] [] (-1.0)
+         with
+         | ready, _, _ ->
+           if not !closed then begin
+             if List.memq listener ready then accept ();
+             List.iter
+               (fun c -> if List.memq c.conn ready && not (read_frames c) then drop c)
+               !inbound
+           end
+         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
        done
-     with
-    | End_of_file | Exit | Unix.Unix_error _ -> ()
-    | _ -> ());
-    Lockdep.with_lock cm (fun () ->
-        conns := List.filter (fun fd -> fd != conn) !conns);
-    try Unix.close conn with Unix.Unix_error _ -> ()
+     with Unix.Unix_error _ -> ());
+    List.iter (fun c -> try Unix.close c.conn with Unix.Unix_error _ -> ()) !inbound;
+    try Unix.close listener with Unix.Unix_error _ -> ()
   in
-  (* Only the thread blocked on an fd closes it; [close] shuts fds down
-     to wake it.  Closing under it would let the next socket this
-     process opens reuse the fd number it is about to accept/read on. *)
-  let _accept_thread =
-    Thread.create
-      (fun () ->
-        (try
-           while not !closed do
-             let conn, _ = Unix.accept listener in
-             Lockdep.with_lock cm (fun () -> conns := conn :: !conns);
-             ignore (Thread.create reader conn)
-           done
-         with Unix.Unix_error _ | Invalid_argument _ -> ());
-        try Unix.close listener with Unix.Unix_error _ -> ())
-      ()
-  in
+  let _receiver_thread = Thread.create receiver () in
   (* --- senders --- *)
   let peers =
     Array.init endpoints (fun _ ->
@@ -226,28 +270,7 @@ let endpoint ~addr ~id ~endpoints =
           Condition.signal peer.pc)
     end
   in
-  let recv ~timeout =
-    let deadline = Unix.gettimeofday () +. timeout in
-    let rec loop () =
-      if !closed then None
-      else begin
-        let item =
-          Lockdep.with_lock im (fun () ->
-              if Queue.is_empty incoming then None
-              else Some (Queue.pop incoming))
-        in
-        match item with
-        | Some fr -> Some fr
-        | None ->
-          if Unix.gettimeofday () >= deadline then None
-          else begin
-            Thread.delay poll_interval;
-            loop ()
-          end
-      end
-    in
-    loop ()
-  in
+  let recv ~timeout = Mailbox.pop incoming ~timeout in
   let close () =
     if not !closed then begin
       (* let sender threads flush their queues, including a frame already
@@ -271,6 +294,7 @@ let endpoint ~addr ~id ~endpoints =
       let shutdown fd =
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
       in
+      (* wakes the receiver, which closes the listener and connections *)
       shutdown listener;
       Array.iter
         (fun p ->
@@ -280,13 +304,7 @@ let endpoint ~addr ~id ~endpoints =
             try Unix.close fd with Unix.Unix_error _ -> ())
           | None -> ())
         peers;
-      let cs =
-        Lockdep.with_lock cm (fun () ->
-            let cs = !conns in
-            conns := [];
-            cs)
-      in
-      List.iter shutdown cs;
+      Mailbox.close incoming;
       match addr with
       | Uds dir -> (
         try Unix.unlink (Filename.concat dir (Printf.sprintf "ep-%d.sock" id))

@@ -1,8 +1,9 @@
 (** Real socket transport (Unix-domain or TCP loopback): one listening
     socket per endpoint, length-prefixed {!Csm_wire.Frame} frames on the
     byte stream, per-peer sender threads with connection retry and
-    exponential backoff, reader threads that validate every header and
-    count malformed frames instead of crashing. *)
+    exponential backoff, one receiver thread that multiplexes every
+    inbound connection, validates every header and counts malformed
+    frames instead of crashing. *)
 
 type addr =
   | Uds of string

@@ -10,7 +10,9 @@
      Byzantine peer cannot stall a round from the sender side);
    - [recv] returns the next delivered frame, waiting at most [timeout]
      seconds; [None] means the deadline passed — the receiver-side
-     guard against silent peers;
+     guard against silent peers — or the endpoint is closed.  Sockets
+     wake a waiting [recv] on arrival, loopback polls with a short
+     sleep;
    - a frame that fails header validation is counted in
      [stats.frame_errors] and dropped, never surfaced as an exception;
    - [stats] counts frames/bytes at the moment of hand-off to the

@@ -5,7 +5,10 @@
 
     Invariants every implementation provides:
     - [send] never blocks on a dead/slow/silent peer;
-    - [recv ~timeout] returns [None] once the deadline passes;
+    - [recv ~timeout] returns a delivered frame, or [None] once the
+      endpoint is closed or [timeout] seconds pass; frames from one
+      sender come back in the order they were sent.  {!Socket} wakes on
+      arrival; {!Loopback} polls with a short sleep;
     - malformed frames are counted in [stats.frame_errors] and dropped,
       never raised. *)
 

@@ -19,6 +19,8 @@ module Json = Csm_obs.Json
 module Metric = Csm_obs.Metric
 module Live = Csm_obs.Live
 module Alert = Csm_obs.Alert
+module Clock = Csm_obs.Clock
+module Socket = Csm_transport.Socket
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -459,25 +461,29 @@ let loopback_send_recv () =
   a.Transport.close ();
   b.Transport.close ()
 
-(* A frame handed to [send] just before [close] must still arrive, even
-   when the sender thread has already dequeued it and is mid-connect or
-   mid-write as [close] starts: a node's last frame (its final
-   telemetry snapshot) is sent exactly that way. *)
-let socket_close_flushes_last_frame () =
-  let dir = Filename.temp_file "csm_sock_close" "" in
+(* A fresh socket directory for [f], emptied and removed afterwards. *)
+let with_sock_dir f =
+  let dir = Filename.temp_file "csm_sock" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let iterations = 300 in
-  (* big enough that the write is still in progress when [close] looks *)
-  let payload = String.make (512 * 1024) 'x' in
-  let lost = ref 0 in
   Fun.protect
     ~finally:(fun () ->
       Array.iter
         (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
         (Sys.readdir dir);
       Unix.rmdir dir)
-    (fun () ->
+    (fun () -> f dir)
+
+(* A frame handed to [send] just before [close] must still arrive, even
+   when the sender thread has already dequeued it and is mid-connect or
+   mid-write as [close] starts: a node's last frame (its final
+   telemetry snapshot) is sent exactly that way. *)
+let socket_close_flushes_last_frame () =
+  let iterations = 300 in
+  (* big enough that the write is still in progress when [close] looks *)
+  let payload = String.make (512 * 1024) 'x' in
+  let lost = ref 0 in
+  with_sock_dir (fun dir ->
       for i = 1 to iterations do
         let addr = Csm_transport.Socket.Uds dir in
         let b = Csm_transport.Socket.endpoint ~addr ~id:1 ~endpoints:2 in
@@ -496,9 +502,7 @@ let socket_close_flushes_last_frame () =
    thread instead of killing this process (SIGPIPE), and the sender
    reconnects once a peer listens at that address again. *)
 let socket_dead_peer_survives () =
-  let dir = Filename.temp_file "csm_sock_dead" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
+  with_sock_dir @@ fun dir ->
   let addr = Csm_transport.Socket.Uds dir in
   let endpoint id = Csm_transport.Socket.endpoint ~addr ~id ~endpoints:2 in
   let frame round =
@@ -516,11 +520,7 @@ let socket_dead_peer_survives () =
     ~finally:(fun () ->
       List.iter
         (fun tr -> tr.Transport.close ())
-        (a :: b :: Option.to_list !b');
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      Unix.rmdir dir)
+        (a :: b :: Option.to_list !b'))
     (fun () ->
       a.Transport.send ~dst:1 (frame 0);
       checkb "peer up: delivered" true (await b 0 20);
@@ -533,6 +533,116 @@ let socket_dead_peer_survives () =
       b' := Some again;
       a.Transport.send ~dst:1 (frame 99);
       checkb "peer back: delivered" true (await again 99 50))
+
+(* ----- the recv contract, on both transports ----- *)
+
+let loopback_pair () =
+  let net = Loopback.create ~endpoints:2 in
+  (Loopback.endpoint net ~id:0, Loopback.endpoint net ~id:1)
+
+let socket_pair dir =
+  let addr = Socket.Uds dir in
+  (Socket.endpoint ~addr ~id:0 ~endpoints:2, Socket.endpoint ~addr ~id:1 ~endpoints:2)
+
+(* Endpoint 0 sends to endpoint 1: [recv] returns a frame sent during
+   its wait, keeps one sender's order, waits out its deadline on an
+   empty endpoint, and returns at once once closed. *)
+let recv_contract ((a : Transport.t), (b : Transport.t)) =
+  let frame round = Frame.make ~kind:Frame.Commit ~sender:0 ~round "x" in
+  let t0 = Clock.mono () in
+  let late =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        a.Transport.send ~dst:1 (frame 1))
+      ()
+  in
+  (match b.Transport.recv ~timeout:5.0 with
+  | Some f -> check Alcotest.int "the late frame" 1 f.Frame.round
+  | None -> Alcotest.fail "recv missed a frame sent during its wait");
+  checkb "woken within 1 s" true (Clock.mono () -. t0 < 1.0);
+  Thread.join late;
+  for r = 2 to 101 do
+    a.Transport.send ~dst:1 (frame r)
+  done;
+  for r = 2 to 101 do
+    match b.Transport.recv ~timeout:5.0 with
+    | Some f -> check Alcotest.int "send order" r f.Frame.round
+    | None -> Alcotest.failf "frame %d lost" r
+  done;
+  let t0 = Clock.mono () in
+  checkb "empty: None" true (Option.is_none (b.Transport.recv ~timeout:0.05));
+  checkb "not before the deadline" true (Clock.mono () -. t0 >= 0.05);
+  b.Transport.close ();
+  let t0 = Clock.mono () in
+  checkb "closed: None" true (Option.is_none (b.Transport.recv ~timeout:5.0));
+  checkb "closed: at once" true (Clock.mono () -. t0 < 0.5);
+  a.Transport.close ()
+
+let loopback_recv_contract () = recv_contract (loopback_pair ())
+
+let socket_recv_contract () =
+  with_sock_dir (fun dir -> recv_contract (socket_pair dir))
+
+(* One receiver thread serves every inbound connection of a socket
+   endpoint: a peer that stops mid-frame delays no other peer's frames,
+   and its frame still arrives once the rest of it does. *)
+let socket_stalled_peer_holds_up_nobody () =
+  with_sock_dir (fun dir ->
+      let a, b = socket_pair dir in
+      let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close raw;
+          a.Transport.close ();
+          b.Transport.close ())
+        (fun () ->
+          Unix.connect raw (Socket.sockaddr_of (Socket.Uds dir) 1);
+          let stalled = Frame.encode (Frame.make ~kind:Frame.Commit ~sender:0 ~round:7 "late") in
+          let write s = ignore (Unix.write_substring raw s 0 (String.length s)) in
+          write (String.sub stalled 0 5);
+          let t0 = Clock.mono () in
+          a.Transport.send ~dst:1 (Frame.make ~kind:Frame.Commit ~sender:0 ~round:1 "x");
+          (match b.Transport.recv ~timeout:5.0 with
+          | Some f -> check Alcotest.int "the other peer's frame" 1 f.Frame.round
+          | None -> Alcotest.fail "a stalled connection held up another peer");
+          checkb "within 1 s" true (Clock.mono () -. t0 < 1.0);
+          write (String.sub stalled 5 (String.length stalled - 5));
+          match b.Transport.recv ~timeout:5.0 with
+          | Some f -> check Alcotest.int "the stalled frame, completed" 7 f.Frame.round
+          | None -> Alcotest.fail "the completed frame was lost"))
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Socket endpoints release every fd they open — listener, connections
+   and the wake pipe of a [recv] that slept — once closed; the receiver
+   thread closes the listener and its connections a moment after
+   [close]. *)
+let socket_endpoints_release_fds () =
+  with_sock_dir (fun dir ->
+      let cycle () =
+        let a, b = socket_pair dir in
+        ignore (b.Transport.recv ~timeout:0.01);
+        a.Transport.send ~dst:1 (Frame.make ~kind:Frame.Commit ~sender:0 ~round:0 "x");
+        checkb "delivered" true (Option.is_some (b.Transport.recv ~timeout:5.0));
+        a.Transport.close ();
+        b.Transport.close ()
+      in
+      (* wait for the receiver threads to close their fds *)
+      let settled target =
+        let limit = Clock.mono () +. 5.0 in
+        while open_fds () > target && Clock.mono () < limit do
+          Thread.delay 0.01
+        done;
+        open_fds ()
+      in
+      cycle ();
+      Thread.delay 0.1;
+      let before = open_fds () in
+      for _ = 1 to 50 do
+        cycle ()
+      done;
+      checkb "no fd leaked by 50 endpoint pairs" true (settled before <= before))
 
 let stats_payload_round_trip () =
   let s =
@@ -607,6 +717,180 @@ let cluster_loopback_delay_fault () =
   let r = C.run (cluster_cfg ~faults:[ (0, Node.Delay 0.01) ] ()) in
   checkb "verified with delaying node" true r.C.ok;
   Array.iter (fun c -> check Alcotest.int "all outputs" 3 c) r.C.outputs_received
+
+(* [Node.run] closes its endpoint on every exit: a loopback cluster
+   leaves no fd behind, and neither does a run that raises. *)
+let node_run_closes_transport () =
+  ignore (C.run (cluster_cfg ()));
+  let before = open_fds () in
+  for i = 2 to 200 do
+    checkb "verified" true (C.run (cluster_cfg ())).C.ok;
+    check Alcotest.int (Printf.sprintf "open fds after %d loopback clusters" i) before
+      (open_fds ())
+  done;
+  let net = Loopback.create ~endpoints:4 in
+  let tr = Loopback.endpoint net ~id:0 in
+  let closed = ref false in
+  let broken =
+    {
+      tr with
+      Transport.recv = (fun ~timeout:_ -> failwith "recv failed");
+      close =
+        (fun () ->
+          closed := true;
+          tr.Transport.close ());
+    }
+  in
+  let cfg = cluster_cfg () in
+  let node =
+    {
+      C.N.node = 0;
+      params = cfg.C.params;
+      machine = C.machine cfg;
+      init = C.initial_states cfg;
+      rounds = 2;
+      fault = Node.Honest;
+      faults = [];
+      deadline = 1.0;
+      trace = false;
+      telemetry = false;
+      stream = None;
+      scope = Agg.Process;
+    }
+  in
+  checkb "run raised" true
+    (match C.N.run node broken with () -> false | exception Failure _ -> true);
+  checkb "and closed its endpoint" true !closed
+
+(* ----- the round window ----- *)
+
+let params4 = Params.make ~network:Params.Sync ~n:4 ~k:1 ~d:1 ~b:1
+
+(* Over a 2,000-round run no node holds more than window + 1 round
+   records: a node forgets each round once it is decided. *)
+let round_window_bounds_memory () =
+  let r = C.run { (cluster_cfg ~rounds:2000 ()) with C.params = params4 } in
+  checkb "verified" true r.C.ok;
+  checkb "round records were held" true (C.N.peak_rounds () >= 1);
+  checkb "never more than window + 1 at once" true
+    (C.N.peak_rounds () <= C.N.window + 1)
+
+(* A loopback cluster of four honest nodes whose client the test
+   drives by hand, so it can forge frames between rounds.  Returns the
+   per-round Output payloads each round gathered, the nodes' Stats
+   replies, and the seconds from Shutdown to the last node's exit. *)
+let hand_driven ~rounds ~stop_after ~between =
+  let cfg = { (cluster_cfg ~rounds ()) with C.params = params4 } in
+  let n = 4 in
+  let net = Loopback.create ~endpoints:(n + 1) in
+  let node i =
+    {
+      C.N.node = i;
+      params = params4;
+      machine = C.machine cfg;
+      init = C.initial_states cfg;
+      rounds;
+      fault = Node.Honest;
+      faults = [];
+      deadline = 10.0;
+      trace = false;
+      telemetry = false;
+      stream = None;
+      scope = Agg.Process;
+    }
+  in
+  let threads =
+    List.init n (fun i ->
+        Thread.create (fun () -> C.N.run (node i) (Loopback.endpoint net ~id:i)) ())
+  in
+  let client = Loopback.endpoint net ~id:n in
+  let send_all fr =
+    for i = 0 to n - 1 do
+      client.Transport.send ~dst:i fr
+    done
+  in
+  let rng = Csm_rng.create cfg.C.seed in
+  let outputs =
+    List.init stop_after (fun r ->
+        let commands = C.workload rng ~k:1 r in
+        send_all
+          (Frame.make ~kind:Frame.Command ~sender:n ~round:r
+             (W.encode_commands_bin commands));
+        let got = Array.make n None in
+        let limit = Clock.mono () +. 10.0 in
+        while Array.exists Option.is_none got && Clock.mono () < limit do
+          match client.Transport.recv ~timeout:0.5 with
+          | Some fr when Frame.kind_eq fr.Frame.kind Frame.Output && fr.Frame.round = r ->
+            got.(fr.Frame.sender) <- Some fr.Frame.payload
+          | _ -> ()
+        done;
+        between client r;
+        got)
+  in
+  let t0 = Clock.mono () in
+  send_all (Frame.make ~kind:Frame.Shutdown ~sender:n ~round:rounds "");
+  let stats = Array.make n None in
+  let limit = Clock.mono () +. 10.0 in
+  while Array.exists Option.is_none stats && Clock.mono () < limit do
+    match client.Transport.recv ~timeout:0.5 with
+    | Some fr when Frame.kind_eq fr.Frame.kind Frame.Stats ->
+      stats.(fr.Frame.sender) <- C.N.decode_stats_payload fr.Frame.payload
+    | _ -> ()
+  done;
+  List.iter Thread.join threads;
+  let ended = Clock.mono () -. t0 in
+  client.Transport.close ();
+  (C.reference_ledger cfg, outputs, stats, ended)
+
+let frame_errors stats i =
+  match stats.(i) with
+  | Some s -> s.Transport.frame_errors
+  | None -> Alcotest.failf "node %d sent no stats" i
+
+(* Valid Commits and Results for a decided round change nothing and
+   are not frame errors, but a malformed one still is; a frame more than
+   [window] rounds ahead is one bad-round error; a Shutdown naming the
+   last round, sent after an early stop, still ends every node within a
+   second. *)
+let round_window_filters_frames () =
+  let rounds = 40 and stop_after = 6 in
+  let forged = W.encode_commands_bin [| [| F.of_int 999 |] |] in
+  let between (client : Transport.t) r =
+    if r >= 1 then begin
+      (* round r-1 is decided everywhere: each node has sent Output r *)
+      let stale kind sender payload =
+        let fr = Frame.make ~kind ~sender ~round:(r - 1) payload in
+        for i = 0 to 3 do
+          if i <> sender then client.Transport.send ~dst:i fr
+        done
+      in
+      stale Frame.Commit 0 forged;
+      stale Frame.Result 1 (W.encode_vector_bin [| F.of_int 7; F.of_int 7 |])
+    end;
+    if r = 2 then begin
+      (* node 3 is at round 2 or 3: this is more than [window] ahead *)
+      client.Transport.send ~dst:3
+        (Frame.make ~kind:Frame.Commit ~sender:0 ~round:(r + C.N.window + 2) forged);
+      client.Transport.send ~dst:2
+        (Frame.make ~kind:Frame.Result ~sender:0 ~round:(r - 1) "malformed")
+    end
+  in
+  let reference, outputs, stats, ended = hand_driven ~rounds ~stop_after ~between in
+  List.iteri
+    (fun r got ->
+      Array.iteri
+        (fun i p ->
+          match p with
+          | Some p -> check Alcotest.string (Printf.sprintf "round %d node %d" r i) reference.(r) p
+          | None -> Alcotest.failf "round %d: node %d sent no Output" r i)
+        got)
+    outputs;
+  List.iter
+    (fun i -> check Alcotest.int (Printf.sprintf "node %d frame errors" i) 0 (frame_errors stats i))
+    [ 0; 1 ];
+  check Alcotest.int "node 2: one malformed late frame" 1 (frame_errors stats 2);
+  check Alcotest.int "node 3: one bad-round" 1 (frame_errors stats 3);
+  checkb "shutdown after an early stop ends every node within 1 s" true (ended < 1.0)
 
 (* Determinism: two loopback runs at one seed produce identical ledgers
    and identical per-endpoint counters. *)
@@ -790,6 +1074,12 @@ let loopback_socket_equivalent () =
 let loopback_socket_equivalent_drop () =
   equivalence "-n 3 -k 1 -d 1 -b 1 --rounds 2 --seed 7 --faults 1:drop"
 
+(* Every node hears each round from every peer that sends, a corrupt
+   one included, so every mangled frame is counted within its round and
+   the counters match across transports. *)
+let loopback_socket_equivalent_corrupt () =
+  equivalence "-n 3 -k 1 -d 1 -b 1 --rounds 2 --seed 9 --faults 2:corrupt"
+
 let socket_corrupt_detected () =
   let out = Filename.temp_file "csm_cluster_corrupt" ".json" in
   Fun.protect
@@ -844,6 +1134,13 @@ let suites =
           socket_close_flushes_last_frame;
         Alcotest.test_case "socket send to a dead peer is not fatal" `Quick
           socket_dead_peer_survives;
+        Alcotest.test_case "recv contract: loopback" `Quick
+          loopback_recv_contract;
+        Alcotest.test_case "recv contract: socket" `Quick socket_recv_contract;
+        Alcotest.test_case "socket: a stalled peer holds up nobody" `Quick
+          socket_stalled_peer_holds_up_nobody;
+        Alcotest.test_case "socket endpoints release their fds" `Quick
+          socket_endpoints_release_fds;
         Alcotest.test_case "stats payload round trip" `Quick
           stats_payload_round_trip;
         Alcotest.test_case "cluster loopback fault-free" `Quick
@@ -856,6 +1153,12 @@ let suites =
           cluster_loopback_delay_fault;
         Alcotest.test_case "cluster loopback deterministic" `Quick
           cluster_loopback_deterministic;
+        Alcotest.test_case "node run closes its transport on every exit" `Quick
+          node_run_closes_transport;
+        Alcotest.test_case "round window bounds a node's round records" `Quick
+          round_window_bounds_memory;
+        Alcotest.test_case "round window filters decided and far rounds" `Quick
+          round_window_filters_frames;
         Alcotest.test_case "cluster loopback streaming + alerts" `Quick
           cluster_loopback_streaming;
         Alcotest.test_case "cluster loopback telemetry + trace" `Quick
@@ -864,6 +1167,8 @@ let suites =
           loopback_socket_equivalent;
         Alcotest.test_case "loopback = socket (binary, drop fault)" `Quick
           loopback_socket_equivalent_drop;
+        Alcotest.test_case "loopback = socket (binary, corrupt fault)" `Quick
+          loopback_socket_equivalent_corrupt;
         Alcotest.test_case "socket corrupt fault detected" `Quick
           socket_corrupt_detected;
       ] );
