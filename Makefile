@@ -94,7 +94,10 @@ cluster-smoke:
 # whose merged Chrome trace must pair at least one cross-node
 # send→recv flow, a forced csm-flightrec/1 dump, and a --replay of
 # that dump proving the recorded rounds recompute byte-identically
-# from the embedded seed.
+# from the embedded seed.  A 300-round traced socket cluster must then
+# deliver all five final snapshots (bundles=5/5): at that length each
+# node's final snapshot outgrows the kernel's socket send buffer, so
+# the step fails if a node exits before its last bytes are written.
 obs-smoke:
 	dune exec bench/main.exe -- --obs-smoke --out /tmp/csm_ci_obs_bench.json
 	dune exec bin/bench_gate.exe -- --current /tmp/csm_ci_obs_bench.json \
@@ -106,6 +109,10 @@ obs-smoke:
 	dune exec bin/csm_cluster.exe -- --replay /tmp/csm_obs_flightrec.json
 	grep -q '"ph":"s"' /tmp/csm_obs_trace.json
 	grep -q '"ph":"f"' /tmp/csm_obs_trace.json
+	dune exec bin/csm_cluster.exe -- --transport socket \
+	  -n 4 -k 1 -d 1 -b 1 --rounds 300 \
+	  --trace --trace-out /tmp/csm_obs_big_trace.json > /tmp/csm_obs_big.txt
+	grep -q 'bundles=5/5' /tmp/csm_obs_big.txt
 	@echo "obs-smoke: ok"
 
 # Live streaming-telemetry smoke: gate the live bench (delta-merge

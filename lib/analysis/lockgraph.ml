@@ -14,9 +14,9 @@
 
    Lock identities:
      * [Lockdep.create "name"]  — the string literal, whether bound to
-       a variable ([let im = Lockdep.create "socket.incoming" in ...])
-       or a record field ([pm = Lockdep.create "socket.peer"]; the
-       field label then resolves accesses like [peer.pm] anywhere)
+       a variable ([let writers_lock = Lockdep.create "socket.linger"])
+       or a record field ([m = Lockdep.create "loopback.mailbox"]; the
+       field label then resolves accesses like [me.m] anywhere)
      * [Mutex.create ()] in a module-level binding or record field —
        named "<Module>.<binding>" (e.g. "Metric.reg_lock"); these never
        appear in the runtime export (lockdep wraps only [Lockdep.t]),

@@ -8,7 +8,7 @@
    checked lock.
 
    Keying is per (domain, thread): the pool's worker domains and the
-   transport's sender/reader threads each get their own acquisition
+   loopback cluster's node threads each get their own acquisition
    stack, so the graph sees the true interleaving of the multicore and
    multi-thread stacks.  Disabled, [lock]/[unlock] cost one atomic load
    on top of the raw mutex and allocate nothing.

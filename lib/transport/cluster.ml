@@ -14,7 +14,8 @@
    the parent touches the domain pool or spawns any thread — the
    client endpoint, the client loop and the in-process reference run
    all happen strictly after the forks, and each child pins its pool
-   to one domain and leaves with [Unix._exit]. *)
+   to one domain and leaves with [Unix._exit] after {!Socket.linger},
+   which waits out the frames its closed endpoint still had queued. *)
 
 module Field_intf = Csm_field.Field_intf
 module Frame = Csm_wire.Frame
@@ -369,6 +370,7 @@ module Make (F : Field_intf.S) = struct
                 0
               with _ -> 1
             in
+            Socket.linger ();
             Unix._exit code
           | pid -> pid)
     in

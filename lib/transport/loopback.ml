@@ -16,8 +16,8 @@
 
    Counting: received frames/bytes are recorded at delivery into the
    destination mailbox (send time), mirroring the socket transport's
-   receiver-thread intake — so both transports report identical counts
-   for the same protocol run. *)
+   count at intake — so both transports report identical counts for
+   the same protocol run. *)
 
 module Frame = Csm_wire.Frame
 module Lockdep = Csm_parallel.Lockdep

@@ -1,30 +1,32 @@
 (* Real socket transport: one listening socket per endpoint (Unix
    domain by default, TCP loopback optionally), length-prefixed frames
-   on byte streams.
+   on byte streams, every fd non-blocking.  An endpoint runs no thread:
+   only the thread calling its [send], [recv] and [close] touches it,
+   and bytes move only inside those calls.
 
-   Receive path: one receiver thread waits in [select] on the listener
-   and every inbound connection, all non-blocking.  It accepts new
-   connections and reads whatever each ready one has delivered into
-   that connection's own frame in progress { 16 header bytes, validated
-   via [Frame.decode_header]; then the claimed body }, so a peer that
-   stops mid-frame holds up nobody else.  Each complete frame goes into
-   the endpoint's {!Mailbox}, waking a [recv] blocked on it.  A
-   malformed header is unrecoverable on a byte stream (framing is
-   lost), so it counts one frame error and drops the connection — the
-   sender can reconnect; the receiver never crashes.
+   Send path: [send] appends the encoded frame to that peer's outbox
+   and writes what the kernel takes now, so a dead or silent peer
+   cannot stall a round; the rest waits for a later call.  A peer
+   without a connection is connected on [send], and a failed connect is
+   retried from [recv] with exponential backoff (peers of a freshly
+   forked cluster come up in arbitrary order).  After a write error the
+   head frame is rewritten whole on one new connection, then dropped.
+   Creating an endpoint ignores SIGPIPE, so a write to a dead peer
+   fails with EPIPE instead of killing the process.
 
-   Send path: per-peer queues drained by per-peer sender threads, so
-   [send] returns immediately and a dead or silent peer cannot stall a
-   protocol round.  Connections are opened lazily with retry and
-   exponential backoff (peers of a freshly forked cluster come up in
-   arbitrary order); a frame that cannot be written after a reconnect
-   is dropped.  A write to a peer that has died fails with EPIPE rather
-   than killing this process: creating an endpoint ignores SIGPIPE, so
-   one crashed node costs the cluster that node only.
+   Receive path: [recv] returns a decoded frame if one is ready, else
+   waits in one [select] on the listener, the inbound connections and
+   the outboxes with bytes left (which also completes a TCP connect)
+   until a frame is complete or its deadline — the receiver-side
+   defence against withholding peers — passes.  Each connection reads
+   into its own frame in progress { 16 header bytes, validated via
+   [Frame.decode_header]; then the claimed body }, so a peer that stops
+   mid-frame holds up nobody else; a malformed header loses framing, so
+   it counts one frame error and drops the connection.
 
-   Deadlines: [recv ~timeout] blocks until a frame is delivered, the
-   endpoint closes or the deadline passes — the deadline is the
-   receiver-side defence against withholding peers. *)
+   [close] stops receiving at once.  Frames still queued (to a peer not
+   yet up, or more than the kernel takes) go to a lingering writer
+   thread that keeps connecting and writing for 1 s ({!linger}). *)
 
 module Frame = Csm_wire.Frame
 module Lockdep = Csm_parallel.Lockdep
@@ -39,14 +41,7 @@ let sockaddr_of addr id =
     Unix.ADDR_UNIX (Filename.concat dir (Printf.sprintf "ep-%d.sock" id))
   | Tcp base -> Unix.ADDR_INET (Unix.inet_addr_loopback, base + id)
 
-(* Backoff schedule for connect retries: 2ms doubling, capped. *)
-let backoff_delay attempt = min 0.1 (0.002 *. (2. ** float_of_int attempt))
-
-let rec really_write fd buf pos len =
-  if len > 0 then begin
-    let n = Unix.write fd buf pos len in
-    really_write fd buf (pos + n) (len - n)
-  end
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* An inbound connection and its frame in progress: [got] bytes of the
    header, then of the body once the header has validated. *)
@@ -57,30 +52,147 @@ type inbound = {
   mutable got : int;
 }
 
+(* One peer's outbound side: encoded frames, head first, of which the
+   head's first [off] bytes are written. *)
 type peer = {
-  pq : string Queue.t;
-  pm : Lockdep.t;
-  pc : Condition.t;
+  sa : Unix.sockaddr;
+  out : string Queue.t;
+  mutable off : int;
   mutable fd : Unix.file_descr option;
-  mutable started : bool;
-  mutable writing : bool;  (* a popped frame is mid-write; [close] waits *)
+  mutable up : bool;  (* a byte has gone through on [fd] *)
+  mutable failed : bool;  (* the head frame's write failed once *)
+  mutable attempt : int;  (* failed connects in a row *)
+  mutable retry_at : float;  (* when [recv] may connect again *)
 }
+
+let has_bytes p = not (Queue.is_empty p.out)
+
+let release p =
+  Option.iter close_quietly p.fd;
+  p.fd <- None;
+  p.off <- 0;
+  p.up <- false
+
+(* Connect retries back off from 2 ms, doubling up to 100 ms. *)
+let backoff p =
+  let delay = min 0.1 (0.002 *. (2. ** float_of_int p.attempt)) in
+  p.retry_at <- Unix.gettimeofday () +. delay;
+  p.attempt <- p.attempt + 1
+
+let connect p =
+  match Unix.socket (Unix.domain_of_sockaddr p.sa) Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> backoff p
+  | fd -> (
+    Unix.set_nonblock fd;
+    match Unix.connect fd p.sa with
+    | () | (exception Unix.Unix_error (Unix.EINPROGRESS, _, _)) -> p.fd <- Some fd
+    | exception Unix.Unix_error _ ->
+      close_quietly fd;
+      backoff p)
+
+(* Write what the kernel takes of [p]'s outbox, connecting first if
+   [p] has no connection.  A write error before any byte went through
+   is a failed (TCP) connect. *)
+let rec push p =
+  if Option.is_none p.fd && has_bytes p then connect p;
+  match (p.fd, Queue.peek_opt p.out) with
+  | Some fd, Some s -> (
+    match Unix.single_write_substring fd s p.off (String.length s - p.off) with
+    | k ->
+      p.up <- true;
+      p.attempt <- 0;
+      p.off <- p.off + k;
+      if p.off = String.length s then begin
+        ignore (Queue.pop p.out);
+        p.off <- 0;
+        p.failed <- false
+      end;
+      push p
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+      ()
+    | exception Unix.Unix_error _ ->
+      let was_up = p.up in
+      release p;
+      if not was_up then backoff p
+      else begin
+        if p.failed then begin
+          ignore (Queue.pop p.out);
+          p.failed <- false
+        end
+        else p.failed <- true;
+        push p
+      end)
+  | _ -> ()
+
+(* Connect the peers whose retry is due; then the connections with
+   bytes to write, and [wait] cut short by the next retry still due. *)
+let outbound peers wait =
+  let now = Unix.gettimeofday () in
+  Array.fold_left
+    (fun (writes, wait) p ->
+      if has_bytes p && Option.is_none p.fd && p.retry_at <= now then push p;
+      match p.fd with
+      | Some fd when has_bytes p -> (fd :: writes, wait)
+      | None when has_bytes p -> (writes, Float.min wait (p.retry_at -. now))
+      | _ -> (writes, wait))
+    ([], wait) peers
+
+let push_writable writable p =
+  match p.fd with Some fd when List.memq fd writable -> push p | _ -> ()
+
+(* Lingering writers still running, process-wide; [linger] waits for
+   them to finish. *)
+let writers = ref 0
+let writers_lock = Lockdep.create "socket.linger"
+let writers_done = Condition.create ()
+
+let linger () =
+  Lockdep.with_lock writers_lock (fun () ->
+      while !writers > 0 do
+        Lockdep.wait writers_done writers_lock
+      done)
+
+(* A new thread owns [peers], a closed endpoint's: it keeps connecting
+   and writing out their outboxes for at most 1 s, then closes every
+   connection. *)
+let linger_write peers =
+  Lockdep.with_lock writers_lock (fun () -> incr writers);
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  let rec drain () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left > 0.0 && Array.exists has_bytes peers then begin
+      let writes, wait = outbound peers left in
+      (match Unix.select [] writes [] (Float.max 0.0 wait) with
+      | _, writable, _ -> Array.iter (push_writable writable) peers
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      drain ()
+    end
+  in
+  let run () =
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter release peers;
+        Lockdep.with_lock writers_lock (fun () ->
+            decr writers;
+            Condition.broadcast writers_done))
+      (fun () -> try drain () with Unix.Unix_error _ -> ())
+  in
+  ignore (Thread.create run ())
 
 let endpoint ~addr ~id ~endpoints =
   if id < 0 || id >= endpoints then invalid_arg "Socket.endpoint: bad id";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let closed = ref false in
-  let incoming : Frame.t Mailbox.t = Mailbox.create "socket.incoming" in
-  (* --- listener --- *)
-  let domain =
-    match addr with Uds _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
-  in
-  let listener = Unix.socket domain Unix.SOCK_STREAM 0 in
   let sa = sockaddr_of addr id in
+  let unlink () =
+    match sa with
+    | Unix.ADDR_UNIX path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | Unix.ADDR_INET _ -> ()
+  in
+  let listener = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
   (match addr with
-  | Uds dir ->
-    (try Unix.unlink (Filename.concat dir (Printf.sprintf "ep-%d.sock" id))
-     with Unix.Unix_error _ -> ())
+  | Uds _ -> unlink ()
   | Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true);
   Unix.bind listener sa;
   Unix.listen listener 64;
@@ -96,7 +208,21 @@ let endpoint ~addr ~id ~endpoints =
       stats_mutex = Lockdep.create "socket.stats";
     }
   in
-  (* --- receiver --- *)
+  let inbound = ref [] in
+  let ready : Frame.t Queue.t = Queue.create () in
+  let peers =
+    Array.init endpoints (fun dst ->
+        {
+          sa = sockaddr_of addr dst;
+          out = Queue.create ();
+          off = 0;
+          fd = None;
+          up = false;
+          failed = false;
+          attempt = 0;
+          retry_at = 0.0;
+        })
+  in
   (* Read what [c] has delivered, completing as many frames as it holds;
      [false] once the connection is done: end of stream, an error, or a
      malformed header. *)
@@ -134,182 +260,75 @@ let endpoint ~addr ~id ~endpoints =
         c.body <- None;
         Transport.record_received t (Frame.header_bytes + Bytes.length body);
         (match Frame.of_header h ~body:(Bytes.unsafe_to_string body) with
-        | Some fr -> Mailbox.push incoming fr
+        | Some fr -> Queue.push fr ready
         | None -> Transport.record_error t);
         read_frames c
     end
   in
-  (* The receiver owns the listener and every inbound connection, and
-     only it closes them: [close] shuts the listener down, which wakes
-     its [select].  Closing under it would let the next socket this
-     process opens reuse an fd number it is about to read. *)
-  let receiver () =
-    let inbound = ref [] in
-    let drop c =
-      inbound := List.filter (fun c' -> c' != c) !inbound;
-      try Unix.close c.conn with Unix.Unix_error _ -> ()
-    in
-    let accept () =
-      match Unix.accept ~cloexec:true listener with
-      | conn, _ ->
-        Unix.set_nonblock conn;
-        inbound :=
-          { conn; hdr = Bytes.create Frame.header_bytes; body = None; got = 0 }
-          :: !inbound
-      | exception
-          Unix.Unix_error
-            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
-        ->
-        ()
-    in
-    (try
-       while not !closed do
-         match
-           Unix.select (listener :: List.map (fun c -> c.conn) !inbound) [] [] (-1.0)
-         with
-         | ready, _, _ ->
-           if not !closed then begin
-             if List.memq listener ready then accept ();
-             List.iter
-               (fun c -> if List.memq c.conn ready && not (read_frames c) then drop c)
-               !inbound
-           end
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       done
-     with Unix.Unix_error _ -> ());
-    List.iter (fun c -> try Unix.close c.conn with Unix.Unix_error _ -> ()) !inbound;
-    try Unix.close listener with Unix.Unix_error _ -> ()
+  let drop c =
+    inbound := List.filter (fun c' -> c' != c) !inbound;
+    close_quietly c.conn
   in
-  let _receiver_thread = Thread.create receiver () in
-  (* --- senders --- *)
-  let peers =
-    Array.init endpoints (fun _ ->
-        {
-          pq = Queue.create ();
-          pm = Lockdep.create "socket.peer";
-          pc = Condition.create ();
-          fd = None;
-          started = false;
-          writing = false;
-        })
+  let accept () =
+    match Unix.accept ~cloexec:true listener with
+    | conn, _ ->
+      Unix.set_nonblock conn;
+      inbound :=
+        { conn; hdr = Bytes.create Frame.header_bytes; body = None; got = 0 }
+        :: !inbound
+    | exception
+        Unix.Unix_error
+          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
+      ->
+      ()
   in
-  let connect_with_backoff dst =
-    let rec go attempt =
-      if !closed then None
-      else begin
-        let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-        match Unix.connect fd (sockaddr_of addr dst) with
-        | () -> Some fd
-        | exception Unix.Unix_error _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Thread.delay (backoff_delay attempt);
-          go (attempt + 1)
-      end
-    in
-    go 0
+  (* One [select] of at most [wait] seconds, cut short by the next due
+     connect retry, then accept, read and flush what it found ready. *)
+  let poll wait =
+    let writes, wait = outbound peers wait in
+    match
+      Unix.select
+        (listener :: List.map (fun c -> c.conn) !inbound)
+        writes [] (Float.max 0.0 wait)
+    with
+    | readable, writable, _ ->
+      if List.memq listener readable then accept ();
+      List.iter
+        (fun c -> if List.memq c.conn readable && not (read_frames c) then drop c)
+        !inbound;
+      Array.iter (push_writable writable) peers
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
-  let sender_loop dst =
-    let peer = peers.(dst) in
-    let ensure_fd () =
-      match peer.fd with
-      | Some fd -> Some fd
+  let recv ~timeout =
+    let deadline = Unix.gettimeofday () +. timeout in
+    let rec go () =
+      match Queue.take_opt ready with
+      | Some fr -> Some fr
       | None ->
-        let fd = connect_with_backoff dst in
-        peer.fd <- fd;
-        fd
+        poll (deadline -. Unix.gettimeofday ());
+        if Queue.is_empty ready && Unix.gettimeofday () >= deadline then None
+        else go ()
     in
-    let write_frame bytes =
-      let attempt fd =
-        try
-          really_write fd (Bytes.unsafe_of_string bytes) 0 (String.length bytes);
-          true
-        with Unix.Unix_error _ | End_of_file ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          peer.fd <- None;
-          false
-      in
-      match ensure_fd () with
-      | None -> ()  (* endpoint closed while retrying: drop *)
-      | Some fd ->
-        if not (attempt fd) then (
-          (* one reconnect, then give up on this frame *)
-          match ensure_fd () with
-          | Some fd2 -> ignore (attempt fd2)
-          | None -> ())
-    in
-    let rec loop () =
-      let item =
-        Lockdep.with_lock peer.pm (fun () ->
-            while Queue.is_empty peer.pq && not !closed do
-              Lockdep.wait peer.pc peer.pm
-            done;
-            let item = Queue.take_opt peer.pq in
-            peer.writing <- Option.is_some item;
-            item)
-      in
-      match item with
-      | Some bytes ->
-        write_frame bytes;
-        Lockdep.with_lock peer.pm (fun () -> peer.writing <- false);
-        loop ()
-      | None -> ()  (* closed and drained *)
-    in
-    loop ()
+    if !closed then None else go ()
   in
   let send ~dst frame =
     if (not !closed) && dst >= 0 && dst < endpoints then begin
       let bytes = Frame.encode frame in
       Transport.record_sent t (String.length bytes);
-      let peer = peers.(dst) in
-      Lockdep.with_lock peer.pm (fun () ->
-          if not peer.started then begin
-            peer.started <- true;
-            ignore (Thread.create sender_loop dst)
-          end;
-          Queue.push bytes peer.pq;
-          Condition.signal peer.pc)
+      let p = peers.(dst) in
+      Queue.push bytes p.out;
+      push p
     end
   in
-  let recv ~timeout = Mailbox.pop incoming ~timeout in
   let close () =
     if not !closed then begin
-      (* let sender threads flush their queues, including a frame already
-         popped but still being written (bounded) *)
-      let flush_deadline = Unix.gettimeofday () +. 1.0 in
-      let pending () =
-        Array.exists
-          (fun p ->
-            Lockdep.with_lock p.pm (fun () ->
-                p.writing || not (Queue.is_empty p.pq)))
-          peers
-      in
-      while pending () && Unix.gettimeofday () < flush_deadline do
-        Thread.delay 0.002
-      done;
       closed := true;
-      Array.iter
-        (fun p ->
-          Lockdep.with_lock p.pm (fun () -> Condition.broadcast p.pc))
-        peers;
-      let shutdown fd =
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-      in
-      (* wakes the receiver, which closes the listener and connections *)
-      shutdown listener;
-      Array.iter
-        (fun p ->
-          match p.fd with
-          | Some fd -> (
-            p.fd <- None;
-            try Unix.close fd with Unix.Unix_error _ -> ())
-          | None -> ())
-        peers;
-      Mailbox.close incoming;
-      match addr with
-      | Uds dir -> (
-        try Unix.unlink (Filename.concat dir (Printf.sprintf "ep-%d.sock" id))
-        with Unix.Unix_error _ -> ())
-      | Tcp _ -> ()
+      List.iter (fun c -> close_quietly c.conn) !inbound;
+      close_quietly listener;
+      unlink ();
+      Array.iter push peers;
+      if Array.exists has_bytes peers then linger_write peers
+      else Array.iter release peers
     end
   in
   { t with Transport.send; recv; close }

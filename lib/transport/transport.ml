@@ -11,12 +11,13 @@
    - [recv] returns the next delivered frame, waiting at most [timeout]
      seconds; [None] means the deadline passed — the receiver-side
      guard against silent peers — or the endpoint is closed.  Sockets
-     wake a waiting [recv] on arrival, loopback polls with a short
+     wake a waiting [recv] on arrival (its [select] also writes out
+     what earlier [send]s left queued), loopback polls with a short
      sleep;
    - a frame that fails header validation is counted in
      [stats.frame_errors] and dropped, never surfaced as an exception;
    - [stats] counts frames/bytes at the moment of hand-off to the
-     transport ([send]) and of delivery to the endpoint's queue, so
+     transport ([send]) and of delivery to the receiving endpoint, so
      loopback and socket runs of the same protocol produce identical
      counts. *)
 

@@ -8,7 +8,9 @@
     - [recv ~timeout] returns a delivered frame, or [None] once the
       endpoint is closed or [timeout] seconds pass; frames from one
       sender come back in the order they were sent.  {!Socket} wakes on
-      arrival; {!Loopback} polls with a short sleep;
+      arrival, and moves its queued outbound bytes only inside its own
+      calls, so a caller waits in [recv] after it sends; {!Loopback}
+      polls with a short sleep;
     - malformed frames are counted in [stats.frame_errors] and dropped,
       never raised. *)
 
@@ -42,5 +44,5 @@ val record_received : t -> int -> unit
 val record_error : t -> unit
 
 val snapshot : t -> stats
-(** Consistent copy of the counters (they are updated from reader
-    threads in the socket transport). *)
+(** Consistent copy of the counters (a loopback sender updates its
+    destination's counters from its own thread). *)

@@ -475,8 +475,8 @@ let with_sock_dir f =
     (fun () -> f dir)
 
 (* A frame handed to [send] just before [close] must still arrive, even
-   when the sender thread has already dequeued it and is mid-connect or
-   mid-write as [close] starts: a node's last frame (its final
+   when the kernel has taken only part of it as [close] starts and the
+   rest is left to the lingering writer: a node's last frame (its final
    telemetry snapshot) is sent exactly that way. *)
 let socket_close_flushes_last_frame () =
   let iterations = 300 in
@@ -498,9 +498,35 @@ let socket_close_flushes_last_frame () =
       done);
   check Alcotest.int "frames lost at close" 0 !lost
 
-(* Sends to a peer that has gone away fail with EPIPE on the sender
-   thread instead of killing this process (SIGPIPE), and the sender
-   reconnects once a peer listens at that address again. *)
+(* A frame queued for a peer that is not listening yet still arrives
+   when that peer comes up within a second of [close]: in a freshly
+   forked cluster the other nodes can finish before a slow one listens. *)
+let socket_close_waits_for_late_peer () =
+  with_sock_dir @@ fun dir ->
+  let addr = Socket.Uds dir in
+  let a = Socket.endpoint ~addr ~id:0 ~endpoints:2 in
+  a.Transport.send ~dst:1 (Frame.make ~kind:Frame.Commit ~sender:0 ~round:5 "x");
+  let b = ref None in
+  let late =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        b := Some (Socket.endpoint ~addr ~id:1 ~endpoints:2))
+      ()
+  in
+  a.Transport.close ();
+  Thread.join late;
+  match !b with
+  | None -> Alcotest.fail "the late endpoint was not created"
+  | Some b ->
+    Fun.protect ~finally:b.Transport.close (fun () ->
+        match b.Transport.recv ~timeout:2.0 with
+        | Some f -> check Alcotest.int "the queued frame" 5 f.Frame.round
+        | None -> Alcotest.fail "a frame queued before close was lost")
+
+(* Sends to a peer that has gone away fail with EPIPE on that
+   connection instead of killing this process (SIGPIPE), and the next
+   send reconnects once a peer listens at that address again. *)
 let socket_dead_peer_survives () =
   with_sock_dir @@ fun dir ->
   let addr = Csm_transport.Socket.Uds dir in
@@ -544,6 +570,35 @@ let socket_pair dir =
   let addr = Socket.Uds dir in
   (Socket.endpoint ~addr ~id:0 ~endpoints:2, Socket.endpoint ~addr ~id:1 ~endpoints:2)
 
+(* A base port whose successor is free too, found by binding port 0
+   and then the next one: no fixed port that another run could hold. *)
+let rec free_tcp_base () =
+  let bound port =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+    | () -> Some s
+    | exception Unix.Unix_error _ ->
+      Unix.close s;
+      None
+  in
+  match bound 0 with
+  | None -> Alcotest.fail "no free TCP port on 127.0.0.1"
+  | Some s0 -> (
+    let base =
+      match Unix.getsockname s0 with Unix.ADDR_INET (_, p) -> p | _ -> 0
+    in
+    let s1 = if base < 65535 then bound (base + 1) else None in
+    Unix.close s0;
+    match s1 with
+    | Some s1 ->
+      Unix.close s1;
+      base
+    | None -> free_tcp_base ())
+
+let tcp_pair () =
+  let addr = Socket.Tcp (free_tcp_base ()) in
+  (Socket.endpoint ~addr ~id:0 ~endpoints:2, Socket.endpoint ~addr ~id:1 ~endpoints:2)
+
 (* Endpoint 0 sends to endpoint 1: [recv] returns a frame sent during
    its wait, keeps one sender's order, waits out its deadline on an
    empty endpoint, and returns at once once closed. *)
@@ -584,7 +639,41 @@ let loopback_recv_contract () = recv_contract (loopback_pair ())
 let socket_recv_contract () =
   with_sock_dir (fun dir -> recv_contract (socket_pair dir))
 
-(* One receiver thread serves every inbound connection of a socket
+let tcp_recv_contract () = recv_contract (tcp_pair ())
+
+(* [send] never blocks, even on a peer that is not reading: 64 frames
+   of 64 KB to an endpoint that never calls [recv] all return at once.
+   The bytes the kernel could not take move inside the sender's later
+   [recv] calls, and arrive in send order. *)
+let socket_send_never_blocks () =
+  with_sock_dir @@ fun dir ->
+  let a, b = socket_pair dir in
+  Fun.protect
+    ~finally:(fun () ->
+      a.Transport.close ();
+      b.Transport.close ())
+    (fun () ->
+      let payload = String.make (64 * 1024) 'x' in
+      let t0 = Clock.mono () in
+      for r = 0 to 63 do
+        a.Transport.send ~dst:1 (Frame.make ~kind:Frame.Commit ~sender:0 ~round:r payload)
+      done;
+      checkb "64 sends within 1 s" true (Clock.mono () -. t0 < 1.0);
+      let next = ref 0 in
+      let limit = Clock.mono () +. 10.0 in
+      while !next < 64 && Clock.mono () < limit do
+        ignore (a.Transport.recv ~timeout:0.0);
+        match b.Transport.recv ~timeout:0.01 with
+        | Some f ->
+          check Alcotest.int "send order" !next f.Frame.round;
+          check Alcotest.int "payload" (String.length payload)
+            (String.length f.Frame.payload);
+          incr next
+        | None -> ()
+      done;
+      check Alcotest.int "frames delivered" 64 !next)
+
+(* One [select] in [recv] serves every inbound connection of a socket
    endpoint: a peer that stops mid-frame delays no other peer's frames,
    and its frame still arrives once the rest of it does. *)
 let socket_stalled_peer_holds_up_nobody () =
@@ -614,10 +703,9 @@ let socket_stalled_peer_holds_up_nobody () =
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
-(* Socket endpoints release every fd they open — listener, connections
-   and the wake pipe of a [recv] that slept — once closed; the receiver
-   thread closes the listener and its connections a moment after
-   [close]. *)
+(* Socket endpoints release every fd they open — listener, inbound
+   and outbound connections — once closed; a lingering writer would
+   close its connections a moment after [close]. *)
 let socket_endpoints_release_fds () =
   with_sock_dir (fun dir ->
       let cycle () =
@@ -628,7 +716,7 @@ let socket_endpoints_release_fds () =
         a.Transport.close ();
         b.Transport.close ()
       in
-      (* wait for the receiver threads to close their fds *)
+      (* wait for any lingering writer to close its fds *)
       let settled target =
         let limit = Clock.mono () +. 5.0 in
         while open_fds () > target && Clock.mono () < limit do
@@ -1132,11 +1220,16 @@ let suites =
           loopback_send_recv;
         Alcotest.test_case "socket close flushes a dequeued frame" `Quick
           socket_close_flushes_last_frame;
+        Alcotest.test_case "socket close waits for a late peer" `Quick
+          socket_close_waits_for_late_peer;
         Alcotest.test_case "socket send to a dead peer is not fatal" `Quick
           socket_dead_peer_survives;
         Alcotest.test_case "recv contract: loopback" `Quick
           loopback_recv_contract;
         Alcotest.test_case "recv contract: socket" `Quick socket_recv_contract;
+        Alcotest.test_case "recv contract: tcp" `Quick tcp_recv_contract;
+        Alcotest.test_case "socket send never blocks on a peer not reading" `Quick
+          socket_send_never_blocks;
         Alcotest.test_case "socket: a stalled peer holds up nobody" `Quick
           socket_stalled_peer_holds_up_nobody;
         Alcotest.test_case "socket endpoints release their fds" `Quick
