@@ -153,16 +153,19 @@ adversary-smoke:
 	@echo "adversary-smoke: ok"
 
 # End-to-end cluster benchmark smoke (bench/e2e, see its README): short
-# untraced runs of the fault-free loopback and socket workloads, one
-# traced run of the lying loopback workload, and one untraced 16-node
-# loopback run, the only CI run of the node runtime at N=16, where the
-# round window keeps memory and round time flat.  Each run must exit 0:
-# every round accepted by b+1 matching Outputs and equal to the
-# single-process reference.  Timings are printed, never gated here.
+# untraced runs of the fault-free loopback and socket workloads, traced
+# runs of the lying loopback workload and of the socket workload (whose
+# forked nodes write the tap files that count transport.recv_* calls),
+# and one untraced 16-node loopback run, the only CI run of the node
+# runtime at N=16, where the round window keeps memory and round time
+# flat.  Each run must exit 0: every round accepted by b+1 matching
+# Outputs and equal to the single-process reference.  Timings are
+# printed, never gated here.
 e2e-smoke:
 	bash bench/e2e/run.sh --workload lb8-honest --seconds 2 --trace 0
 	bash bench/e2e/run.sh --workload sock4-honest --seconds 2 --trace 0
 	bash bench/e2e/run.sh --workload lb8-lie --seconds 2 --trace
+	bash bench/e2e/run.sh --workload sock4-honest --seconds 2 --trace
 	bash bench/e2e/run.sh --workload lb16-honest --seconds 2 --trace 0
 	@echo "e2e-smoke: ok"
 

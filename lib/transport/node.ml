@@ -21,12 +21,14 @@
    wedge the node; collect loops bound their waiting with the
    [deadline] so silent peers cannot stall a round either.
 
-   A wait blocks in [Transport.recv] (over sockets it wakes on the next
-   frame), and intake keeps one record per live round with its commit
-   and result counts, so a wait condition costs O(1).  A round's
-   record is dropped once the round is decided, and a round window
-   bounds how many records a node holds — memory stays flat however
-   many rounds a node runs.
+   A wait checks its condition, and only while it does not hold takes
+   one frame from [Transport.recv] (over sockets it wakes on the next
+   frame) and dispatches it, so a node never polls an empty endpoint.
+   Intake keeps one record per live round with its commit and result
+   counts, so a wait condition costs O(1).  A round's record is
+   dropped once the round is decided, and a round window bounds how
+   many records a node holds — memory stays flat however many rounds a
+   node runs.
 
    The runtime's own faults ([Drop]/[Delay]/[Corrupt]) apply to the
    frames it *sends* — that is how the cluster driver turns a node
@@ -146,7 +148,7 @@ module Make (F : Field_intf.S) = struct
       Bytes.to_string b
     end
 
-  (* ---- inbox: validated protocol state, filled by [pump] ---- *)
+  (* ---- inbox: validated protocol state, filled by [dispatch] ---- *)
 
   (* What a round record holds from one sender: a malformed frame still
      tells the node that it has heard from that sender this round. *)
@@ -472,22 +474,13 @@ module Make (F : Field_intf.S) = struct
              protocol level, counted like any other bad frame *)
           record_bad ~round "unexpected-kind"))
 
-  (* Drain everything already delivered, waiting at most [within] for
-     the first frame. *)
-  let pump ?(within = 0.0) cfg tr inbox =
-    let rec drain ~timeout =
-      match tr.Transport.recv ~timeout with
-      | Some fr ->
-        dispatch cfg tr inbox fr;
-        drain ~timeout:0.0
-      | None -> ()
-    in
-    drain ~timeout:within
-
-  (* Pump until [cond] holds or [cfg.deadline] passes, or, unless
-     [~in_round], the client's Shutdown arrives.  A round under way
-     runs to its end: the client sent its Command before the Shutdown,
-     so every peer that sends will send its frames for it, and stopping
+  (* Take in frames one at a time until [cond] holds or [cfg.deadline]
+     passes, or, unless [~in_round], the client's Shutdown arrives.
+     Each lap checks [cond] first and then waits at most 50 ms in
+     [recv] for one frame, so a node never asks for a frame it does not
+     need and never polls an empty endpoint.  A round under way runs
+     to its end: the client sent its Command before the Shutdown, so
+     every peer that sends will send its frames for it, and stopping
      early would leave the node's counters short of frames already in
      flight.  Every lap also gives the streaming emitter a chance to
      fire — waits are where a node spends its wall time, so this is
@@ -495,7 +488,6 @@ module Make (F : Field_intf.S) = struct
      straggler. *)
   let wait_until ?(in_round = false) cfg tr inbox cond =
     let limit = Unix.gettimeofday () +. cfg.deadline in
-    pump cfg tr inbox;
     let rec loop () =
       maybe_stream cfg tr inbox;
       if cond () then true
@@ -503,7 +495,7 @@ module Make (F : Field_intf.S) = struct
         (inbox.shutdown && not in_round) || Unix.gettimeofday () >= limit
       then false
       else begin
-        pump ~within:0.05 cfg tr inbox;
+        Option.iter (dispatch cfg tr inbox) (tr.Transport.recv ~timeout:0.05);
         loop ()
       end
     in

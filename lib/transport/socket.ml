@@ -18,11 +18,18 @@
    waits in one [select] on the listener, the inbound connections and
    the outboxes with bytes left (which also completes a TCP connect)
    until a frame is complete or its deadline — the receiver-side
-   defence against withholding peers — passes.  Each connection reads
-   into its own frame in progress { 16 header bytes, validated via
-   [Frame.decode_header]; then the claimed body }, so a peer that stops
-   mid-frame holds up nobody else; a malformed header loses framing, so
-   it counts one frame error and drops the connection.
+   defence against withholding peers — passes.  Each inbound connection
+   owns one byte buffer: a connection the [select] finds readable gets
+   one [read], and every whole frame in the buffer is decoded and
+   counted, its header validated by [Frame.decode_header] before
+   anything it claims is allocated.  What one read leaves in the
+   kernel, the next [select] finds again (it is level-triggered).  The
+   partial tail moves to the front of the buffer, so a peer that stops
+   mid-frame holds up nobody else.  A frame larger than the default
+   buffer grows it to the frame's size, and the connection returns to
+   a default buffer once that frame is parsed.  A malformed header
+   loses framing, so it counts one frame error and drops the
+   connection.
 
    [close] stops receiving at once.  Frames still queued (to a peer not
    yet up, or more than the kernel takes) go to a lingering writer
@@ -43,13 +50,18 @@ let sockaddr_of addr id =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* An inbound connection and its frame in progress: [got] bytes of the
-   header, then of the body once the header has validated. *)
+(* An inbound connection's default buffer size: room for a burst of
+   protocol frames, and small enough that accepting a connection puts
+   little on the major heap (64 KiB buffers made a forked node's
+   setup slower). *)
+let default_buf = 4096
+
+(* An inbound connection: the first [len] bytes of [buf] are read but
+   not yet parsed, the start of a frame whose rest has not arrived. *)
 type inbound = {
   conn : Unix.file_descr;
-  hdr : Bytes.t;
-  mutable body : (Frame.header * Bytes.t) option;
-  mutable got : int;
+  mutable buf : Bytes.t;
+  mutable len : int;
 }
 
 (* One peer's outbound side: encoded frames, head first, of which the
@@ -223,47 +235,64 @@ let endpoint ~addr ~id ~endpoints =
           retry_at = 0.0;
         })
   in
-  (* Read what [c] has delivered, completing as many frames as it holds;
-     [false] once the connection is done: end of stream, an error, or a
-     malformed header. *)
-  let rec read_frames c =
-    let part, len =
-      match c.body with
-      | None -> (c.hdr, Frame.header_bytes)
-      | Some (_, body) -> (body, Bytes.length body)
-    in
-    if c.got < len then
-      match Unix.read c.conn part c.got (len - c.got) with
-      | 0 -> false
-      | k ->
-        c.got <- c.got + k;
-        read_frames c
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        true
-      | exception Unix.Unix_error _ -> false
-    else begin
-      c.got <- 0;
-      match c.body with
-      | None -> (
-        match Frame.decode_header (Bytes.to_string c.hdr) with
+  (* Deliver every whole frame in [c]'s buffer and move the partial
+     tail to its front, in a buffer that can hold the frame the tail
+     starts; [false] on a malformed header. *)
+  let parse c =
+    let rec frames pos =
+      if c.len - pos < Frame.header_bytes then keep pos Frame.header_bytes
+      else
+        match Frame.decode_header ~pos (Bytes.unsafe_to_string c.buf) with
         | None ->
           (* framing lost: count and drop the connection *)
           Transport.record_error t;
           false
         | Some h ->
           let body_len = Frame.body_bytes h in
-          let body = Bytes.create body_len in
-          c.body <- Some (h, body);
-          read_frames c)
-      | Some (h, body) ->
-        c.body <- None;
-        Transport.record_received t (Frame.header_bytes + Bytes.length body);
-        (match Frame.of_header h ~body:(Bytes.unsafe_to_string body) with
-        | Some fr -> Queue.push fr ready
-        | None -> Transport.record_error t);
-        read_frames c
-    end
+          let size = Frame.header_bytes + body_len in
+          if c.len - pos < size then keep pos size
+          else begin
+            Transport.record_received t size;
+            (match
+               Frame.of_header h
+                 ~body:(Bytes.sub_string c.buf (pos + Frame.header_bytes) body_len)
+             with
+            | Some fr -> Queue.push fr ready
+            | None -> Transport.record_error t);
+            frames (pos + size)
+          end
+    and keep pos need =
+      let tail = c.len - pos in
+      if need > Bytes.length c.buf then begin
+        (* a size [decode_header] has held to [max_payload_bytes] *)
+        let grown = Bytes.create need in
+        Bytes.blit c.buf pos grown 0 tail;
+        c.buf <- grown
+      end
+      else if Bytes.length c.buf > default_buf && need <= default_buf then begin
+        (* the frame that outgrew the default buffer is parsed *)
+        let default = Bytes.create default_buf in
+        Bytes.blit c.buf pos default 0 tail;
+        c.buf <- default
+      end
+      else Bytes.blit c.buf pos c.buf 0 tail;
+      c.len <- tail;
+      true
+    in
+    frames 0
+  in
+  (* One [read] of what [c] has delivered, then its whole frames;
+     [false] once the connection is done: end of stream, an error, or
+     a malformed header.  [parse] always leaves room to read into. *)
+  let read_frames c =
+    match Unix.read c.conn c.buf c.len (Bytes.length c.buf - c.len) with
+    | 0 -> false
+    | k ->
+      c.len <- c.len + k;
+      parse c
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      true
+    | exception Unix.Unix_error _ -> false
   in
   let drop c =
     inbound := List.filter (fun c' -> c' != c) !inbound;
@@ -273,9 +302,7 @@ let endpoint ~addr ~id ~endpoints =
     match Unix.accept ~cloexec:true listener with
     | conn, _ ->
       Unix.set_nonblock conn;
-      inbound :=
-        { conn; hdr = Bytes.create Frame.header_bytes; body = None; got = 0 }
-        :: !inbound
+      inbound := { conn; buf = Bytes.create default_buf; len = 0 } :: !inbound
     | exception
         Unix.Unix_error
           ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)

@@ -7,7 +7,15 @@
     its own [send], [recv] and [close]: [send] writes what the kernel
     takes at once and queues the rest, which [recv] flushes — so a
     caller waits in [recv] after it sends.  One thread at a time may use
-    an endpoint. *)
+    an endpoint.
+
+    Receive path: each inbound connection has one byte buffer.  When
+    [recv]'s [select] finds it readable it gets one [read], and every
+    whole frame in the buffer is decoded and counted at once; the
+    partial tail waits for the next read.  So a frame costs one [write]
+    and at most one [read], a peer that stops mid-frame holds up no
+    other connection, and a malformed header costs one frame error and
+    its connection. *)
 
 type addr =
   | Uds of string

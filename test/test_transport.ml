@@ -570,9 +570,10 @@ let socket_pair dir =
   let addr = Socket.Uds dir in
   (Socket.endpoint ~addr ~id:0 ~endpoints:2, Socket.endpoint ~addr ~id:1 ~endpoints:2)
 
-(* A base port whose successor is free too, found by binding port 0
-   and then the next one: no fixed port that another run could hold. *)
-let rec free_tcp_base () =
+(* A base port with [ports] consecutive free ports from it, found by
+   binding port 0 and then each next one: no fixed port that another
+   run could hold. *)
+let rec free_tcp_base ~ports =
   let bound port =
     let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     match Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
@@ -587,16 +588,25 @@ let rec free_tcp_base () =
     let base =
       match Unix.getsockname s0 with Unix.ADDR_INET (_, p) -> p | _ -> 0
     in
-    let s1 = if base < 65535 then bound (base + 1) else None in
+    let rec rest held i =
+      if i = ports then Some held
+      else
+        match if base + i <= 65535 then bound (base + i) else None with
+        | Some s -> rest (s :: held) (i + 1)
+        | None ->
+          List.iter Unix.close held;
+          None
+    in
+    let held = rest [] 1 in
     Unix.close s0;
-    match s1 with
-    | Some s1 ->
-      Unix.close s1;
+    match held with
+    | Some held ->
+      List.iter Unix.close held;
       base
-    | None -> free_tcp_base ())
+    | None -> free_tcp_base ~ports)
 
 let tcp_pair () =
-  let addr = Socket.Tcp (free_tcp_base ()) in
+  let addr = Socket.Tcp (free_tcp_base ~ports:2) in
   (Socket.endpoint ~addr ~id:0 ~endpoints:2, Socket.endpoint ~addr ~id:1 ~endpoints:2)
 
 (* Endpoint 0 sends to endpoint 1: [recv] returns a frame sent during
@@ -700,6 +710,142 @@ let socket_stalled_peer_holds_up_nobody () =
           match b.Transport.recv ~timeout:5.0 with
           | Some f -> check Alcotest.int "the stalled frame, completed" 7 f.Frame.round
           | None -> Alcotest.fail "the completed frame was lost"))
+
+(* ----- the socket receive path's parser, fed by raw connections ----- *)
+
+(* A socket endpoint (id 1 of 2) and a way to open raw Unix-domain
+   connections to it, so a test can write bytes no endpoint would
+   write: frames back to back, split anywhere, or a bad header. *)
+let with_raw_peer f =
+  with_sock_dir @@ fun dir ->
+  let addr = Socket.Uds dir in
+  let b = Socket.endpoint ~addr ~id:1 ~endpoints:2 in
+  let raws = ref [] in
+  let connect () =
+    let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    raws := raw :: !raws;
+    Unix.connect raw (Socket.sockaddr_of addr 1);
+    raw
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !raws;
+      b.Transport.close ())
+    (fun () -> f b connect)
+
+let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let recv_frame (b : Transport.t) =
+  match b.Transport.recv ~timeout:5.0 with
+  | Some f -> f
+  | None -> Alcotest.fail "no frame within 5 s"
+
+let check_frame what (want : Frame.t) (got : Frame.t) =
+  check Alcotest.int (what ^ ": round") want.Frame.round got.Frame.round;
+  checkb (what ^ ": intact") true (got = want)
+
+(* 200 frames in one write, v1 and v2 mixed, come back in order, each
+   counted once with its exact size. *)
+let socket_parses_back_to_back_frames () =
+  with_raw_peer @@ fun b connect ->
+  let raw = connect () in
+  let frames =
+    List.init 200 (fun r ->
+        let ext = if r mod 3 = 0 then Some (mk_ext (Int64.of_int r) 1L) else None in
+        Frame.make ?ext ~kind:Frame.Commit ~sender:0 ~round:r
+          (String.make (r mod 37) 'x'))
+  in
+  let bytes = String.concat "" (List.map Frame.encode frames) in
+  write_all raw bytes;
+  List.iter (fun f -> check_frame "send order" f (recv_frame b)) frames;
+  let s = Transport.snapshot b in
+  check Alcotest.int "frames_received" 200 s.Transport.frames_received;
+  check Alcotest.int "bytes_received" (String.length bytes) s.Transport.bytes_received;
+  check Alcotest.int "no frame errors" 0 s.Transport.frame_errors
+
+(* A frame written one byte at a time, with a receive between bytes,
+   is parsed across as many reads and arrives whole once. *)
+let socket_parses_a_frame_byte_by_byte () =
+  with_raw_peer @@ fun b connect ->
+  let raw = connect () in
+  let f =
+    Frame.make ~ext:(mk_ext 7L 9L) ~kind:Frame.Result ~sender:0 ~round:3
+      (String.init 50 Char.chr)
+  in
+  let bytes = Frame.encode f in
+  String.iteri
+    (fun i c ->
+      write_all raw (String.make 1 c);
+      if i < String.length bytes - 1 then
+        checkb "nothing before the last byte" true
+          (Option.is_none (b.Transport.recv ~timeout:0.0)))
+    bytes;
+  check_frame "the frame" f (recv_frame b);
+  let s = Transport.snapshot b in
+  check Alcotest.int "frames_received" 1 s.Transport.frames_received;
+  check Alcotest.int "bytes_received" (String.length bytes) s.Transport.bytes_received
+
+(* A 1 MiB payload, larger than a connection's default buffer, arrives
+   intact, and so does the small frame written right behind it.  The
+   writer is a thread: the kernel holds less than a megabyte, so the
+   write completes only as the endpoint reads. *)
+let socket_parses_a_frame_larger_than_its_buffer () =
+  with_raw_peer @@ fun b connect ->
+  let raw = connect () in
+  let big =
+    Frame.make ~kind:Frame.Telemetry ~sender:0 ~round:1
+      (String.init (1024 * 1024) (fun i -> Char.chr (i land 0xff)))
+  in
+  let small = Frame.make ~kind:Frame.Commit ~sender:0 ~round:2 "after" in
+  let writer =
+    Thread.create
+      (fun () ->
+        try write_all raw (Frame.encode big ^ Frame.encode small)
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  check_frame "the big frame" big (recv_frame b);
+  check_frame "the small frame after it" small (recv_frame b);
+  Thread.join writer;
+  let s = Transport.snapshot b in
+  check Alcotest.int "frames_received" 2 s.Transport.frames_received;
+  check Alcotest.int "bytes_received" (Frame.size big + Frame.size small)
+    s.Transport.bytes_received
+
+(* [fd]'s peer has closed the connection: it reads end of stream. *)
+let reads_eof fd =
+  match Unix.select [ fd ] [] [] 5.0 with
+  | [], _, _ -> false
+  | _ -> (
+    match Unix.read fd (Bytes.create 1) 0 1 with
+    | 0 -> true
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+
+(* Two valid frames then a bad-magic header in one write: both frames
+   are delivered, the header costs one frame error and the connection,
+   and a new connection from the same peer is served. *)
+let socket_bad_header_drops_the_connection () =
+  with_raw_peer @@ fun b connect ->
+  let raw = connect () in
+  let frame round = Frame.make ~kind:Frame.Commit ~sender:0 ~round "ok" in
+  let good = Frame.encode (frame 1) ^ Frame.encode (frame 2) in
+  let bad = "XX" ^ String.sub (Frame.encode (frame 3)) 2 (Frame.header_bytes - 2) in
+  write_all raw (good ^ bad);
+  check_frame "first" (frame 1) (recv_frame b);
+  check_frame "second" (frame 2) (recv_frame b);
+  let limit = Clock.mono () +. 5.0 in
+  while (Transport.snapshot b).Transport.frame_errors = 0 && Clock.mono () < limit do
+    ignore (b.Transport.recv ~timeout:0.01)
+  done;
+  let s = Transport.snapshot b in
+  check Alcotest.int "frames_received" 2 s.Transport.frames_received;
+  check Alcotest.int "bytes_received" (String.length good) s.Transport.bytes_received;
+  check Alcotest.int "one frame error" 1 s.Transport.frame_errors;
+  checkb "the connection was dropped" true (reads_eof raw);
+  let again = connect () in
+  write_all again (Frame.encode (frame 4));
+  check_frame "a new connection is served" (frame 4) (recv_frame b)
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
@@ -863,11 +1009,13 @@ let round_window_bounds_memory () =
   checkb "never more than window + 1 at once" true
     (C.N.peak_rounds () <= C.N.window + 1)
 
-(* A loopback cluster of four honest nodes whose client the test
-   drives by hand, so it can forge frames between rounds.  Returns the
-   per-round Output payloads each round gathered, the nodes' Stats
-   replies, and the seconds from Shutdown to the last node's exit. *)
-let hand_driven ~rounds ~stop_after ~between =
+(* A loopback cluster of four nodes, honest unless [faults] says
+   otherwise, whose client the test drives by hand, so it can forge
+   frames between rounds; [wrap i] may stand between node [i] and its
+   endpoint.  Returns the per-round Output payloads each round
+   gathered, the nodes' Stats replies, and the seconds from Shutdown
+   to the last node's exit. *)
+let hand_driven ?(faults = []) ?(wrap = fun _ tr -> tr) ~rounds ~stop_after ~between () =
   let cfg = { (cluster_cfg ~rounds ()) with C.params = params4 } in
   let n = 4 in
   let net = Loopback.create ~endpoints:(n + 1) in
@@ -878,8 +1026,8 @@ let hand_driven ~rounds ~stop_after ~between =
       machine = C.machine cfg;
       init = C.initial_states cfg;
       rounds;
-      fault = Node.Honest;
-      faults = [];
+      fault = Option.value ~default:Node.Honest (List.assoc_opt i faults);
+      faults;
       deadline = 10.0;
       trace = false;
       telemetry = false;
@@ -889,7 +1037,9 @@ let hand_driven ~rounds ~stop_after ~between =
   in
   let threads =
     List.init n (fun i ->
-        Thread.create (fun () -> C.N.run (node i) (Loopback.endpoint net ~id:i)) ())
+        Thread.create
+          (fun () -> C.N.run (node i) (wrap i (Loopback.endpoint net ~id:i)))
+          ())
   in
   let client = Loopback.endpoint net ~id:n in
   let send_all fr =
@@ -930,6 +1080,19 @@ let hand_driven ~rounds ~stop_after ~between =
   client.Transport.close ();
   (C.reference_ledger cfg, outputs, stats, ended)
 
+(* Every node sent an Output for every round [hand_driven] gathered,
+   each equal to the reference. *)
+let check_outputs reference outputs =
+  List.iteri
+    (fun r got ->
+      Array.iteri
+        (fun i p ->
+          match p with
+          | Some p -> check Alcotest.string (Printf.sprintf "round %d node %d" r i) reference.(r) p
+          | None -> Alcotest.failf "round %d: node %d sent no Output" r i)
+        got)
+    outputs
+
 let frame_errors stats i =
   match stats.(i) with
   | Some s -> s.Transport.frame_errors
@@ -963,22 +1126,44 @@ let round_window_filters_frames () =
         (Frame.make ~kind:Frame.Result ~sender:0 ~round:(r - 1) "malformed")
     end
   in
-  let reference, outputs, stats, ended = hand_driven ~rounds ~stop_after ~between in
-  List.iteri
-    (fun r got ->
-      Array.iteri
-        (fun i p ->
-          match p with
-          | Some p -> check Alcotest.string (Printf.sprintf "round %d node %d" r i) reference.(r) p
-          | None -> Alcotest.failf "round %d: node %d sent no Output" r i)
-        got)
-    outputs;
+  let reference, outputs, stats, ended = hand_driven ~rounds ~stop_after ~between () in
+  check_outputs reference outputs;
   List.iter
     (fun i -> check Alcotest.int (Printf.sprintf "node %d frame errors" i) 0 (frame_errors stats i))
     [ 0; 1 ];
   check Alcotest.int "node 2: one malformed late frame" 1 (frame_errors stats 2);
   check Alcotest.int "node 3: one bad-round" 1 (frame_errors stats 3);
   checkb "shutdown after an early stop ends every node within 1 s" true (ended < 1.0)
+
+(* A node takes in frames only by waiting for one: over 50 rounds,
+   fault-free and with a lying node, no node calls [recv ~timeout:0.0],
+   and every node's Output of every round equals the reference. *)
+let node_never_polls_empty () =
+  let rounds = 50 in
+  List.iter
+    (fun faults ->
+      let calls = Array.init 4 (fun _ -> Hashtbl.create 4) in
+      let wrap i (tr : Transport.t) =
+        let recv ~timeout =
+          let c = Option.value ~default:0 (Hashtbl.find_opt calls.(i) timeout) in
+          Hashtbl.replace calls.(i) timeout (c + 1);
+          tr.Transport.recv ~timeout
+        in
+        { tr with Transport.recv }
+      in
+      let reference, outputs, _, _ =
+        hand_driven ~faults ~wrap ~rounds ~stop_after:rounds ~between:(fun _ _ -> ()) ()
+      in
+      check_outputs reference outputs;
+      Array.iteri
+        (fun i h ->
+          checkb (Printf.sprintf "node %d waited in recv" i) true (Hashtbl.length h > 0);
+          check Alcotest.int
+            (Printf.sprintf "node %d: recv ~timeout:0.0 calls" i)
+            0
+            (Option.value ~default:0 (Hashtbl.find_opt h 0.0)))
+        calls)
+    [ []; [ (1, Node.Lie Node.lie_default) ] ]
 
 (* Determinism: two loopback runs at one seed produce identical ledgers
    and identical per-endpoint counters. *)
@@ -1140,33 +1325,42 @@ let normalize s =
   | other -> Json.to_string other
   | exception Json.Parse_error m -> Alcotest.failf "report not JSON: %s" m
 
-let equivalence args =
+(* [other] is the second run's transport flags. *)
+let equivalence ~other args =
   let out_loop = Filename.temp_file "csm_cluster_loop" ".json" in
-  let out_sock = Filename.temp_file "csm_cluster_sock" ".json" in
+  let out_other = Filename.temp_file "csm_cluster_other" ".json" in
   Fun.protect
     ~finally:(fun () ->
       (try Sys.remove out_loop with Sys_error _ -> ());
-      try Sys.remove out_sock with Sys_error _ -> ())
+      try Sys.remove out_other with Sys_error _ -> ())
     (fun () ->
       let rc1 = run_cluster_exe ("--transport loopback " ^ args) out_loop in
       check Alcotest.int "loopback exit" 0 rc1;
-      let rc2 = run_cluster_exe ("--transport socket " ^ args) out_sock in
-      check Alcotest.int "socket exit" 0 rc2;
+      let rc2 = run_cluster_exe (other ^ " " ^ args) out_other in
+      check Alcotest.int (other ^ " exit") 0 rc2;
       check Alcotest.string "identical reports"
         (normalize (read_file out_loop))
-        (normalize (read_file out_sock)))
+        (normalize (read_file out_other)))
+
+let socket = "--transport socket"
 
 let loopback_socket_equivalent () =
-  equivalence "-n 3 -k 1 -d 1 -b 1 --rounds 2 --seed 42"
+  equivalence ~other:socket "-n 3 -k 1 -d 1 -b 1 --rounds 2 --seed 42"
 
 let loopback_socket_equivalent_drop () =
-  equivalence "-n 3 -k 1 -d 1 -b 1 --rounds 2 --seed 7 --faults 1:drop"
+  equivalence ~other:socket "-n 3 -k 1 -d 1 -b 1 --rounds 2 --seed 7 --faults 1:drop"
 
 (* Every node hears each round from every peer that sends, a corrupt
    one included, so every mangled frame is counted within its round and
    the counters match across transports. *)
 let loopback_socket_equivalent_corrupt () =
-  equivalence "-n 3 -k 1 -d 1 -b 1 --rounds 2 --seed 9 --faults 2:corrupt"
+  equivalence ~other:socket "-n 3 -k 1 -d 1 -b 1 --rounds 2 --seed 9 --faults 2:corrupt"
+
+(* The forked nodes and the client listen on five consecutive ports. *)
+let loopback_tcp_equivalent_lie () =
+  equivalence
+    ~other:(Printf.sprintf "--transport tcp --port-base %d" (free_tcp_base ~ports:5))
+    "-n 4 -k 1 -d 1 -b 1 --rounds 200 --seed 11 --faults 1:lie"
 
 let socket_corrupt_detected () =
   let out = Filename.temp_file "csm_cluster_corrupt" ".json" in
@@ -1232,6 +1426,14 @@ let suites =
           socket_send_never_blocks;
         Alcotest.test_case "socket: a stalled peer holds up nobody" `Quick
           socket_stalled_peer_holds_up_nobody;
+        Alcotest.test_case "socket parser: 200 frames in one write" `Quick
+          socket_parses_back_to_back_frames;
+        Alcotest.test_case "socket parser: a frame a byte at a time" `Quick
+          socket_parses_a_frame_byte_by_byte;
+        Alcotest.test_case "socket parser: a frame larger than its buffer" `Quick
+          socket_parses_a_frame_larger_than_its_buffer;
+        Alcotest.test_case "socket parser: a bad header drops the connection" `Quick
+          socket_bad_header_drops_the_connection;
         Alcotest.test_case "socket endpoints release their fds" `Quick
           socket_endpoints_release_fds;
         Alcotest.test_case "stats payload round trip" `Quick
@@ -1252,6 +1454,8 @@ let suites =
           round_window_bounds_memory;
         Alcotest.test_case "round window filters decided and far rounds" `Quick
           round_window_filters_frames;
+        Alcotest.test_case "node waits never poll an empty endpoint" `Quick
+          node_never_polls_empty;
         Alcotest.test_case "cluster loopback streaming + alerts" `Quick
           cluster_loopback_streaming;
         Alcotest.test_case "cluster loopback telemetry + trace" `Quick
@@ -1262,6 +1466,8 @@ let suites =
           loopback_socket_equivalent_drop;
         Alcotest.test_case "loopback = socket (binary, corrupt fault)" `Quick
           loopback_socket_equivalent_corrupt;
+        Alcotest.test_case "loopback = tcp (binary, lie fault)" `Quick
+          loopback_tcp_equivalent_lie;
         Alcotest.test_case "socket corrupt fault detected" `Quick
           socket_corrupt_detected;
       ] );
