@@ -12,15 +12,13 @@
    - consensus/*         Dolev-Strong and PBFT instances (consensus phase)
    - transport/*         frame codec + loopback transport round trip
                          (the real-transport hot path)
-   - parallel/*          one decentralized engine round at N=64 under
-                         1/2/4/8 domains (the multicore execution layer)
 
    Everything is deterministic (fixed seeds).
 
    `main.exe --smoke [--out FILE]` skips bechamel and runs only the
-   parallel smoke benchmark, writing a JSON report (BENCH_parallel.json
-   via the `bench-smoke` alias).  `main.exe --rs-smoke [--out FILE]`
-   does the same for the optimistic-decode fast path over GF(2^8)
+   engine-round smoke benchmark, writing a JSON report
+   (BENCH_parallel.json via the `bench-smoke` alias).
+   `main.exe --rs-smoke [--out FILE]` does the same for the optimistic-decode fast path over GF(2^8)
    (BENCH_rs.json, gated against bench/rs_baseline.json), and
    `main.exe --obs-smoke [--out FILE]` for the observability layer's
    allocation overhead (BENCH_obs.json, gated against
@@ -309,161 +307,122 @@ let intermix_group =
   Test.make_grouped ~name:"intermix"
     [ bench_ix_honest; bench_ix_adaptive; bench_ix_commoner ]
 
-(* ----- Parallel execution layer: one engine round vs domain count ----- *)
+(* ----- smoke mode: one engine round at N=64, JSON report ----- *)
 
-module Pool = Csm_parallel.Pool
 module CF = Csm_field.Counted.Make (F)
 module EC = Csm_core.Engine.Make (CF)
 module Ledger = Csm_metrics.Ledger
 module Scope = Csm_metrics.Scope
 
-(* N=64 register bank: state_dim 8, result_dim 9 — enough independent
-   coordinates for the per-coordinate decode fan-out to matter. *)
-let par_n = 64
-let par_d = 2
-let par_slots = 8
-let par_machine = M.register_bank ~slots:par_slots
-let par_k = Params.max_machines ~network:Params.Sync ~n:par_n ~b:16 ~d:par_d
-let par_b = Params.max_faults ~network:Params.Sync ~n:par_n ~k:par_k ~d:par_d
+(* N=64 register bank: state_dim 8, result_dim 9. *)
+let smoke_n = 64
+let smoke_d = 2
+let smoke_slots = 8
+let smoke_machine = M.register_bank ~slots:smoke_slots
+let smoke_k =
+  Params.max_machines ~network:Params.Sync ~n:smoke_n ~b:16 ~d:smoke_d
 
-let par_engine seed =
-  let params = Params.make ~network:Params.Sync ~n:par_n ~k:par_k ~d:par_d ~b:par_b in
+let smoke_b =
+  Params.max_faults ~network:Params.Sync ~n:smoke_n ~k:smoke_k ~d:smoke_d
+
+let smoke_params =
+  Params.make ~network:Params.Sync ~n:smoke_n ~k:smoke_k ~d:smoke_d ~b:smoke_b
+
+let smoke_engine seed =
   let rng = Csm_rng.create seed in
   let init =
-    Array.init par_k (fun _ ->
-        Array.init par_machine.M.state_dim (fun _ -> F.random rng))
+    Array.init smoke_k (fun _ ->
+        Array.init smoke_machine.M.state_dim (fun _ -> F.random rng))
   in
   let commands =
-    Array.init par_k (fun _ ->
-        Array.init par_machine.M.input_dim (fun _ -> F.random rng))
+    Array.init smoke_k (fun _ ->
+        Array.init smoke_machine.M.input_dim (fun _ -> F.random rng))
   in
-  (E.create ~machine:par_machine ~params ~init, commands)
+  (E.create ~machine:smoke_machine ~params:smoke_params ~init, commands)
 
-let par_round engine commands =
-  let r = E.round engine ~commands ~byzantine:(fun i -> i < par_b) () in
+let smoke_round engine commands =
+  let r = E.round engine ~commands ~byzantine:(fun i -> i < smoke_b) () in
   assert (r.E.decoded <> None);
   r
 
-let parallel_group =
-  let engine, commands = par_engine 0x64BE
-  and host = Pool.domains () in
-  Test.make_grouped ~name:"parallel"
-    [
-      Test.make_indexed ~name:"engine-round-n64" ~args:[ 1; 2; 4; 8 ]
-        (fun dm ->
-          Staged.stage (fun () ->
-              Pool.set_domains dm;
-              Fun.protect
-                ~finally:(fun () -> Pool.set_domains host)
-                (fun () -> ignore (par_round engine commands))));
-    ]
+(* wall-clock per round (ns), median of [reps] *)
+let smoke_time ~reps =
+  let engine, commands = smoke_engine 0x64BE in
+  ignore (smoke_round engine commands);
+  (* warmup *)
+  let samples =
+    List.init reps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (smoke_round engine commands);
+        Unix.gettimeofday () -. t0)
+  in
+  let sorted = List.sort Float.compare samples in
+  List.nth sorted (reps / 2) *. 1e9
 
-(* ----- smoke mode: honest JSON report for the parallel layer ----- *)
+(* decoded output of two rounds on a fresh engine *)
+let smoke_observe () =
+  let engine, commands = smoke_engine 0x64BE in
+  let r1 = smoke_round engine commands in
+  let r2 = smoke_round engine commands in
+  (r1.E.decoded, r2.E.decoded)
 
-let smoke_widths = [ 1; 2; 4; 8 ]
-
-(* wall-clock per round (ns) at a given width, median of [reps] *)
-let smoke_time ~width ~reps =
-  Pool.with_domain_limit width (fun () ->
-      let engine, commands = par_engine 0x64BE in
-      ignore (par_round engine commands);
-      (* warmup *)
-      let samples =
-        List.init reps (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            ignore (par_round engine commands);
-            Unix.gettimeofday () -. t0)
-      in
-      let sorted = List.sort Float.compare samples in
-      List.nth sorted (reps / 2) *. 1e9)
-
-(* decoded output of two rounds at a given width (fresh engine, same seed) *)
-let smoke_observe ~width =
-  Pool.with_domain_limit width (fun () ->
-      let engine, commands = par_engine 0x64BE in
-      let r1 = par_round engine commands in
-      let r2 = par_round engine commands in
-      (r1.E.decoded, r2.E.decoded))
-
-(* ledger grand total of one counted round at a given width *)
-let smoke_ledger ~width =
-  Pool.with_domain_limit width (fun () ->
-      let params =
-        Params.make ~network:Params.Sync ~n:par_n ~k:par_k ~d:par_d ~b:par_b
-      in
-      let machine = EC.M.register_bank ~slots:par_slots in
-      let rng = Csm_rng.create 0x64BE in
-      let init =
-        Array.init par_k (fun _ ->
-            Array.init machine.EC.M.state_dim (fun _ -> CF.random rng))
-      in
-      let commands =
-        Array.init par_k (fun _ ->
-            Array.init machine.EC.M.input_dim (fun _ -> CF.random rng))
-      in
-      let ledger = Ledger.create () in
-      let scope = Scope.of_ledger (module CF) ledger in
-      let engine = EC.create ~machine ~params ~init in
-      let r =
-        EC.round ~scope engine ~commands ~byzantine:(fun i -> i < par_b) ()
-      in
-      assert (r.EC.decoded <> None);
-      Ledger.grand_total ledger)
+(* ledger grand total of one counted round on a fresh engine *)
+let smoke_ledger () =
+  let machine = EC.M.register_bank ~slots:smoke_slots in
+  let rng = Csm_rng.create 0x64BE in
+  let init =
+    Array.init smoke_k (fun _ ->
+        Array.init machine.EC.M.state_dim (fun _ -> CF.random rng))
+  in
+  let commands =
+    Array.init smoke_k (fun _ ->
+        Array.init machine.EC.M.input_dim (fun _ -> CF.random rng))
+  in
+  let ledger = Ledger.create () in
+  let scope = Scope.of_ledger (module CF) ledger in
+  let engine = EC.create ~machine ~params:smoke_params ~init in
+  let r =
+    EC.round ~scope engine ~commands ~byzantine:(fun i -> i < smoke_b) ()
+  in
+  assert (r.EC.decoded <> None);
+  Ledger.grand_total ledger
 
 let run_smoke ~out =
   (* honor CSM_TRACE: a smoke run under `make ci` doubles as a tracer
-     exercise of the full parallel pipeline *)
+     exercise of the whole engine round *)
   Csm_obs.Exporter.install ();
-  let domains = List.fold_left max 1 smoke_widths in
-  Pool.set_domains domains;
   let host_cores = Domain.recommended_domain_count () in
   let reps = 5 in
-  let timings =
-    List.map (fun w -> (w, smoke_time ~width:w ~reps)) smoke_widths
-  in
-  let seq_ns = List.assoc 1 timings in
-  let base = smoke_observe ~width:1 in
-  let deterministic =
-    List.for_all (fun w -> smoke_observe ~width:w = base) smoke_widths
-  in
-  let base_ops = smoke_ledger ~width:1 in
-  let ledger_identical =
-    List.for_all (fun w -> smoke_ledger ~width:w = base_ops) smoke_widths
-  in
+  let round_ns = smoke_time ~reps in
+  (* two fresh engines at the same seed must agree, round for round *)
+  let deterministic = smoke_observe () = smoke_observe () in
+  let base_ops = smoke_ledger () in
+  let ledger_identical = smoke_ledger () = base_ops in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"schema\": \"csm-bench-parallel/2\",\n";
-  Printf.bprintf buf "  \"bench\": \"parallel/engine-round-n64\",\n";
+  Printf.bprintf buf "  \"schema\": \"csm-bench-parallel/3\",\n";
+  Printf.bprintf buf "  \"bench\": \"engine-round-n64\",\n";
   Printf.bprintf buf
     "  \"host\": {\"ocaml_version\": %S, \"word_size\": %d, \
-     \"recommended_domains\": %d, \"domains\": %d},\n"
-    Sys.ocaml_version Sys.word_size host_cores domains;
-  Printf.bprintf buf "  \"machine\": %S,\n" par_machine.M.name;
-  Printf.bprintf buf "  \"n\": %d, \"k\": %d, \"d\": %d, \"b\": %d,\n" par_n
-    par_k par_d par_b;
+     \"recommended_domains\": %d},\n"
+    Sys.ocaml_version Sys.word_size host_cores;
+  Printf.bprintf buf "  \"machine\": %S,\n" smoke_machine.M.name;
+  Printf.bprintf buf "  \"n\": %d, \"k\": %d, \"d\": %d, \"b\": %d,\n" smoke_n
+    smoke_k smoke_d smoke_b;
   Printf.bprintf buf "  \"state_dim\": %d, \"result_dim\": %d,\n"
-    par_machine.M.state_dim
-    (par_machine.M.state_dim + par_machine.M.output_dim);
+    smoke_machine.M.state_dim
+    (smoke_machine.M.state_dim + smoke_machine.M.output_dim);
   Printf.bprintf buf "  \"host_cores\": %d,\n" host_cores;
   Printf.bprintf buf "  \"rounds_timed\": %d,\n" reps;
-  Printf.bprintf buf "  \"timings_ns\": {%s},\n"
-    (String.concat ", "
-       (List.map
-          (fun (w, ns) -> Printf.sprintf "\"domains_%d\": %.0f" w ns)
-          timings));
-  Printf.bprintf buf "  \"speedup_vs_seq\": {%s},\n"
-    (String.concat ", "
-       (List.map
-          (fun (w, ns) -> Printf.sprintf "\"domains_%d\": %.2f" w (seq_ns /. ns))
-          timings));
+  Printf.bprintf buf "  \"round_ns\": %.0f,\n" round_ns;
   Printf.bprintf buf "  \"deterministic\": %b,\n" deterministic;
   Printf.bprintf buf "  \"ledger_identical\": %b,\n" ledger_identical;
   (* hardware-independent op total: the regression gate's anchor *)
   Printf.bprintf buf "  \"ledger_grand_total\": %d,\n" base_ops;
   Printf.bprintf buf
-    "  \"note\": \"wall-clock measured on host_cores CPU core(s); \
-     speedups reflect that hardware, while determinism and operation \
-     counts are hardware-independent\"\n";
+    "  \"note\": \"round_ns is the median wall clock of one round on \
+     this host; determinism and operation counts are \
+     hardware-independent\"\n";
   Buffer.add_string buf "}\n";
   let oc = open_out out in
   output_string oc (Buffer.contents buf);
@@ -582,53 +541,44 @@ let rs_mode_stats ~algorithm =
 
 let rs_smoke_modes = [ ("on", E8.RS.Optimistic); ("off", E8.RS.Gao) ]
 
-(* decoded output of one decode at a given mode / domain width / fault
-   count — must be identical everywhere within the radius *)
-let rs_observe ~algorithm ~width ~faults =
-  Pool.with_domain_limit width (fun () ->
-      let engine, commands = rs_engine () in
-      let received = rs_results engine commands ~faults in
-      E8.decode_results ~algorithm engine received)
+(* decoded output of one decode at a given mode / fault count, on a
+   fresh engine — must be identical everywhere within the radius *)
+let rs_observe ~algorithm ~faults =
+  let engine, commands = rs_engine () in
+  let received = rs_results engine commands ~faults in
+  E8.decode_results ~algorithm engine received
 
-let rs_ops_at ~algorithm ~width ~faults =
-  Pool.with_domain_limit width (fun () ->
-      let engine, commands = rs_engine () in
-      let received = rs_results engine commands ~faults in
-      ignore (rs_decode_ops ~algorithm engine received);
-      (* warm ctx *)
-      rs_decode_ops ~algorithm engine received)
+let rs_ops_at ~algorithm ~faults =
+  let engine, commands = rs_engine () in
+  let received = rs_results engine commands ~faults in
+  ignore (rs_decode_ops ~algorithm engine received);
+  (* warm ctx *)
+  rs_decode_ops ~algorithm engine received
 
 let run_rs_smoke ~out =
   Csm_obs.Exporter.install ();
-  let widths = [ 1; 4 ] in
   let fault_points = [ 0; 4; 8; rs_smoke_b ] in
   let stats =
     List.map (fun (name, alg) -> (name, rs_mode_stats ~algorithm:alg))
       rs_smoke_modes
   in
-  (* all modes, widths and admissible fault counts agree with the
-     reference decoder (Gao at width 1) *)
+  (* every mode agrees with the reference decoder (Gao) at 0 and at b
+     faults *)
   let deterministic =
     List.for_all
       (fun faults ->
-        let base = rs_observe ~algorithm:E8.RS.Gao ~width:1 ~faults in
+        let base = rs_observe ~algorithm:E8.RS.Gao ~faults in
         base <> None
         && List.for_all
-             (fun (_, alg) ->
-               List.for_all
-                 (fun width -> rs_observe ~algorithm:alg ~width ~faults = base)
-                 widths)
+             (fun (_, alg) -> rs_observe ~algorithm:alg ~faults = base)
              rs_smoke_modes)
       [ 0; rs_smoke_b ]
   in
-  (* per-mode decode op counts are width-independent *)
+  (* per-mode warm decode op counts agree between two fresh engines *)
   let ledger_identical =
     List.for_all
       (fun (_, alg) ->
-        let base = rs_ops_at ~algorithm:alg ~width:1 ~faults:0 in
-        List.for_all
-          (fun width -> rs_ops_at ~algorithm:alg ~width ~faults:0 = base)
-          widths)
+        rs_ops_at ~algorithm:alg ~faults:0 = rs_ops_at ~algorithm:alg ~faults:0)
       rs_smoke_modes
   in
   let fault_curve =
@@ -637,7 +587,7 @@ let run_rs_smoke ~out =
         ( faults,
           List.map
             (fun (name, alg) ->
-              (name, rs_ops_at ~algorithm:alg ~width:1 ~faults))
+              (name, rs_ops_at ~algorithm:alg ~faults))
             rs_smoke_modes ))
       fault_points
   in
@@ -1233,7 +1183,6 @@ let all_tests =
       intermix_group;
       consensus_group;
       transport_group;
-      parallel_group;
     ]
 
 let run_benchmarks () =

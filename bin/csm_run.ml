@@ -112,7 +112,7 @@ let want_ticker () =
 
 (* Real-transport execution: the same N/K/d/b/seed cluster over
    loopback threads or forked socket processes, run BEFORE the parent
-   touches the domain pool (fork safety), its socket-boundary counters
+   starts any other work (fork safety), its socket-boundary counters
    folded into the metrics registry under the "transport" layer.  The
    simulator run that follows is the measurement reference (λ, ops,
    spans) — the report plumbing is untouched. *)

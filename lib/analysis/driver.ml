@@ -18,8 +18,8 @@ let text_at lines n =
 (* Findings for one source string, with in-source suppressions already
    applied.  [path] decides which rules and scopes apply and must be
    repo-relative ("lib/core/wire.ml"). *)
-let lint_string ?registry ~path src : Finding.t list =
-  let ctx = Rules.make_ctx ?registry ~path () in
+let lint_string ?registry ?live ~path src : Finding.t list =
+  let ctx = Rules.make_ctx ?registry ?live ~path () in
   let lb = Lexing.from_string src in
   Lexing.set_filename lb path;
   let findings =
@@ -51,21 +51,42 @@ let lint_string ?registry ~path src : Finding.t list =
   List.sort_uniq Finding.order findings
 
 (* The R4 registry: one "<file>:<name>" token per line, '#' comments,
-   free-text reason after the token. *)
-let load_registry path =
+   free-text reason after the token.  Entries come back as (line number,
+   token). *)
+let registry_file = "lint/shared_state.allow"
+
+let registry_entries src =
+  List.concat
+    (List.mapi
+       (fun i line ->
+         let line = String.trim line in
+         if line = "" || line.[0] = '#' then []
+         else
+           match String.index_opt line ' ' with
+           | Some j -> [ (i + 1, String.sub line 0 j) ]
+           | None -> [ (i + 1, line) ])
+       (String.split_on_char '\n' src))
+
+let registry_table entries =
   let t = Hashtbl.create 32 in
-  if Sys.file_exists path then
-    String.split_on_char '\n' (read_file path)
-    |> List.iter (fun line ->
-           let line = String.trim line in
-           if line <> "" && line.[0] <> '#' then
-             let tok =
-               match String.index_opt line ' ' with
-               | Some i -> String.sub line 0 i
-               | None -> line
-             in
-             Hashtbl.replace t tok ());
+  List.iter (fun (_, tok) -> Hashtbl.replace t tok ()) entries;
   t
+
+(* R4's converse: an entry naming no module-level mutable binding the
+   R4 pass saw ([live]) is stale. *)
+let stale_entries entries ~live =
+  List.filter_map
+    (fun (line, tok) ->
+      if Hashtbl.mem live tok then None
+      else
+        Some
+          (Finding.make ~rule:"R4" ~severity:Finding.Warning
+             ~file:registry_file ~line ~col:0
+             (Printf.sprintf
+                "registry entry '%s' names no module-level mutable binding; \
+                 delete it"
+                tok)))
+    entries
 
 let is_source f =
   Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
@@ -147,21 +168,28 @@ let load_expected path =
   else []
 
 let lint_tree ?(taint = false) ~root ~baseline_path () =
-  let registry =
-    load_registry (Filename.concat root "lint/shared_state.allow")
+  let registry_src =
+    let path = Filename.concat root registry_file in
+    if Sys.file_exists path then read_file path else ""
   in
+  let entries = registry_entries registry_src in
+  let registry = registry_table entries in
+  let live = Hashtbl.create 64 in
   let files = source_files ~root in
   let sources =
     List.map (fun rel -> (rel, read_file (Filename.concat root rel))) files
   in
+  let with_text src findings =
+    let lines = line_texts src in
+    List.map (fun (f : Finding.t) -> (f, text_at lines f.Finding.line)) findings
+  in
   let pairs =
     List.concat_map
       (fun (rel, src) ->
-        let lines = line_texts src in
-        lint_string ~registry ~path:rel src
-        |> List.map (fun (f : Finding.t) -> (f, text_at lines f.Finding.line)))
+        with_text src (lint_string ~registry ~live ~path:rel src))
       sources
   in
+  let pairs = pairs @ with_text registry_src (stale_entries entries ~live) in
   let wp_pairs, lock_edges =
     if not taint then ([], [])
     else begin

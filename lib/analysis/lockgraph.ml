@@ -39,10 +39,9 @@
        under app(g) — the locks [g] holds at the points it *invokes a
        parameter* — not under everything [g] acquires.  That
        distinction is what keeps [Span.with_ ... (fun () -> ...)]
-       (thunk runs after the registry lock is released) and
-       [Pool.run] (tasks run on worker domains) from fabricating
-       edges, while [locked t (fun () -> ...)] wrappers still nest
-       correctly.
+       (thunk runs after the registry lock is released) from
+       fabricating edges, while [locked t (fun () -> ...)] wrappers
+       still nest correctly.
      * a lambda that is *not* an argument (let-bound, stored in a
        record/queue) runs at an unknown later point: its body is
        walked with nothing held.

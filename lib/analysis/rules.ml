@@ -25,7 +25,9 @@
 
    R4 shared mutable state — module-level refs/tables/arrays are where
       domain races live; each one must be declared in
-      lint/shared_state.allow together with its locking story.
+      lint/shared_state.allow together with its locking story, and
+      every entry there must name such a binding ([Driver.lint_tree]
+      reports stale entries).
 
    R5 decoder totality — wire decoders run on Byzantine input; a
       [raise]/[failwith]/[Option.get]/[List.hd] inside a [decode_*]
@@ -37,11 +39,15 @@ open Parsetree
 type ctx = {
   path : string;  (* repo-relative, '/'-separated *)
   registry : (string, unit) Hashtbl.t;  (* R4 allow entries "file:name" *)
+  live : (string, unit) Hashtbl.t;
+      (* every "file:name" module-level mutable binding R4 saw, registered
+         or not: what a registry entry must name to stay live *)
   mutable findings : Finding.t list;
 }
 
-let make_ctx ?(registry = Hashtbl.create 1) ~path () =
-  { path; registry; findings = [] }
+let make_ctx ?(registry = Hashtbl.create 1) ?(live = Hashtbl.create 1) ~path
+    () =
+  { path; registry; live; findings = [] }
 
 let report ctx ~rule ~severity ~loc message =
   let p = loc.Location.loc_start in
@@ -345,6 +351,7 @@ let iterator ctx =
           match (binding_name vb.pvb_pat, rhs_head vb.pvb_expr) with
           | Some name, Some head when r4_watched head ->
             let key = ctx.path ^ ":" ^ name in
+            Hashtbl.replace ctx.live key ();
             if not (Hashtbl.mem ctx.registry key) then
               report ctx ~rule:"R4" ~severity:Finding.Warning
                 ~loc:vb.pvb_loc

@@ -10,7 +10,6 @@
    the same size — as a single machine's state, giving γ = K. *)
 
 module Field_intf = Csm_field.Field_intf
-module Pool = Csm_parallel.Pool
 module Span = Csm_obs.Span
 
 module Make (F : Field_intf.S) = struct
@@ -28,9 +27,7 @@ module Make (F : Field_intf.S) = struct
     omega_prepared : Sub.prepared Lazy.t;  (* fast-interp context (§6.2) *)
     alpha_prepared : Sub.prepared Lazy.t;  (* fast-eval context (§6.2) *)
     omega_packed : Bytes.t option;
-        (* ωs packed for the byte kernels, when the field has them;
-           computed here, not lazily, because every decode fan-out
-           reads it from several domains at once *)
+        (* ωs packed for the byte kernels, when the field has them *)
   }
 
   let create ~n ~k =
@@ -51,7 +48,7 @@ module Make (F : Field_intf.S) = struct
       omega_prepared = lazy (Sub.prepare omegas);
       alpha_prepared = lazy (Sub.prepare alphas);
       omega_packed =
-        (match F.batch () with
+        (match F.batch with
         | Some b -> Some (b.Field_intf.pack omegas)
         | None -> None);
     }
@@ -70,9 +67,7 @@ module Make (F : Field_intf.S) = struct
     !acc
 
   (* Encode K vectors (one per machine, common dimension) into N coded
-     vectors, coordinate-wise.  The N output rows are independent, so
-     they fan out across the domain pool (each row written by index:
-     bit-identical output for any domain count).
+     vectors, coordinate-wise, one output row per node.
 
      When the field has byte-packed batch kernels (GF(2^8)/GF(2^16)) the
      K input rows are packed once and each output row is K axpy passes
@@ -88,10 +83,10 @@ module Make (F : Field_intf.S) = struct
           invalid_arg "Coding.encode_vectors: ragged input")
       vectors;
     Span.with_ ~name:"coding.encode_vectors" (fun () ->
-        match F.batch () with
+        match F.batch with
         | Some b when dim > 0 ->
           let packed = Array.map b.Field_intf.pack vectors in
-          Pool.parallel_init t.n (fun i ->
+          Array.init t.n (fun i ->
               let row = t.cmatrix.(i) in
               let acc = Bytes.make (dim * b.Field_intf.width) '\000' in
               for k = 0 to t.k - 1 do
@@ -99,7 +94,7 @@ module Make (F : Field_intf.S) = struct
               done;
               b.Field_intf.unpack acc)
         | _ ->
-          Pool.parallel_init t.n (fun i ->
+          Array.init t.n (fun i ->
               let row = t.cmatrix.(i) in
               Array.init dim (fun j ->
                   let acc = ref F.zero in
@@ -111,7 +106,7 @@ module Make (F : Field_intf.S) = struct
   let encode_vector_at t ~node (vectors : F.t array array) =
     let row = t.cmatrix.(node) in
     let dim = Array.length vectors.(0) in
-    match F.batch () with
+    match F.batch with
     | Some b when dim > 0 ->
       let acc = Bytes.make (dim * b.Field_intf.width) '\000' in
       for k = 0 to t.k - 1 do
@@ -140,9 +135,8 @@ module Make (F : Field_intf.S) = struct
           let poly = Sub.interpolate_prepared om values in
           Sub.eval_prepared al poly
         in
-        (* one interpolate+multievaluate per coordinate: the natural
-           parallel unit of the centralized worker (§6.2) *)
-        let coords = Pool.parallel_init ~chunk:1 dim per_coord in
+        (* one interpolate+multievaluate per coordinate (§6.2) *)
+        let coords = Array.init dim per_coord in
         Array.init t.n (fun i -> Array.init dim (fun j -> coords.(j).(i))))
 
   (* Decode-side inner loop: evaluate a recovered round polynomial h_j
@@ -150,7 +144,7 @@ module Make (F : Field_intf.S) = struct
      kernels run it over the packed ωs with |coeffs| muls + adds per
      point, exactly the scalar [P.eval] count. *)
   let eval_at_omegas t (poly : P.t) =
-    match (F.batch (), t.omega_packed) with
+    match (F.batch, t.omega_packed) with
     | Some b, Some xs ->
       b.Field_intf.unpack (b.Field_intf.eval_many ~coeffs:poly ~xs)
     | _ -> Array.map (P.eval poly) t.omegas

@@ -20,7 +20,6 @@
 
 module Field_intf = Csm_field.Field_intf
 module Scope = Csm_metrics.Scope
-module Pool = Csm_parallel.Pool
 module Span = Csm_obs.Span
 
 module Make (F : Field_intf.S) = struct
@@ -107,13 +106,11 @@ module Make (F : Field_intf.S) = struct
      [RS.fast_ctx] across all coordinates and rounds, cached on the
      engine and rebuilt only when the set of reporting nodes changes.
 
-     The [dim] coordinates are independent Reed–Solomon instances, so
-     they decode across the domain pool (chunk 1: one decode is the
-     grain).  Every coordinate writes disjoint slots of [next_states] /
-     [outputs] and its own error list, merged sequentially afterwards —
-     the decoded record is bit-identical for any domain count.  All
-     coordinates are decoded even after one fails, keeping the work (and
-     the operation counts) independent of scheduling. *)
+     The [dim] coordinates are independent Reed–Solomon instances,
+     decoded in order.  Each writes disjoint slots of [next_states] /
+     [outputs] and its own error list, merged afterwards.  All
+     coordinates are decoded even after one fails, so the work (and the
+     operation counts) does not depend on which coordinate failed. *)
   let decode_results ?(scope = Scope.null) ?(role = "decoder")
       ?(algorithm = RS.Optimistic) t (received : (int * F.t array) list) :
       decoded option =
@@ -155,22 +152,23 @@ module Make (F : Field_intf.S) = struct
         in
         let coord_ok = Array.make dim true in
         let coord_errors = Array.make dim [] in
-        Pool.parallel_for ~chunk:1 dim (fun j ->
-            let pairs =
-              Array.init (Array.length recv) (fun i ->
-                  (xs.(i), (snd recv.(i)).(j)))
-            in
-            match RS.decode ~algorithm ?ctx ~suspects ~k:kdim pairs with
-            | None -> coord_ok.(j) <- false
-            | Some d ->
-              (* error positions (indices into [received]) *)
-              coord_errors.(j) <- d.RS.errors;
-              (* evaluate h_j at each ω *)
-              Array.iteri
-                (fun k v ->
-                  if j < sd then next_states.(k).(j) <- v
-                  else outputs.(k).(j - sd) <- v)
-                (Coding.eval_at_omegas t.coding d.RS.poly));
+        for j = 0 to dim - 1 do
+          let pairs =
+            Array.init (Array.length recv) (fun i ->
+                (xs.(i), (snd recv.(i)).(j)))
+          in
+          match RS.decode ~algorithm ?ctx ~suspects ~k:kdim pairs with
+          | None -> coord_ok.(j) <- false
+          | Some d ->
+            (* error positions (indices into [received]) *)
+            coord_errors.(j) <- d.RS.errors;
+            (* evaluate h_j at each ω *)
+            Array.iteri
+              (fun k v ->
+                if j < sd then next_states.(k).(j) <- v
+                else outputs.(k).(j - sd) <- v)
+              (Coding.eval_at_omegas t.coding d.RS.poly)
+        done;
         if Array.for_all (fun x -> x) coord_ok then begin
           let errors = ref [] in
           Array.iter
@@ -216,20 +214,17 @@ module Make (F : Field_intf.S) = struct
     if Array.length commands <> t.params.Params.k then
       invalid_arg "Engine.round: need K commands";
     Span.with_ ~ops:scope.Scope.ops ~name:"engine.round" (fun () ->
-    (* steps 1–2 at every node: the N per-node encodes (and then the N
-       computes) are independent, so each phase fans out across the
-       domain pool under its own span.  The [corruption] callback is
-       user code (it may be stateful, e.g. an RNG), so it is applied
-       sequentially afterwards in node order — exactly the schedule the
-       sequential engine used. *)
+    (* steps 1–2 at every node, each phase under its own span.  The
+       [corruption] callback is user code (it may be stateful, e.g. an
+       RNG), so it is applied afterwards in node order. *)
     let coded_commands =
       Span.with_ ~ops:scope.Scope.ops ~name:"engine.encode" (fun () ->
-          Pool.parallel_init n (fun i ->
+          Array.init n (fun i ->
               node_encode_command ~scope t ~node:i ~commands))
     in
     let computed =
       Span.with_ ~ops:scope.Scope.ops ~name:"engine.compute" (fun () ->
-          Pool.parallel_init n (fun i ->
+          Array.init n (fun i ->
               node_compute ~scope t ~node:i
                 ~coded_command:coded_commands.(i)))
     in
@@ -243,13 +238,13 @@ module Make (F : Field_intf.S) = struct
         (List.init n (fun i -> i))
     in
     let decoded = decode_results ~scope ~role:decode_role ?algorithm t received in
-    (* step 5: per-node re-encodes are independent (each writes its own
-       coded-state slot) *)
+    (* step 5: every node re-encodes its own coded-state slot *)
     (match decoded with
     | Some d ->
       Span.with_ ~ops:scope.Scope.ops ~name:"engine.reencode" (fun () ->
-          Pool.parallel_for n (fun i ->
-              node_update_state ~scope t ~node:i ~next_states:d.next_states));
+          for i = 0 to n - 1 do
+            node_update_state ~scope t ~node:i ~next_states:d.next_states
+          done);
       t.round_index <- t.round_index + 1
     | None -> ());
     { decoded; computed })
@@ -292,19 +287,18 @@ module Make (F : Field_intf.S) = struct
     let kdim = t.params.Params.k in
     let out = Array.make sd F.zero in
     let coord_ok = Array.make sd true in
-    (* per-coordinate decodes are independent RS instances, same shape
-       as [decode_results] *)
-    Pool.parallel_for ~chunk:1 sd (fun j ->
-        let pairs =
-          Array.of_list
-            (List.map
-               (fun (peer, s) -> (t.coding.Coding.alphas.(peer), s.(j)))
-               reports)
-        in
-        match RS.decode ~k:kdim pairs with
-        | None -> coord_ok.(j) <- false
-        | Some d ->
-          out.(j) <- RS.P.eval d.RS.poly t.coding.Coding.alphas.(node));
+    (* one RS instance per coordinate, same shape as [decode_results] *)
+    for j = 0 to sd - 1 do
+      let pairs =
+        Array.of_list
+          (List.map
+             (fun (peer, s) -> (t.coding.Coding.alphas.(peer), s.(j)))
+             reports)
+      in
+      match RS.decode ~k:kdim pairs with
+      | None -> coord_ok.(j) <- false
+      | Some d -> out.(j) <- RS.P.eval d.RS.poly t.coding.Coding.alphas.(node)
+    done;
     if Array.for_all (fun x -> x) coord_ok then Some out else None
 
   let recover_node t ~node ~reports =

@@ -22,7 +22,6 @@ module Net = Csm_sim.Net
 module Auth = Csm_crypto.Auth
 module DS = Csm_consensus.Dolev_strong
 module Pbft = Csm_consensus.Pbft
-module Pool = Csm_parallel.Pool
 module Scope = Csm_metrics.Scope
 module Span = Csm_obs.Span
 module Metric = Csm_obs.Metric
@@ -246,18 +245,18 @@ module Make (F : Field_intf.S) = struct
     in
     (* Steps 1–2 of every node (encode the agreed commands, run the step
        function on the coded state) are independent of the network
-       schedule, so compute them up front across the domain pool; the
-       simulated init hooks then just read their slot.  Honest and
-       Byzantine nodes compute the same gᵢ — the adversary corrupts
-       per-destination messages, not the computation. *)
+       schedule, so compute them up front; the simulated init hooks then
+       just read their slot.  Honest and Byzantine nodes compute the same
+       gᵢ — the adversary corrupts per-destination messages, not the
+       computation. *)
     let coded_commands =
       Span.with_ ~ops:scope.Scope.ops ~name:"exec.encode" (fun () ->
-          Pool.parallel_init n (fun i ->
+          Array.init n (fun i ->
               E.node_encode_command ~scope engine ~node:i ~commands))
     in
     let computed =
       Span.with_ ~ops:scope.Scope.ops ~name:"exec.compute" (fun () ->
-          Pool.parallel_init n (fun i ->
+          Array.init n (fun i ->
               E.node_compute ~scope engine ~node:i
                 ~coded_command:coded_commands.(i)))
     in

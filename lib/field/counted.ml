@@ -5,14 +5,9 @@
    "now the worker is computing") without changing the field type flowing
    through the algebraic code.
 
-   The current counter is domain-local: each domain routes its own
-   operations, so parallel per-node fan-out attributes every node's work
-   to that node's counter without cross-domain interference.  A pool
-   propagator carries the submitting domain's current counter into the
-   workers, so a parallel region *inside* one attribution scope (e.g.
-   the per-coordinate decodes of a single decoder role) still lands on
-   the right counter; combined with atomic counters this keeps measured
-   totals exact — identical for any domain count.
+   The current counter is domain-local: engines running on separate
+   domains at once (the harness's coding sweep) each charge their own
+   counters without interference.
 
    When nothing is sampling — no [set_counter]/[with_counter] installed
    a counter on this domain — the DLS slot holds the shared [null]
@@ -49,13 +44,6 @@ end = struct
 
   let set_counter c = Domain.DLS.set key c
   let counter () = Domain.DLS.get key
-
-  (* Carry the submitter's current counter into pool workers for the
-     duration of each parallel job. *)
-  let () =
-    Csm_parallel.Pool.register_propagator (fun () ->
-        let c = Domain.DLS.get key in
-        fun () -> Domain.DLS.set key c)
 
   let with_counter c f =
     let saved = Domain.DLS.get key in
@@ -126,34 +114,33 @@ end = struct
     if c != null then Csm_metrics.Counter.bulk c ~adds ~muls ~invs:0
 
   let batch =
-    Csm_parallel.Pool.once (fun () ->
-        match F.batch () with
-        | None -> None
-        | Some b ->
-          let elems v = Bytes.length v / b.Field_intf.width in
-          Some
-            {
-              b with
-              Field_intf.axpy =
-                (fun ~acc ~c ~x ->
-                  let n = elems x in
-                  charge ~adds:n ~muls:n;
-                  b.Field_intf.axpy ~acc ~c ~x);
-              dot =
-                (fun a v ->
-                  let n = elems a in
-                  charge ~adds:n ~muls:n;
-                  b.Field_intf.dot a v);
-              scale =
-                (fun ~c ~x ->
-                  charge ~adds:0 ~muls:(elems x);
-                  b.Field_intf.scale ~c ~x);
-              eval_many =
-                (fun ~coeffs ~xs ->
-                  let n = elems xs * Array.length coeffs in
-                  charge ~adds:n ~muls:n;
-                  b.Field_intf.eval_many ~coeffs ~xs);
-            })
+    match F.batch with
+    | None -> None
+    | Some b ->
+      let elems v = Bytes.length v / b.Field_intf.width in
+      Some
+        {
+          b with
+          Field_intf.axpy =
+            (fun ~acc ~c ~x ->
+              let n = elems x in
+              charge ~adds:n ~muls:n;
+              b.Field_intf.axpy ~acc ~c ~x);
+          dot =
+            (fun a v ->
+              let n = elems a in
+              charge ~adds:n ~muls:n;
+              b.Field_intf.dot a v);
+          scale =
+            (fun ~c ~x ->
+              charge ~adds:0 ~muls:(elems x);
+              b.Field_intf.scale ~c ~x);
+          eval_many =
+            (fun ~coeffs ~xs ->
+              let n = elems xs * Array.length coeffs in
+              charge ~adds:n ~muls:n;
+              b.Field_intf.eval_many ~coeffs ~xs);
+        }
 
   let pp = F.pp
   let to_string = F.to_string

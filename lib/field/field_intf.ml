@@ -79,9 +79,8 @@ module type S = sig
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 
-  val batch : unit -> t batch option
+  val batch : t batch option
   (** Byte-packed batch kernels for this field, when it has them (the
       table-backed GF(2^8)/GF(2^16) instances); [None] falls back to the
-      scalar functor path.  The result is memoized — calling repeatedly
-      is cheap. *)
+      scalar functor path.  Built once, when the field is created. *)
 end

@@ -25,14 +25,13 @@ type scaling_point = {
   lambda_csm_intermix : float;
 }
 
-(* One Table-1 measurement per N.  Each configuration is a self-contained
-   simulation (own engines, ledgers, rngs), so the sweep points run
-   across the domain pool. *)
+(* One Table-1 measurement per N, each a self-contained simulation (own
+   engines, ledgers, rngs). *)
 let throughput_sweep ?(mu = 0.25) ?(d = 2) ?(rounds = 2) ns =
   Csm_obs.Event.emit
     ~attrs:[ ("points", string_of_int (List.length ns)) ]
     Csm_obs.Event.Info "scaling.throughput_sweep.start";
-  Pool.parallel_list_map
+  List.map
     (fun n ->
       Csm_obs.Span.with_ ~name:"scaling.point"
         ~attrs:[ ("n", string_of_int n) ]

@@ -15,8 +15,7 @@ type scaling_point = {
 
 val throughput_sweep :
   ?mu:float -> ?d:int -> ?rounds:int -> int list -> scaling_point list
-(** One measured Table-1-style configuration per N; points evaluate in
-    parallel across the domain pool. *)
+(** One measured Table-1-style configuration per N. *)
 
 type growth_point = { gn : int; gk_max : int; gbeta : int }
 
@@ -26,7 +25,9 @@ val growth_sweep : ?mu:float -> ?d:int -> int list -> growth_point list
 type coding_cost = { cn : int; naive_ops : int; fast_ops : int }
 
 val coding_sweep : ?ratio:int -> int list -> coding_cost list
-(** Counted field ops of naive (O(N²)) vs transform-based encoding. *)
+(** Counted field ops of naive (O(N²)) vs transform-based encoding.
+    The points are self-contained and run on up to [CSM_DOMAINS]
+    domains at once; the result does not depend on the width. *)
 
 val pp_scaling : Format.formatter -> scaling_point -> unit
 val pp_growth : Format.formatter -> growth_point -> unit

@@ -23,7 +23,6 @@ module E = Csm_core.Engine.Make (CF)
 module D = Csm_intermix.Delegation.Make (CF)
 module IX = Csm_intermix.Intermix.Make (CF)
 module Params = Csm_core.Params
-module Pool = Csm_parallel.Pool
 module M = R.M
 
 type row = {
@@ -148,23 +147,24 @@ let csm_decentralized_row setup machine ~rounds =
   in
   for _ = 1 to rounds do
     let commands = random_commands rng machine setup.k in
-    (* steps 1-2 per node (independent; fanned across the domain pool,
-       costs still attributed to each node's own role counter) *)
+    (* steps 1-2 per node, costs attributed to each node's own role
+       counter *)
     let computed =
-      Pool.parallel_init setup.n (fun i ->
+      Array.init setup.n (fun i ->
           let cc = E.node_encode_command ~scope engine ~node:i ~commands in
           E.node_compute ~scope engine ~node:i ~coded_command:cc)
     in
     let received = Array.to_list (Array.mapi (fun i g -> (i, g)) computed) in
     (* every node decodes (cost attributed per node) *)
     let results =
-      Pool.parallel_init setup.n (fun i ->
+      Array.init setup.n (fun i ->
           E.decode_results ~scope ~role:(Ledger.node_role i) engine received)
     in
     (match results.(0) with
     | Some d ->
-      Pool.parallel_for setup.n (fun i ->
-          E.node_update_state ~scope engine ~node:i ~next_states:d.E.next_states)
+      for i = 0 to setup.n - 1 do
+        E.node_update_state ~scope engine ~node:i ~next_states:d.E.next_states
+      done
     | None -> failwith "Table1: decode failed");
     ignore results
   done;
@@ -235,10 +235,9 @@ let run ?(rounds = 3) ~n ~mu ~d () =
       let setup = make_setup ~n ~mu ~d in
       let machine = M.degree_machine d in
       (* each scheme's measurement is fully self-contained (own rng,
-         ledger, engine), so the six rows evaluate across the domain
-         pool *)
+         ledger, engine); [List.map] runs them in row order *)
       let rows =
-        Pool.parallel_list_map
+        List.map
           (fun row -> row ())
           [
             (fun () -> full_row setup machine ~rounds);

@@ -24,7 +24,7 @@ val make_setup : n:int -> mu:float -> d:int -> setup
 
 val run : ?rounds:int -> n:int -> mu:float -> d:int -> unit -> setup * row list
 (** Measure all schemes; each row is a self-contained simulation (own
-    rng, ledger, engine), evaluated across the domain pool. *)
+    rng, ledger, engine). *)
 
 val pp_row : Format.formatter -> row -> unit
 val pp_table : Format.formatter -> setup * row list -> unit

@@ -4,11 +4,9 @@
    in F" (Section 2.2); a counter records exactly those, split by kind so
    that analyses can weight them differently if desired.
 
-   Counts are atomic ints: the parallel engine attributes work from
-   several domains to one role (e.g. all per-coordinate decodes of a
-   round land on the decoder's counter), and exact totals — identical
-   for any domain count — are an acceptance criterion for every
-   operation-counted table. *)
+   Counts are atomic ints, so a counter stays exact whichever thread or
+   domain charges it: loopback nodes are threads of one process, and the
+   coding sweep runs its points on several domains at once. *)
 
 type t = {
   adds : int Atomic.t;  (* additions, subtractions, negations *)

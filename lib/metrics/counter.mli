@@ -2,8 +2,8 @@
     λ = K / (Σᵢ per-node operation count / N), Section 2.2.
 
     Counters are domain-safe: increments are atomic, so work attributed
-    to one role from several domains (the parallel engine's fan-out)
-    still yields exact totals, identical for any domain count. *)
+    to one role from several threads or domains still yields exact
+    totals. *)
 
 type t
 

@@ -5,8 +5,8 @@
    metric of the paper averages the per-node execution-phase cost over the
    network, so the ledger keeps one counter per role and can aggregate.
 
-   Role lookup is mutex-protected: the parallel engine resolves roles
-   from worker domains concurrently (counter increments themselves are
+   Role lookup is mutex-protected: roles may be resolved from several
+   threads or domains at once (counter increments themselves are
    atomic, see [Counter]).  The mutex is a [Lockdep] checked lock so a
    CSM_LOCKDEP=1 run folds ledger acquisitions into the global lock
    order graph. *)

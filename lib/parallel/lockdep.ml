@@ -7,8 +7,8 @@
    violation and raised as {!Order_violation} at the next release of a
    checked lock.
 
-   Keying is per (domain, thread): the pool's worker domains and the
-   loopback cluster's node threads each get their own acquisition
+   Keying is per (domain, thread): every domain and every thread (the
+   loopback cluster's node threads, say) gets its own acquisition
    stack, so the graph sees the true interleaving of the multicore and
    multi-thread stacks.  Disabled, [lock]/[unlock] cost one atomic load
    on top of the raw mutex and allocate nothing.

@@ -5,7 +5,7 @@
 
     Enabled by [CSM_LOCKDEP=1] in the environment or {!enable};
     disabled, [lock]/[unlock] cost one atomic load over the raw mutex
-    and allocate nothing.  The pool, ledger and transport mutexes are
+    and allocate nothing.  The ledger and transport mutexes are
     all of this type, so a [CSM_LOCKDEP=1] cluster run checks the whole
     concurrent stack. *)
 

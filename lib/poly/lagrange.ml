@@ -110,13 +110,10 @@ module Make (F : Field_intf.S) = struct
     end
 
   (* The N×K encoding matrix C = [c_{ik}] of Section 5.1, row i being the
-     Lagrange-basis values at αᵢ.  Rows are independent, so they are
-     computed across the domain pool (written by index: deterministic). *)
+     Lagrange-basis values at αᵢ. *)
   let coeff_matrix ~omegas ~alphas =
     let weights = barycentric_weights omegas in
-    Csm_parallel.Pool.parallel_map_array
-      (fun alpha -> coeff_row ~points:omegas ~weights alpha)
-      alphas
+    Array.map (fun alpha -> coeff_row ~points:omegas ~weights alpha) alphas
 
   (* Encode one scalar per machine into one coded scalar per node:
      x̃ᵢ = Σₖ c_{ik} xₖ. *)

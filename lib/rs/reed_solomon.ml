@@ -205,7 +205,7 @@ module Make (F : Field_intf.S) = struct
           row)
     in
     let interp_b, vand_b =
-      match F.batch () with
+      match F.batch with
       | None -> (None, None)
       | Some b ->
         ( Some (Array.map b.Field_intf.pack interp),
@@ -269,7 +269,7 @@ module Make (F : Field_intf.S) = struct
               !acc
             in
             let coeffs, ok =
-              match (F.batch (), ctx.fc_interp_b, ctx.fc_vand_b) with
+              match (F.batch, ctx.fc_interp_b, ctx.fc_vand_b) with
               | Some b, Some irows, Some vrows ->
                 let hv = b.Field_intf.pack head in
                 let coeffs =

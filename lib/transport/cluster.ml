@@ -11,16 +11,15 @@
    engine run at the same seed.
 
    Fork safety (OCaml 5): socket mode forks the node children BEFORE
-   the parent touches the domain pool or spawns any thread — the
-   client endpoint, the client loop and the in-process reference run
-   all happen strictly after the forks, and each child pins its pool
-   to one domain and leaves with [Unix._exit] after {!Socket.linger},
-   which waits out the frames its closed endpoint still had queued. *)
+   the parent spawns any thread — the client endpoint, the client loop
+   and the in-process reference run all happen strictly after the
+   forks, and each child leaves with [Unix._exit] after
+   {!Socket.linger}, which waits out the frames its closed endpoint
+   still had queued. *)
 
 module Field_intf = Csm_field.Field_intf
 module Frame = Csm_wire.Frame
 module Params = Csm_core.Params
-module Pool = Csm_parallel.Pool
 module Clock = Csm_obs.Clock
 module Flight = Csm_obs.Flight
 module Agg = Csm_obs.Agg
@@ -329,42 +328,36 @@ module Make (F : Field_intf.S) = struct
   let run_loopback cfg =
     let n = cfg.params.Params.n in
     let net = Loopback.create ~endpoints:(n + 1) in
-    (* The node threads all live in this domain, and the domain pool's
-       job slot is strictly one-submitter: cap the effective width at 1
-       while they are alive so every engine primitive runs as a plain
-       inline loop on its own thread. *)
-    Pool.with_domain_limit 1 (fun () ->
-        let threads =
-          List.init n (fun i ->
-              Thread.create
-                (fun () ->
-                  try N.run (node_config cfg i) (Loopback.endpoint net ~id:i)
-                  with _ -> ())
-                ())
-        in
-        let client = Loopback.endpoint net ~id:n in
-        let ledger, outputs_received, node_stats, finals, flight, run_seconds =
-          client_run cfg client
-        in
-        List.iter Thread.join threads;
-        let stats = Array.copy node_stats in
-        stats.(n) <- Some (Transport.snapshot client);
-        client.Transport.close ();
-        (ledger, outputs_received, stats, finals, flight, run_seconds))
+    let threads =
+      List.init n (fun i ->
+          Thread.create
+            (fun () ->
+              try N.run (node_config cfg i) (Loopback.endpoint net ~id:i)
+              with _ -> ())
+            ())
+    in
+    let client = Loopback.endpoint net ~id:n in
+    let ledger, outputs_received, node_stats, finals, flight, run_seconds =
+      client_run cfg client
+    in
+    List.iter Thread.join threads;
+    let stats = Array.copy node_stats in
+    stats.(n) <- Some (Transport.snapshot client);
+    client.Transport.close ();
+    (ledger, outputs_received, stats, finals, flight, run_seconds)
 
   (* ---- socket mode: one forked process per node ---- *)
 
   let run_socket cfg addr =
     let n = cfg.params.Params.n in
-    (* fork FIRST: the children must not inherit pool domains or
-       threads, so the parent does no engine/pool/thread work yet *)
+    (* fork FIRST: the children must not inherit threads, so the parent
+       does no engine or thread work yet *)
     let pids =
       List.init n (fun i ->
           match Unix.fork () with
           | 0 ->
             let code =
               try
-                Pool.set_domains 1;
                 let tr = Socket.endpoint ~addr ~id:i ~endpoints:(n + 1) in
                 N.run (node_config cfg i) tr;
                 0
@@ -424,7 +417,7 @@ module Make (F : Field_intf.S) = struct
                   (Agg.capture ~flight:client_flight ~node:n ~scope:Agg.Process
                      ())))
     in
-    (* the reference run spins up the pool — strictly after any forks *)
+    (* the reference run happens strictly after any forks *)
     let reference = reference_ledger cfg in
     let ok = ref true in
     Array.iteri

@@ -291,7 +291,7 @@ let gf2m_aes_modulus () =
    element, for every kernel entry point. *)
 let batch_matches_scalar (type a) (module G : Field_intf.S with type t = a)
     name =
-  match G.batch () with
+  match G.batch with
   | None -> Alcotest.failf "%s: expected batch kernels" name
   | Some b ->
     let rng = Csm_rng.create 0xB47C in
@@ -352,9 +352,9 @@ let batch_kernels () =
   batch_matches_scalar (module Gf2m.Gf65536) "gf65536";
   (* prime fields and mid-size binary fields have no byte kernels *)
   Alcotest.(check bool) "fp batch is None" true
-    (Option.is_none (Fp.Default.batch ()));
+    (Option.is_none (Fp.Default.batch));
   Alcotest.(check bool) "gf1024 batch is None" true
-    (Option.is_none (Gf2m.Gf1024.batch ()))
+    (Option.is_none (Gf2m.Gf1024.batch))
 
 let extra_suite =
   ( "field:extra",

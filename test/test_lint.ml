@@ -100,6 +100,42 @@ let r4 () =
   (* out of scope: tests may keep local toplevel state *)
   silent "R4" ~path:"test/x.ml" "let total = ref 0"
 
+(* the converse: a registry entry naming no module-level mutable binding
+   is stale, and reported at its line of the registry (a throwaway tree
+   with one live and one stale entry, linted as the CLI lints) *)
+let r4_stale () =
+  let root = Filename.temp_dir "csm_lint_r4" "" in
+  let files =
+    [
+      ("lib/core/x.ml", "let m = Mutex.create ()\nlet total = ref 0\n");
+      ( "lint/shared_state.allow",
+        "# header\nlib/core/x.ml:total  guarded by m\n\
+         lib/core/x.ml:gone  removed\n" );
+    ]
+  in
+  let dirs = [ "lib"; "lib/core"; "lint" ] in
+  let abs rel = Filename.concat root rel in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (rel, _) -> Sys.remove (abs rel)) files;
+      List.iter (fun d -> Sys.rmdir (abs d)) (List.rev dirs);
+      Sys.rmdir root)
+    (fun () ->
+      List.iter (fun d -> Sys.mkdir (abs d) 0o755) dirs;
+      List.iter
+        (fun (rel, src) ->
+          Out_channel.with_open_bin (abs rel) (fun oc -> output_string oc src))
+        files;
+      let r =
+        Driver.lint_tree ~root ~baseline_path:(abs "lint/baseline.json") ()
+      in
+      match r.Driver.fresh with
+      | [ f ] ->
+        Alcotest.(check string) "rule" "R4" f.Finding.rule;
+        Alcotest.(check string) "file" "lint/shared_state.allow" f.Finding.file;
+        Alcotest.(check int) "line" 3 f.Finding.line
+      | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs))
+
 (* ----- R5: decoder totality ----- *)
 
 let r5 () =
@@ -474,6 +510,7 @@ let suites =
         Alcotest.test_case "R2 polymorphic comparison" `Quick r2;
         Alcotest.test_case "R3 mutex discipline" `Quick r3;
         Alcotest.test_case "R4 shared state registry" `Quick r4;
+        Alcotest.test_case "R4 stale registry entry" `Quick r4_stale;
         Alcotest.test_case "R5 decoder totality" `Quick r5;
         Alcotest.test_case "suppression comments" `Quick suppressions;
         Alcotest.test_case "parse failure is a finding" `Quick parse_failure;

@@ -84,7 +84,7 @@ module CG = Counted.Make (Gf2m.Gf256)
 
 let counted_batch_exact () =
   let b =
-    match CG.batch () with
+    match CG.batch with
     | Some b -> b
     | None -> Alcotest.fail "counted gf256 has no batch kernels"
   in
@@ -158,6 +158,74 @@ let throughput_formula () =
   let l2 = Ledger.throughput ~commands:8 ~node_costs:[| 2; 6 |] in
   Alcotest.(check (float 1e-9)) "mean" 2.0 l2
 
+(* Exact op counts at the two smoke configurations of bench/main.ml
+   (N=64, d=2, an 8-slot register bank, K and b at their Table-2
+   maxima): one counted round at --smoke's seed with b Byzantine nodes,
+   and one warm optimistic decode over GF(2^8) at --rs-smoke's seed.
+   The bench gates hold these numbers too, but only under [make ci]. *)
+module Params = Csm_core.Params
+
+let smoke_n = 64
+let smoke_d = 2
+let smoke_slots = 8
+
+let smoke_k =
+  Params.max_machines ~network:Params.Sync ~n:smoke_n ~b:16 ~d:smoke_d
+
+let smoke_b =
+  Params.max_faults ~network:Params.Sync ~n:smoke_n ~k:smoke_k ~d:smoke_d
+
+let smoke_params =
+  Params.make ~network:Params.Sync ~n:smoke_n ~k:smoke_k ~d:smoke_d ~b:smoke_b
+
+let smoke_round_total () =
+  let module CF = Counted.Make (Fp.Default) in
+  let module EC = Csm_core.Engine.Make (CF) in
+  let machine = EC.M.register_bank ~slots:smoke_slots in
+  let rng = Csm_rng.create 0x64BE in
+  let vectors dim =
+    Array.init smoke_k (fun _ -> Array.init dim (fun _ -> CF.random rng))
+  in
+  let init = vectors machine.EC.M.state_dim in
+  let commands = vectors machine.EC.M.input_dim in
+  let ledger = Ledger.create () in
+  let scope = Scope.of_ledger (module CF) ledger in
+  let engine = EC.create ~machine ~params:smoke_params ~init in
+  let r =
+    EC.round ~scope engine ~commands ~byzantine:(fun i -> i < smoke_b) ()
+  in
+  Alcotest.(check bool) "decoded" true (r.EC.decoded <> None);
+  Alcotest.(check int) "ledger grand total" 462_996 (Ledger.grand_total ledger)
+
+let rs_smoke_warm_decode () =
+  let module C8 = Counted.Make (Gf2m.Gf256) in
+  let module E8 = Csm_core.Engine.Make (C8) in
+  let machine = E8.M.register_bank ~slots:smoke_slots in
+  let rng = Csm_rng.create 0x0F57 in
+  let vectors dim =
+    Array.init smoke_k (fun _ -> Array.init dim (fun _ -> C8.random rng))
+  in
+  let init = vectors machine.E8.M.state_dim in
+  let commands = vectors machine.E8.M.input_dim in
+  let engine = E8.create ~machine ~params:smoke_params ~init in
+  let received =
+    List.init smoke_n (fun i ->
+        let coded_command = E8.node_encode_command engine ~node:i ~commands in
+        (i, E8.node_compute engine ~node:i ~coded_command))
+  in
+  let count_decode () =
+    let ledger = Ledger.create () in
+    let scope = Scope.of_ledger (module C8) ledger in
+    match
+      E8.decode_results ~scope ~algorithm:E8.RS.Optimistic engine received
+    with
+    | Some _ -> Ledger.total ledger "decoder"
+    | None -> Alcotest.fail "fault-free decode failed"
+  in
+  (* the first decode builds the engine's cached context (cold) *)
+  ignore (count_decode ());
+  Alcotest.(check int) "warm optimistic decode ops" 44_640 (count_decode ())
+
 let suites =
   [
     ( "metrics",
@@ -174,5 +242,9 @@ let suites =
           counted_batch_exact;
         Alcotest.test_case "ledger roles" `Quick ledger_roles;
         Alcotest.test_case "throughput formula" `Quick throughput_formula;
+        Alcotest.test_case "smoke round totals 462996 ops" `Quick
+          smoke_round_total;
+        Alcotest.test_case "rs-smoke warm decode costs 44640 ops" `Quick
+          rs_smoke_warm_decode;
       ] );
   ]

