@@ -77,7 +77,10 @@ metrics-smoke:
 # 2 rounds, one Byzantine node.  The drop run must still decode and
 # match the single-process reference byte-for-byte; the corrupt run
 # must detect every mangled frame (csm_transport_frame_errors_total in
-# the exposition) and still verify.
+# the exposition) and still verify.  Then 4 nodes, one of them sending
+# every frame 50 ms late: the others wait only for their quorums, so
+# every round is accepted within its 0.2 s deadline, and the slow
+# node's late Outputs are dropped, not counted as frame errors.
 cluster-smoke:
 	dune exec bin/csm_cluster.exe -- --transport socket \
 	  -n 3 -k 1 -d 1 -b 1 --rounds 2 --faults 1:drop
@@ -86,6 +89,11 @@ cluster-smoke:
 	  -n 3 -k 1 -d 1 -b 1 --rounds 2 --faults 2:corrupt --expect-frame-errors
 	grep -q '^csm_transport_frame_errors_total{' /tmp/csm_cluster_metrics.prom
 	grep -q '^csm_messages_total{.*layer="transport"' /tmp/csm_cluster_metrics.prom
+	dune exec bin/csm_cluster.exe -- --transport socket \
+	  -n 4 -k 1 -d 1 -b 1 --rounds 4 --faults 0:delay:0.05 --deadline 0.2 \
+	  > /tmp/csm_cluster_slow.txt
+	grep -q '^verify: ok' /tmp/csm_cluster_slow.txt
+	grep -q 'frame_errors=0' /tmp/csm_cluster_slow.txt
 	@echo "cluster-smoke: ok"
 
 # Cluster observability smoke: gate the allocation-overhead bench

@@ -176,7 +176,7 @@ module Make (F : Field_intf.S) = struct
         ~round:frame.Frame.round "send";
       tr.Transport.send ~dst frame
     in
-    let record_recv (fr : Frame.t) =
+    let record_recv ?(attrs = []) (fr : Frame.t) =
       let hlc =
         match fr.Frame.ext with
         | Some e -> Clock.observe (Clock.of_wire e.Frame.hlc)
@@ -185,11 +185,17 @@ module Make (F : Field_intf.S) = struct
       Flight.record flight
         ~trace:(match fr.Frame.ext with Some e -> e.Frame.trace_id | None -> 0L)
         ~attrs:
-          [
-            ("src", string_of_int fr.Frame.sender);
-            ("frame", Frame.kind_name fr.Frame.kind);
-          ]
+          (("src", string_of_int fr.Frame.sender)
+          :: ("frame", Frame.kind_name fr.Frame.kind)
+          :: attrs)
         ~hlc ~round:fr.Frame.round "recv"
+    in
+    (* An Output that missed its round's vote is logged and dropped, but
+       a malformed one still counts, as it would have in time. *)
+    let late_output (fr : Frame.t) =
+      match W.decode_matrix_bin fr.Frame.payload with
+      | Some _ -> record_recv ~attrs:[ ("dropped", "decided") ] fr
+      | None -> Transport.record_error tr
     in
     let ledger = Array.make cfg.rounds None in
     let outputs_received = Array.make cfg.rounds 0 in
@@ -235,6 +241,13 @@ module Make (F : Field_intf.S) = struct
               record_recv fr;
               Hashtbl.replace got fr.Frame.sender fr.Frame.payload
             | None -> Transport.record_error tr)
+          | Some fr
+            when Frame.kind_eq fr.Frame.kind Frame.Output
+                 && fr.Frame.round >= 0
+                 && fr.Frame.round < r
+                 && fr.Frame.sender >= 0
+                 && fr.Frame.sender < n ->
+            late_output fr
           | Some fr when Frame.kind_eq fr.Frame.kind Frame.Stats -> ()
             (* late stats cannot occur before shutdown; ignore *)
           | Some fr
@@ -304,12 +317,8 @@ module Make (F : Field_intf.S) = struct
         | Some fr
           when Frame.kind_eq fr.Frame.kind Frame.Output
                && fr.Frame.sender >= 0
-               && fr.Frame.sender < n -> (
-          (* an Output that missed its round's vote is dropped, but a
-             malformed one still counts, as it would have in time *)
-          match W.decode_matrix_bin fr.Frame.payload with
-          | Some _ -> ()
-          | None -> Transport.record_error tr)
+               && fr.Frame.sender < n ->
+          late_output fr
         | Some _ -> ()  (* other stragglers from the last round *)
         | None -> ());
         gather ()

@@ -10,7 +10,8 @@
                               node's own view arrive (self included)
      compute                  X̃ᵢ = encode(commands), gᵢ = f(S̃ᵢ, X̃ᵢ)
      Result  (node → nodes)   gᵢ, binary vector payload
-     decode                   Reed–Solomon decode of the collected gⱼ
+     decode                   Reed–Solomon decode once d(K−1)+2b+1
+                              results are in (own included)
      Output  (node → client)  decoded Ŷ rows then next-state Ŝ rows
      re-encode                S̃ᵢ(t+1) from the decoded next states
 
@@ -21,14 +22,22 @@
    wedge the node; collect loops bound their waiting with the
    [deadline] so silent peers cannot stall a round either.
 
+   Each wait stops at the paper's quorum: b+1 matching echoes, then
+   d(K−1)+2b+1 results.  So a round runs at the pace of its fastest
+   quorum, not of its slowest sender.  Hearing every sender that sends
+   and the deadline stay as caps.  Once its Output is sent, a node
+   still hears the rest of the round before it moves on, so every
+   frame of a round is taken in (and a malformed one counted) before
+   the node can answer the Shutdown.
+
    A wait checks its condition, and only while it does not hold takes
    one frame from [Transport.recv] (over sockets it wakes on the next
    frame) and dispatches it, so a node never polls an empty endpoint.
-   Intake keeps one record per live round with its commit and result
-   counts, so a wait condition costs O(1).  A round's record is
-   dropped once the round is decided, and a round window bounds how
-   many records a node holds — memory stays flat however many rounds a
-   node runs.
+   Intake keeps one record per live round with its commit, matching
+   echo and result counts, so a wait condition costs O(1).  A round's
+   record is dropped once the round is decided, and a round window
+   bounds how many records a node holds — memory stays flat however
+   many rounds a node runs.
 
    The runtime's own faults ([Drop]/[Delay]/[Corrupt]) apply to the
    frames it *sends* — that is how the cluster driver turns a node
@@ -161,6 +170,9 @@ module Make (F : Field_intf.S) = struct
         (* the client's payload and its decoded commands *)
     commits : string heard array;  (* sender → Commit payload *)
     mutable n_commits : int;  (* senders heard from *)
+    mutable n_matching : int;
+        (* valid Commits equal to the command payload; 0 until the
+           Command arrives *)
     results : F.t array heard array;  (* sender → gⱼ, own included *)
     mutable n_results : int;
     mutable trace_id : int64;
@@ -222,6 +234,7 @@ module Make (F : Field_intf.S) = struct
           command = None;
           commits = Array.make n Unheard;
           n_commits = 0;
+          n_matching = 0;
           results = Array.make n Unheard;
           n_results = 0;
           trace_id = 0L;
@@ -243,8 +256,30 @@ module Make (F : Field_intf.S) = struct
       false
     | (Malformed | Valid _), _ -> false
 
+  (* A Commit also counts as matching once the slot takes a valid
+     payload equal to the round's command. *)
   let hear_commit st sender v =
-    if hear st.commits sender v then st.n_commits <- st.n_commits + 1
+    let matching =
+      match (st.commits.(sender), v, st.command) with
+      | (Unheard | Malformed), Valid p, Some (c, _) -> String.equal p c
+      | _ -> false
+    in
+    if hear st.commits sender v then st.n_commits <- st.n_commits + 1;
+    if matching then st.n_matching <- st.n_matching + 1
+
+  (* The first Command of the round is kept, and the Commits that came
+     before it are counted against it, once. *)
+  let hear_command st payload commands =
+    if Option.is_none st.command then begin
+      st.command <- Some (payload, commands);
+      st.n_matching <-
+        Array.fold_left
+          (fun acc c ->
+            match c with
+            | Valid p when String.equal p payload -> acc + 1
+            | Unheard | Malformed | Valid _ -> acc)
+          0 st.commits
+    end
 
   let hear_result st sender v =
     if hear st.results sender v then st.n_results <- st.n_results + 1
@@ -452,10 +487,7 @@ module Make (F : Field_intf.S) = struct
             W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim
               fr.Frame.payload
           with
-          | Some cs ->
-            keep (fun st ->
-                if Option.is_none st.command then
-                  st.command <- Some (fr.Frame.payload, cs))
+          | Some cs -> keep (fun st -> hear_command st fr.Frame.payload cs)
           | None -> record_bad ~round "bad-payload")
         | Frame.Commit when sender >= 0 && sender < n && sender <> cfg.node -> (
           match
@@ -478,14 +510,17 @@ module Make (F : Field_intf.S) = struct
      passes, or, unless [~in_round], the client's Shutdown arrives.
      Each lap checks [cond] first and then waits at most 50 ms in
      [recv] for one frame, so a node never asks for a frame it does not
-     need and never polls an empty endpoint.  A round under way runs
-     to its end: the client sent its Command before the Shutdown, so
-     every peer that sends will send its frames for it, and stopping
-     early would leave the node's counters short of frames already in
-     flight.  Every lap also gives the streaming emitter a chance to
-     fire — waits are where a node spends its wall time, so this is
-     what keeps snapshots flowing even while a round stalls on a
-     straggler. *)
+     need and never polls an empty endpoint.  A [cond] is a quorum or
+     "every expected sender heard", and holds as soon as the frame
+     that completes it is dispatched: a wait takes in no frame past its
+     quorum, and the rest of the round waits in [hear_out].  A round
+     under way runs to its end: the client sent its Command before the
+     Shutdown, so every peer that sends will send its frames for it,
+     and stopping early would leave the node's counters short of frames
+     already in flight.  Every lap also gives the streaming emitter a
+     chance to fire — waits are where a node spends its wall time, so
+     this is what keeps snapshots flowing even while a round stalls on
+     a straggler. *)
   let wait_until ?(in_round = false) cfg tr inbox cond =
     let limit = Unix.gettimeofday () +. cfg.deadline in
     let rec loop () =
@@ -509,7 +544,10 @@ module Make (F : Field_intf.S) = struct
       ~attrs:[ ("phase", name) ]
       ~hlc:(Clock.now ()) ~round "phase"
 
-  let run_round cfg (tr : Transport.t) engine inbox r =
+  (* One round up to its Output: [expected] senders send each round,
+     this node included (see [expected_peers]).  Each wait stops at its
+     quorum, at every expected sender heard, or at the deadline. *)
+  let run_round cfg (tr : Transport.t) engine inbox ~expected r =
     let n = cfg.params.Params.n in
     let b = cfg.params.Params.b in
     let me = cfg.node in
@@ -521,26 +559,16 @@ module Make (F : Field_intf.S) = struct
     | Some (cmd_payload, commands) ->
       phase inbox ~round:r "commands";
       (* 2. commit: echo the command payload to every peer, then wait
-         to hear from every peer that sends; proceed on b+1 matching
-         endorsements (self included) *)
+         for b+1 matching endorsements (self included) *)
       let commit = Frame.make ~kind:Frame.Commit ~sender:me ~round:r cmd_payload in
       for j = 0 to n - 1 do
         if j <> me then send_protocol cfg inbox tr ~dst:j commit
       done;
-      let expected_commits = expected_peers cfg - 1 (* peers, sans self *) in
+      let committed () = st.n_matching + 1 >= b + 1 in
       ignore
         (wait_until ~in_round:true cfg tr inbox (fun () ->
-             st.n_commits >= expected_commits));
-      let matching =
-        Array.fold_left
-          (fun acc p ->
-            match p with
-            | Valid p when String.equal p cmd_payload -> acc + 1
-            | _ -> acc)
-          1 st.commits
-      in
-      let committed = matching >= b + 1 in
-      if not committed then false
+             committed () || st.n_commits >= expected - 1));
+      if not (committed ()) then false
       else begin
       phase inbox ~round:r "committed";
       (* 3. compute gᵢ over the committed commands *)
@@ -573,11 +601,15 @@ module Make (F : Field_intf.S) = struct
         if j <> me then send_protocol cfg inbox tr ~dst:j result
       done;
       hear_result st me (Valid g);
-      (* 5. collect and decode *)
-      let expected_results = expected_peers cfg in
+      (* 5. collect d(K−1)+2b+1 results, own included, and decode the
+         valid ones.  Any that many with at most b lies decode to the
+         one polynomial.  A malformed Result counts as heard: its
+         sender cannot also lie, so c of them leave at most b−c lies
+         among the valid rest *)
+      let quorum = min (E.min_results engine) expected in
       ignore
         (wait_until ~in_round:true cfg tr inbox (fun () ->
-             st.n_results >= expected_results));
+             st.n_results >= quorum));
       let received =
         List.filter_map
           (fun j -> match st.results.(j) with Valid g -> Some (j, g) | _ -> None)
@@ -613,6 +645,25 @@ module Make (F : Field_intf.S) = struct
         E.node_update_state engine ~node:me ~next_states:d.E.next_states;
         true
       end
+
+  (* The rest of round [r], after [run_round] returns on any path.  A
+     node that sent its Result may have stopped at a quorum, so it waits
+     until every expected peer's Commit and Result is heard, or for the
+     deadline: the waits' caps, met later.  A frame that came after the
+     quorum is thus taken in (and counted, if malformed) before the
+     round is decided, and so before the node answers the Shutdown.  A
+     round that ended earlier (no Command, or no commit) already waited
+     to its caps.  Under a closed-loop client this costs no latency: the
+     next Command follows the slowest sender's Output, which that sender
+     writes after its Commits and Results. *)
+  let hear_out cfg tr inbox ~expected r =
+    let st = round_in cfg inbox r in
+    match st.results.(cfg.node) with
+    | Unheard -> ()
+    | Malformed | Valid _ ->
+      ignore
+        (wait_until ~in_round:true cfg tr inbox (fun () ->
+             st.n_commits >= expected - 1 && st.n_results >= expected))
 
   (* Binary stats payload: five big-endian u64 counters. *)
   let stats_payload (s : Transport.stats) =
@@ -660,6 +711,7 @@ module Make (F : Field_intf.S) = struct
     in
     let inbox = make_inbox ~node:cfg.node () in
     let n = cfg.params.Params.n in
+    let expected = expected_peers cfg in
     let node_attr = [ ("node", string_of_int cfg.node) ] in
     for r = 0 to cfg.rounds - 1 do
       (* after the client's Shutdown, only the rounds whose Command came
@@ -670,10 +722,11 @@ module Make (F : Field_intf.S) = struct
         ignore
           (Span.with_ ~name:"node.round"
              ~attrs:(("round", string_of_int r) :: node_attr)
-             (fun () -> run_round cfg tr engine inbox r));
-        decided inbox r;
+             (fun () -> run_round cfg tr engine inbox ~expected r));
         if Metric.enabled () then
-          Metric.observe Tel.round_latency (Unix.gettimeofday () -. t0)
+          Metric.observe Tel.round_latency (Unix.gettimeofday () -. t0);
+        hear_out cfg tr inbox ~expected r;
+        decided inbox r
       end
     done;
     (* wait for the client's shutdown, reply with our counters (control

@@ -1013,8 +1013,9 @@ let round_window_bounds_memory () =
    otherwise, whose client the test drives by hand, so it can forge
    frames between rounds; [wrap i] may stand between node [i] and its
    endpoint.  Returns the per-round Output payloads each round
-   gathered, the nodes' Stats replies, and the seconds from Shutdown
-   to the last node's exit. *)
+   gathered, each with the seconds from its Command to its arrival, the
+   nodes' Stats replies, and the seconds from Shutdown to the last
+   node's exit. *)
 let hand_driven ?(faults = []) ?(wrap = fun _ tr -> tr) ~rounds ~stop_after ~between () =
   let cfg = { (cluster_cfg ~rounds ()) with C.params = params4 } in
   let n = 4 in
@@ -1051,15 +1052,16 @@ let hand_driven ?(faults = []) ?(wrap = fun _ tr -> tr) ~rounds ~stop_after ~bet
   let outputs =
     List.init stop_after (fun r ->
         let commands = C.workload rng ~k:1 r in
+        let sent = Clock.mono () in
         send_all
           (Frame.make ~kind:Frame.Command ~sender:n ~round:r
              (W.encode_commands_bin commands));
         let got = Array.make n None in
-        let limit = Clock.mono () +. 10.0 in
+        let limit = sent +. 10.0 in
         while Array.exists Option.is_none got && Clock.mono () < limit do
           match client.Transport.recv ~timeout:0.5 with
           | Some fr when Frame.kind_eq fr.Frame.kind Frame.Output && fr.Frame.round = r ->
-            got.(fr.Frame.sender) <- Some fr.Frame.payload
+            got.(fr.Frame.sender) <- Some (fr.Frame.payload, Clock.mono () -. sent)
           | _ -> ()
         done;
         between client r;
@@ -1088,7 +1090,8 @@ let check_outputs reference outputs =
       Array.iteri
         (fun i p ->
           match p with
-          | Some p -> check Alcotest.string (Printf.sprintf "round %d node %d" r i) reference.(r) p
+          | Some (p, _) ->
+            check Alcotest.string (Printf.sprintf "round %d node %d" r i) reference.(r) p
           | None -> Alcotest.failf "round %d: node %d sent no Output" r i)
         got)
     outputs
@@ -1164,6 +1167,84 @@ let node_never_polls_empty () =
             (Option.value ~default:0 (Hashtbl.find_opt h 0.0)))
         calls)
     [ []; [ (1, Node.Lie Node.lie_default) ] ]
+
+(* A node waits for b+1 matching echoes and d(K−1)+2b+1 results, not
+   for every sender: with node 3 sending each frame 0.1 s late, nodes
+   0-2 answer every Command within 0.05 s, and every Output equals the
+   reference.  Waiting for node 3 would cost each of them 0.4-0.6 s in
+   round 0. *)
+let slow_peer_holds_up_nobody () =
+  let rounds = 2 in
+  let reference, outputs, _, _ =
+    hand_driven ~faults:[ (3, Node.Delay 0.1) ] ~rounds ~stop_after:rounds
+      ~between:(fun _ _ -> ()) ()
+  in
+  check_outputs reference outputs;
+  List.iteri
+    (fun r got ->
+      for i = 0 to 2 do
+        match got.(i) with
+        | Some (_, after) ->
+          checkb
+            (Printf.sprintf "round %d node %d: Output after %.3f s" r i after)
+            true (after < 0.05)
+        | None -> Alcotest.failf "round %d: node %d sent no Output" r i
+      done)
+    outputs
+
+(* A node that decodes before hearing every sender still takes in the
+   rest of the round before it answers the Shutdown.  Node 3 holds its
+   last Result to node 0 until node 0 has taken in the Shutdown, so
+   node 0 has long sent its Output; node 0's Stats still count every
+   frame sent to it: 7 a round (Command, 3 Commits, 3 Results) and the
+   Shutdown. *)
+let counters_whole_after_quorum () =
+  let rounds = 2 in
+  let shut_at_0 = Atomic.make false in
+  let held = ref None in
+  let wrap i (tr : Transport.t) =
+    match i with
+    | 0 ->
+      let recv ~timeout =
+        let fr = tr.Transport.recv ~timeout in
+        (match fr with
+        | Some f when Frame.kind_eq f.Frame.kind Frame.Shutdown -> Atomic.set shut_at_0 true
+        | _ -> ());
+        fr
+      in
+      { tr with Transport.recv }
+    | 3 ->
+      let send ~dst (fr : Frame.t) =
+        if dst = 0 && Frame.kind_eq fr.Frame.kind Frame.Result && fr.Frame.round = rounds - 1
+        then held := Some fr
+        else tr.Transport.send ~dst fr
+      in
+      let recv ~timeout =
+        let fr = tr.Transport.recv ~timeout in
+        (match (fr, !held) with
+        | Some f, Some h when Frame.kind_eq f.Frame.kind Frame.Shutdown ->
+          let limit = Clock.mono () +. 10.0 in
+          while (not (Atomic.get shut_at_0)) && Clock.mono () < limit do
+            Thread.delay 0.001
+          done;
+          held := None;
+          tr.Transport.send ~dst:0 h
+        | _ -> ());
+        fr
+      in
+      { tr with Transport.send; recv }
+    | _ -> tr
+  in
+  let reference, outputs, stats, _ =
+    hand_driven ~wrap ~rounds ~stop_after:rounds ~between:(fun _ _ -> ()) ()
+  in
+  check_outputs reference outputs;
+  checkb "node 3 sent the held Result" true (Option.is_none !held);
+  match stats.(0) with
+  | Some s ->
+    check Alcotest.int "node 0 frames received" ((7 * rounds) + 1) s.Transport.frames_received;
+    check Alcotest.int "node 0 frame errors" 0 s.Transport.frame_errors
+  | None -> Alcotest.fail "node 0 sent no stats"
 
 (* Determinism: two loopback runs at one seed produce identical ledgers
    and identical per-endpoint counters. *)
@@ -1454,6 +1535,9 @@ let suites =
           round_window_bounds_memory;
         Alcotest.test_case "round window filters decided and far rounds" `Quick
           round_window_filters_frames;
+        Alcotest.test_case "a slow peer holds up nobody" `Quick slow_peer_holds_up_nobody;
+        Alcotest.test_case "counters stay whole past a quorum" `Quick
+          counters_whole_after_quorum;
         Alcotest.test_case "node waits never poll an empty endpoint" `Quick
           node_never_polls_empty;
         Alcotest.test_case "cluster loopback streaming + alerts" `Quick
