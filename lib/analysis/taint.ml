@@ -627,25 +627,28 @@ and eval_apply ctx env app h args =
       (* unknown callee: conservatively propagate argument taint *)
       List.fold_left join Trusted arg_ts)
 
-(* A boolean guard's range comparisons: operand paths of <, <=, >, >=
-   and = under && are validated on the branch the guard protects —
+(* A boolean guard's range comparisons, under &&, validate on the branch
+   the guard protects the operand they bound from above: [a] in [a < b]
+   and [a <= b], [b] in [a > b] and [a >= b], both sides of [a = b] —
    provided the bound on the other side is itself not Untrusted
-   (comparing two adversary values validates neither). *)
+   (comparing two adversary values validates neither).  A lower bound
+   alone ([c.len - pos < size] for [size]) validates nothing. *)
 and guard_checked ctx env g =
   match g.pexp_desc with
   | Pexp_apply (h, [ (_, a); (_, b) ]) -> (
+    let add acc operand other =
+      if is_untrusted (eval (mute ctx) env other) then acc
+      else
+        match expr_path operand with
+        | Some p -> Paths.add p acc
+        | None -> acc
+    in
     match head_of h with
     | Some [ "&&" ] ->
       Paths.union (guard_checked ctx env a) (guard_checked ctx env b)
-    | Some ([ "<" ] | [ "<=" ] | [ ">" ] | [ ">=" ] | [ "=" ]) ->
-      let add acc operand other =
-        if is_untrusted (eval (mute ctx) env other) then acc
-        else
-          match expr_path operand with
-          | Some p -> Paths.add p acc
-          | None -> acc
-      in
-      add (add Paths.empty a b) b a
+    | Some ([ "<" ] | [ "<=" ]) -> add Paths.empty a b
+    | Some ([ ">" ] | [ ">=" ]) -> add Paths.empty b a
+    | Some [ "=" ] -> add (add Paths.empty a b) b a
     | _ -> Paths.empty)
   | Pexp_constraint (g, _) -> guard_checked ctx env g
   | _ -> Paths.empty

@@ -33,10 +33,11 @@ module Make (F : Field_intf.S) = struct
     coding : Coding.t;
     mutable coded_states : F.t array array;  (* n × state_dim *)
     mutable round_index : int;
-    mutable rs_ctx : (F.t array * RS.fast_ctx) option;
-        (* optimistic-decode precomputation, keyed by the received-point
-           set it was prepared for; reused while the same nodes report
-           (the common case round after round — Remark 4) *)
+    rs_ctxs : (int list, RS.fast_ctx) Hashtbl.t;
+        (* optimistic-decode precomputations, keyed by the reporting
+           node ids in received order.  A quorum wait decodes from
+           whichever nodes answered first, so a few sets recur round
+           after round (Remark 4).  At most n, cleared when full *)
   }
 
   let result_dim t = t.machine.M.state_dim + t.machine.M.output_dim
@@ -55,7 +56,7 @@ module Make (F : Field_intf.S) = struct
       coding;
       coded_states = Coding.encode_vectors coding init;
       round_index = 0;
-      rs_ctx = None;
+      rs_ctxs = Hashtbl.create 8;
     }
 
   let coded_state t ~node = t.coded_states.(node)
@@ -104,7 +105,8 @@ module Make (F : Field_intf.S) = struct
 
      The algorithm defaults to [RS.Optimistic], which shares one
      [RS.fast_ctx] across all coordinates and rounds, cached on the
-     engine and rebuilt only when the set of reporting nodes changes.
+     engine per set of reporting nodes and built the first time that
+     set reports.
 
      The [dim] coordinates are independent Reed–Solomon instances,
      decoded in order.  Each writes disjoint slots of [next_states] /
@@ -123,22 +125,17 @@ module Make (F : Field_intf.S) = struct
         let xs =
           Array.map (fun (node, _) -> t.coding.Coding.alphas.(node)) recv
         in
-        let xs_equal a b =
-          Array.length a = Array.length b
-          && (let ok = ref true in
-              Array.iteri
-                (fun i x -> if not (F.equal x b.(i)) then ok := false)
-                a;
-              !ok)
-        in
         let ctx =
           match algorithm with
           | RS.Optimistic when Array.length xs >= kdim -> (
-            match t.rs_ctx with
-            | Some (pxs, c) when xs_equal pxs xs -> Some c
-            | _ ->
+            let key = List.map fst received in
+            match Hashtbl.find_opt t.rs_ctxs key with
+            | Some c -> Some c
+            | None ->
+              if Hashtbl.length t.rs_ctxs >= t.params.Params.n then
+                Hashtbl.reset t.rs_ctxs;
               let c = RS.prepare_fast ~k:kdim xs in
-              t.rs_ctx <- Some (xs, c);
+              Hashtbl.replace t.rs_ctxs key c;
               Some c)
           | _ -> None
         in

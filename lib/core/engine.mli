@@ -15,10 +15,10 @@ module Make (F : Field_intf.S) : sig
     coding : Coding.t;
     mutable coded_states : F.t array array;
     mutable round_index : int;
-    mutable rs_ctx : (F.t array * RS.fast_ctx) option;
-        (** cached optimistic-decode precomputation (prepared subproduct
-            trees), keyed by the received-point set — rebuilt only when
-            the set of reporting nodes changes *)
+    rs_ctxs : (int list, RS.fast_ctx) Hashtbl.t;
+        (** cached optimistic-decode precomputations (prepared
+            subproduct trees), one per set of reporting node ids in
+            received order; at most [n], cleared when full *)
   }
 
   val result_dim : t -> int

@@ -147,8 +147,6 @@ let locked e f =
   Mutex.lock e.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock e.lock) f
 
-let rules e = List.map (fun s -> s.s_rule) e.states
-
 (* The value a rule is judged on: the worst sample in its direction —
    max for upper bounds, min for lower bounds.  No samples = no data =
    not firing (a missing family must not page). *)

@@ -10,9 +10,6 @@
 
 type cmp = Gt | Ge | Lt | Le
 
-val cmp_name : cmp -> string
-(** [">"], [">="], ["<"], ["<="]. *)
-
 type rule = {
   a_name : string;  (** the [rule] label on [csm_alerts_firing] *)
   a_metric : string;  (** metric family probed (by exposition name) *)
@@ -43,7 +40,6 @@ val default_rules : ?lambda_floor:float -> unit -> rule list
 type engine
 
 val create : rule list -> engine
-val rules : engine -> rule list
 
 val evaluate :
   engine -> ?now:float -> (string -> float list) -> (rule * float) list

@@ -84,8 +84,6 @@ let peek () = Atomic.get state
 let skew_seconds s =
   Float.abs (seconds s -. Unix.gettimeofday ())
 
-let reset () = Atomic.set state 0
-
 let mono_last = Atomic.make 0L
 
 let rec mono () =

@@ -53,12 +53,9 @@ val skew_seconds : stamp -> float
 (** |physical component − wall clock now|: how far causality (or a
     clock step) has pulled this process's HLC away from real time. *)
 
-val reset : unit -> unit
-(** Rewind to 0 (tests and forked children only). *)
-
 val mono : unit -> float
 (** Never-decreasing wall-clock seconds: [Unix.gettimeofday] clamped so
     a backwards step (NTP, VM migration) cannot produce negative
-    deltas.  Shared by the event log's [mono] field. *)
+    deltas. *)
 
 val pp : Format.formatter -> stamp -> unit

@@ -1,12 +1,16 @@
-(* Structured, leveled event log with a fixed-capacity ring buffer.
+(* Structured, leveled event log, stored in a flight ring.
 
    Protocol-health events (decode failures, consensus skips, suspicion
    flips, fraud alerts) are emitted here so a run can be inspected
    without replaying a full span trace.  Gated by [CSM_EVENTS]
-   (debug|info|warn|error); disabled, [emit] is one atomic load and
-   allocates nothing.  The ring keeps the newest [capacity] events —
-   old entries are overwritten, never blocking the emitting domain for
-   longer than the buffer mutex. *)
+   (debug|info|warn|error, read by [Exporter.install]); disabled,
+   [emit] is one atomic load and allocates nothing.
+
+   The entries live in one process-global {!Flight} ring: an entry's
+   kind is the event name, its first attribute is [("level", ...)],
+   and its stamp is the process HLC.  The ring keeps the newest
+   [capacity] events; one atomic emit counter gives [total], and every
+   emit past [capacity] has overwritten an unread entry. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -26,14 +30,7 @@ let level_of_string s =
   | "error" -> Some Error
   | _ -> None
 
-type t = {
-  seq : int;  (* process-unique, monotone *)
-  ts : float;  (* wall clock, Unix.gettimeofday *)
-  mono : float;  (* never-decreasing clock (Clock.mono), for deltas *)
-  level : level;
-  name : string;
-  attrs : (string * string) list;
-}
+type t = Flight.entry
 
 let capacity = 1024
 
@@ -52,72 +49,38 @@ let current_level () =
   | 4 -> Some Error
   | _ -> None
 
-let enabled l = Atomic.get threshold <> 0 && level_value l >= Atomic.get threshold
-
-let ring : t option array = Array.make capacity None
-let ring_lock = Mutex.create ()
-let next_seq = ref 0  (* guarded by ring_lock *)
+let fresh_ring () = Flight.create ~capacity ~node:0 ()
+let ring = Atomic.make (fresh_ring ())
 let emitted = Atomic.make 0
-let overwritten = Atomic.make 0
-
-let locked f =
-  Mutex.lock ring_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock ring_lock) f
 
 let emit ?(attrs = []) level name =
   let th = Atomic.get threshold in
   if th <> 0 && level_value level >= th then begin
-    let ts = Unix.gettimeofday () in
-    let mono = Clock.mono () in
-    let dropped_one =
-      locked (fun () ->
-          let seq = !next_seq in
-          next_seq := seq + 1;
-          let slot = seq mod capacity in
-          let displaced = ring.(slot) <> None in
-          ring.(slot) <- Some { seq; ts; mono; level; name; attrs };
-          displaced)
-    in
-    Atomic.incr emitted;
-    if dropped_one then begin
-      (* the ring reclaimed an entry nobody read: make the truncation
-         observable instead of silent (metric update outside the ring
-         lock — the registry has its own) *)
-      Atomic.incr overwritten;
-      if Metric.enabled () then Metric.inc Telemetry.events_dropped
-    end
+    Flight.record (Atomic.get ring)
+      ~attrs:(("level", level_name level) :: attrs)
+      ~hlc:(Clock.now ()) ~round:0 name;
+    (* past [capacity], this entry displaced one nobody read: make the
+       truncation observable instead of silent *)
+    if Atomic.fetch_and_add emitted 1 >= capacity && Metric.enabled () then
+      Metric.inc Telemetry.events_dropped
   end
 
 let total () = Atomic.get emitted
-let dropped () = Atomic.get overwritten
-
-(* Oldest-first chronological view of the surviving events. *)
-let recent () =
-  let items =
-    locked (fun () -> Array.to_list ring |> List.filter_map (fun x -> x))
-  in
-  List.sort (fun a b -> Int.compare a.seq b.seq) items
+let dropped () = max 0 (total () - capacity)
+let recent () = Flight.entries (Atomic.get ring)
 
 let reset () =
-  locked (fun () ->
-      Array.fill ring 0 capacity None;
-      next_seq := 0);
-  Atomic.set emitted 0;
-  Atomic.set overwritten 0
+  Atomic.set ring (fresh_ring ());
+  Atomic.set emitted 0
 
-let installed = ref false
-
-let install () =
-  if not !installed then begin
-    installed := true;
-    match Sys.getenv_opt "CSM_EVENTS" with
-    | None -> ()
-    | Some v -> set_level (level_of_string v)
-  end
-
-let pp ppf e =
-  Format.fprintf ppf "[%s] %s%s" (level_name e.level) e.name
-    (match e.attrs with
+let pp ppf (e : t) =
+  let level, attrs =
+    match e.Flight.f_attrs with
+    | ("level", l) :: attrs -> (l, attrs)
+    | attrs -> ("", attrs)
+  in
+  Format.fprintf ppf "[%s] %s%s" level e.Flight.f_kind
+    (match attrs with
     | [] -> ""
     | attrs ->
       " "

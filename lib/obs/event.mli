@@ -1,26 +1,16 @@
-(** Structured, leveled protocol-event log over a fixed ring buffer.
+(** Structured, leveled protocol-event log, stored in a {!Flight} ring.
 
-    Gated by [CSM_EVENTS] (via [install]) or [set_level]; with logging
-    disabled [emit] is one atomic load and allocates nothing.  The ring
-    keeps the newest [capacity] events. *)
+    Gated by [CSM_EVENTS] (read by {!Exporter.install}) or [set_level];
+    with logging disabled [emit] is one atomic load and allocates
+    nothing.  The ring keeps the newest [capacity] events. *)
 
 type level = Debug | Info | Warn | Error
 
-type t = {
-  seq : int;  (** process-unique, monotone emission index — wall clock
-      [ts] and [mono] are sampled in emission order but may tie *)
-  ts : float;  (** wall clock at emission ([Unix.gettimeofday],
-      seconds since the epoch): the human-readable absolute time, but
-      subject to NTP steps and VM-migration jumps, so deltas between
-      two events' [ts] can be negative or wildly wrong *)
-  mono : float;  (** never-decreasing clock at emission ({!Clock.mono},
-      seconds): use [b.mono -. a.mono] for durations and event-log
-      deltas — clamped so it cannot go backwards even when the wall
-      clock does *)
-  level : level;
-  name : string;
-  attrs : (string * string) list;
-}
+type t = Flight.entry
+(** [f_kind] is the event name, the first of [f_attrs] is
+    [("level", level_name l)] followed by the emitted attributes, and
+    [f_hlc] is the process HLC ({!Clock.now}) at emission — strictly
+    increasing in emission order.  [f_round] is 0. *)
 
 val capacity : int
 
@@ -28,7 +18,6 @@ val set_level : level option -> unit
 (** [None] disables logging entirely. *)
 
 val current_level : unit -> level option
-val enabled : level -> bool
 
 val level_name : level -> string
 val level_of_string : string -> level option
@@ -44,13 +33,11 @@ val total : unit -> int
 (** Events emitted since the last [reset], including overwritten ones. *)
 
 val dropped : unit -> int
-(** Events the ring overwrote before they were read (the
-    [csm_events_dropped_total] signal). *)
+(** Events the ring overwrote before they were read,
+    [max 0 (total () - capacity)] (the [csm_events_dropped_total]
+    signal). *)
 
 val reset : unit -> unit
 
-val install : unit -> unit
-(** Read [CSM_EVENTS] once (debug|info|warn|error) and set the level
-    accordingly.  Idempotent; free when unset. *)
-
 val pp : Format.formatter -> t -> unit
+(** [[level] name k=v ...] *)

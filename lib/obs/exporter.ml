@@ -13,8 +13,8 @@
      reports from different PRs remain comparable.
 
    Activation is environment-driven and free when unset: [install]
-   reads CSM_TRACE once; only when present does it enable the tracer
-   and register an at-exit flush. *)
+   reads CSM_TRACE, CSM_EVENTS and CSM_METRICS once, and only a
+   variable that is present turns its channel on. *)
 
 let us_of s = s *. 1e6
 
@@ -144,13 +144,21 @@ let report_path () = Sys.getenv_opt "CSM_REPORT"
 
 let installed = ref false
 
-(* One entry point for every env-gated observability channel: spans
-   (CSM_TRACE), events (CSM_EVENTS) and metrics (CSM_METRICS). *)
+(* The one entry point for every env-gated observability channel:
+   events (CSM_EVENTS sets the level), metrics (CSM_METRICS enables the
+   registry and writes the exposition there at exit) and spans
+   (CSM_TRACE enables the tracer and writes a Chrome trace at exit). *)
 let install () =
   if not !installed then begin
     installed := true;
-    Event.install ();
-    Prom.install ();
+    Option.iter
+      (fun v -> Event.set_level (Event.level_of_string v))
+      (Sys.getenv_opt "CSM_EVENTS");
+    (match Prom.metrics_path () with
+    | None -> ()
+    | Some path ->
+      Metric.enable ();
+      at_exit (fun () -> Prom.write ~path));
     match trace_path () with
     | None -> ()
     | Some path ->

@@ -1,7 +1,8 @@
 (** Span exporters: Chrome trace-event JSON (chrome://tracing /
     Perfetto) and building blocks for the self-describing run-report
-    JSON.  Environment-gated via [install] — zero overhead when
-    [CSM_TRACE] is unset. *)
+    JSON, plus [install], the one environment hook of every
+    observability channel — zero overhead when its variables are
+    unset. *)
 
 val chrome_trace : Span.record list -> Json.t
 (** The ["traceEvents"] object: one complete ("X") event per span,

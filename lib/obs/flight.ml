@@ -3,11 +3,12 @@
    on, cheap enough to leave running, and dumped only when something
    goes wrong (ledger divergence, frame errors, decoder suspicion).
 
-   Unlike the process-global [Event] log, a recorder is an instance:
-   loopback clusters run N node runtimes in one process, and each needs
-   its own ring or the black boxes would interleave.  The ring keeps
-   the newest [capacity] entries; [recorded] counts everything ever
-   recorded so a dump states how much history was lost. *)
+   A recorder is an instance: loopback clusters run N node runtimes in
+   one process, and each needs its own ring or the black boxes would
+   interleave.  The process-global [Event] log is one more instance.
+   The ring keeps the newest [capacity] entries; [recorded] counts
+   everything ever recorded so a dump states how much history was
+   lost. *)
 
 type entry = {
   f_hlc : Clock.stamp;  (* HLC at the moment of recording *)

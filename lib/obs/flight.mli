@@ -3,9 +3,10 @@
     dumped as part of a [csm-flightrec/1] document only when a run goes
     wrong — ledger divergence, frame errors, decoder suspicion.
 
-    Instance-based, unlike the process-global {!Event} log: loopback
-    clusters run N node runtimes in one process and each gets its own
-    black box.  Thread-safe per instance. *)
+    Instance-based: loopback clusters run N node runtimes in one
+    process and each gets its own black box; the process-global
+    {!Event} log keeps its entries in one more instance.  Thread-safe
+    per instance. *)
 
 type entry = {
   f_hlc : Clock.stamp;  (** HLC stamp at the moment of recording *)
@@ -17,10 +18,9 @@ type entry = {
 
 type t
 
-val default_capacity : int
-
 val create : ?capacity:int -> node:int -> unit -> t
-(** @raise Invalid_argument on a non-positive capacity. *)
+(** [capacity] defaults to 512 entries.
+    @raise Invalid_argument on a non-positive capacity. *)
 
 val node : t -> int
 val capacity : t -> int

@@ -18,7 +18,6 @@ val float_repr : float -> string
 (** Shortest of [%.15g]/[%.16g]/[%.17g] that parses back to exactly the
     input. *)
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 val write : path:string -> t -> unit
 

@@ -31,13 +31,10 @@ type source = {
 type t = {
   lock : Mutex.t;
   k : int;
-  bucket_s : float;
-  span_s : float;
   sources : (int * int, source) Hashtbl.t;
   engine : Alert.engine;
-  on_alert : (Alert.rule -> float -> unit) option;
   lambda_w : Window.t;
-  latency_w : Window.hist;
+  latency_w : Window.t;
   phase_w : (string, Window.t) Hashtbl.t;
   frame_err_w : Window.t;
   mutable n_commits : int;
@@ -50,22 +47,19 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let create ?rules ?on_alert ?(bucket_s = 0.05) ?(span_s = 60.0) ~k () =
+let create ?rules ~k () =
   let rules =
     match rules with Some r -> r | None -> Alert.default_rules ()
   in
   {
     lock = Mutex.create ();
     k;
-    bucket_s;
-    span_s;
     sources = Hashtbl.create 8;
     engine = Alert.create rules;
-    on_alert;
-    lambda_w = Window.create ~bucket_s ~span_s ();
-    latency_w = Window.hist_create ~bucket_s ~span_s ();
+    lambda_w = Window.create ();
+    latency_w = Window.create ~buckets:Metric.default_buckets ();
     phase_w = Hashtbl.create 8;
-    frame_err_w = Window.create ~bucket_s ~span_s ();
+    frame_err_w = Window.create ();
     n_commits = 0;
     n_applied = 0;
     n_stale = 0;
@@ -140,7 +134,7 @@ let window_views ?now t =
           (fun (a, _) (b, _) -> String.compare a b)
           (Hashtbl.fold (fun p w acc -> (p, w) :: acc) t.phase_w []))
   in
-  let latency = Window.hist_snapshot ~now t.latency_w in
+  let latency = Window.snapshot ~now t.latency_w in
   let q q' = Metric.quantile latency q' in
   [
     gauge_view ~name:"csm_window_lambda"
@@ -197,13 +191,11 @@ let evaluate_alerts ?now t =
     | None -> []
     | Some v -> sample_values v
   in
-  let rising = Alert.evaluate t.engine lookup in
   List.iter
-    (fun (r, value) ->
+    (fun ((r : Alert.rule), _) ->
       if Metric.enabled () then
-        Metric.inc (Telemetry.alerts_fired ~rule:r.Alert.a_name);
-      match t.on_alert with Some f -> f r value | None -> ())
-    rising
+        Metric.inc (Telemetry.alerts_fired ~rule:r.Alert.a_name))
+    (Alert.evaluate t.engine lookup)
 
 (* ----- ingestion ----- *)
 
@@ -250,7 +242,7 @@ let phase_window t p =
   match Hashtbl.find_opt t.phase_w p with
   | Some w -> w
   | None ->
-    let w = Window.create ~bucket_s:t.bucket_s ~span_s:t.span_s () in
+    let w = Window.create () in
     Hashtbl.replace t.phase_w p w;
     w
 
@@ -270,7 +262,7 @@ let feed_windows t src ~now (v : Metric.view) =
               (Option.bind (find_sample prev s.Metric.labels) hist_of)
               cur
           in
-          if d.Metric.s_count > 0 then Window.hist_add ~now t.latency_w d
+          if d.Metric.s_count > 0 then Window.add_snapshot ~now t.latency_w d
         | None -> ())
       v.Metric.samples
   | "csm_node_phases_total" ->
@@ -357,7 +349,7 @@ let alerts t = t.engine
 
 let windows_json ?now t =
   let now = match now with Some n -> n | None -> wall () in
-  let latency = Window.hist_snapshot ~now t.latency_w in
+  let latency = Window.snapshot ~now t.latency_w in
   let q q' = Metric.quantile latency q' in
   let commits, applied, stale, rejected, sources =
     locked t (fun () ->

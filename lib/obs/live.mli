@@ -14,18 +14,10 @@
 
 type t
 
-val create :
-  ?rules:Alert.rule list ->
-  ?on_alert:(Alert.rule -> float -> unit) ->
-  ?bucket_s:float ->
-  ?span_s:float ->
-  k:int ->
-  unit ->
-  t
-(** [rules] defaults to {!Alert.default_rules}; [on_alert] runs once
-    per rule rising edge (e.g. to arm a flight-recorder dump); [k] is
-    the commands-per-round γ the λ window counts per commit.  Window
-    geometry defaults to 50 ms buckets over a 60 s span. *)
+val create : ?rules:Alert.rule list -> k:int -> unit -> t
+(** [rules] defaults to {!Alert.default_rules}; [k] is the
+    commands-per-round γ the λ window counts per commit.  Every window
+    has {!Window}'s fixed geometry: 50 ms buckets over a 60 s span. *)
 
 val mark_start : ?now:float -> t -> unit
 (** Anchor the λ window's covered span at the run start, so the
@@ -56,14 +48,11 @@ val node_views : t -> Metric.view list
     applied payloads, which the delta-merge determinism gate relies
     on. *)
 
-val views : ?now:float -> t -> Metric.view list
-(** [node_views] plus the synthesized families: [csm_window_*]
-    (λ, γ, per-phase rates, rolling latency quantiles, frame-error
-    rate), [csm_alerts_firing], and the store's own
-    [csm_live_deltas_*] counters. *)
-
 val scrape : ?now:float -> t -> string
-(** The Prometheus exposition of [views] — the [/metrics] body. *)
+(** The [/metrics] body: the Prometheus exposition of [node_views] plus
+    the synthesized families — [csm_window_*] (λ, γ, per-phase rates,
+    rolling latency quantiles, frame-error rate), [csm_alerts_firing],
+    and the store's own [csm_live_deltas_*] counters. *)
 
 val windows_json : ?now:float -> t -> Json.t
 (** The [/windows.json] document ([csm-live-windows/1]): commit count,

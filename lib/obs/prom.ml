@@ -109,18 +109,3 @@ let write ~path =
 let output oc = output_string oc (render ())
 
 let metrics_path () = Sys.getenv_opt "CSM_METRICS"
-
-let installed = ref false
-
-(* Environment-driven activation, mirroring [Exporter.install]: when
-   CSM_METRICS names a path, enable the registry and write the
-   exposition there at exit. *)
-let install () =
-  if not !installed then begin
-    installed := true;
-    match metrics_path () with
-    | None -> ()
-    | Some path ->
-      Metric.enable ();
-      at_exit (fun () -> write ~path)
-  end

@@ -16,12 +16,6 @@ val output : out_channel -> unit
 val metrics_path : unit -> string option
 (** [CSM_METRICS] if set. *)
 
-val install : unit -> unit
-(** Read [CSM_METRICS] once; when set, enable the metrics registry and
-    register an at-exit exposition write to that path.  Idempotent;
-    free when unset. *)
-
 (**/**)
 
 val label_block : Metric.labels -> string
-val float_str : float -> string

@@ -125,5 +125,3 @@ let flush () =
   let rs = records () in
   reset ();
   rs
-
-let total_ops r = r.d_adds + r.d_muls + r.d_invs

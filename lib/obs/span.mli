@@ -46,6 +46,3 @@ val flush : unit -> record list
 
 val reset : unit -> unit
 (** Drop all buffered spans (and any stale open-span stacks). *)
-
-val total_ops : record -> int
-(** [d_adds + d_muls + d_invs] (unweighted). *)

@@ -1,4 +1,4 @@
-(* Sliding-window estimators over rings of time-bucketed counts.
+(* Sliding windows over one ring of time-bucketed histograms.
 
    Time is quantised into buckets of [bucket_s] seconds; bucket id
    ⌊now / bucket_s⌋ lives in ring slot (id mod nbuckets).  A slot is
@@ -6,6 +6,11 @@
    rotation can never double-count: a slot holds exactly one bucket's
    worth of data, and a bucket leaves the reachable set (the trailing
    [nbuckets] ids) at the same moment its slot becomes reclaimable.
+
+   Each slot is a histogram shard: per-bound counts, a sum and an
+   observation count.  A counter window is the shard with no bounds,
+   read through [rate]; a latency window has bounds and is read through
+   [snapshot].
 
    Reads fold only the slots whose id is still inside the window ending
    at [now], so stale slots that have not been overwritten yet are
@@ -17,12 +22,19 @@
 
 let wall () = Unix.gettimeofday ()
 
+let bucket_s = 0.05
+let span_s = 60.0
+
+(* +1: the window [now - span, now] straddles one extra partial bucket *)
+let nbuckets = int_of_float (ceil (span_s /. bucket_s)) + 1
+
 type t = {
-  bucket_s : float;
-  span_s : float;
-  nbuckets : int;
+  bounds : float array;  (* strictly increasing upper bounds *)
+  width : int;  (* count cells per slot: |bounds|+1 with overflow last *)
   ids : int array;  (* bucket id occupying each slot; -1 = empty *)
+  counts : int array;  (* slot s's cells at [s * width, (s + 1) * width) *)
   sums : float array;
+  tallies : int array;  (* per-slot observation count *)
   mutable first_s : float;  (* earliest mark/add, +inf before any *)
   lock : Mutex.t;
 }
@@ -31,199 +43,114 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let nbuckets_of ~bucket_s ~span_s =
-  if not (bucket_s > 0.0) || not (span_s > 0.0) then
-    invalid_arg "Window.create: bucket_s and span_s must be positive";
-  (* +1: the window [now - span, now] straddles one extra partial bucket *)
-  int_of_float (ceil (span_s /. bucket_s)) + 1
-
-let create ?(bucket_s = 0.25) ?(span_s = 60.0) () =
-  let nbuckets = nbuckets_of ~bucket_s ~span_s in
+let create ?(buckets = [||]) () =
+  Array.iteri
+    (fun i b ->
+      if i > 0 && not (b > buckets.(i - 1)) then
+        invalid_arg "Window.create: bounds must be strictly increasing")
+    buckets;
+  let width = Array.length buckets + 1 in
   {
-    bucket_s;
-    span_s;
-    nbuckets;
+    bounds = Array.copy buckets;
+    width;
     ids = Array.make nbuckets (-1);
+    counts = Array.make (nbuckets * width) 0;
     sums = Array.make nbuckets 0.0;
+    tallies = Array.make nbuckets 0;
     first_s = infinity;
     lock = Mutex.create ();
   }
 
-let bucket_seconds t = t.bucket_s
-let span_seconds t = t.span_s
+let bucket_id now = int_of_float (floor (now /. bucket_s))
 
-let bucket_id t now = int_of_float (floor (now /. t.bucket_s))
+(* The slot for [now]'s bucket, reclaimed if an older bucket holds it.
+   Called under the lock. *)
+let slot_for t now =
+  let id = bucket_id now in
+  let slot = ((id mod nbuckets) + nbuckets) mod nbuckets in
+  if t.ids.(slot) <> id then begin
+    t.ids.(slot) <- id;
+    Array.fill t.counts (slot * t.width) t.width 0;
+    t.sums.(slot) <- 0.0;
+    t.tallies.(slot) <- 0
+  end;
+  if now < t.first_s then t.first_s <- now;
+  slot
 
 let mark ?now t =
   let now = match now with Some n -> n | None -> wall () in
   locked t (fun () -> if now < t.first_s then t.first_s <- now)
-
-let add ?now t v =
-  let now = match now with Some n -> n | None -> wall () in
-  let id = bucket_id t now in
-  let slot = ((id mod t.nbuckets) + t.nbuckets) mod t.nbuckets in
-  locked t (fun () ->
-      if t.ids.(slot) <> id then begin
-        t.ids.(slot) <- id;
-        t.sums.(slot) <- 0.0
-      end;
-      t.sums.(slot) <- t.sums.(slot) +. v;
-      if now < t.first_s then t.first_s <- now)
-
-(* Fold the live slots: ids within the trailing [nbuckets] window of
-   [now]'s bucket.  Future ids (a slot written with a later explicit
-   [?now] than this read's) are excluded too. *)
-let fold_live ?now t f init =
-  let now = match now with Some n -> n | None -> wall () in
-  let id_now = bucket_id t now in
-  let id_min = id_now - (t.nbuckets - 1) in
-  locked t (fun () ->
-      let acc = ref init in
-      for slot = 0 to t.nbuckets - 1 do
-        let id = t.ids.(slot) in
-        if id >= id_min && id <= id_now then acc := f !acc id t.sums.(slot)
-      done;
-      !acc)
-
-let total ?now t = fold_live ?now t (fun acc _ v -> acc +. v) 0.0
-
-let rate ?now t =
-  let now = match now with Some n -> n | None -> wall () in
-  let sum = total ~now t in
-  let first = locked t (fun () -> t.first_s) in
-  if first = infinity then 0.0
-  else
-    let covered = Float.min t.span_s (now -. first) in
-    sum /. Float.max t.bucket_s covered
-
-(* ----- pure bucket lists ----- *)
-
-type slots = (int * float) list
-
-let snapshot ?now t =
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (fold_live ?now t (fun acc id v -> (id, v) :: acc) [])
-
-(* Pointwise sum by id on sorted association lists: canonical output
-   order makes equality structural, and per-id float addition is
-   commutative/associative up to rounding (the law tests use exactly
-   representable values). *)
-let merge a b =
-  let tbl : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (id, v) ->
-      Hashtbl.replace tbl id
-        (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl id)))
-    (a @ b);
-  List.sort
-    (fun (x, _) (y, _) -> Int.compare x y)
-    (Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl [])
-
-let slots_total s = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 s
-
-(* ----- windowed histograms ----- *)
-
-type hist = {
-  h_bucket_s : float;
-  h_nbuckets : int;
-  bounds : float array;  (* strictly increasing upper bounds *)
-  h_ids : int array;
-  counts : int array array;  (* per slot: |bounds|+1 with overflow last *)
-  h_sums : float array;
-  h_counts : int array;
-  h_lock : Mutex.t;
-}
-
-let h_locked h f =
-  Mutex.lock h.h_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock h.h_lock) f
-
-let hist_create ?(bucket_s = 0.25) ?(span_s = 60.0) ?buckets () =
-  let bounds =
-    match buckets with Some b -> b | None -> Metric.default_buckets
-  in
-  if Array.length bounds = 0 then
-    invalid_arg "Window.hist_create: empty bucket layout";
-  Array.iteri
-    (fun i b ->
-      if i > 0 && not (b > bounds.(i - 1)) then
-        invalid_arg "Window.hist_create: bounds must be strictly increasing")
-    bounds;
-  let nbuckets = nbuckets_of ~bucket_s ~span_s in
-  {
-    h_bucket_s = bucket_s;
-    h_nbuckets = nbuckets;
-    bounds = Array.copy bounds;
-    h_ids = Array.make nbuckets (-1);
-    counts = Array.init nbuckets (fun _ -> Array.make (Array.length bounds + 1) 0);
-    h_sums = Array.make nbuckets 0.0;
-    h_counts = Array.make nbuckets 0;
-    h_lock = Mutex.create ();
-  }
-
-let h_bucket_id h now = int_of_float (floor (now /. h.h_bucket_s))
-
-let h_slot_for h id =
-  let slot = ((id mod h.h_nbuckets) + h.h_nbuckets) mod h.h_nbuckets in
-  if h.h_ids.(slot) <> id then begin
-    h.h_ids.(slot) <- id;
-    Array.fill h.counts.(slot) 0 (Array.length h.counts.(slot)) 0;
-    h.h_sums.(slot) <- 0.0;
-    h.h_counts.(slot) <- 0
-  end;
-  slot
 
 let value_bucket bounds v =
   let n = Array.length bounds in
   let rec find i = if i >= n then n else if v <= bounds.(i) then i else find (i + 1) in
   find 0
 
-let hist_observe ?now h v =
+let add ?now t v =
   let now = match now with Some n -> n | None -> wall () in
-  let id = h_bucket_id h now in
-  h_locked h (fun () ->
-      let slot = h_slot_for h id in
-      let i = value_bucket h.bounds v in
-      h.counts.(slot).(i) <- h.counts.(slot).(i) + 1;
-      h.h_sums.(slot) <- h.h_sums.(slot) +. v;
-      h.h_counts.(slot) <- h.h_counts.(slot) + 1)
+  locked t (fun () ->
+      let slot = slot_for t now in
+      let i = (slot * t.width) + value_bucket t.bounds v in
+      t.counts.(i) <- t.counts.(i) + 1;
+      t.sums.(slot) <- t.sums.(slot) +. v;
+      t.tallies.(slot) <- t.tallies.(slot) + 1)
 
-let hist_add ?now h (s : Metric.snapshot) =
+let add_snapshot ?now t (s : Metric.snapshot) =
   if
-    Array.length s.Metric.s_bounds = Array.length h.bounds
-    && Array.for_all2 (fun a b -> a = b) s.Metric.s_bounds h.bounds
-    && Array.length s.Metric.s_counts = Array.length h.bounds + 1
+    Array.length s.Metric.s_bounds = Array.length t.bounds
+    && Array.for_all2 (fun a b -> a = b) s.Metric.s_bounds t.bounds
+    && Array.length s.Metric.s_counts = t.width
   then begin
     let now = match now with Some n -> n | None -> wall () in
-    let id = h_bucket_id h now in
-    h_locked h (fun () ->
-        let slot = h_slot_for h id in
+    locked t (fun () ->
+        let slot = slot_for t now in
         Array.iteri
-          (fun i c -> if c > 0 then h.counts.(slot).(i) <- h.counts.(slot).(i) + c)
+          (fun i c ->
+            let j = (slot * t.width) + i in
+            if c > 0 then t.counts.(j) <- t.counts.(j) + c)
           s.Metric.s_counts;
-        h.h_sums.(slot) <- h.h_sums.(slot) +. s.Metric.s_sum;
-        h.h_counts.(slot) <- h.h_counts.(slot) + max 0 s.Metric.s_count)
+        t.sums.(slot) <- t.sums.(slot) +. s.Metric.s_sum;
+        t.tallies.(slot) <- t.tallies.(slot) + max 0 s.Metric.s_count)
   end
 
-let hist_snapshot ?now h =
+(* A slot is live at [now] if its id is within the trailing [nbuckets]
+   ids ending at [now]'s bucket.  Future ids (a slot written with a
+   later explicit [?now] than this read's) are excluded too. *)
+let snapshot ?now t =
   let now = match now with Some n -> n | None -> wall () in
-  let id_now = h_bucket_id h now in
-  let id_min = id_now - (h.h_nbuckets - 1) in
-  h_locked h (fun () ->
-      let counts = Array.make (Array.length h.bounds + 1) 0 in
+  let id_now = bucket_id now in
+  locked t (fun () ->
+      let counts = Array.make t.width 0 in
       let sum = ref 0.0 and count = ref 0 in
-      for slot = 0 to h.h_nbuckets - 1 do
-        let id = h.h_ids.(slot) in
-        if id >= id_min && id <= id_now then begin
-          Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) h.counts.(slot);
-          sum := !sum +. h.h_sums.(slot);
-          count := !count + h.h_counts.(slot)
+      for slot = 0 to nbuckets - 1 do
+        let id = t.ids.(slot) in
+        if id <= id_now && id > id_now - nbuckets then begin
+          for i = 0 to t.width - 1 do
+            counts.(i) <- counts.(i) + t.counts.((slot * t.width) + i)
+          done;
+          sum := !sum +. t.sums.(slot);
+          count := !count + t.tallies.(slot)
         end
       done;
       {
-        Metric.s_bounds = Array.copy h.bounds;
+        Metric.s_bounds = Array.copy t.bounds;
         s_counts = counts;
         s_sum = !sum;
         s_count = !count;
       })
+
+let rate ?now t =
+  let now = match now with Some n -> n | None -> wall () in
+  let id_now = bucket_id now in
+  locked t (fun () ->
+      if t.first_s = infinity then 0.0
+      else begin
+        let sum = ref 0.0 in
+        for slot = 0 to nbuckets - 1 do
+          let id = t.ids.(slot) in
+          if id <= id_now && id > id_now - nbuckets then
+            sum := !sum +. t.sums.(slot)
+        done;
+        let covered = Float.min span_s (now -. t.first_s) in
+        !sum /. Float.max bucket_s covered
+      end)

@@ -1,77 +1,49 @@
-(** Sliding-window rate estimators: rings of time-bucketed counts with
-    an associative merge, backing the live λ / per-phase rate gauges
-    and the rolling round-latency quantiles of the streaming telemetry
-    plane.
+(** Sliding windows: one ring of time-bucketed histograms, backing the
+    live λ / per-phase rate gauges and the rolling round-latency
+    quantiles of the streaming telemetry plane.
 
-    A window covers the last [span_s] seconds quantised into buckets of
-    [bucket_s] seconds.  Writers pay one array update per record; reads
+    A window covers the last {!span_s} seconds quantised into buckets of
+    {!bucket_s} seconds.  Writers pay one array update per record; reads
     fold the live buckets.  Every operation takes an optional [?now] so
-    tests (and the QCheck laws) can drive the clock explicitly — the
-    wall clock is only the default.  Instances are mutex-guarded and
-    safe to share across threads. *)
+    tests can drive the clock explicitly — the wall clock is only the
+    default.  Instances are mutex-guarded and safe to share across
+    threads. *)
+
+val bucket_s : float
+(** 0.05 s: the time resolution of every window. *)
+
+val span_s : float
+(** 60 s: how far back every window reaches. *)
 
 type t
-(** A windowed counter: the sum of recorded values per time bucket. *)
+(** A ring of per-bucket histogram shards sharing one bound layout.  A
+    window with no bounds is a counter: read it through [rate]. *)
 
-val create : ?bucket_s:float -> ?span_s:float -> unit -> t
-(** Defaults: 0.25 s buckets over a 60 s span.
-    @raise Invalid_argument on a non-positive bucket or span. *)
-
-val bucket_seconds : t -> float
-val span_seconds : t -> float
-
-val add : ?now:float -> t -> float -> unit
-(** Record [v] in the bucket covering [now]. *)
+val create : ?buckets:float array -> unit -> t
+(** [buckets] are the histogram's upper bounds; none (the default)
+    makes a counter.
+    @raise Invalid_argument unless the bounds strictly increase. *)
 
 val mark : ?now:float -> t -> unit
-(** Note that observation started (recording no count), so [rate]
+(** Note that observation started (recording nothing), so [rate]
     divides by the real elapsed time since the first mark/add rather
     than a bucket-aligned window start. *)
 
-val total : ?now:float -> t -> float
-(** Sum of the values recorded within the window ending at [now]
-    (exact to within one bucket at the trailing edge). *)
+val add : ?now:float -> t -> float -> unit
+(** Record one value [v] in the bucket covering [now]: one count in the
+    bound bucket [v] falls in, plus [v] in the sum. *)
 
-val rate : ?now:float -> t -> float
-(** [total] per second over the covered span — the elapsed time since
-    the first mark/add, clamped to [[bucket_s, span_s]]; [0.] before
-    any mark or add. *)
-
-(** {1 Pure bucket lists (the merge the QCheck laws quantify over)} *)
-
-type slots = (int * float) list
-(** Live (bucket id, summed value) pairs in strictly increasing id
-    order — the pure, order-canonical image of a window. *)
-
-val snapshot : ?now:float -> t -> slots
-(** The live buckets at [now], oldest first. *)
-
-val merge : slots -> slots -> slots
-(** Pointwise sum by bucket id.  Associative and commutative (the laws
-    the tests check), so cluster-wide windows are independent of the
-    order node contributions arrive in. *)
-
-val slots_total : slots -> float
-
-(** {1 Windowed histograms (rolling quantiles)} *)
-
-type hist
-(** A ring of per-bucket histogram shards sharing one bound layout. *)
-
-val hist_create :
-  ?bucket_s:float -> ?span_s:float -> ?buckets:float array -> unit -> hist
-(** [buckets] defaults to {!Metric.default_buckets}.
-    @raise Invalid_argument like {!create} / {!Metric.histogram}. *)
-
-val hist_observe : ?now:float -> hist -> float -> unit
-(** Record one observation in the time bucket covering [now]. *)
-
-val hist_add : ?now:float -> hist -> Metric.snapshot -> unit
+val add_snapshot : ?now:float -> t -> Metric.snapshot -> unit
 (** Fold a (delta) histogram snapshot into the bucket covering [now] —
     how the live store turns successive cumulative node snapshots into
     windowed ones.  A layout mismatch (untrusted input) is dropped, not
     fatal. *)
 
-val hist_snapshot : ?now:float -> hist -> Metric.snapshot
+val snapshot : ?now:float -> t -> Metric.snapshot
 (** Merged snapshot of the live buckets; feed {!Metric.quantile} for
     the rolling p50/p95/p99. *)
+
+val rate : ?now:float -> t -> float
+(** The live buckets' summed values per second over the covered span —
+    the elapsed time since the first mark/add, clamped to
+    [[bucket_s, span_s]]; [0.] before any mark or add. *)

@@ -249,6 +249,23 @@ let r6_taint () =
       ( "lib/transport/ta.ml",
         "let f tr arr = Array.get arr (Transport.recv tr mod Array.length arr)"
       );
+    ];
+  (* a comparison bounds only the operand it caps from above: a size
+     that merely exceeds what is buffered is not validated ... *)
+  wp_fires "R6"
+    [
+      ( "lib/transport/ta.ml",
+        "let f tr len pos =\n\
+        \  let size = Transport.recv tr in\n\
+        \  if len - pos < size then Bytes.create size else Bytes.create 0" );
+    ];
+  (* ... while one held to a trusted limit is *)
+  wp_silent "R6"
+    [
+      ( "lib/transport/ta.ml",
+        "let f tr limit =\n\
+        \  let size = Transport.recv tr in\n\
+        \  if size <= limit then Bytes.create size else Bytes.create 0" );
     ]
 
 let r6_interprocedural () =

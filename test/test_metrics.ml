@@ -226,6 +226,38 @@ let rs_smoke_warm_decode () =
   ignore (count_decode ());
   Alcotest.(check int) "warm optimistic decode ops" 44_640 (count_decode ())
 
+(* Reporter sets A, B, then A again: a quorum wait decodes from
+   whichever nodes answered first, so sets alternate, and the return of
+   a set already seen must cost a warm decode, not a rebuild. *)
+let decode_context_per_reporter_set () =
+  let module C = Counted.Make (Fp.F97) in
+  let module E = Csm_core.Engine.Make (C) in
+  let machine = E.M.register_bank ~slots:2 in
+  let params = Params.make ~network:Params.Sync ~n:8 ~k:2 ~d:2 ~b:1 in
+  let rng = Csm_rng.create 0xA8A in
+  let vectors dim = Array.init 2 (fun _ -> Array.init dim (fun _ -> C.random rng)) in
+  let engine = E.create ~machine ~params ~init:(vectors machine.E.M.state_dim) in
+  let commands = vectors machine.E.M.input_dim in
+  let results =
+    List.init 8 (fun i ->
+        let coded_command = E.node_encode_command engine ~node:i ~commands in
+        (i, E.node_compute engine ~node:i ~coded_command))
+  in
+  let ops_for nodes =
+    let ledger = Ledger.create () in
+    let scope = Scope.of_ledger (module C) ledger in
+    let received = List.filter (fun (i, _) -> List.mem i nodes) results in
+    match E.decode_results ~scope ~algorithm:E.RS.Optimistic engine received with
+    | Some _ -> Ledger.total ledger "decoder"
+    | None -> Alcotest.fail "fault-free decode failed"
+  in
+  let a = [ 0; 1; 2; 3; 4; 5 ] and b = [ 0; 1; 2; 3; 4; 6 ] in
+  let cold_a = ops_for a in
+  let warm_a = ops_for a in
+  Alcotest.(check bool) "a warm decode skips the preparation" true (warm_a < cold_a);
+  ignore (ops_for b);
+  Alcotest.(check int) "A after B costs A's warm decode" warm_a (ops_for a)
+
 let suites =
   [
     ( "metrics",
@@ -246,5 +278,7 @@ let suites =
           smoke_round_total;
         Alcotest.test_case "rs-smoke warm decode costs 44640 ops" `Quick
           rs_smoke_warm_decode;
+        Alcotest.test_case "decode context cached per reporter set" `Quick
+          decode_context_per_reporter_set;
       ] );
   ]

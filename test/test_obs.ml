@@ -1108,9 +1108,9 @@ let agg_cross_flow_pairing () =
   Alcotest.(check bool) "flow start emitted" true (has "\"ph\":\"s\"");
   Alcotest.(check bool) "flow end emitted" true (has "\"ph\":\"f\"")
 
-(* ----- event log: monotonic timestamps ----- *)
+(* ----- event log: HLC-stamped flight ring ----- *)
 
-let event_mono_field () =
+let event_stamps_ordered () =
   let saved = Event.current_level () in
   Event.reset ();
   Event.set_level (Some Event.Debug);
@@ -1124,14 +1124,15 @@ let event_mono_field () =
       Event.emit Event.Debug "c";
       let evs = Event.recent () in
       Alcotest.(check (list string)) "all three recorded" [ "a"; "b"; "c" ]
-        (List.map (fun (e : Event.t) -> e.Event.name) evs);
-      let seqs = List.map (fun (e : Event.t) -> e.Event.seq) evs in
-      Alcotest.(check bool) "seq strictly increasing" true
-        (List.sort_uniq Int.compare seqs = seqs);
-      let monos = List.map (fun (e : Event.t) -> e.Event.mono) evs in
-      Alcotest.(check bool) "mono positive" true (List.for_all (fun m -> m > 0.0) monos);
-      Alcotest.(check bool) "mono never decreases" true
-        (List.sort Float.compare monos = monos))
+        (List.map (fun (e : Event.t) -> e.Flight.f_kind) evs);
+      Alcotest.(check (list string)) "printed with level and attrs"
+        [ "[info] a"; "[warn] b k=v"; "[debug] c" ]
+        (List.map (Format.asprintf "%a" Event.pp) evs);
+      let stamps = List.map (fun (e : Event.t) -> e.Flight.f_hlc) evs in
+      Alcotest.(check bool) "stamps positive" true
+        (List.for_all (fun s -> s > 0) stamps);
+      Alcotest.(check bool) "stamps strictly increasing" true
+        (List.sort_uniq Int.compare stamps = stamps))
 
 (* ----- Prometheus escaping edge cases ----- *)
 
@@ -1176,41 +1177,46 @@ module Live = Csm_obs.Live
 module Http = Csm_obs.Http
 
 (* All window tests drive the clock explicitly through ?now — nothing
-   here depends on wall time. *)
+   here depends on wall time.  Integer-valued records keep every sum
+   exact. *)
+let window_total ~now w = (Window.snapshot ~now w).Metric.s_sum
+
 let window_rate_basics () =
-  let w = Window.create ~bucket_s:1.0 ~span_s:4.0 () in
+  let w = Window.create () in
   Alcotest.(check (float 0.0)) "empty rate" 0.0 (Window.rate ~now:10.0 w);
   Window.mark ~now:10.0 w;
   Window.add ~now:10.5 w 10.0;
   Window.add ~now:11.5 w 10.0;
-  Alcotest.(check (float 0.0)) "total" 20.0 (Window.total ~now:12.0 w);
+  Alcotest.(check (float 0.0)) "total" 20.0 (window_total ~now:12.0 w);
   Alcotest.(check (float 1e-9)) "rate over covered span" 10.0
     (Window.rate ~now:12.0 w);
   (* far past the span every bucket has expired *)
-  Alcotest.(check (float 0.0)) "expired" 0.0 (Window.total ~now:100.0 w)
+  Alcotest.(check (float 0.0)) "expired" 0.0 (window_total ~now:100.0 w)
 
 let window_rotation_no_double_count () =
-  let w = Window.create ~bucket_s:1.0 ~span_s:4.0 () in
-  Window.add ~now:0.5 w 7.0;
-  (* the ring has ceil(span/bucket)+1 = 5 slots; time 5.5 reuses slot
-     0 — the old count must be reclaimed, not added to *)
-  Window.add ~now:5.5 w 3.0;
+  let w = Window.create () in
+  Window.add ~now:0.025 w 7.0;
+  (* the ring has span/bucket + 1 slots, so one span plus one bucket
+     later bucket 0's slot is reused — the old count must be reclaimed,
+     not added to *)
+  let later = 0.025 +. Window.span_s +. Window.bucket_s in
+  Window.add ~now:later w 3.0;
   Alcotest.(check (float 0.0)) "slot reclaimed on reuse" 3.0
-    (Window.total ~now:5.5 w);
+    (window_total ~now:later w);
   (* an in-span revisit of the same bucket accumulates *)
-  Window.add ~now:5.9 w 2.0;
+  Window.add ~now:(later +. 0.01) w 2.0;
   Alcotest.(check (float 0.0)) "same live bucket accumulates" 5.0
-    (Window.total ~now:6.0 w)
+    (window_total ~now:(later +. Window.bucket_s) w)
 
 let window_hist_quantiles () =
-  let h = Window.hist_create ~buckets:[| 0.01; 0.1; 1.0 |] () in
+  let h = Window.create ~buckets:[| 0.01; 0.1; 1.0 |] () in
   for _ = 1 to 90 do
-    Window.hist_observe ~now:1.0 h 0.05
+    Window.add ~now:1.0 h 0.05
   done;
   for _ = 1 to 10 do
-    Window.hist_observe ~now:1.0 h 0.5
+    Window.add ~now:1.0 h 0.5
   done;
-  let s = Window.hist_snapshot ~now:1.5 h in
+  let s = Window.snapshot ~now:1.5 h in
   Alcotest.(check int) "count" 100 s.Metric.s_count;
   let p50 = Metric.quantile s 0.5 and p99 = Metric.quantile s 0.99 in
   Alcotest.(check bool) "p50 in the 0.01..0.1 bucket" true
@@ -1219,35 +1225,33 @@ let window_hist_quantiles () =
     (p99 > 0.1 && p99 <= 1.0);
   (* rotation: far in the future everything has aged out *)
   Alcotest.(check int) "expired" 0
-    (Window.hist_snapshot ~now:1000.0 h).Metric.s_count
+    (Window.snapshot ~now:1000.0 h).Metric.s_count
 
-(* integer-valued floats keep every sum exact, so the merge laws can
-   demand structural equality *)
-let slots_arb =
-  QCheck.make
-    ~print:(fun s ->
-      String.concat ";"
-        (List.map (fun (i, v) -> Printf.sprintf "%d:%g" i v) s))
-    QCheck.Gen.(
-      small_list (pair (int_bound 20) (map float_of_int (int_bound 1000))))
-
-let qcheck_window_merge_assoc =
-  QCheck.Test.make ~name:"window slot merge associative" ~count:200
-    (QCheck.triple slots_arb slots_arb slots_arb)
-    (fun (a, b, c) ->
-      Window.merge a (Window.merge b c) = Window.merge (Window.merge a b) c)
-
-let qcheck_window_merge_comm =
-  QCheck.Test.make ~name:"window slot merge commutative" ~count:200
-    (QCheck.pair slots_arb slots_arb)
-    (fun (a, b) -> Window.merge a b = Window.merge b a)
-
-let qcheck_window_merge_total =
-  QCheck.Test.make ~name:"window slot merge preserves mass" ~count:200
-    (QCheck.pair slots_arb slots_arb)
-    (fun (a, b) ->
-      Window.slots_total (Window.merge a b)
-      = Window.slots_total a +. Window.slots_total b)
+(* A snapshot delta folds in only over the window's own bound layout:
+   the deltas come from untrusted node snapshots. *)
+let window_add_snapshot_layout () =
+  let bounds = [| 0.01; 0.1; 1.0 |] in
+  let h = Window.create ~buckets:bounds () in
+  let delta s_bounds s_counts =
+    {
+      Metric.s_bounds;
+      s_counts;
+      s_sum = 0.5;
+      s_count = Array.fold_left ( + ) 0 s_counts;
+    }
+  in
+  Window.add_snapshot ~now:1.0 h (delta bounds [| 1; 2; 0; 1 |]);
+  Window.add_snapshot ~now:1.0 h (delta [| 0.01; 0.2; 1.0 |] [| 5; 0; 0; 0 |]);
+  Window.add_snapshot ~now:1.0 h (delta bounds [| 5; 0; 0 |]);
+  Window.add ~now:1.0 h 0.05;
+  let s = Window.snapshot ~now:1.5 h in
+  Alcotest.(check (array int)) "only the matching delta and the value"
+    [| 1; 3; 0; 1 |] s.Metric.s_counts;
+  Alcotest.(check int) "count" 5 s.Metric.s_count;
+  Alcotest.(check (float 1e-12)) "sum" 0.55 s.Metric.s_sum;
+  (match Window.create ~buckets:[| 1.0; 1.0 |] () with
+  | exception Invalid_argument _ -> ()
+  | (_ : Window.t) -> Alcotest.fail "accepted non-increasing bounds")
 
 (* a synthetic mid-run payload: one node's cumulative counter value *)
 let delta_payload ~node ~seq v =
@@ -1339,6 +1343,91 @@ let qcheck_newest_seq_wins =
       Prom.render_views (Live.node_views live) = expected
       && Prom.render_views (Agg.merged_views arrivals) = expected)
 
+(* The expected output of [pinned_live_store] below, recorded once and
+   compared verbatim: any change to what the store renders shows here. *)
+let pinned_windows =
+  {|{"schema":"csm-live-windows/1","commits":10,"lambda":20,"gamma":3,"round_latency":{"p50":0,"p95":0,"p99":0,"count":0},"phase_rates":{"committed":0,"decoded":0},"frame_error_rate":0,"alerts":[{"rule":"frame-errors","metric":"csm_transport_frame_errors_total","value":4}],"deltas":{"applied":5,"stale":4,"rejected":0},"sources":[{"pid":300,"node":0,"registry":"node","seq":3,"hlc":3,"events_total":0,"events_dropped":0},{"pid":301,"node":1,"registry":"node","seq":2,"hlc":2,"events_total":0,"events_dropped":0}]}|}
+
+let pinned_scrape =
+  {|# TYPE csm_node_phases_total counter
+csm_node_phases_total{phase="committed"} 15
+csm_node_phases_total{phase="decoded"} 11
+# TYPE csm_round_latency_seconds histogram
+csm_round_latency_seconds_bucket{node="0",le="1e-06"} 0
+csm_round_latency_seconds_bucket{node="0",le="4e-06"} 0
+csm_round_latency_seconds_bucket{node="0",le="1.6e-05"} 0
+csm_round_latency_seconds_bucket{node="0",le="6.4e-05"} 0
+csm_round_latency_seconds_bucket{node="0",le="0.000256"} 0
+csm_round_latency_seconds_bucket{node="0",le="0.001024"} 0
+csm_round_latency_seconds_bucket{node="0",le="0.004096"} 1
+csm_round_latency_seconds_bucket{node="0",le="0.016384"} 3
+csm_round_latency_seconds_bucket{node="0",le="0.065536"} 4
+csm_round_latency_seconds_bucket{node="0",le="0.262144"} 4
+csm_round_latency_seconds_bucket{node="0",le="1.048576"} 4
+csm_round_latency_seconds_bucket{node="0",le="4.194304"} 4
+csm_round_latency_seconds_bucket{node="0",le="16.777216"} 4
+csm_round_latency_seconds_bucket{node="0",le="67.108864"} 4
+csm_round_latency_seconds_bucket{node="0",le="268.435456"} 4
+csm_round_latency_seconds_bucket{node="0",le="1073.741824"} 4
+csm_round_latency_seconds_bucket{node="0",le="+Inf"} 4
+csm_round_latency_seconds_sum{node="0"} 0.004
+csm_round_latency_seconds_count{node="0"} 4
+csm_round_latency_seconds_bucket{node="1",le="1e-06"} 0
+csm_round_latency_seconds_bucket{node="1",le="4e-06"} 0
+csm_round_latency_seconds_bucket{node="1",le="1.6e-05"} 0
+csm_round_latency_seconds_bucket{node="1",le="6.4e-05"} 0
+csm_round_latency_seconds_bucket{node="1",le="0.000256"} 0
+csm_round_latency_seconds_bucket{node="1",le="0.001024"} 1
+csm_round_latency_seconds_bucket{node="1",le="0.004096"} 1
+csm_round_latency_seconds_bucket{node="1",le="0.016384"} 1
+csm_round_latency_seconds_bucket{node="1",le="0.065536"} 1
+csm_round_latency_seconds_bucket{node="1",le="0.262144"} 1
+csm_round_latency_seconds_bucket{node="1",le="1.048576"} 1
+csm_round_latency_seconds_bucket{node="1",le="4.194304"} 1
+csm_round_latency_seconds_bucket{node="1",le="16.777216"} 1
+csm_round_latency_seconds_bucket{node="1",le="67.108864"} 1
+csm_round_latency_seconds_bucket{node="1",le="268.435456"} 1
+csm_round_latency_seconds_bucket{node="1",le="1073.741824"} 1
+csm_round_latency_seconds_bucket{node="1",le="+Inf"} 1
+csm_round_latency_seconds_sum{node="1"} 0.001
+csm_round_latency_seconds_count{node="1"} 1
+# TYPE csm_transport_frame_errors_total counter
+csm_transport_frame_errors_total{node="0"} 1
+csm_transport_frame_errors_total{node="1"} 4
+# HELP csm_window_lambda Windowed committed-command throughput λ, commands/second
+# TYPE csm_window_lambda gauge
+csm_window_lambda 20
+# HELP csm_window_gamma Storage efficiency γ = K carried by each committed round
+# TYPE csm_window_gamma gauge
+csm_window_gamma 3
+# HELP csm_window_round_latency_seconds Rolling protocol round latency quantiles over the live window
+# TYPE csm_window_round_latency_seconds gauge
+csm_window_round_latency_seconds{quantile="0.5"} 0
+csm_window_round_latency_seconds{quantile="0.95"} 0
+csm_window_round_latency_seconds{quantile="0.99"} 0
+# HELP csm_window_frame_error_rate Windowed malformed-transport-frame rate, errors/second
+# TYPE csm_window_frame_error_rate gauge
+csm_window_frame_error_rate 0
+# HELP csm_window_phase_rate Windowed node phase completion rate, phases/second
+# TYPE csm_window_phase_rate gauge
+csm_window_phase_rate{phase="committed"} 0
+csm_window_phase_rate{phase="decoded"} 0
+# HELP csm_alerts_firing SLO alert rules currently firing (1 firing, 0 quiet)
+# TYPE csm_alerts_firing gauge
+csm_alerts_firing{rule="frame-errors"} 1
+csm_alerts_firing{rule="hlc-skew"} 0
+csm_alerts_firing{rule="suspicion"} 0
+# HELP csm_live_deltas_applied_total Streaming telemetry deltas merged into the live store
+# TYPE csm_live_deltas_applied_total counter
+csm_live_deltas_applied_total 5
+# HELP csm_live_deltas_stale_total Duplicated or reordered deltas dropped by the sequence rule
+# TYPE csm_live_deltas_stale_total counter
+csm_live_deltas_stale_total 4
+# HELP csm_live_deltas_rejected_total Malformed streaming telemetry payloads rejected
+# TYPE csm_live_deltas_rejected_total counter
+csm_live_deltas_rejected_total 0
+|}
+
 let live_lambda_window () =
   let live = Live.create ~k:2 () in
   Live.mark_start ~now:100.0 live;
@@ -1347,6 +1436,80 @@ let live_lambda_window () =
   Alcotest.(check (float 1e-6)) "windowed lambda" 3.0
     (Live.lambda ~now:102.0 live);
   Alcotest.(check int) "commits" 3 (Live.commits live)
+
+(* One store driven through every ingestion path at explicit read times:
+   two node sources whose snapshots arrive duplicated and reordered,
+   each carrying phase-counter, frame-error and round-latency families,
+   plus ten client commits.  [apply] stamps its window feeds with the
+   wall clock, so at the explicit [now] they are out of the window and
+   only their names (phase labels) show; the merged cumulative views,
+   the λ window, the alert states and the delta counters are pinned
+   byte for byte. *)
+let pinned_live_store () =
+  let live = Live.create ~k:3 () in
+  Live.mark_start ~now:200.0 live;
+  let snap ~node ~seq ~phases ~errors ~latency =
+    let node_l = ("node", string_of_int node) in
+    let counter name labels v =
+      {
+        Metric.name;
+        help = "";
+        kind = Metric.K_counter;
+        samples = [ { Metric.labels; value = Metric.V_counter v } ];
+      }
+    in
+    let bounds = Metric.default_buckets in
+    let counts = Array.make (Array.length bounds + 1) 0 in
+    List.iter (fun i -> counts.(i) <- counts.(i) + 1) latency;
+    let hist =
+      {
+        Metric.s_bounds = bounds;
+        s_counts = counts;
+        s_sum = 0.001 *. float_of_int (List.length latency);
+        s_count = List.length latency;
+      }
+    in
+    Agg.encode
+      (mk_snapshot ~scope:Agg.Node ~final:false ~node ~pid:(300 + node) ~seq
+         ~views:
+           [
+             {
+               Metric.name = "csm_node_phases_total";
+               help = "";
+               kind = Metric.K_counter;
+               samples =
+                 List.map
+                   (fun (p, v) ->
+                     { Metric.labels = [ ("phase", p) ]; value = Metric.V_counter v })
+                   phases;
+             };
+             counter "csm_transport_frame_errors_total" [ node_l ] errors;
+             {
+               Metric.name = "csm_round_latency_seconds";
+               help = "";
+               kind = Metric.K_histogram;
+               samples = [ { Metric.labels = [ node_l ]; value = Metric.V_histogram hist } ];
+             };
+           ]
+         ())
+  in
+  let a1 = snap ~node:0 ~seq:1 ~phases:[ ("committed", 2); ("decoded", 1) ] ~errors:0 ~latency:[]
+  and a2 = snap ~node:0 ~seq:2 ~phases:[ ("committed", 5); ("decoded", 4) ] ~errors:1 ~latency:[ 6; 7; 7 ]
+  and a3 = snap ~node:0 ~seq:3 ~phases:[ ("committed", 9); ("decoded", 8) ] ~errors:1 ~latency:[ 6; 7; 7; 8 ]
+  and b1 = snap ~node:1 ~seq:1 ~phases:[ ("committed", 1) ] ~errors:2 ~latency:[ 5 ]
+  and b2 = snap ~node:1 ~seq:2 ~phases:[ ("committed", 6); ("decoded", 3) ] ~errors:4 ~latency:[ 5 ] in
+  List.iter
+    (fun p -> ignore (apply_payload live p))
+    [ a1; b1; a2; a1; b2; a3; b1; a2; b2 ];
+  for i = 1 to 10 do
+    Live.note_commit ~now:(200.0 +. (0.1 *. float_of_int i)) live
+  done;
+  (Json.to_string (Live.windows_json ~now:201.5 live), Live.scrape ~now:201.5 live)
+
+let live_store_pinned () =
+  let windows, scrape = pinned_live_store () in
+  Alcotest.(check string) "windows.json" pinned_windows windows;
+  Alcotest.(check string) "scrape" pinned_scrape scrape
 
 let alert_parse_fixpoint () =
   List.iter
@@ -1553,7 +1716,7 @@ let suites =
         Alcotest.test_case "cross-node flow pairing" `Quick
           agg_cross_flow_pairing;
         Alcotest.test_case "event log monotonic timestamps" `Quick
-          event_mono_field;
+          event_stamps_ordered;
       ] );
     ( "live",
       [
@@ -1563,14 +1726,14 @@ let suites =
           window_rotation_no_double_count;
         Alcotest.test_case "window histogram quantiles + expiry" `Quick
           window_hist_quantiles;
-        QCheck_alcotest.to_alcotest ~long:false qcheck_window_merge_assoc;
-        QCheck_alcotest.to_alcotest ~long:false qcheck_window_merge_comm;
-        QCheck_alcotest.to_alcotest ~long:false qcheck_window_merge_total;
+        Alcotest.test_case "window folds snapshots of its own layout" `Quick
+          window_add_snapshot_layout;
         Alcotest.test_case "delta merge idempotent under dup/reorder" `Quick
           live_delta_merge_idempotent;
         QCheck_alcotest.to_alcotest ~long:false qcheck_newest_seq_wins;
         Alcotest.test_case "lambda window from commit ticks" `Quick
           live_lambda_window;
+        Alcotest.test_case "live store output pinned" `Quick live_store_pinned;
         Alcotest.test_case "alert spec parse fixpoint" `Quick
           alert_parse_fixpoint;
         Alcotest.test_case "alert engine edge detection" `Quick
