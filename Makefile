@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; `make ci` is the full local gate.
 
-.PHONY: all build test lint lint-update lockdep-export bench-smoke bench-gate rs-smoke metrics-smoke cluster-smoke obs-smoke live-smoke adversary-smoke e2e-smoke ci clean
+.PHONY: all build test lint lint-update bench-smoke bench-gate rs-smoke metrics-smoke cluster-smoke obs-smoke live-smoke adversary-smoke e2e-smoke ci clean
 
 all: build
 
@@ -14,10 +14,9 @@ test:
 # R1-R5 (determinism boundary, polymorphic comparison, mutex
 # discipline, shared-state registry, decoder totality) plus the
 # whole-program passes under --taint — interprocedural Byzantine-taint
-# tracking R6-R8 and the static lock-order graph R9, cross-checked
-# against lint/lock_order.expected.  Fails on any finding not
-# justified in lint/baseline.json; the gate then holds the run to the
-# committed wall-clock budget in bench/lint_baseline.json.
+# tracking R6-R8 and R9, no lock taken while another is held.  Fails on
+# any finding not justified in lint/baseline.json; the gate then holds
+# the run to the committed wall-clock budget in bench/lint_baseline.json.
 lint:
 	dune exec bin/csm_lint.exe -- --root . --baseline lint/baseline.json \
 	  --taint --bench-out /tmp/csm_ci_lint.json
@@ -29,18 +28,6 @@ lint:
 lint-update:
 	dune exec bin/csm_lint.exe -- --root . --baseline lint/baseline.json \
 	  --taint --update-baseline
-
-# Refresh lint/lock_order.expected from a real CSM_LOCKDEP=1 run: a
-# loopback cluster (all node threads in one process) records every
-# held->acquired pair, and the process dumps the observed graph on
-# exit.  csm-lint's static R9 pass contradicts any static edge whose
-# reverse order was recorded here.
-lockdep-export:
-	dune build bin/csm_cluster.exe
-	CSM_LOCKDEP=1 CSM_LOCKDEP_EXPORT=lint/lock_order.expected \
-	  ./_build/default/bin/csm_cluster.exe --transport loopback \
-	  -n 4 -k 1 -d 1 -b 1 --rounds 3 --faults 1:lie
-	@echo "lockdep-export: wrote lint/lock_order.expected"
 
 # Refresh the committed BENCH_*.json files from this host's smoke runs
 # (op counts stay fixed; wall-clock fields change).

@@ -6,7 +6,6 @@
    reasons under --update-baseline), 2 usage/IO errors (cmdliner).
 
      csm_lint --root . --baseline lint/baseline.json
-     csm_lint --root . --taint --graph-out lock_order.dot
      csm_lint --root . --taint --update-baseline
      csm_lint --format sarif
      csm_lint --taint --bench-out BENCH_lint.json *)
@@ -58,7 +57,7 @@ let update_baseline baseline_path (r : Driver.result) =
     1
   end
 
-let run root baseline_path update format taint graph_out bench_out =
+let run root baseline_path update format taint bench_out =
   let abs p = if Filename.is_relative p then Filename.concat root p else p in
   let baseline_path = abs baseline_path in
   (* csm-lint: allow R1 — wall-clock of the lint pass itself, for the bench gate *)
@@ -66,14 +65,6 @@ let run root baseline_path update format taint graph_out bench_out =
   let r = Driver.lint_tree ~taint ~root ~baseline_path () in
   (* csm-lint: allow R1 — wall-clock of the lint pass itself, for the bench gate *)
   let wall_s = Unix.gettimeofday () -. t0 in
-  (match graph_out with
-  | Some path ->
-    Out_channel.with_open_text (abs path) (fun oc ->
-        Out_channel.output_string oc
-          (Csm_analysis.Lockgraph.to_dot r.Driver.lock_edges));
-    Printf.printf "csm-lint: wrote %s (%d lock edge(s))\n" path
-      (List.length r.Driver.lock_edges)
-  | None -> ());
   (match bench_out with
   | Some path ->
     Json.write ~path:(abs path)
@@ -84,7 +75,6 @@ let run root baseline_path update format taint graph_out bench_out =
            ("taint", Json.Bool taint);
            ("findings", Json.Int (List.length r.Driver.fresh));
            ("baselined", Json.Int (List.length r.Driver.baselined));
-           ("lock_edges", Json.Int (List.length r.Driver.lock_edges));
            ("wall_s", Json.Float wall_s);
          ])
   | None -> ());
@@ -94,13 +84,10 @@ let run root baseline_path update format taint graph_out bench_out =
     | `Text ->
       List.iter (fun f -> print_endline (Finding.to_line f)) r.Driver.fresh;
       Printf.printf
-        "csm-lint: %d file(s) scanned, %d finding(s), %d baselined%s\n"
+        "csm-lint: %d file(s) scanned, %d finding(s), %d baselined\n"
         r.Driver.files_scanned
         (List.length r.Driver.fresh)
         (List.length r.Driver.baselined)
-        (if taint then
-           Printf.sprintf ", %d lock edge(s)" (List.length r.Driver.lock_edges)
-         else "")
     | `Json ->
       print_endline
         (Json.to_string
@@ -150,16 +137,7 @@ let taint =
     & info [ "taint" ]
         ~doc:
           "Run the whole-program passes too: interprocedural Byzantine-taint \
-           tracking (R6-R8) and the static lock-order graph (R9).")
-
-let graph_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "graph-out" ] ~docv:"DOT"
-        ~doc:
-          "Write the static lock acquisition graph as Graphviz DOT (needs \
-           --taint).")
+           tracking (R6-R8) and nested lock acquisition (R9).")
 
 let bench_out =
   Arg.(
@@ -174,7 +152,6 @@ let cmd =
   Cmd.v
     (Cmd.info "csm_lint" ~doc)
     Term.(
-      const run $ root $ baseline $ update $ format $ taint $ graph_out
-      $ bench_out)
+      const run $ root $ baseline $ update $ format $ taint $ bench_out)
 
 let () = exit (Cmd.eval' cmd)

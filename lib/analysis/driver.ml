@@ -15,40 +15,41 @@ let line_texts src = Array.of_list (String.split_on_char '\n' src)
 let text_at lines n =
   if n >= 1 && n <= Array.length lines then String.trim lines.(n - 1) else ""
 
-(* Findings for one source string, with in-source suppressions already
-   applied.  [path] decides which rules and scopes apply and must be
-   repo-relative ("lib/core/wire.ml"). *)
-let lint_string ?registry ?live ~path src : Finding.t list =
-  let ctx = Rules.make_ctx ?registry ?live ~path () in
-  let lb = Lexing.from_string src in
-  Lexing.set_filename lb path;
+(* The per-file rules, in-source suppressions applied: [rules] runs
+   them over the parsed source, or gives the (line, column) where it
+   stops parsing.  [path] decides which rules and scopes apply and must
+   be repo-relative ("lib/core/wire.ml"). *)
+let per_file ?registry ?live ~path ~suppress rules : Finding.t list =
   let findings =
-    try
-      if Filename.check_suffix path ".mli" then
-        Rules.run_signature ctx (Parse.interface lb)
-      else Rules.run ctx (Parse.implementation lb)
-    with exn ->
-      let line, col =
-        match exn with
-        | Syntaxerr.Error err ->
-          let p = (Syntaxerr.location_of_error err).Location.loc_start in
-          (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
-        | _ -> (1, 0)
-      in
+    match rules (Rules.make_ctx ?registry ?live ~path ()) with
+    | Ok findings -> findings
+    | Error (line, col) ->
       [
         Finding.make ~rule:"parse" ~severity:Finding.Error ~file:path ~line
           ~col "source does not parse";
       ]
   in
-  let sup = Suppress.scan src in
-  let findings =
-    List.filter
-      (fun (f : Finding.t) ->
-        not (Suppress.active sup ~rule:f.Finding.rule ~line:f.Finding.line))
-      findings
-  in
+  List.filter
+    (fun (f : Finding.t) ->
+      not (Suppress.active suppress ~rule:f.Finding.rule ~line:f.Finding.line))
+    findings
   (* nested-binding scans can report one site twice; keep one *)
-  List.sort_uniq Finding.order findings
+  |> List.sort_uniq Finding.order
+
+let lint_unit ?registry ?live (u : Program.unit_) =
+  per_file ?registry ?live ~path:u.Program.path ~suppress:u.Program.suppress
+    (fun ctx -> Result.map (Rules.run ctx) u.Program.structure)
+
+let lint_interface ?registry ?live ~path src =
+  per_file ?registry ?live ~path ~suppress:(Suppress.scan src) (fun ctx ->
+      Result.map (Rules.run_signature ctx)
+        (Program.parse Parse.interface ~path src))
+
+(* Findings for one source string. *)
+let lint_string ?registry ?live ~path src =
+  if Filename.check_suffix path ".mli" then
+    lint_interface ?registry ?live ~path src
+  else lint_unit ?registry ?live (Program.of_string ~path src)
 
 (* The R4 registry: one "<file>:<name>" token per line, '#' comments,
    free-text reason after the token.  Entries come back as (line number,
@@ -136,36 +137,25 @@ let apply_suppressions units findings =
       | None -> true)
     findings
 
-(* Taint (R6–R8) and lock-order (R9) findings over a set of parsed
-   units, suppressions applied.  Also returns the static lock edges
-   for [--graph-out] / lockdep-export comparison. *)
-let whole_program ?registry ?(expected = []) units =
-  let taint = Taint.analyze ?registry units in
-  let lg = Lockgraph.analyze ~expected units in
-  let findings = apply_suppressions units (taint @ lg.Lockgraph.findings) in
-  (List.sort_uniq Finding.order findings, lg.Lockgraph.edges)
+(* Taint (R6–R8) and nested-lock (R9) findings over a set of parsed
+   units, suppressions applied. *)
+let whole_program ?registry units =
+  let findings = Taint.analyze ?registry units @ Lockgraph.analyze units in
+  List.sort_uniq Finding.order (apply_suppressions units findings)
 
 (* Test-facing multi-unit entry point: whole-program rules only, over
    inline fixture sources. *)
-let lint_strings ?registry ?expected (sources : (string * string) list) :
+let lint_strings ?registry (sources : (string * string) list) :
     Finding.t list =
-  let units =
-    List.map (fun (path, src) -> Program.of_string ~path src) sources
-  in
-  fst (whole_program ?registry ?expected units)
+  whole_program ?registry
+    (List.map (fun (path, src) -> Program.of_string ~path src) sources)
 
 type result = {
   files_scanned : int;
   fresh : Finding.t list;  (* not baselined, not suppressed *)
   baselined : Finding.t list;
   pairs : (Finding.t * string) list;  (* every finding with its line text *)
-  (* static acquisition graph, with the site that created each edge *)
-  lock_edges : (string * string * Location.t) list;
 }
-
-let load_expected path =
-  if Sys.file_exists path then Lockgraph.parse_expected (read_file path)
-  else []
 
 let lint_tree ?(taint = false) ~root ~baseline_path () =
   let registry_src =
@@ -179,49 +169,45 @@ let lint_tree ?(taint = false) ~root ~baseline_path () =
   let sources =
     List.map (fun rel -> (rel, read_file (Filename.concat root rel))) files
   in
-  let with_text src findings =
-    let lines = line_texts src in
-    List.map (fun (f : Finding.t) -> (f, text_at lines f.Finding.line)) findings
-  in
-  let pairs =
-    List.concat_map
+  let units =
+    List.filter_map
       (fun (rel, src) ->
-        with_text src (lint_string ~registry ~live ~path:rel src))
+        if Filename.check_suffix rel ".ml" then
+          Some (Program.of_string ~path:rel src)
+        else None)
       sources
   in
-  let pairs = pairs @ with_text registry_src (stale_entries entries ~live) in
-  let wp_pairs, lock_edges =
-    if not taint then ([], [])
-    else begin
-      let units =
-        List.filter_map
-          (fun (rel, src) ->
-            if Filename.check_suffix rel ".ml" then
-              Some (Program.of_string ~path:rel src)
-            else None)
-          sources
-      in
-      let expected =
-        load_expected (Filename.concat root "lint/lock_order.expected")
-      in
-      let findings, edges = whole_program ~registry ~expected units in
-      let by_path = Hashtbl.create 64 in
-      List.iter
-        (fun (u : Program.unit_) -> Hashtbl.replace by_path u.Program.path u)
-        units;
-      ( List.map
-          (fun (f : Finding.t) ->
-            let text =
-              match Hashtbl.find_opt by_path f.Finding.file with
-              | Some u -> Program.line_text u f.Finding.line
-              | None -> ""
-            in
-            (f, text))
-          findings,
-        edges )
-    end
+  let by_path = Hashtbl.create 64 in
+  List.iter
+    (fun (u : Program.unit_) -> Hashtbl.replace by_path u.Program.path u)
+    units;
+  let with_text lines findings =
+    List.map (fun (f : Finding.t) -> (f, text_at lines f.Finding.line)) findings
   in
-  let pairs = pairs @ wp_pairs in
+  let per_file =
+    List.concat_map
+      (fun (rel, src) ->
+        match Hashtbl.find_opt by_path rel with
+        | Some u -> with_text u.Program.lines (lint_unit ~registry ~live u)
+        | None ->
+          with_text (line_texts src)
+            (lint_interface ~registry ~live ~path:rel src))
+      sources
+  in
+  let stale =
+    with_text (line_texts registry_src) (stale_entries entries ~live)
+  in
+  let whole =
+    if not taint then []
+    else
+      List.map
+        (fun (f : Finding.t) ->
+          match Hashtbl.find_opt by_path f.Finding.file with
+          | Some u -> (f, text_at u.Program.lines f.Finding.line)
+          | None -> (f, ""))
+        (whole_program ~registry units)
+  in
+  let pairs = per_file @ stale @ whole in
   let baseline = Baseline.load baseline_path in
   let fresh, baselined = Baseline.apply baseline pairs in
   {
@@ -229,5 +215,4 @@ let lint_tree ?(taint = false) ~root ~baseline_path () =
     fresh = List.sort Finding.order fresh;
     baselined = List.sort Finding.order baselined;
     pairs;
-    lock_edges;
   }

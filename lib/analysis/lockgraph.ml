@@ -1,217 +1,58 @@
-(* R9: static lock-order graph, checked against the runtime lockdep
-   export.
+(* R9: no lock is taken while another is held.
 
-   The runtime checker (lib/parallel/lockdep.ml, [CSM_LOCKDEP=1]) sees
-   only the interleavings a given run happens to produce.  This pass
-   builds the acquisition graph from source — an edge a -> b whenever
-   lock b can be taken while a is held — and fails on
+   Every lock in the program is a leaf: a critical section is one
+   [Mutex.protect m f] whose [f] takes no other lock.  Two leaf locks
+   can never be taken in opposite orders, so no lock needs a name and
+   no acquisition order needs recording; the pass reports every
+   acquisition reached while a lock is held.
 
-     * cycles in the static graph (a deadlock no run has hit yet), and
-     * static edges whose *reverse* is recorded in the committed
-       runtime export [lint/lock_order.expected] (the static and
-       dynamic views disagree about which order is canonical — one of
-       them is wrong, or the code genuinely takes the locks both ways).
+   An acquisition is [Mutex.protect _ _] or [Mutex.lock _].  A lock is
+   held
+     * inside [Mutex.protect m f]'s [f], and
+     * in the rest of a sequence after [Mutex.lock m], until
+       [Mutex.unlock].
+   [Condition.wait c m] gives [m] up and takes it back; it is not an
+   acquisition.
 
-   Lock identities:
-     * [Lockdep.create "name"]  — the string literal, whether bound to
-       a variable ([let writers_lock = Lockdep.create "socket.linger"])
-       or a record field ([m = Lockdep.create "loopback.mailbox"]; the
-       field label then resolves accesses like [me.m] anywhere)
-     * [Mutex.create ()] in a module-level binding or record field —
-       named "<Module>.<binding>" (e.g. "Metric.reg_lock"); these never
-       appear in the runtime export (lockdep wraps only [Lockdep.t]),
-       so they participate in cycle detection only
-   A field label constructed with different locks in different modules
-   (e.g. [stats_mutex] = "socket.stats" in one backend and
-   "loopback.stats" in the other) resolves to the *set* of them; edges
-   are added for every member — a sound over-approximation.
-   lib/parallel/lockdep.ml itself is excluded: its [meta] mutex is the
-   checker's own bookkeeping, acquired transiently around every user
-   lock, and would otherwise fabricate edges to everything.
-
-   Acquisition nesting:
-     * [Lockdep.with_lock L f] — [f] runs under L
-     * [Mutex.lock L; rest] / [Lockdep.lock L; rest] — the rest of the
-       sequence runs under L (until a matching unlock)
-     * calling a function [g] while holding H adds every H -> acq(g)
-       edge, where acq(g) is the summary of locks [g] (transitively)
-       acquires; a function argument passed to [g] is assumed to run
-       under app(g) — the locks [g] holds at the points it *invokes a
-       parameter* — not under everything [g] acquires.  That
-       distinction is what keeps [Span.with_ ... (fun () -> ...)]
-       (thunk runs after the registry lock is released) from
-       fabricating edges, while [locked t (fun () -> ...)] wrappers
-       still nest correctly.
-     * a lambda that is *not* an argument (let-bound, stored in a
-       record/queue) runs at an unknown later point: its body is
-       walked with nothing held.
-   Summaries are computed to a fixpoint over the same whole-program
-   def table the taint pass uses.  Locks that can't be resolved to an
-   identity (e.g. a mutex received as a parameter) are skipped: R9 can
-   miss edges, it does not invent identities. *)
+   Calls are followed through two facts per def, computed to a fixpoint
+   over the whole-program def table the taint pass uses:
+     * [acq]: calling it may take a lock (transitively);
+     * [app]: it runs one of its parameters while holding a lock.
+   Calling a def with [acq] while holding a lock is nesting.  A function
+   argument of a def with [app] runs under a lock, so
+   [locked t (fun () -> Window.add ...)] nests, while
+   [Span.with_ ... (fun () -> ...)], whose thunk runs after its registry
+   lock is released, does not.  An unknown callee ([List.iter],
+   [Fun.protect], ...) is assumed to run its function arguments at once,
+   under what the caller holds.  A lambda that is not an argument
+   (let-bound, stored in a record or a queue) runs at an unknown later
+   point: its body is walked with nothing held.  A spawned thread or
+   domain starts with nothing held, and so does a domain-local key's
+   initialiser; neither counts as its creator taking a lock.  (The
+   initialiser runs inside the first [Domain.DLS.get] of each domain,
+   which the pass does not follow.)  Locks have no identities, so a
+   mutex passed as a parameter counts like any other. *)
 
 open Parsetree
 
 module S = Set.Make (String)
 
-module Edges = Map.Make (struct
-  type t = string * string
-
-  let compare (a1, b1) (a2, b2) =
-    match String.compare a1 a2 with 0 -> String.compare b1 b2 | c -> c
-end)
-
-(* ----- expected-order file ----- *)
-
-(* "a -> b" per line; '#' starts a comment; blank lines ignored. *)
-let parse_expected src =
-  String.split_on_char '\n' src
-  |> List.filter_map (fun line ->
-         let line =
-           match String.index_opt line '#' with
-           | Some i -> String.sub line 0 i
-           | None -> line
-         in
-         let line = String.trim line in
-         if line = "" then None
-         else
-           match String.index_opt line '-' with
-           | Some i when i + 1 < String.length line && line.[i + 1] = '>' ->
-             let a = String.trim (String.sub line 0 i) in
-             let b =
-               String.trim (String.sub line (i + 2) (String.length line - i - 2))
-             in
-             if a = "" || b = "" then None else Some (a, b)
-           | _ -> None)
-
-let render_expected ~header edges =
-  let b = Buffer.create 256 in
-  List.iter (fun l -> Buffer.add_string b ("# " ^ l ^ "\n")) header;
-  List.iter (fun (a, bb) -> Buffer.add_string b (a ^ " -> " ^ bb ^ "\n")) edges;
-  Buffer.contents b
-
-(* ----- lock identity collection ----- *)
-
-let lockdep_create_name e =
-  match e.pexp_desc with
-  | Pexp_apply (h, [ (_, arg) ]) -> (
-    match Taint.head_of h with
-    | Some parts -> (
-      match Program.strip_lib parts with
-      | [ "Lockdep"; "create" ] -> (
-        match arg.pexp_desc with
-        | Pexp_constant (Pconst_string (s, _, _)) -> Some s
-        | _ -> None)
-      | _ -> None)
-    | None -> None)
-  | _ -> None
-
-let is_mutex_create e =
-  match e.pexp_desc with
-  | Pexp_apply (h, _) -> (
-    match Taint.head_of h with
-    | Some parts -> Program.strip_lib parts = [ "Mutex"; "create" ]
-    | None -> false)
-  | _ -> false
-
-(* The runtime checker's own internals are not part of the analyzed
-   program. *)
-let excluded_unit (u : Program.unit_) =
-  Filename.basename u.Program.path = "lockdep.ml"
-
-type identities = {
-  (* (unit modname, binding) -> lock names *)
-  vars : (string * string, S.t) Hashtbl.t;
-  (* (unit modname, field label) -> lock names: a field access in a
-     unit resolves against that unit's own record constructions first —
-     field labels like [lock] repeat across otherwise-unrelated record
-     types, and a global pool would cross-link their lock graphs *)
-  unit_fields : (string * string, S.t) Hashtbl.t;
-  (* field label -> lock names, program-wide fallback for accessors
-     living outside the constructing unit (transport.ml's
-     [t.stats_mutex], built by both backends) *)
-  fields : (string, S.t) Hashtbl.t;
-}
-
-let add tbl key name =
-  let cur = Option.value ~default:S.empty (Hashtbl.find_opt tbl key) in
-  Hashtbl.replace tbl key (S.add name cur)
-
-let collect_identities units =
-  let ids =
-    {
-      vars = Hashtbl.create 32;
-      unit_fields = Hashtbl.create 32;
-      fields = Hashtbl.create 32;
-    }
-  in
-  List.iter
-    (fun (u : Program.unit_) ->
-      let modname = u.Program.modname in
-      let it = Ast_iterator.default_iterator in
-      let expr it e =
-        (match e.pexp_desc with
-        | Pexp_record (fls, _) ->
-          List.iter
-            (fun (({ txt; _ } : Longident.t Location.loc), v) ->
-              match List.rev (Longident.flatten txt) with
-              | label :: _ -> (
-                match lockdep_create_name v with
-                | Some name ->
-                  add ids.unit_fields (modname, label) name;
-                  add ids.fields label name
-                | None ->
-                  if is_mutex_create v then begin
-                    add ids.unit_fields (modname, label) (modname ^ "." ^ label);
-                    add ids.fields label (modname ^ "." ^ label)
-                  end)
-              | [] -> ())
-            fls
-        | _ -> ());
-        Ast_iterator.default_iterator.expr it e
-      in
-      let it = { it with expr } in
-      match u.Program.structure with
-      | Some str ->
-        it.structure it str;
-        List.iter
-          (fun si ->
-            match si.pstr_desc with
-            | Pstr_value (_, vbs) ->
-              List.iter
-                (fun vb ->
-                  match Rules.binding_name vb.pvb_pat with
-                  | Some v -> (
-                    match lockdep_create_name vb.pvb_expr with
-                    | Some name -> add ids.vars (modname, v) name
-                    | None ->
-                      if is_mutex_create vb.pvb_expr then
-                        add ids.vars (modname, v) (modname ^ "." ^ v))
-                  | None -> ())
-                vbs
-            | _ -> ())
-          str
-      | None -> ())
-    units;
-  ids
-
 (* ----- summaries and walk context ----- *)
 
 type summary = {
-  mutable acq : S.t;  (* locks this def may (transitively) acquire *)
-  mutable app : S.t;  (* locks held where it may invoke a parameter *)
+  mutable acq : bool;  (* may (transitively) take a lock *)
+  mutable app : bool;  (* runs a parameter while holding a lock *)
 }
 
-type gctx = {
-  ids : identities;
+type ctx = {
   modname : string;
   summaries : (string * string, summary) Hashtbl.t;
   locals : (string, summary) Hashtbl.t;
   aliases : (string, string) Hashtbl.t;
   mutable params : S.t;  (* parameter names of the def being walked *)
-  mutable edges : Location.t Edges.t;
-  mutable acquired : S.t;
-  mutable applies : S.t;
+  mutable acquires : bool;
+  mutable applies : bool;
+  mutable found : (Location.t * string) list;
 }
 
 let resolve_summary ctx key =
@@ -240,369 +81,218 @@ let is_param ctx e =
   | Pexp_ident { txt = Longident.Lident v; _ } -> S.mem v ctx.params
   | _ -> false
 
-(* Resolve a lock expression to its possible identities. [env] maps
-   locally [let]-bound variables to lock-name sets. *)
-let rec resolve_lock ctx env e : S.t =
+let callee e =
+  match Taint.head_of e with
+  | Some parts ->
+    String.concat "." (Program.strip_lib parts) ^ " (which may take a lock)"
+  | None -> "a callee that may take a lock"
+
+(* A lock is taken at [loc] with [held] locks held. *)
+let acquire ctx ~loc ~held what =
+  ctx.acquires <- true;
+  if held > 0 then ctx.found <- (loc, what) :: ctx.found
+
+(* Walk an expression with [held] locks held; returns the count for the
+   next expression of an enclosing sequence ([Mutex.lock]/[unlock]
+   change it). *)
+let rec walk ctx held e : int =
   match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-    match Program.strip_lib (Longident.flatten txt) with
-    | [ v ] -> (
-      match List.assoc_opt v env with
-      | Some s -> s
-      | None ->
-        Option.value ~default:S.empty
-          (Hashtbl.find_opt ctx.ids.vars (ctx.modname, v)))
-    | [ m; v ] ->
-      Option.value ~default:S.empty (Hashtbl.find_opt ctx.ids.vars (m, v))
-    | _ -> S.empty)
-  | Pexp_field (_, { txt; _ }) -> (
-    match List.rev (Longident.flatten txt) with
-    | label :: _ -> (
-      match Hashtbl.find_opt ctx.ids.unit_fields (ctx.modname, label) with
-      | Some s -> s
-      | None ->
-        Option.value ~default:S.empty (Hashtbl.find_opt ctx.ids.fields label))
-    | [] -> S.empty)
-  | Pexp_constraint (e, _) -> resolve_lock ctx env e
-  | _ -> S.empty
-
-let record_edges ctx ~loc held locks =
-  S.iter
-    (fun l ->
-      S.iter
-        (fun h ->
-          if h <> l && not (Edges.mem (h, l) ctx.edges) then
-            ctx.edges <- Edges.add (h, l) loc ctx.edges)
-        held)
-    locks
-
-let acquire ctx ~loc held locks =
-  record_edges ctx ~loc held locks;
-  ctx.acquired <- S.union ctx.acquired locks
-
-(* Walk an expression under [held]; returns the held-set for the next
-   statement in an enclosing sequence (raw [Mutex.lock]/[unlock]
-   mutate it). *)
-let rec walk ctx env held e : S.t =
-  match e.pexp_desc with
-  | Pexp_apply (h, args) -> walk_apply ctx env held e h args
-  | Pexp_sequence (a, b) ->
-    let held' = walk ctx env held a in
-    walk ctx env held' b
+  | Pexp_apply (h, args) -> walk_apply ctx held e h args
+  | Pexp_sequence (a, b) -> walk ctx (walk ctx held a) b
   | Pexp_let (_, vbs, body) ->
-    let env' =
-      List.fold_left
-        (fun acc vb ->
-          ignore (walk ctx acc held vb.pvb_expr);
-          match (Rules.binding_name vb.pvb_pat, lockdep_create_name vb.pvb_expr)
-          with
-          | Some v, Some name -> (v, S.singleton name) :: acc
-          | Some v, None when is_mutex_create vb.pvb_expr ->
-            (v, S.singleton (ctx.modname ^ "." ^ v)) :: acc
-          | _ -> acc)
-        env vbs
-    in
-    ignore (walk ctx env' held body);
-    held
+    List.iter (fun vb -> ignore (walk ctx held vb.pvb_expr)) vbs;
+    walk ctx held body
   (* a lambda not in argument position runs at an unknown later point:
      nothing can be assumed held *)
   | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) ->
-    ignore (walk ctx env S.empty body);
+    ignore (walk ctx 0 body);
     held
   | Pexp_function cases ->
-    List.iter (fun c -> ignore (walk ctx env S.empty c.pc_rhs)) cases;
+    List.iter (fun c -> ignore (walk ctx 0 c.pc_rhs)) cases;
     held
   | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-    ignore (walk ctx env held scrut);
+    ignore (walk ctx held scrut);
     List.iter
       (fun c ->
-        (match c.pc_guard with
-        | Some g -> ignore (walk ctx env held g)
-        | None -> ());
-        ignore (walk ctx env held c.pc_rhs))
+        Option.iter (fun g -> ignore (walk ctx held g)) c.pc_guard;
+        ignore (walk ctx held c.pc_rhs))
       cases;
     held
   | Pexp_ifthenelse (c, a, b) ->
-    ignore (walk ctx env held c);
-    ignore (walk ctx env held a);
-    (match b with Some b -> ignore (walk ctx env held b) | None -> ());
+    List.iter (fun e -> ignore (walk ctx held e)) (c :: a :: Option.to_list b);
     held
   | Pexp_tuple es | Pexp_array es ->
-    List.iter (fun e -> ignore (walk ctx env held e)) es;
+    List.iter (fun e -> ignore (walk ctx held e)) es;
     held
-  | Pexp_construct (_, Some a) | Pexp_variant (_, Some a) ->
-    ignore (walk ctx env held a);
+  | Pexp_construct (_, Some a) | Pexp_variant (_, Some a) | Pexp_field (a, _)
+    ->
+    ignore (walk ctx held a);
     held
   | Pexp_record (fls, base) ->
-    List.iter (fun (_, e) -> ignore (walk ctx env held e)) fls;
-    (match base with Some b -> ignore (walk ctx env held b) | None -> ());
+    List.iter (fun (_, e) -> ignore (walk ctx held e)) fls;
+    Option.iter (fun b -> ignore (walk ctx held b)) base;
     held
-  | Pexp_field (b, _) ->
-    ignore (walk ctx env held b);
-    held
-  | Pexp_setfield (a, _, b) ->
-    ignore (walk ctx env held a);
-    ignore (walk ctx env held b);
-    held
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e)
-  | Pexp_lazy e | Pexp_assert e ->
-    walk ctx env held e
-  | Pexp_while (c, body) ->
-    ignore (walk ctx env held c);
-    ignore (walk ctx env held body);
+  | Pexp_setfield (a, _, b) | Pexp_while (a, b) ->
+    ignore (walk ctx held a);
+    ignore (walk ctx held b);
     held
   | Pexp_for (_, lo, hi, _, body) ->
-    ignore (walk ctx env held lo);
-    ignore (walk ctx env held hi);
-    ignore (walk ctx env held body);
+    List.iter (fun e -> ignore (walk ctx held e)) [ lo; hi; body ];
     held
-  | Pexp_letmodule (_, _, body) | Pexp_letexception (_, body) ->
-    walk ctx env held body
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e)
+  | Pexp_lazy e | Pexp_assert e | Pexp_letmodule (_, _, e)
+  | Pexp_letexception (_, e) ->
+    walk ctx held e
   | _ -> held
 
-and walk_apply ctx env held app h args =
+and walk_apply ctx held app h args =
   let loc = app.pexp_loc in
   match (Taint.head_of h |> Option.map Program.strip_lib, args) with
-  | Some [ "Lockdep"; "with_lock" ], (_, lockexpr) :: rest ->
-    let locks = resolve_lock ctx env lockexpr in
-    acquire ctx ~loc held locks;
-    let inner = S.union held locks in
-    List.iter (fun (_, a) -> run_arg ctx env ~invokes:true ~under:inner a) rest;
-    held
-  | Some ([ "Mutex"; "lock" ] | [ "Lockdep"; "lock" ]), [ (_, lockexpr) ] ->
-    let locks = resolve_lock ctx env lockexpr in
-    acquire ctx ~loc held locks;
-    S.union held locks
-  | Some ([ "Mutex"; "unlock" ] | [ "Lockdep"; "unlock" ]), [ (_, lockexpr) ]
-    ->
-    S.diff held (resolve_lock ctx env lockexpr)
-  (* the spawned body runs on a fresh domain/thread holding nothing *)
-  | Some ([ "Domain"; "spawn" ] | [ "Thread"; "create" ]), _ ->
+  | Some [ "Mutex"; "protect" ], (_, m) :: rest ->
+    ignore (walk ctx held m);
+    acquire ctx ~loc ~held "Mutex.protect";
     List.iter
-      (fun (_, a) -> run_arg ctx env ~invokes:true ~under:S.empty a)
-      args;
+      (fun (_, a) -> run_arg ctx ~invokes:true ~under:(held + 1) a)
+      rest;
+    held
+  | Some [ "Mutex"; "lock" ], [ _ ] ->
+    acquire ctx ~loc ~held "Mutex.lock";
+    held + 1
+  | Some [ "Mutex"; "unlock" ], [ _ ] -> max 0 (held - 1)
+  (* a spawned body, and a domain-local key's initialiser, run later
+     holding nothing, and what they take is not the caller's *)
+  | ( Some
+        ( [ "Domain"; "spawn" ]
+        | [ "Thread"; "create" ]
+        | [ "Domain"; "DLS"; "new_key" ] ),
+      _ ) ->
+    let acquires = ctx.acquires in
+    List.iter (fun (_, a) -> run_arg ctx ~invokes:true ~under:0 a) args;
+    ctx.acquires <- acquires;
     held
   | _ ->
     let under, invokes =
       match resolve_summary ctx (head_key ctx h) with
       | Some s ->
-        (* known callee: everything it acquires nests under what we
-           hold; its function arguments run under app(s).  It counts
-           as invoking ident parameters only when app(s) is nonempty —
-           i.e. it demonstrably invokes a parameter under a lock —
-           otherwise every data argument that happens to be one of our
-           parameters would record a bogus applies fact *)
-        record_edges ctx ~loc held s.acq;
-        ctx.acquired <- S.union ctx.acquired s.acq;
-        (S.union held s.app, not (S.is_empty s.app))
+        (* known callee: if it may take a lock, that nests under what
+           we hold; its function arguments run under a lock if it runs
+           a parameter under one.  Only then does it count as invoking
+           our ident parameters: otherwise every data argument that
+           happens to be one of them would record a bogus [applies] *)
+        if s.acq then acquire ctx ~loc ~held (callee h);
+        ((if s.app then held + 1 else held), s.app)
       | None ->
+        (* a parameter called under a lock: this def runs a parameter
+           while holding one *)
+        if is_param ctx h && held > 0 then ctx.applies <- true;
         (* unknown callee ([Fun.protect], [List.iter], ...): assume it
            may invoke its function arguments synchronously, under what
            we currently hold.  Only [Fun.protect] is trusted to invoke
-           a bare ident argument (the mutex-release idiom); anything
-           else gets that credit only for syntactic lambdas — an ident
-           passed to an arbitrary callee (or an operator like [<]) is
-           usually data, not a callback *)
-        let fp =
+           a bare ident argument (the release idiom); anything else
+           gets that credit only for syntactic lambdas: an ident passed
+           to an arbitrary callee (or an operator like [<]) is usually
+           data, not a callback *)
+        ( held,
           Taint.head_of h |> Option.map Program.strip_lib
-          = Some [ "Fun"; "protect" ]
-        in
-        (held, fp)
+          = Some [ "Fun"; "protect" ] )
     in
-    List.iter (fun (_, a) -> run_arg ctx env ~invokes ~under a) args;
+    List.iter (fun (_, a) -> run_arg ctx ~invokes ~under a) args;
     held
 
-(* A callee argument, assumed to run under [under]: lambdas descend
-   with that held-set; a parameter of the current def records an
+(* A callee argument, assumed to run with [under] locks held: lambdas
+   descend with that count; a parameter of the current def records an
    [applies] fact when the callee is known to invoke it; an ident
-   naming a known def contributes that def's acquisitions as edges. *)
-and run_arg ctx env ~invokes ~under a =
+   naming a known def that may take a lock is an acquisition there. *)
+and run_arg ctx ~invokes ~under a =
   match a.pexp_desc with
   | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) ->
-    ignore (walk ctx env under body)
+    ignore (walk ctx under body)
   | Pexp_function cases ->
-    List.iter (fun c -> ignore (walk ctx env under c.pc_rhs)) cases
+    List.iter (fun c -> ignore (walk ctx under c.pc_rhs)) cases
   | Pexp_ident _ when is_param ctx a ->
-    if invokes && not (S.is_empty under) then
-      ctx.applies <- S.union ctx.applies under
+    if invokes && under > 0 then ctx.applies <- true
   | Pexp_ident _ -> (
     match resolve_summary ctx (head_key ctx a) with
-    | Some s when invokes ->
-      record_edges ctx ~loc:a.pexp_loc under s.acq;
-      ctx.acquired <- S.union ctx.acquired s.acq
+    | Some s when invokes && s.acq ->
+      acquire ctx ~loc:a.pexp_loc ~held:under (callee a)
     | _ -> ())
-  | _ -> ignore (walk ctx env under a)
+  | _ -> ignore (walk ctx under a)
 
 let rec param_names e =
   match e.pexp_desc with
   | Pexp_fun (_, _, p, body) ->
-    List.fold_left
-      (fun s v -> S.add v s)
-      (param_names body)
-      (Taint.pat_vars p)
+    List.fold_left (fun s v -> S.add v s) (param_names body) (Taint.pat_vars p)
   | Pexp_newtype (_, body) -> param_names body
   | _ -> S.empty
 
 (* ----- analysis entry ----- *)
 
-type result = {
-  findings : Finding.t list;
-  edges : (string * string * Location.t) list;
-}
-
-let analyze ?(expected = []) (units : Program.unit_ list) : result =
-  let units = List.filter (fun u -> not (excluded_unit u)) units in
-  let ids = collect_identities units in
-  let per_unit =
+let analyze (units : Program.unit_ list) : Finding.t list =
+  let summaries : (string * string, summary) Hashtbl.t = Hashtbl.create 128 in
+  let ctxs =
     List.map
       (fun (u : Program.unit_) ->
         let aliases, _globals, defs = Taint.collect_unit u in
-        (u, aliases, defs))
+        let locals = Hashtbl.create 16 in
+        List.iter
+          (fun (name, _) ->
+            let s = { acq = false; app = false } in
+            if not (Hashtbl.mem summaries (u.Program.modname, name)) then
+              Hashtbl.replace summaries (u.Program.modname, name) s;
+            if not (Hashtbl.mem locals name) then Hashtbl.replace locals name s)
+          defs;
+        ( {
+            modname = u.Program.modname;
+            summaries;
+            locals;
+            aliases;
+            params = S.empty;
+            acquires = false;
+            applies = false;
+            found = [];
+          },
+          defs ))
       units
   in
-  let summaries : (string * string, summary) Hashtbl.t = Hashtbl.create 128 in
-  let unit_locals : (string, (string, summary) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun ((u : Program.unit_), _aliases, defs) ->
-      let locals = Hashtbl.create 16 in
-      Hashtbl.replace unit_locals u.Program.path locals;
-      List.iter
-        (fun (name, _) ->
-          let s = { acq = S.empty; app = S.empty } in
-          if not (Hashtbl.mem summaries (u.Program.modname, name)) then
-            Hashtbl.replace summaries (u.Program.modname, name) s;
-          if not (Hashtbl.mem locals name) then Hashtbl.replace locals name s)
-        defs)
-    per_unit;
-  let ctx_for (u : Program.unit_) aliases =
-    {
-      ids;
-      modname = u.Program.modname;
-      summaries;
-      locals =
-        Option.value
-          ~default:(Hashtbl.create 1)
-          (Hashtbl.find_opt unit_locals u.Program.path);
-      aliases;
-      params = S.empty;
-      edges = Edges.empty;
-      acquired = S.empty;
-      applies = S.empty;
-    }
-  in
-  (* fixpoint on (acq, app) summaries; the edge set of the final round
-     is the graph *)
+  (* fixpoint on the summaries; the findings of the final round stand *)
   let changed = ref true in
   let rounds = ref 0 in
-  let final_edges = ref Edges.empty in
   while !changed && !rounds < 12 do
     changed := false;
     incr rounds;
-    final_edges := Edges.empty;
     List.iter
-      (fun ((u : Program.unit_), aliases, defs) ->
-        let ctx = ctx_for u aliases in
+      (fun (ctx, defs) ->
+        ctx.found <- [];
         List.iter
           (fun (name, expr) ->
             ctx.params <- param_names expr;
-            ctx.acquired <- S.empty;
-            ctx.applies <- S.empty;
-            ctx.edges <- Edges.empty;
-            ignore (walk ctx [] S.empty expr);
-            (match Hashtbl.find_opt ctx.locals name with
+            ctx.acquires <- false;
+            ctx.applies <- false;
+            ignore (walk ctx 0 expr);
+            match Hashtbl.find_opt ctx.locals name with
             | Some s ->
-              if
-                not
-                  (S.subset ctx.acquired s.acq && S.subset ctx.applies s.app)
+              if (ctx.acquires && not s.acq) || (ctx.applies && not s.app)
               then begin
-                s.acq <- S.union s.acq ctx.acquired;
-                s.app <- S.union s.app ctx.applies;
+                s.acq <- s.acq || ctx.acquires;
+                s.app <- s.app || ctx.applies;
                 changed := true
               end
-            | None -> ());
-            Edges.iter
-              (fun k loc ->
-                if not (Edges.mem k !final_edges) then
-                  final_edges := Edges.add k loc !final_edges)
-              ctx.edges)
+            | None -> ())
           defs)
-      per_unit
+      ctxs
   done;
-  let edges =
-    Edges.fold (fun (a, b) loc acc -> (a, b, loc) :: acc) !final_edges []
-    |> List.sort (fun (a1, b1, _) (a2, b2, _) ->
-           match String.compare a1 a2 with
-           | 0 -> String.compare b1 b2
-           | c -> c)
-  in
-  let findings = ref [] in
-  let report ~loc msg =
-    let p = loc.Location.loc_start in
-    let file = p.Lexing.pos_fname in
-    findings :=
-      Finding.make ~rule:"R9" ~severity:Finding.Error ~file
-        ~line:p.Lexing.pos_lnum
-        ~col:(p.Lexing.pos_cnum - p.Lexing.pos_bol)
-        msg
-      :: !findings
-  in
-  (* cycles: for each edge, is its head reachable back from its tail? *)
-  let succs = Hashtbl.create 32 in
-  List.iter
-    (fun (a, b, loc) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt succs a) in
-      Hashtbl.replace succs a ((b, loc) :: cur))
-    edges;
-  let reported_cycles = Hashtbl.create 4 in
-  List.iter
-    (fun (a, b, loc) ->
-      let seen = Hashtbl.create 16 in
-      let rec reach n =
-        if n = a then true
-        else if Hashtbl.mem seen n then false
-        else begin
-          Hashtbl.replace seen n ();
-          List.exists
-            (fun (m, _) -> reach m)
-            (Option.value ~default:[] (Hashtbl.find_opt succs n))
-        end
-      in
-      let cyc_key = if a < b then (a, b) else (b, a) in
-      if reach b && not (Hashtbl.mem reported_cycles cyc_key) then begin
-        Hashtbl.replace reported_cycles cyc_key ();
-        report ~loc
-          (Printf.sprintf
-             "lock-order cycle: '%s' -> '%s' closes a cycle in the static \
-              acquisition graph (potential deadlock)"
-             a b)
-      end)
-    edges;
-  (* contradictions against the runtime export *)
-  List.iter
-    (fun (a, b, loc) ->
-      if List.mem (b, a) expected then
-        report ~loc
-          (Printf.sprintf
-             "lock order '%s' -> '%s' contradicts the runtime lockdep export \
-              (lint/lock_order.expected records '%s' -> '%s'); re-run make \
-              lockdep-export or fix the acquisition order"
-             a b b a))
-    edges;
-  { findings = List.sort_uniq Finding.order !findings; edges }
-
-let to_dot edges =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "digraph lock_order {\n";
-  List.iter
-    (fun (x, y, loc) ->
-      let p = loc.Location.loc_start in
-      let where =
-        if p.Lexing.pos_fname = "" then ""
-        else Printf.sprintf "  // %s:%d" p.Lexing.pos_fname p.Lexing.pos_lnum
-      in
-      Buffer.add_string b (Printf.sprintf "  %S -> %S;%s\n" x y where))
-    edges;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  List.concat_map
+    (fun (ctx, _) ->
+      List.map
+        (fun ((loc : Location.t), what) ->
+          let p = loc.Location.loc_start in
+          Finding.make ~rule:"R9" ~severity:Finding.Error
+            ~file:p.Lexing.pos_fname ~line:p.Lexing.pos_lnum
+            ~col:(p.Lexing.pos_cnum - p.Lexing.pos_bol)
+            (Printf.sprintf
+               "%s runs while a lock is held; every critical section must \
+                be a leaf: one Mutex.protect whose body takes no other lock"
+               what))
+        ctx.found)
+    ctxs
+  |> List.sort_uniq Finding.order

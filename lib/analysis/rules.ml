@@ -17,11 +17,11 @@
       banned wholesale in lib/field, lib/poly, lib/rs and as a sort
       comparator anywhere.
 
-   R3 mutex discipline — a function that takes a raw [Mutex.lock] (or
-      [Lockdep.lock]) must release it exception-safely: either via
-      [Fun.protect] or with an [unlock] in an exception-handler
-      position.  Otherwise one raise under the lock deadlocks every
-      other domain.
+   R3 mutex discipline — a function that takes a raw [Mutex.lock] must
+      release it exception-safely: either via [Fun.protect] or with an
+      [unlock] in an exception-handler position ([Mutex.protect] does
+      both for you).  Otherwise one raise under the lock deadlocks
+      every other domain.
 
    R4 shared mutable state — module-level refs/tables/arrays are where
       domain races live; each one must be declared in
@@ -131,15 +131,11 @@ let r2_bare_compare_dir path =
 
 (* ----- R3 ----- *)
 
-let is_raw_lock = function
-  | [ "Mutex"; "lock" ] | [ "Lockdep"; "lock" ] -> true
-  | _ -> false
+let is_raw_lock = function [ "Mutex"; "lock" ] -> true | _ -> false
 
 let is_protect = function [ "Fun"; "protect" ] -> true | _ -> false
 
-let is_unlock = function
-  | [ "Mutex"; "unlock" ] | [ "Lockdep"; "unlock" ] -> true
-  | _ -> false
+let is_unlock = function [ "Mutex"; "unlock" ] -> true | _ -> false
 
 let mentions pred e =
   let found = ref false in

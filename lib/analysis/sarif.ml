@@ -15,7 +15,7 @@ let rule_descriptions =
     ("R6", "untrusted value reaches a sink without a sanitizer");
     ("R7", "sanitizer verdict discarded or bypassed");
     ("R8", "taint escapes into unregistered module-level mutable state");
-    ("R9", "static lock-order cycle or runtime-export contradiction");
+    ("R9", "lock taken while another lock is held");
     ("parse", "source does not parse");
   ]
 

@@ -735,8 +735,8 @@ let collect_unit (u : Program.unit_) =
     | _ -> ()
   in
   (match u.Program.structure with
-  | Some str -> walk_structure str
-  | None -> ());
+  | Ok str -> walk_structure str
+  | Error _ -> ());
   (aliases, globals, List.rev !defs)
 
 (* ----- the whole-program pass ----- *)

@@ -146,24 +146,6 @@ let equivocating_leader cfg ~me ~value_a ~value_b : msg Net.behavior =
     on_timer = (fun _ _ -> ());
   }
 
-(* Relay that withholds until the last round, then reveals a second
-   leader-signed value only to a victim subset (tests that late values
-   carrying enough signatures are still extracted consistently).  The
-   conspirators must include the leader to craft the second value. *)
-let late_injector cfg ~me:_ ~stash : msg Net.behavior =
-  {
-    Net.init =
-      (fun api ->
-        api.Net.set_timer ~delay:((cfg.f * cfg.delta) + 1) ~tag:1);
-    on_message = (fun _ ~sender:_ _ -> ());
-    on_timer =
-      (fun api tag ->
-        if tag = 1 then
-          match stash with
-          | Some (victim, m) -> api.Net.send victim m
-          | None -> ());
-  }
-
 type outcome = {
   decisions : decision array;
   stats : Net.stats;

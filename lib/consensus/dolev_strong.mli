@@ -41,10 +41,6 @@ val equivocating_leader :
 (** Sends one value to half the nodes and another to the rest
     (Figure 2(a)). *)
 
-val late_injector : config -> me:int -> stash:(int * msg) option -> msg Net.behavior
-(** Withholds, then delivers a stashed message to one victim in the last
-    round. *)
-
 type outcome = {
   decisions : decision array;
   stats : Net.stats;

@@ -6,8 +6,6 @@ module Net = Csm_sim.Net
 
 type digest = string
 
-val digest_of : string -> digest
-
 type prepared_cert = {
   pc_view : int;
   pc_value : string;
@@ -41,11 +39,7 @@ type config = {
   keyring : Auth.keyring;
 }
 
-val leader_of : config -> int -> int
 val payload_string : config -> payload -> string
-val quorum : config -> int
-val valid_cert : config -> prepared_cert -> bool
-val timeout_for : config -> int -> int
 
 val honest :
   config ->

@@ -21,15 +21,11 @@
    shared by every instantiation (registered in
    lint/shared_state.allow). *)
 
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let mul8_lock = Mutex.create ()
 let mul8_cache : (int, Bytes.t) Hashtbl.t = Hashtbl.create 2
 
 let mul8_table ~modulus ~mul =
-  locked mul8_lock (fun () ->
+  Mutex.protect mul8_lock (fun () ->
       match Hashtbl.find_opt mul8_cache modulus with
       | Some t -> t
       | None ->

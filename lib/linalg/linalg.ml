@@ -14,8 +14,6 @@ module Make (F : Field_intf.S) = struct
   let rows (m : mat) = Array.length m
   let cols (m : mat) = if Array.length m = 0 then 0 else Array.length m.(0)
 
-  let make_mat r c v : mat = Array.init r (fun _ -> Array.make c v)
-
   let init_mat r c f : mat = Array.init r (fun i -> Array.init c (fun j -> f i j))
 
   let copy_mat (m : mat) : mat = Array.map Array.copy m
@@ -50,8 +48,6 @@ module Make (F : Field_intf.S) = struct
         !acc)
 
   let vec_add (a : vec) (b : vec) : vec = Array.mapi (fun i x -> F.add x b.(i)) a
-  let vec_sub (a : vec) (b : vec) : vec = Array.mapi (fun i x -> F.sub x b.(i)) a
-  let vec_scale c (a : vec) : vec = Array.map (F.mul c) a
 
   let vec_equal (a : vec) (b : vec) =
     Array.length a = Array.length b
@@ -149,14 +145,4 @@ module Make (F : Field_intf.S) = struct
     init_mat r c (fun _ _ -> F.random rng)
 
   let random_vec rng n : vec = Array.init n (fun _ -> F.random rng)
-
-  let pp_vec ppf (v : vec) =
-    Format.fprintf ppf "[@[%a@]]"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") F.pp)
-      (Array.to_list v)
-
-  let pp_mat ppf (m : mat) =
-    Format.fprintf ppf "@[<v>%a@]"
-      (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_vec)
-      (Array.to_list m)
 end

@@ -11,9 +11,7 @@ module Make (F : Field_intf.S) : sig
   val rows : mat -> int
   val cols : mat -> int
 
-  val make_mat : int -> int -> F.t -> mat
   val init_mat : int -> int -> (int -> int -> F.t) -> mat
-  val copy_mat : mat -> mat
   val identity : int -> mat
   val transpose : mat -> mat
 
@@ -24,13 +22,7 @@ module Make (F : Field_intf.S) : sig
   (** @raise Invalid_argument on dimension mismatch. *)
 
   val vec_add : vec -> vec -> vec
-  val vec_sub : vec -> vec -> vec
-  val vec_scale : F.t -> vec -> vec
   val vec_equal : vec -> vec -> bool
-
-  val row_reduce : mat -> int list
-  (** In-place reduction to reduced row-echelon form; returns pivot
-      columns in order. *)
 
   val rank : mat -> int
 
@@ -45,7 +37,4 @@ module Make (F : Field_intf.S) : sig
 
   val random_mat : Csm_rng.t -> int -> int -> mat
   val random_vec : Csm_rng.t -> int -> vec
-
-  val pp_vec : Format.formatter -> vec -> unit
-  val pp_mat : Format.formatter -> mat -> unit
 end

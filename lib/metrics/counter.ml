@@ -63,11 +63,6 @@ let copy t =
     invs = Atomic.make (invs t);
   }
 
-let accumulate ~into t =
-  ignore (Atomic.fetch_and_add into.adds (adds t));
-  ignore (Atomic.fetch_and_add into.muls (muls t));
-  ignore (Atomic.fetch_and_add into.invs (invs t))
-
 let pp ppf t =
   Format.fprintf ppf "{adds=%d; muls=%d; invs=%d; total=%d}" (adds t) (muls t)
     (invs t) (total t)

@@ -51,7 +51,4 @@ val total_of : int * int * int -> int
 val copy : t -> t
 (** Immutable counter holding the current counts. *)
 
-val accumulate : into:t -> t -> unit
-(** [accumulate ~into t] adds [t]'s counts into [into]. *)
-
 val pp : Format.formatter -> t -> unit

@@ -7,60 +7,55 @@
 
    Role lookup is mutex-protected: roles may be resolved from several
    threads or domains at once (counter increments themselves are
-   atomic, see [Counter]).  The mutex is a [Lockdep] checked lock so a
-   CSM_LOCKDEP=1 run folds ledger acquisitions into the global lock
-   order graph. *)
-
-module Lockdep = Csm_parallel.Lockdep
+   atomic, see [Counter]). *)
 
 type t = {
   table : (string, Counter.t) Hashtbl.t;
-  lock : Lockdep.t;
+  lock : Mutex.t;
 }
 
-let create () = { table = Hashtbl.create 16; lock = Lockdep.create "ledger" }
+let create () = { table = Hashtbl.create 16; lock = Mutex.create () }
 
-let locked t f = Lockdep.with_lock t.lock f
-
-(* Unlocked lookup-or-create, for use inside [locked] sections. *)
-let counter_unlocked t role =
-  match Hashtbl.find_opt t.table role with
-  | Some c -> c
-  | None ->
-    let c = Counter.create () in
-    Hashtbl.add t.table role c;
-    c
-
-let counter t role = locked t (fun () -> counter_unlocked t role)
+let counter t role =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.table role with
+      | Some c -> c
+      | None ->
+        let c = Counter.create () in
+        Hashtbl.add t.table role c;
+        c)
 
 let node_role i = Printf.sprintf "node-%d" i
 
 let node t i = counter t (node_role i)
 
 let roles t =
-  locked t (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])
   |> List.sort String.compare
 
 let total t role =
-  match locked t (fun () -> Hashtbl.find_opt t.table role) with
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.table role) with
   | Some c -> Counter.total c
   | None -> 0
 
 let grand_total t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold (fun _ c acc -> acc + Counter.total c) t.table 0)
 
 (* Unweighted (adds, muls, invs) totals across every role: the span
    tracer samples this at span start/end to attribute exact op deltas
    to pipeline phases, whatever roles the work lands on. *)
 let op_totals t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold
         (fun _ c (a, m, i) ->
           (a + Counter.adds c, m + Counter.muls c, i + Counter.invs c))
         t.table (0, 0, 0))
 
-let reset t = locked t (fun () -> Hashtbl.iter (fun _ c -> Counter.reset c) t.table)
+let reset t =
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.iter (fun _ c -> Counter.reset c) t.table)
 
 (* Throughput per the paper's definition (Section 2.2):
    λ = K / ((Σ_{i=1..N} per-node cost) / N).

@@ -143,10 +143,6 @@ let create rules =
     lock = Mutex.create ();
   }
 
-let locked e f =
-  Mutex.lock e.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock e.lock) f
-
 (* The value a rule is judged on: the worst sample in its direction —
    max for upper bounds, min for lower bounds.  No samples = no data =
    not firing (a missing family must not page). *)
@@ -160,7 +156,7 @@ let worst cmp values =
 let evaluate e ?now values =
   let now = match now with Some n -> n | None -> Clock.mono () in
   let transitions =
-    locked e (fun () ->
+    Mutex.protect e.lock (fun () ->
         List.filter_map
           (fun s ->
             let r = s.s_rule in
@@ -202,15 +198,16 @@ let evaluate e ?now values =
     transitions
 
 let firing e =
-  locked e (fun () ->
+  Mutex.protect e.lock (fun () ->
       List.filter_map
         (fun s -> if s.s_firing then Some (s.s_rule, s.s_value) else None)
         e.states)
 
-let fired_ever e = locked e (fun () -> List.exists (fun s -> s.s_edges > 0) e.states)
+let fired_ever e =
+  Mutex.protect e.lock (fun () -> List.exists (fun s -> s.s_edges > 0) e.states)
 
 let first_fired e name =
-  locked e (fun () ->
+  Mutex.protect e.lock (fun () ->
       List.fold_left
         (fun acc s ->
           if s.s_rule.a_name = name then s.s_first else acc)
@@ -218,7 +215,7 @@ let first_fired e name =
 
 let views e =
   let samples =
-    locked e (fun () ->
+    Mutex.protect e.lock (fun () ->
         List.map
           (fun s ->
             {

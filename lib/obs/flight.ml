@@ -42,22 +42,18 @@ let create ?(capacity = default_capacity) ~node () =
 let node t = t.node
 let capacity t = t.cap
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let record t ?(trace = 0L) ?(attrs = []) ~hlc ~round kind =
   let e = { f_hlc = hlc; f_trace = trace; f_round = round; f_kind = kind; f_attrs = attrs } in
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.ring.(t.next mod t.cap) <- Some e;
       t.next <- t.next + 1)
 
-let recorded t = locked t (fun () -> t.next)
+let recorded t = Mutex.protect t.lock (fun () -> t.next)
 
 (* Surviving entries, oldest first (recording order = HLC order within
    one node, since every stamp strictly increases). *)
 let entries t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let n = t.next in
       let lo = max 0 (n - t.cap) in
       List.filter_map

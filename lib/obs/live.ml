@@ -14,7 +14,12 @@
    client is the ground truth for commits, so [note_commit] feeds the
    λ window directly (k commands per accepted round) instead of
    summing per-node counters, which would overcount by the replication
-   factor. *)
+   factor.
+
+   One mutex guards the whole store, its windows included: a {!Window}
+   has no lock of its own, and every read or feed of one happens inside
+   one of the store's [Mutex.protect] sections, which take no other
+   lock. *)
 
 let wall () = Unix.gettimeofday ()
 
@@ -43,10 +48,6 @@ type t = {
   mutable n_rejected : int;
 }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let create ?rules ~k () =
   let rules =
     match rules with Some r -> r | None -> Alert.default_rules ()
@@ -66,7 +67,8 @@ let create ?rules ~k () =
     n_rejected = 0;
   }
 
-let mark_start ?now t = Window.mark ?now t.lambda_w
+let mark_start ?now t =
+  Mutex.protect t.lock (fun () -> Window.mark ?now t.lambda_w)
 
 (* ----- views ----- *)
 
@@ -81,7 +83,7 @@ let sample_values (v : Metric.view) =
 
 let node_views t =
   let lists =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let per_source =
           Hashtbl.fold
             (fun _ src acc ->
@@ -123,18 +125,25 @@ let counter_view ~name ~help v =
     samples = [ { Metric.labels = []; value = Metric.V_counter v } ];
   }
 
-let lambda ?now t = Window.rate ?now t.lambda_w
+let lambda ?now t =
+  Mutex.protect t.lock (fun () -> Window.rate ?now t.lambda_w)
+
+(* Per-phase windowed rates, sorted by phase.  Called under the store
+   lock. *)
+let phase_rates t ~now =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun p w acc -> (p, Window.rate ~now w) :: acc) t.phase_w [])
 
 let window_views ?now t =
   let now = match now with Some n -> n | None -> wall () in
-  let lam = Window.rate ~now t.lambda_w in
-  let phases =
-    locked t (fun () ->
-        List.sort
-          (fun (a, _) (b, _) -> String.compare a b)
-          (Hashtbl.fold (fun p w acc -> (p, w) :: acc) t.phase_w []))
+  let lam, latency, frame_err, phases =
+    Mutex.protect t.lock (fun () ->
+        ( Window.rate ~now t.lambda_w,
+          Window.snapshot ~now t.latency_w,
+          Window.rate ~now t.frame_err_w,
+          phase_rates t ~now ))
   in
-  let latency = Window.snapshot ~now t.latency_w in
   let q q' = Metric.quantile latency q' in
   [
     gauge_view ~name:"csm_window_lambda"
@@ -152,7 +161,7 @@ let window_views ?now t =
       ];
     gauge_view ~name:"csm_window_frame_error_rate"
       ~help:"Windowed malformed-transport-frame rate, errors/second"
-      [ ([], Window.rate ~now t.frame_err_w) ];
+      [ ([], frame_err) ];
   ]
   @
   match phases with
@@ -161,12 +170,12 @@ let window_views ?now t =
     [
       gauge_view ~name:"csm_window_phase_rate"
         ~help:"Windowed node phase completion rate, phases/second"
-        (List.map (fun (p, w) -> ([ ("phase", p) ], Window.rate ~now w)) phases);
+        (List.map (fun (p, r) -> ([ ("phase", p) ], r)) phases);
     ]
 
 let live_views t =
   let applied, stale, rejected =
-    locked t (fun () -> (t.n_applied, t.n_stale, t.n_rejected))
+    Mutex.protect t.lock (fun () -> (t.n_applied, t.n_stale, t.n_rejected))
   in
   [
     counter_view ~name:"csm_live_deltas_applied_total"
@@ -201,12 +210,12 @@ let evaluate_alerts ?now t =
 
 let note_commit ?now t =
   let now = match now with Some n -> n | None -> wall () in
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.n_commits <- t.n_commits + 1;
       Window.add ~now t.lambda_w (float_of_int t.k));
   evaluate_alerts ~now t
 
-let commits t = locked t (fun () -> t.n_commits)
+let commits t = Mutex.protect t.lock (fun () -> t.n_commits)
 
 let counter_of (s : Metric.sample) =
   match s.Metric.value with Metric.V_counter c -> Some c | _ -> None
@@ -293,14 +302,14 @@ let feed_windows t src ~now (v : Metric.view) =
       v.Metric.samples
   | _ -> ()
 
-let apply t = function
+let apply ?now t = function
   | None ->
-    locked t (fun () -> t.n_rejected <- t.n_rejected + 1);
+    Mutex.protect t.lock (fun () -> t.n_rejected <- t.n_rejected + 1);
     `Malformed
   | Some (s : Agg.snapshot) ->
-    let now = wall () in
+    let now = match now with Some n -> n | None -> wall () in
     let outcome =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           let key = Agg.source s in
           let src =
             match Hashtbl.find_opt t.sources key with
@@ -342,82 +351,73 @@ let apply t = function
     if outcome = `Applied then evaluate_alerts ~now t;
     outcome
 
-let deltas t = locked t (fun () -> (t.n_applied, t.n_stale, t.n_rejected))
+let deltas t =
+  Mutex.protect t.lock (fun () -> (t.n_applied, t.n_stale, t.n_rejected))
 let alerts t = t.engine
 
 (* ----- /windows.json ----- *)
 
 let windows_json ?now t =
   let now = match now with Some n -> n | None -> wall () in
-  let latency = Window.snapshot ~now t.latency_w in
-  let q q' = Metric.quantile latency q' in
-  let commits, applied, stale, rejected, sources =
-    locked t (fun () ->
-        ( t.n_commits,
-          t.n_applied,
-          t.n_stale,
-          t.n_rejected,
-          List.sort
-            (fun (a, _) (b, _) -> compare a b)
-            (Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.sources []) ))
-  in
-  let phases =
-    locked t (fun () ->
+  let firing = Alert.firing t.engine in
+  Mutex.protect t.lock (fun () ->
+      let latency = Window.snapshot ~now t.latency_w in
+      let q q' = Metric.quantile latency q' in
+      let sources =
         List.sort
-          (fun (a, _) (b, _) -> String.compare a b)
-          (Hashtbl.fold (fun p w acc -> (p, w) :: acc) t.phase_w []))
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str "csm-live-windows/1");
-      ("commits", Json.Int commits);
-      ("lambda", Json.Float (Window.rate ~now t.lambda_w));
-      ("gamma", Json.Int t.k);
-      ( "round_latency",
-        Json.Obj
-          [
-            ("p50", Json.Float (q 0.5));
-            ("p95", Json.Float (q 0.95));
-            ("p99", Json.Float (q 0.99));
-            ("count", Json.Int latency.Metric.s_count);
-          ] );
-      ( "phase_rates",
-        Json.Obj
-          (List.map
-             (fun (p, w) -> (p, Json.Float (Window.rate ~now w)))
-             phases) );
-      ("frame_error_rate", Json.Float (Window.rate ~now t.frame_err_w));
-      ( "alerts",
-        Json.List
-          (List.map
-             (fun (r, v) ->
-               Json.Obj
-                 [
-                   ("rule", Json.Str r.Alert.a_name);
-                   ("metric", Json.Str r.Alert.a_metric);
-                   ("value", Json.Float v);
-                 ])
-             (Alert.firing t.engine)) );
-      ( "deltas",
-        Json.Obj
-          [
-            ("applied", Json.Int applied);
-            ("stale", Json.Int stale);
-            ("rejected", Json.Int rejected);
-          ] );
-      ( "sources",
-        Json.List
-          (List.map
-             (fun ((pid, _), src) ->
-               Json.Obj
-                 [
-                   ("pid", Json.Int pid);
-                   ("node", Json.Int src.src_node);
-                   ("registry", Json.Str (Agg.scope_name src.src_scope));
-                   ("seq", Json.Int src.src_seq);
-                   ("hlc", Json.Int src.src_hlc);
-                   ("events_total", Json.Int src.src_events_total);
-                   ("events_dropped", Json.Int src.src_events_dropped);
-                 ])
-             sources) );
-    ]
+          (fun (a, _) (b, _) -> compare a b)
+          (Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.sources [])
+      in
+      Json.Obj
+        [
+          ("schema", Json.Str "csm-live-windows/1");
+          ("commits", Json.Int t.n_commits);
+          ("lambda", Json.Float (Window.rate ~now t.lambda_w));
+          ("gamma", Json.Int t.k);
+          ( "round_latency",
+            Json.Obj
+              [
+                ("p50", Json.Float (q 0.5));
+                ("p95", Json.Float (q 0.95));
+                ("p99", Json.Float (q 0.99));
+                ("count", Json.Int latency.Metric.s_count);
+              ] );
+          ( "phase_rates",
+            Json.Obj
+              (List.map (fun (p, r) -> (p, Json.Float r)) (phase_rates t ~now))
+          );
+          ("frame_error_rate", Json.Float (Window.rate ~now t.frame_err_w));
+          ( "alerts",
+            Json.List
+              (List.map
+                 (fun (r, v) ->
+                   Json.Obj
+                     [
+                       ("rule", Json.Str r.Alert.a_name);
+                       ("metric", Json.Str r.Alert.a_metric);
+                       ("value", Json.Float v);
+                     ])
+                 firing) );
+          ( "deltas",
+            Json.Obj
+              [
+                ("applied", Json.Int t.n_applied);
+                ("stale", Json.Int t.n_stale);
+                ("rejected", Json.Int t.n_rejected);
+              ] );
+          ( "sources",
+            Json.List
+              (List.map
+                 (fun ((pid, _), src) ->
+                   Json.Obj
+                     [
+                       ("pid", Json.Int pid);
+                       ("node", Json.Int src.src_node);
+                       ("registry", Json.Str (Agg.scope_name src.src_scope));
+                       ("seq", Json.Int src.src_seq);
+                       ("hlc", Json.Int src.src_hlc);
+                       ("events_total", Json.Int src.src_events_total);
+                       ("events_dropped", Json.Int src.src_events_dropped);
+                     ])
+                 sources) );
+        ])

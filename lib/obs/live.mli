@@ -23,8 +23,10 @@ val mark_start : ?now:float -> t -> unit
 (** Anchor the λ window's covered span at the run start, so the
     windowed rate and the whole-run average share a time origin. *)
 
-val apply : t -> Agg.snapshot option -> [ `Applied | `Stale | `Malformed ]
-(** Merge one decoded Telemetry frame payload ({!Agg.decode}).
+val apply :
+  ?now:float -> t -> Agg.snapshot option -> [ `Applied | `Stale | `Malformed ]
+(** Merge one decoded Telemetry frame payload ({!Agg.decode}), feeding
+    its increments into the windows at [now] (default: the wall clock).
     [`Stale] = duplicate or reordered (sequence at or below the last
     applied — dropped, harmless); [`Malformed] = the payload did not
     decode ([None]; count it as a frame error). *)

@@ -27,11 +27,6 @@ let enabled () = Atomic.get on
 let enable () = Atomic.set on true
 let disable () = Atomic.set on false
 
-(* Run [f] with [m] held; exception-safe (R3). *)
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 (* ----- histograms ----- *)
 
 (* [bounds] are strictly increasing bucket upper bounds; an observation
@@ -82,7 +77,7 @@ let make_hist bounds =
           Domain.DLS.new_key (fun () ->
               let s = { counts = Array.make (n + 1) 0; sum = 0.0; cnt = 0 } in
               let h = Lazy.force h in
-              locked h.h_lock (fun () -> h.shards <- s :: h.shards);
+              Mutex.protect h.h_lock (fun () -> h.shards <- s :: h.shards);
               s);
       }
   in
@@ -123,7 +118,7 @@ let merge a b =
   }
 
 let snapshot_hist h =
-  let shards = locked h.h_lock (fun () -> h.shards) in
+  let shards = Mutex.protect h.h_lock (fun () -> h.shards) in
   List.fold_left
     (fun acc s ->
       merge acc
@@ -192,7 +187,7 @@ let intern ~name ~help ~kind ~labels make =
         invalid_arg (Printf.sprintf "Metric: invalid label name %S" k))
     labels;
   let labels = canon labels in
-  locked reg_lock (fun () ->
+  Mutex.protect reg_lock (fun () ->
       let fam =
         match Hashtbl.find_opt registry name with
         | Some f ->
@@ -295,7 +290,7 @@ let compare_labels =
 
 let families () =
   let fams =
-    locked reg_lock (fun () ->
+    Mutex.protect reg_lock (fun () ->
         Hashtbl.fold (fun _ f acc -> f :: acc) registry []
         |> List.map (fun f ->
                (f.fam_name, f.fam_help, f.fam_kind, f.fam_instances)))
@@ -310,4 +305,4 @@ let families () =
          in
          { name; help; kind; samples })
 
-let reset () = locked reg_lock (fun () -> Hashtbl.reset registry)
+let reset () = Mutex.protect reg_lock (fun () -> Hashtbl.reset registry)

@@ -48,17 +48,12 @@ type buf = {
 let registry : buf list ref = ref []
 let reg_lock = Mutex.create ()
 
-(* Run [f] with the registry lock held; exception-safe (R3). *)
-let locked f =
-  Mutex.lock reg_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock reg_lock) f
-
 let key =
   Domain.DLS.new_key (fun () ->
       (* csm-lint: allow R1 — the buffer is tagged with the physical
          domain id for trace attribution, not used for scheduling. *)
       let b = { dom = (Domain.self () :> int); items = []; stack = [] } in
-      locked (fun () -> registry := b :: !registry);
+      Mutex.protect reg_lock (fun () -> registry := b :: !registry);
       b)
 
 let with_ ?(attrs = []) ?ops ~name f =
@@ -110,11 +105,11 @@ let order a b =
   | c -> c
 
 let records () =
-  let bufs = locked (fun () -> !registry) in
+  let bufs = Mutex.protect reg_lock (fun () -> !registry) in
   List.sort order (List.concat_map (fun b -> b.items) bufs)
 
 let reset () =
-  locked (fun () ->
+  Mutex.protect reg_lock (fun () ->
       List.iter
         (fun b ->
           b.items <- [];

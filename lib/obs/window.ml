@@ -36,12 +36,7 @@ type t = {
   sums : float array;
   tallies : int array;  (* per-slot observation count *)
   mutable first_s : float;  (* earliest mark/add, +inf before any *)
-  lock : Mutex.t;
 }
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let create ?(buckets = [||]) () =
   Array.iteri
@@ -58,13 +53,11 @@ let create ?(buckets = [||]) () =
     sums = Array.make nbuckets 0.0;
     tallies = Array.make nbuckets 0;
     first_s = infinity;
-    lock = Mutex.create ();
   }
 
 let bucket_id now = int_of_float (floor (now /. bucket_s))
 
-(* The slot for [now]'s bucket, reclaimed if an older bucket holds it.
-   Called under the lock. *)
+(* The slot for [now]'s bucket, reclaimed if an older bucket holds it. *)
 let slot_for t now =
   let id = bucket_id now in
   let slot = ((id mod nbuckets) + nbuckets) mod nbuckets in
@@ -79,7 +72,7 @@ let slot_for t now =
 
 let mark ?now t =
   let now = match now with Some n -> n | None -> wall () in
-  locked t (fun () -> if now < t.first_s then t.first_s <- now)
+  if now < t.first_s then t.first_s <- now
 
 let value_bucket bounds v =
   let n = Array.length bounds in
@@ -88,12 +81,11 @@ let value_bucket bounds v =
 
 let add ?now t v =
   let now = match now with Some n -> n | None -> wall () in
-  locked t (fun () ->
-      let slot = slot_for t now in
-      let i = (slot * t.width) + value_bucket t.bounds v in
-      t.counts.(i) <- t.counts.(i) + 1;
-      t.sums.(slot) <- t.sums.(slot) +. v;
-      t.tallies.(slot) <- t.tallies.(slot) + 1)
+  let slot = slot_for t now in
+  let i = (slot * t.width) + value_bucket t.bounds v in
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.sums.(slot) <- t.sums.(slot) +. v;
+  t.tallies.(slot) <- t.tallies.(slot) + 1
 
 let add_snapshot ?now t (s : Metric.snapshot) =
   if
@@ -102,15 +94,14 @@ let add_snapshot ?now t (s : Metric.snapshot) =
     && Array.length s.Metric.s_counts = t.width
   then begin
     let now = match now with Some n -> n | None -> wall () in
-    locked t (fun () ->
-        let slot = slot_for t now in
-        Array.iteri
-          (fun i c ->
-            let j = (slot * t.width) + i in
-            if c > 0 then t.counts.(j) <- t.counts.(j) + c)
-          s.Metric.s_counts;
-        t.sums.(slot) <- t.sums.(slot) +. s.Metric.s_sum;
-        t.tallies.(slot) <- t.tallies.(slot) + max 0 s.Metric.s_count)
+    let slot = slot_for t now in
+    Array.iteri
+      (fun i c ->
+        let j = (slot * t.width) + i in
+        if c > 0 then t.counts.(j) <- t.counts.(j) + c)
+      s.Metric.s_counts;
+    t.sums.(slot) <- t.sums.(slot) +. s.Metric.s_sum;
+    t.tallies.(slot) <- t.tallies.(slot) + max 0 s.Metric.s_count
   end
 
 (* A slot is live at [now] if its id is within the trailing [nbuckets]
@@ -119,38 +110,36 @@ let add_snapshot ?now t (s : Metric.snapshot) =
 let snapshot ?now t =
   let now = match now with Some n -> n | None -> wall () in
   let id_now = bucket_id now in
-  locked t (fun () ->
-      let counts = Array.make t.width 0 in
-      let sum = ref 0.0 and count = ref 0 in
-      for slot = 0 to nbuckets - 1 do
-        let id = t.ids.(slot) in
-        if id <= id_now && id > id_now - nbuckets then begin
-          for i = 0 to t.width - 1 do
-            counts.(i) <- counts.(i) + t.counts.((slot * t.width) + i)
-          done;
-          sum := !sum +. t.sums.(slot);
-          count := !count + t.tallies.(slot)
-        end
+  let counts = Array.make t.width 0 in
+  let sum = ref 0.0 and count = ref 0 in
+  for slot = 0 to nbuckets - 1 do
+    let id = t.ids.(slot) in
+    if id <= id_now && id > id_now - nbuckets then begin
+      for i = 0 to t.width - 1 do
+        counts.(i) <- counts.(i) + t.counts.((slot * t.width) + i)
       done;
-      {
-        Metric.s_bounds = Array.copy t.bounds;
-        s_counts = counts;
-        s_sum = !sum;
-        s_count = !count;
-      })
+      sum := !sum +. t.sums.(slot);
+      count := !count + t.tallies.(slot)
+    end
+  done;
+  {
+    Metric.s_bounds = Array.copy t.bounds;
+    s_counts = counts;
+    s_sum = !sum;
+    s_count = !count;
+  }
 
 let rate ?now t =
   let now = match now with Some n -> n | None -> wall () in
   let id_now = bucket_id now in
-  locked t (fun () ->
-      if t.first_s = infinity then 0.0
-      else begin
-        let sum = ref 0.0 in
-        for slot = 0 to nbuckets - 1 do
-          let id = t.ids.(slot) in
-          if id <= id_now && id > id_now - nbuckets then
-            sum := !sum +. t.sums.(slot)
-        done;
-        let covered = Float.min span_s (now -. t.first_s) in
-        !sum /. Float.max bucket_s covered
-      end)
+  if t.first_s = infinity then 0.0
+  else begin
+    let sum = ref 0.0 in
+    for slot = 0 to nbuckets - 1 do
+      let id = t.ids.(slot) in
+      if id <= id_now && id > id_now - nbuckets then
+        sum := !sum +. t.sums.(slot)
+    done;
+    let covered = Float.min span_s (now -. t.first_s) in
+    !sum /. Float.max bucket_s covered
+  end

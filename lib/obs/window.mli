@@ -6,8 +6,8 @@
     {!bucket_s} seconds.  Writers pay one array update per record; reads
     fold the live buckets.  Every operation takes an optional [?now] so
     tests can drive the clock explicitly — the wall clock is only the
-    default.  Instances are mutex-guarded and safe to share across
-    threads. *)
+    default.  A window is not thread-safe on its own: its owner
+    ({!Live}) calls it under the owner's lock. *)
 
 val bucket_s : float
 (** 0.05 s: the time resolution of every window. *)

@@ -286,11 +286,6 @@ module Make (F : Field_intf.S) = struct
   let rec gcd (p : t) (q : t) =
     if is_zero q then p else gcd q (rem p q)
 
-  (* Monic gcd. *)
-  let gcd_monic p q =
-    let g = gcd p q in
-    if is_zero g then g else scale (F.inv g.(degree g)) g
-
   (* Extended Euclid with early stopping: returns (r, u, v) with
      r = u*p + v*q, for the FIRST remainder with deg r < [stop] (or the
      gcd when [stop] is negative).  The early-stopped form is exactly

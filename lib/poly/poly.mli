@@ -86,7 +86,6 @@ module Make (F : Field_intf.S) : sig
   val rem : t -> t -> t
 
   val gcd : t -> t -> t
-  val gcd_monic : t -> t -> t
 
   val xgcd : t -> t -> t * t * t
   (** [xgcd p q = (g, u, v)] with g = u·p + v·q. *)

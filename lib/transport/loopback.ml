@@ -20,13 +20,12 @@
    the same protocol run. *)
 
 module Frame = Csm_wire.Frame
-module Lockdep = Csm_parallel.Lockdep
 
 type slot = {
   q : string Queue.t;
-  m : Lockdep.t;
+  m : Mutex.t;
   stats : Transport.stats;
-  sm : Lockdep.t;
+  sm : Mutex.t;
 }
 
 type net = { slots : slot array }
@@ -38,9 +37,9 @@ let create ~endpoints =
       Array.init endpoints (fun _ ->
           {
             q = Queue.create ();
-            m = Lockdep.create "loopback.mailbox";
+            m = Mutex.create ();
             stats = Transport.zero_stats ();
-            sm = Lockdep.create "loopback.stats";
+            sm = Mutex.create ();
           });
   }
 
@@ -68,10 +67,10 @@ let endpoint net ~id =
       let len = String.length bytes in
       Transport.record_sent t len;
       let peer = net.slots.(dst) in
-      Lockdep.with_lock peer.sm (fun () ->
+      Mutex.protect peer.sm (fun () ->
           peer.stats.frames_received <- peer.stats.frames_received + 1;
           peer.stats.bytes_received <- peer.stats.bytes_received + len);
-      Lockdep.with_lock peer.m (fun () -> Queue.push bytes peer.q)
+      Mutex.protect peer.m (fun () -> Queue.push bytes peer.q)
     end
   in
   let recv ~timeout =
@@ -80,7 +79,7 @@ let endpoint net ~id =
       if !closed then None
       else begin
         let item =
-          Lockdep.with_lock me.m (fun () ->
+          Mutex.protect me.m (fun () ->
               if Queue.is_empty me.q then None else Some (Queue.pop me.q))
         in
         match item with

@@ -36,7 +36,6 @@
    thread that keeps connecting and writing for 1 s ({!linger}). *)
 
 module Frame = Csm_wire.Frame
-module Lockdep = Csm_parallel.Lockdep
 
 type addr =
   | Uds of string  (* directory holding ep-<id>.sock *)
@@ -156,20 +155,20 @@ let push_writable writable p =
 (* Lingering writers still running, process-wide; [linger] waits for
    them to finish. *)
 let writers = ref 0
-let writers_lock = Lockdep.create "socket.linger"
+let writers_lock = Mutex.create ()
 let writers_done = Condition.create ()
 
 let linger () =
-  Lockdep.with_lock writers_lock (fun () ->
+  Mutex.protect writers_lock (fun () ->
       while !writers > 0 do
-        Lockdep.wait writers_done writers_lock
+        Condition.wait writers_done writers_lock
       done)
 
 (* A new thread owns [peers], a closed endpoint's: it keeps connecting
    and writing out their outboxes for at most 1 s, then closes every
    connection. *)
 let linger_write peers =
-  Lockdep.with_lock writers_lock (fun () -> incr writers);
+  Mutex.protect writers_lock (fun () -> incr writers);
   let deadline = Unix.gettimeofday () +. 1.0 in
   let rec drain () =
     let left = deadline -. Unix.gettimeofday () in
@@ -185,7 +184,7 @@ let linger_write peers =
     Fun.protect
       ~finally:(fun () ->
         Array.iter release peers;
-        Lockdep.with_lock writers_lock (fun () ->
+        Mutex.protect writers_lock (fun () ->
             decr writers;
             Condition.broadcast writers_done))
       (fun () -> try drain () with Unix.Unix_error _ -> ())
@@ -217,7 +216,7 @@ let endpoint ~addr ~id ~endpoints =
       recv = (fun ~timeout:_ -> None);
       close = (fun () -> ());
       stats = Transport.zero_stats ();
-      stats_mutex = Lockdep.create "socket.stats";
+      stats_mutex = Mutex.create ();
     }
   in
   let inbound = ref [] in

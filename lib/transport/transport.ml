@@ -22,7 +22,6 @@
      counts. *)
 
 module Frame = Csm_wire.Frame
-module Lockdep = Csm_parallel.Lockdep
 
 type stats = {
   mutable frames_sent : int;
@@ -48,26 +47,25 @@ type t = {
   recv : timeout:float -> Frame.t option;
   close : unit -> unit;
   stats : stats;
-  stats_mutex : Lockdep.t;
+  stats_mutex : Mutex.t;
 }
 
-let locked t f = Lockdep.with_lock t.stats_mutex f
-
 let record_sent t bytes =
-  locked t (fun () ->
+  Mutex.protect t.stats_mutex (fun () ->
       t.stats.frames_sent <- t.stats.frames_sent + 1;
       t.stats.bytes_sent <- t.stats.bytes_sent + bytes)
 
 let record_received t bytes =
-  locked t (fun () ->
+  Mutex.protect t.stats_mutex (fun () ->
       t.stats.frames_received <- t.stats.frames_received + 1;
       t.stats.bytes_received <- t.stats.bytes_received + bytes)
 
 let record_error t =
-  locked t (fun () -> t.stats.frame_errors <- t.stats.frame_errors + 1)
+  Mutex.protect t.stats_mutex (fun () ->
+      t.stats.frame_errors <- t.stats.frame_errors + 1)
 
 let snapshot t =
-  locked t (fun () ->
+  Mutex.protect t.stats_mutex (fun () ->
       {
         frames_sent = t.stats.frames_sent;
         frames_received = t.stats.frames_received;

@@ -15,7 +15,6 @@
       never raised. *)
 
 module Frame = Csm_wire.Frame
-module Lockdep = Csm_parallel.Lockdep
 
 type stats = {
   mutable frames_sent : int;
@@ -34,9 +33,7 @@ type t = {
   recv : timeout:float -> Frame.t option;
   close : unit -> unit;
   stats : stats;
-  stats_mutex : Lockdep.t;
-      (** checked lock ({!Csm_parallel.Lockdep}): CSM_LOCKDEP=1 folds
-          stats acquisitions into the global lock-order graph *)
+  stats_mutex : Mutex.t;  (** guards [stats] *)
 }
 
 val record_sent : t -> int -> unit

@@ -1,12 +1,11 @@
 (* csm-lint analyzer tests: per-rule inline fixtures (a bad snippet
    that must fire, a good twin that must stay silent), the suppression
-   and baseline machinery, the lockdep order checker, and a self-check
-   that the repo itself lints clean against the committed baseline. *)
+   and baseline machinery, and a self-check that the repo itself lints
+   clean against the committed baseline. *)
 
 module Finding = Csm_analysis.Finding
 module Driver = Csm_analysis.Driver
 module Baseline = Csm_analysis.Baseline
-module Lockdep = Csm_parallel.Lockdep
 
 let rules fs = List.map (fun (f : Finding.t) -> f.Finding.rule) fs
 
@@ -69,12 +68,9 @@ let r3 () =
     \  Mutex.lock m;\n\
     \  (try work () with e -> Mutex.unlock m; raise e);\n\
     \  Mutex.unlock m";
-  (* Lockdep.lock is held to the same standard *)
-  fires "R3" ~path:"lib/core/x.ml"
-    "let l = Lockdep.create \"x\"\n\
-     let f () = Lockdep.lock l; work (); Lockdep.unlock l";
+  (* Mutex.protect releases on every exit *)
   silent "R3" ~path:"lib/core/x.ml"
-    "let l = Lockdep.create \"x\"\nlet f () = Lockdep.with_lock l work"
+    "let m = Mutex.create ()\nlet f () = Mutex.protect m work"
 
 (* ----- R4: shared mutable state registry ----- *)
 
@@ -204,22 +200,21 @@ let baseline () =
   Alcotest.(check int) "no match absorbed" 0 (List.length baselined);
   Alcotest.(check int) "no match fresh" 1 (List.length fresh)
 
-(* ----- whole-program passes: taint (R6-R8), lock order (R9) ----- *)
+(* ----- whole-program passes: taint (R6-R8), nested locks (R9) ----- *)
 
-let wp_rules ?registry ?expected sources =
-  rules (Driver.lint_strings ?registry ?expected sources)
+let wp_rules ?registry sources = rules (Driver.lint_strings ?registry sources)
 
-let wp_fires rule ?registry ?expected sources =
+let wp_fires rule ?registry sources =
   Alcotest.(check bool)
     (rule ^ " fires")
     true
-    (List.mem rule (wp_rules ?registry ?expected sources))
+    (List.mem rule (wp_rules ?registry sources))
 
-let wp_silent rule ?registry ?expected sources =
+let wp_silent rule ?registry sources =
   Alcotest.(check bool)
     (rule ^ " silent")
     false
-    (List.mem rule (wp_rules ?registry ?expected sources))
+    (List.mem rule (wp_rules ?registry sources))
 
 let r6_taint () =
   (* a transport read sizes a buffer unsanitized *)
@@ -329,33 +324,56 @@ let r8_global_escape () =
     ]
 
 let r9_static_lock_order () =
-  let inversion =
-    "let a = Mutex.create ()\n\
-     let b = Mutex.create ()\n\
-     let f () = Mutex.lock a; Mutex.lock b; Mutex.unlock b; Mutex.unlock a\n\
-     let g () = Mutex.lock b; Mutex.lock a; Mutex.unlock a; Mutex.unlock b"
-  in
-  wp_fires "R9" [ ("lib/core/lx.ml", inversion) ];
-  (* same order on both paths: no cycle *)
-  wp_silent "R9"
+  let locks = "let a = Mutex.create ()\nlet b = Mutex.create ()\n" in
+  let unit_ body = [ ("lib/core/lx.ml", locks ^ body) ] in
+  let nests body = wp_fires "R9" (unit_ body)
+  and leaf body = wp_silent "R9" (unit_ body) in
+  (* direct nesting fires in either order *)
+  nests
+    "let f () = Mutex.lock a; Mutex.lock b; Mutex.unlock b; Mutex.unlock a";
+  nests
+    "let g () = Mutex.lock b; Mutex.lock a; Mutex.unlock a; Mutex.unlock b";
+  nests "let f () = Mutex.protect a (fun () -> Mutex.protect b work)";
+  (* sequential sections stay silent *)
+  leaf
+    "let f () = Mutex.lock a; Mutex.unlock a; Mutex.lock b; Mutex.unlock b";
+  leaf
+    "let f () = Mutex.protect a work; Mutex.protect b (fun () -> work ())";
+  (* nesting through a call *)
+  nests
+    "let inner () = Mutex.protect b work\n\
+     let outer () = Mutex.protect a (fun () -> inner ())";
+  nests
+    "let inner () = Mutex.protect b work\n\
+     let outer () = Mutex.protect a inner";
+  (* nesting through a wrapper that runs its thunk under its lock: a
+     store feeding a window that locks itself *)
+  wp_fires "R9"
     [
-      ( "lib/core/lx.ml",
-        "let a = Mutex.create ()\n\
-         let b = Mutex.create ()\n\
-         let f () = Mutex.lock a; Mutex.lock b; Mutex.unlock b; Mutex.unlock a\n\
-         let g () = Mutex.lock a; Mutex.lock b; Mutex.unlock b; Mutex.unlock a"
-      );
+      ( "lib/obs/wx.ml",
+        "type t = { lock : Mutex.t }\n\
+         let locked t f = Mutex.protect t.lock f\n\
+         let add t = locked t work" );
+      ( "lib/obs/lv.ml",
+        "type t = { lock : Mutex.t; w : Wx.t }\n\
+         let locked t f = Mutex.protect t.lock f\n\
+         let note t = locked t (fun () -> Wx.add t.w)" );
     ];
-  (* a static order contradicting the runtime-recorded order *)
-  let one_order =
-    "let a = Mutex.create ()\n\
-     let b = Mutex.create ()\n\
-     let f () = Mutex.lock a; Mutex.lock b; Mutex.unlock b; Mutex.unlock a"
-  in
-  wp_fires "R9" ~expected:[ ("Lx.b", "Lx.a") ]
-    [ ("lib/core/lx.ml", one_order) ];
-  wp_silent "R9" ~expected:[ ("Lx.a", "Lx.b") ]
-    [ ("lib/core/lx.ml", one_order) ]
+  (* a mutex passed as a parameter is a lock like any other *)
+  nests "let both m n = Mutex.protect m (fun () -> Mutex.protect n work)";
+  nests
+    "let both m n = Mutex.lock m; Mutex.lock n; Mutex.unlock n; Mutex.unlock m";
+  (* a wrapper that runs its thunk after releasing its lock (the shape
+     of Span.with_) does not nest *)
+  leaf
+    "let with_ f = Mutex.protect a work; f ()\n\
+     let use () = with_ (fun () -> Mutex.protect b work)";
+  (* waiting on a condition gives the lock up and takes it back: no
+     second lock *)
+  leaf
+    "let c = Condition.create ()\n\
+     let wait ready = Mutex.protect a (fun () ->\n\
+    \  while not !ready do Condition.wait c a done)"
 
 let taint_suppressions () =
   (* an allow marker covers the next line, same as the per-file rules *)
@@ -481,44 +499,6 @@ let self_check () =
     []
     (List.map Finding.to_line r.Driver.fresh)
 
-(* ----- lockdep: the runtime lock-order checker ----- *)
-
-(* Take a and b in opposite orders: the second order closes a cycle in
-   the global order graph and must surface as a violation. *)
-let lockdep_inversion () =
-  Lockdep.reset ();
-  Lockdep.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Lockdep.disable ();
-      Lockdep.reset ())
-    (fun () ->
-      let a = Lockdep.create "test.a" in
-      let b = Lockdep.create "test.b" in
-      (* csm-lint: allow R9 — deliberate inversion below; this test exercises the runtime checker *)
-      Lockdep.with_lock a (fun () -> Lockdep.with_lock b (fun () -> ()));
-      Alcotest.(check (list string)) "a->b is fine" [] (Lockdep.violations ());
-      let raised = ref false in
-      (* csm-lint: allow R9 — the inversion under test *)
-      (try Lockdep.with_lock b (fun () -> Lockdep.with_lock a (fun () -> ()))
-       with Lockdep.Order_violation _ -> raised := true);
-      Alcotest.(check bool) "b->a raises Order_violation" true !raised;
-      Alcotest.(check bool)
-        "violation recorded" true
-        (Lockdep.violations () <> []))
-
-let lockdep_disabled_is_silent () =
-  Lockdep.reset ();
-  Lockdep.disable ();
-  let a = Lockdep.create "test.c" in
-  let b = Lockdep.create "test.d" in
-  (* csm-lint: allow R9 — deliberate inversion: disabled lockdep must stay silent *)
-  Lockdep.with_lock a (fun () -> Lockdep.with_lock b (fun () -> ()));
-  (* csm-lint: allow R9 — deliberate inversion, as above *)
-  Lockdep.with_lock b (fun () -> Lockdep.with_lock a (fun () -> ()));
-  Alcotest.(check (list string)) "no tracking when off" []
-    (Lockdep.violations ())
-
 let suites =
   [
     ( "lint",
@@ -546,10 +526,5 @@ let suites =
         Alcotest.test_case "baseline reason carry" `Quick
           baseline_update_reasons;
         Alcotest.test_case "sarif golden" `Quick sarif_golden;
-      ] );
-    ( "lockdep",
-      [
-        Alcotest.test_case "inverted pair detected" `Quick lockdep_inversion;
-        Alcotest.test_case "disabled is silent" `Quick lockdep_disabled_is_silent;
       ] );
   ]

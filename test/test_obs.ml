@@ -1437,69 +1437,75 @@ let live_lambda_window () =
     (Live.lambda ~now:102.0 live);
   Alcotest.(check int) "commits" 3 (Live.commits live)
 
+(* A node's cumulative snapshot as a Telemetry payload: per-phase
+   counters, its frame-error counter and a round-latency histogram with
+   one observation per bucket index in [latency]. *)
+let live_snap ~node ~seq ~phases ~errors ~latency =
+  let node_l = ("node", string_of_int node) in
+  let counter name labels v =
+    {
+      Metric.name;
+      help = "";
+      kind = Metric.K_counter;
+      samples = [ { Metric.labels; value = Metric.V_counter v } ];
+    }
+  in
+  let bounds = Metric.default_buckets in
+  let counts = Array.make (Array.length bounds + 1) 0 in
+  List.iter (fun i -> counts.(i) <- counts.(i) + 1) latency;
+  let hist =
+    {
+      Metric.s_bounds = bounds;
+      s_counts = counts;
+      s_sum = 0.001 *. float_of_int (List.length latency);
+      s_count = List.length latency;
+    }
+  in
+  Agg.encode
+    (mk_snapshot ~scope:Agg.Node ~final:false ~node ~pid:(300 + node) ~seq
+       ~views:
+         [
+           {
+             Metric.name = "csm_node_phases_total";
+             help = "";
+             kind = Metric.K_counter;
+             samples =
+               List.map
+                 (fun (p, v) ->
+                   { Metric.labels = [ ("phase", p) ]; value = Metric.V_counter v })
+                 phases;
+           };
+           counter "csm_transport_frame_errors_total" [ node_l ] errors;
+           {
+             Metric.name = "csm_round_latency_seconds";
+             help = "";
+             kind = Metric.K_histogram;
+             samples = [ { Metric.labels = [ node_l ]; value = Metric.V_histogram hist } ];
+           };
+         ]
+       ())
+
 (* One store driven through every ingestion path at explicit read times:
    two node sources whose snapshots arrive duplicated and reordered,
    each carrying phase-counter, frame-error and round-latency families,
-   plus ten client commits.  [apply] stamps its window feeds with the
-   wall clock, so at the explicit [now] they are out of the window and
-   only their names (phase labels) show; the merged cumulative views,
-   the λ window, the alert states and the delta counters are pinned
-   byte for byte. *)
-let pinned_live_store () =
+   plus ten client commits.  Without [apply_at] the snapshots are
+   applied at the wall clock, so at the explicit [now] their window
+   feeds are out of the window and only their names (phase labels)
+   show; the merged cumulative views, the λ window, the alert states
+   and the delta counters are pinned byte for byte.  [apply_at i] is
+   the time the [i]th arrival is applied at. *)
+let pinned_live_store ?apply_at () =
   let live = Live.create ~k:3 () in
   Live.mark_start ~now:200.0 live;
-  let snap ~node ~seq ~phases ~errors ~latency =
-    let node_l = ("node", string_of_int node) in
-    let counter name labels v =
-      {
-        Metric.name;
-        help = "";
-        kind = Metric.K_counter;
-        samples = [ { Metric.labels; value = Metric.V_counter v } ];
-      }
-    in
-    let bounds = Metric.default_buckets in
-    let counts = Array.make (Array.length bounds + 1) 0 in
-    List.iter (fun i -> counts.(i) <- counts.(i) + 1) latency;
-    let hist =
-      {
-        Metric.s_bounds = bounds;
-        s_counts = counts;
-        s_sum = 0.001 *. float_of_int (List.length latency);
-        s_count = List.length latency;
-      }
-    in
-    Agg.encode
-      (mk_snapshot ~scope:Agg.Node ~final:false ~node ~pid:(300 + node) ~seq
-         ~views:
-           [
-             {
-               Metric.name = "csm_node_phases_total";
-               help = "";
-               kind = Metric.K_counter;
-               samples =
-                 List.map
-                   (fun (p, v) ->
-                     { Metric.labels = [ ("phase", p) ]; value = Metric.V_counter v })
-                   phases;
-             };
-             counter "csm_transport_frame_errors_total" [ node_l ] errors;
-             {
-               Metric.name = "csm_round_latency_seconds";
-               help = "";
-               kind = Metric.K_histogram;
-               samples = [ { Metric.labels = [ node_l ]; value = Metric.V_histogram hist } ];
-             };
-           ]
-         ())
-  in
-  let a1 = snap ~node:0 ~seq:1 ~phases:[ ("committed", 2); ("decoded", 1) ] ~errors:0 ~latency:[]
-  and a2 = snap ~node:0 ~seq:2 ~phases:[ ("committed", 5); ("decoded", 4) ] ~errors:1 ~latency:[ 6; 7; 7 ]
-  and a3 = snap ~node:0 ~seq:3 ~phases:[ ("committed", 9); ("decoded", 8) ] ~errors:1 ~latency:[ 6; 7; 7; 8 ]
-  and b1 = snap ~node:1 ~seq:1 ~phases:[ ("committed", 1) ] ~errors:2 ~latency:[ 5 ]
-  and b2 = snap ~node:1 ~seq:2 ~phases:[ ("committed", 6); ("decoded", 3) ] ~errors:4 ~latency:[ 5 ] in
-  List.iter
-    (fun p -> ignore (apply_payload live p))
+  let a1 = live_snap ~node:0 ~seq:1 ~phases:[ ("committed", 2); ("decoded", 1) ] ~errors:0 ~latency:[]
+  and a2 = live_snap ~node:0 ~seq:2 ~phases:[ ("committed", 5); ("decoded", 4) ] ~errors:1 ~latency:[ 6; 7; 7 ]
+  and a3 = live_snap ~node:0 ~seq:3 ~phases:[ ("committed", 9); ("decoded", 8) ] ~errors:1 ~latency:[ 6; 7; 7; 8 ]
+  and b1 = live_snap ~node:1 ~seq:1 ~phases:[ ("committed", 1) ] ~errors:2 ~latency:[ 5 ]
+  and b2 = live_snap ~node:1 ~seq:2 ~phases:[ ("committed", 6); ("decoded", 3) ] ~errors:4 ~latency:[ 5 ] in
+  List.iteri
+    (fun i p ->
+      let now = Option.map (fun at -> at i) apply_at in
+      ignore (Live.apply ?now live (Agg.decode p)))
     [ a1; b1; a2; a1; b2; a3; b1; a2; b2 ];
   for i = 1 to 10 do
     Live.note_commit ~now:(200.0 +. (0.1 *. float_of_int i)) live
@@ -1510,6 +1516,88 @@ let live_store_pinned () =
   let windows, scrape = pinned_live_store () in
   Alcotest.(check string) "windows.json" pinned_windows windows;
   Alcotest.(check string) "scrape" pinned_scrape scrape
+
+(* The same store with its nine arrivals applied 0.1 s apart from
+   200.1 s, inside the window read at 201.5 s: the windowed round
+   latency, per-phase rates and frame-error rate are pinned too. *)
+let pinned_windowed_windows =
+  {|{"schema":"csm-live-windows/1","commits":10,"lambda":20,"gamma":3,"round_latency":{"p50":0.016384,"p95":0.065536,"p99":0.065536,"count":5},"phase_rates":{"committed":10.714285714285671,"decoded":7.857142857142826},"frame_error_rate":3.8461538461538125,"alerts":[{"rule":"frame-errors","metric":"csm_transport_frame_errors_total","value":4}],"deltas":{"applied":5,"stale":4,"rejected":0},"sources":[{"pid":300,"node":0,"registry":"node","seq":3,"hlc":3,"events_total":0,"events_dropped":0},{"pid":301,"node":1,"registry":"node","seq":2,"hlc":2,"events_total":0,"events_dropped":0}]}|}
+
+(* Its [csm_window_*] samples; every other line of the scrape is the
+   unwindowed store's. *)
+let pinned_windowed_samples =
+  [
+    {|csm_window_lambda 20|};
+    {|csm_window_gamma 3|};
+    {|csm_window_round_latency_seconds{quantile="0.5"} 0.016384|};
+    {|csm_window_round_latency_seconds{quantile="0.95"} 0.065536|};
+    {|csm_window_round_latency_seconds{quantile="0.99"} 0.065536|};
+    {|csm_window_frame_error_rate 3.8461538461538125|};
+    {|csm_window_phase_rate{phase="committed"} 10.714285714285671|};
+    {|csm_window_phase_rate{phase="decoded"} 7.857142857142826|};
+  ]
+
+let live_store_windowed_pinned () =
+  let windows, scrape =
+    pinned_live_store
+      ~apply_at:(fun i -> 200.0 +. (0.1 *. float_of_int (i + 1)))
+      ()
+  in
+  let windowed l = String.starts_with ~prefix:"csm_window_" l in
+  let lines s = String.split_on_char '\n' s in
+  let pick keep s = List.filter keep (lines s) in
+  Alcotest.(check string) "windows.json" pinned_windowed_windows windows;
+  Alcotest.(check (list string))
+    "window samples" pinned_windowed_samples (pick windowed scrape);
+  Alcotest.(check (list string))
+    "other lines"
+    (pick (fun l -> not (windowed l)) pinned_scrape)
+    (pick (fun l -> not (windowed l)) scrape)
+
+(* The store's one lock under contention: three domains at once, one
+   applying two sources' snapshots, one noting commits, one alternating
+   scrapes and windows documents.  Counts come out whole and every
+   rendered document is well-formed. *)
+let live_store_contended () =
+  let per_source = 200 and commits = 400 and reads = 100 in
+  let payloads =
+    List.init (2 * per_source) (fun i ->
+        let node = i mod 2 and seq = (i / 2) + 1 in
+        Agg.decode
+          (live_snap ~node ~seq
+             ~phases:[ ("committed", seq); ("decoded", seq / 2) ]
+             ~errors:(seq / 3) ~latency:(List.init (seq mod 7) (fun j -> j + 4))))
+  in
+  let live = Live.create ~k:2 () in
+  Live.mark_start live;
+  let applier =
+    Domain.spawn (fun () ->
+        List.iter (fun p -> ignore (Live.apply live p)) payloads)
+  and committer =
+    Domain.spawn (fun () ->
+        for _ = 1 to commits do
+          Live.note_commit live
+        done)
+  and reader =
+    Domain.spawn (fun () ->
+        List.init reads (fun _ ->
+            let scrape = Live.scrape live in
+            (scrape, Json.to_string (Live.windows_json live))))
+  in
+  Domain.join applier;
+  Domain.join committer;
+  let docs = Domain.join reader in
+  Alcotest.(check int) "commits" commits (Live.commits live);
+  let applied, stale, rejected = Live.deltas live in
+  Alcotest.(check (list int)) "deltas" [ 2 * per_source; 0; 0 ]
+    [ applied; stale; rejected ];
+  List.iter
+    (fun (scrape, windows) ->
+      check_prom_format scrape;
+      match Json.member "schema" (Json.parse windows) with
+      | Some (Json.Str "csm-live-windows/1") -> ()
+      | _ -> Alcotest.failf "windows document: %s" windows)
+    docs
 
 let alert_parse_fixpoint () =
   List.iter
@@ -1734,6 +1822,10 @@ let suites =
         Alcotest.test_case "lambda window from commit ticks" `Quick
           live_lambda_window;
         Alcotest.test_case "live store output pinned" `Quick live_store_pinned;
+        Alcotest.test_case "live store windows pinned" `Quick
+          live_store_windowed_pinned;
+        Alcotest.test_case "live store under contention" `Quick
+          live_store_contended;
         Alcotest.test_case "alert spec parse fixpoint" `Quick
           alert_parse_fixpoint;
         Alcotest.test_case "alert engine edge detection" `Quick
