@@ -734,7 +734,9 @@ let transport_group =
 
    - disabled_overhead_words: what the observability layer adds to a
      node run with tracing OFF — one HLC read plus one flight-recorder
-     append per frame (the frame bytes themselves are unchanged v1);
+     append per frame, made the way Node.record_send makes it, with
+     the peer and frame kind changing from one frame to the next (the
+     frame bytes themselves are unchanged v1);
    - v2_extra_words: the additional allocation of encoding + decoding
      a trace-stamped v2 frame over the identical v1 frame.
 
@@ -767,10 +769,15 @@ let run_obs_smoke ~out =
   in
   let hlc_now_words = obs_words_per_op ~iters Clock.now in
   let flight = Flight.create ~node:0 () in
-  let attrs = [ ("dst", "1"); ("frame", "output") ] in
+  let kinds = [| Frame.Command; Frame.Commit; Frame.Result; Frame.Output |] in
+  let sent = ref 0 in
   let flight_record_words =
     obs_words_per_op ~iters (fun () ->
-        Flight.record flight ~attrs ~hlc:(Clock.now ()) ~round:17 "send")
+        incr sent;
+        Flight.record_fields flight ~trace:0L ~hlc:(Clock.now ()) ~round:17
+          ~peer_key:"dst" ~peer:(!sent mod 7)
+          ~frame:(Frame.kind_name kinds.(!sent land 3))
+          ~note_key:"" ~note:"" "send")
   in
   let v2_extra_words = frame_v2_words -. frame_v1_words in
   let disabled_overhead_words = hlc_now_words +. flight_record_words in

@@ -22,16 +22,21 @@
    argument of a def with [app] runs under a lock, so
    [locked t (fun () -> Window.add ...)] nests, while
    [Span.with_ ... (fun () -> ...)], whose thunk runs after its registry
-   lock is released, does not.  An unknown callee ([List.iter],
-   [Fun.protect], ...) is assumed to run its function arguments at once,
-   under what the caller holds.  A lambda that is not an argument
-   (let-bound, stored in a record or a queue) runs at an unknown later
-   point: its body is walked with nothing held.  A spawned thread or
-   domain starts with nothing held, and so does a domain-local key's
-   initialiser; neither counts as its creator taking a lock.  (The
-   initialiser runs inside the first [Domain.DLS.get] of each domain,
-   which the pass does not follow.)  Locks have no identities, so a
-   mutex passed as a parameter counts like any other. *)
+   lock is released, does not.  A closure bound by a local [let] gets
+   the same two facts, in scope for the [let]'s body, so
+   [let h () = ... in locked h] is followed like a call to a def.  An
+   unknown callee ([List.iter], [Fun.protect], ...) is assumed to run
+   its function arguments at once, under what the caller holds.  A
+   lambda that is not an argument (let-bound, stored in a record or a
+   queue) runs at an unknown later point: its body is walked with
+   nothing held.  A spawned thread or domain starts with nothing held,
+   and so does a domain-local key's initialiser; neither counts as its
+   creator taking a lock.  The initialiser runs inside the first
+   [Domain.DLS.get] of each domain instead: a key whose initialiser may
+   take a lock is recorded under the module-level name or the record
+   field label it is bound to, and every [Domain.DLS.get] on such a key
+   counts as an acquisition.  Locks have no identities, so a mutex
+   passed as a parameter counts like any other. *)
 
 open Parsetree
 
@@ -44,14 +49,20 @@ type summary = {
   mutable app : bool;  (* runs a parameter while holding a lock *)
 }
 
+(* A domain-local key: a module-level name, or a record field label *)
+type key = Named of string * string | Field of string
+
 type ctx = {
   modname : string;
   summaries : (string * string, summary) Hashtbl.t;
   locals : (string, summary) Hashtbl.t;
   aliases : (string, string) Hashtbl.t;
+  lock_keys : (key, unit) Hashtbl.t;  (* keys whose initialiser may lock *)
+  mutable scope : (string * summary) list;  (* let-bound closures *)
   mutable params : S.t;  (* parameter names of the def being walked *)
   mutable acquires : bool;
-  mutable applies : bool;
+  mutable applied : S.t;  (* parameters run while holding a lock *)
+  mutable init_locks : bool;  (* the last key initialiser walked may lock *)
   mutable found : (Location.t * string) list;
 }
 
@@ -60,9 +71,12 @@ let resolve_summary ctx key =
   | None -> None
   | Some (Some m, v) -> Hashtbl.find_opt ctx.summaries (m, v)
   | Some (None, v) -> (
-    match Hashtbl.find_opt ctx.locals v with
+    match List.assoc_opt v ctx.scope with
     | Some s -> Some s
-    | None -> Hashtbl.find_opt ctx.summaries (ctx.modname, v))
+    | None -> (
+      match Hashtbl.find_opt ctx.locals v with
+      | Some s -> Some s
+      | None -> Hashtbl.find_opt ctx.summaries (ctx.modname, v)))
 
 let head_key ctx e =
   match Taint.head_of e with
@@ -81,11 +95,40 @@ let is_param ctx e =
   | Pexp_ident { txt = Longident.Lident v; _ } -> S.mem v ctx.params
   | _ -> false
 
+(* [e], a parameter, runs while a lock is held *)
+let apply_param ctx e =
+  match e.pexp_desc with
+  | Pexp_ident { txt = Longident.Lident v; _ } ->
+    ctx.applied <- S.add v ctx.applied
+  | _ -> ()
+
 let callee e =
   match Taint.head_of e with
   | Some parts ->
     String.concat "." (Program.strip_lib parts) ^ " (which may take a lock)"
   | None -> "a callee that may take a lock"
+
+let stripped_head e = Taint.head_of e |> Option.map Program.strip_lib
+
+let is_new_key e =
+  match e.pexp_desc with
+  | Pexp_apply (h, _) -> stripped_head h = Some [ "Domain"; "DLS"; "new_key" ]
+  | _ -> false
+
+let dls_key ctx k =
+  match k.pexp_desc with
+  | Pexp_field (_, { txt; _ }) -> Some (Field (Longident.last txt))
+  | _ -> (
+    match head_key ctx k with
+    | Some (m, v) -> Some (Named (Option.value ~default:ctx.modname m, v))
+    | None -> None)
+
+let rec param_names e =
+  match e.pexp_desc with
+  | Pexp_fun (_, _, p, body) ->
+    List.fold_left (fun s v -> S.add v s) (param_names body) (Taint.pat_vars p)
+  | Pexp_newtype (_, body) -> param_names body
+  | _ -> S.empty
 
 (* A lock is taken at [loc] with [held] locks held. *)
 let acquire ctx ~loc ~held what =
@@ -99,9 +142,32 @@ let rec walk ctx held e : int =
   match e.pexp_desc with
   | Pexp_apply (h, args) -> walk_apply ctx held e h args
   | Pexp_sequence (a, b) -> walk ctx (walk ctx held a) b
-  | Pexp_let (_, vbs, body) ->
-    List.iter (fun vb -> ignore (walk ctx held vb.pvb_expr)) vbs;
-    walk ctx held body
+  | Pexp_let (rf, vbs, body) ->
+    let closures =
+      List.filter_map
+        (fun vb ->
+          match (vb.pvb_pat.ppat_desc, vb.pvb_expr.pexp_desc) with
+          | Ppat_var { txt; _ }, (Pexp_fun _ | Pexp_function _ | Pexp_newtype _)
+            ->
+            Some (txt, vb.pvb_expr, { acq = false; app = false })
+          | _ ->
+            ignore (walk ctx held vb.pvb_expr);
+            None)
+        vbs
+    in
+    let outer = ctx.scope in
+    let inner = List.map (fun (v, _, s) -> (v, s)) closures @ outer in
+    (* a recursive closure calls itself: a second pass sees the facts
+       the first found *)
+    let passes = if rf = Asttypes.Recursive then 2 else 1 in
+    ctx.scope <- (if passes = 2 then inner else outer);
+    for _ = 1 to passes do
+      List.iter (fun (_, e, s) -> summarise ctx e s) closures
+    done;
+    ctx.scope <- inner;
+    let after = walk ctx held body in
+    ctx.scope <- outer;
+    after
   (* a lambda not in argument position runs at an unknown later point:
      nothing can be assumed held *)
   | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) ->
@@ -129,7 +195,13 @@ let rec walk ctx held e : int =
     ignore (walk ctx held a);
     held
   | Pexp_record (fls, base) ->
-    List.iter (fun (_, e) -> ignore (walk ctx held e)) fls;
+    List.iter
+      (fun ({ Location.txt; _ }, e) ->
+        ctx.init_locks <- false;
+        ignore (walk ctx held e);
+        if ctx.init_locks && is_new_key e then
+          Hashtbl.replace ctx.lock_keys (Field (Longident.last txt)) ())
+      fls;
     Option.iter (fun b -> ignore (walk ctx held b)) base;
     held
   | Pexp_setfield (a, _, b) | Pexp_while (a, b) ->
@@ -147,7 +219,7 @@ let rec walk ctx held e : int =
 
 and walk_apply ctx held app h args =
   let loc = app.pexp_loc in
-  match (Taint.head_of h |> Option.map Program.strip_lib, args) with
+  match (stripped_head h, args) with
   | Some [ "Mutex"; "protect" ], (_, m) :: rest ->
     ignore (walk ctx held m);
     acquire ctx ~loc ~held "Mutex.protect";
@@ -160,15 +232,27 @@ and walk_apply ctx held app h args =
     held + 1
   | Some [ "Mutex"; "unlock" ], [ _ ] -> max 0 (held - 1)
   (* a spawned body, and a domain-local key's initialiser, run later
-     holding nothing, and what they take is not the caller's *)
+     holding nothing, and what they take is not the caller's; whether
+     the initialiser may lock is kept for the binding of the key *)
   | ( Some
         ( [ "Domain"; "spawn" ]
         | [ "Thread"; "create" ]
         | [ "Domain"; "DLS"; "new_key" ] ),
       _ ) ->
     let acquires = ctx.acquires in
+    ctx.acquires <- false;
     List.iter (fun (_, a) -> run_arg ctx ~invokes:true ~under:0 a) args;
+    ctx.init_locks <- ctx.acquires;
     ctx.acquires <- acquires;
+    held
+  (* the key's initialiser runs inside the first get of each domain *)
+  | Some [ "Domain"; "DLS"; "get" ], [ (_, k) ] ->
+    ignore (walk ctx held k);
+    (match dls_key ctx k with
+    | Some key when Hashtbl.mem ctx.lock_keys key ->
+      acquire ctx ~loc ~held
+        "Domain.DLS.get (whose key's initialiser may take a lock)"
+    | _ -> ());
     held
   | _ ->
     let under, invokes =
@@ -184,7 +268,7 @@ and walk_apply ctx held app h args =
       | None ->
         (* a parameter called under a lock: this def runs a parameter
            while holding one *)
-        if is_param ctx h && held > 0 then ctx.applies <- true;
+        if is_param ctx h && held > 0 then apply_param ctx h;
         (* unknown callee ([Fun.protect], [List.iter], ...): assume it
            may invoke its function arguments synchronously, under what
            we currently hold.  Only [Fun.protect] is trusted to invoke
@@ -193,8 +277,7 @@ and walk_apply ctx held app h args =
            to an arbitrary callee (or an operator like [<]) is usually
            data, not a callback *)
         ( held,
-          Taint.head_of h |> Option.map Program.strip_lib
-          = Some [ "Fun"; "protect" ] )
+          stripped_head h = Some [ "Fun"; "protect" ] )
     in
     List.iter (fun (_, a) -> run_arg ctx ~invokes ~under a) args;
     held
@@ -210,7 +293,7 @@ and run_arg ctx ~invokes ~under a =
   | Pexp_function cases ->
     List.iter (fun c -> ignore (walk ctx under c.pc_rhs)) cases
   | Pexp_ident _ when is_param ctx a ->
-    if invokes && under > 0 then ctx.applies <- true
+    if invokes && under > 0 then apply_param ctx a
   | Pexp_ident _ -> (
     match resolve_summary ctx (head_key ctx a) with
     | Some s when invokes && s.acq ->
@@ -218,17 +301,30 @@ and run_arg ctx ~invokes ~under a =
     | _ -> ())
   | _ -> ignore (walk ctx under a)
 
-let rec param_names e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, p, body) ->
-    List.fold_left (fun s v -> S.add v s) (param_names body) (Taint.pat_vars p)
-  | Pexp_newtype (_, body) -> param_names body
-  | _ -> S.empty
+(* The facts of a let-bound closure [e], into [s].  Its body sees the
+   enclosing def's parameters too: running one of those under a lock
+   is the enclosing def's fact, running one of its own is the
+   closure's.  What the closure may take counts for the enclosing def,
+   as for any lambda in it. *)
+and summarise ctx e s =
+  let params = ctx.params and applied = ctx.applied in
+  let acquires = ctx.acquires in
+  let own = param_names e in
+  ctx.params <- S.union own params;
+  ctx.applied <- S.empty;
+  ctx.acquires <- false;
+  ignore (walk ctx 0 e);
+  s.acq <- s.acq || ctx.acquires;
+  s.app <- s.app || not (S.is_empty (S.inter ctx.applied own));
+  ctx.params <- params;
+  ctx.applied <- S.union applied (S.diff ctx.applied own);
+  ctx.acquires <- acquires || ctx.acquires
 
 (* ----- analysis entry ----- *)
 
 let analyze (units : Program.unit_ list) : Finding.t list =
   let summaries : (string * string, summary) Hashtbl.t = Hashtbl.create 128 in
+  let lock_keys = Hashtbl.create 8 in
   let ctxs =
     List.map
       (fun (u : Program.unit_) ->
@@ -246,9 +342,12 @@ let analyze (units : Program.unit_ list) : Finding.t list =
             summaries;
             locals;
             aliases;
+            lock_keys;
+            scope = [];
             params = S.empty;
             acquires = false;
-            applies = false;
+            applied = S.empty;
+            init_locks = false;
             found = [];
           },
           defs ))
@@ -260,6 +359,7 @@ let analyze (units : Program.unit_ list) : Finding.t list =
   while !changed && !rounds < 12 do
     changed := false;
     incr rounds;
+    let keys = Hashtbl.length lock_keys in
     List.iter
       (fun (ctx, defs) ->
         ctx.found <- [];
@@ -267,19 +367,24 @@ let analyze (units : Program.unit_ list) : Finding.t list =
           (fun (name, expr) ->
             ctx.params <- param_names expr;
             ctx.acquires <- false;
-            ctx.applies <- false;
+            ctx.applied <- S.empty;
+            ctx.init_locks <- false;
             ignore (walk ctx 0 expr);
+            if ctx.init_locks && is_new_key expr then
+              Hashtbl.replace lock_keys (Named (ctx.modname, name)) ();
+            let applies = not (S.is_empty ctx.applied) in
             match Hashtbl.find_opt ctx.locals name with
             | Some s ->
-              if (ctx.acquires && not s.acq) || (ctx.applies && not s.app)
+              if (ctx.acquires && not s.acq) || (applies && not s.app)
               then begin
                 s.acq <- s.acq || ctx.acquires;
-                s.app <- s.app || ctx.applies;
+                s.app <- s.app || applies;
                 changed := true
               end
             | None -> ())
           defs)
-      ctxs
+      ctxs;
+    if Hashtbl.length lock_keys > keys then changed := true
   done;
   List.concat_map
     (fun (ctx, _) ->

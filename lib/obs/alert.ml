@@ -179,7 +179,7 @@ let evaluate e ?now values =
             edge)
           e.states)
   in
-  (* event emission outside the engine lock: the event ring has its own *)
+  (* event emission outside the engine lock: the event log has its own *)
   List.iter
     (fun (r, rising, value) ->
       let attrs =

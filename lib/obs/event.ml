@@ -8,9 +8,11 @@
 
    The entries live in one process-global {!Flight} ring: an entry's
    kind is the event name, its first attribute is [("level", ...)],
-   and its stamp is the process HLC.  The ring keeps the newest
-   [capacity] events; one atomic emit counter gives [total], and every
-   emit past [capacity] has overwritten an unread entry. *)
+   and its stamp is the process HLC.  Every thread emits into that one
+   ring, and a flight ring takes no lock of its own, so [lock] guards
+   each record and read.  The ring keeps the newest [capacity] events;
+   one atomic emit counter gives [total], and every emit past
+   [capacity] has overwritten an unread entry. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -51,14 +53,17 @@ let current_level () =
 
 let fresh_ring () = Flight.create ~capacity ~node:0 ()
 let ring = Atomic.make (fresh_ring ())
+let lock = Mutex.create ()
 let emitted = Atomic.make 0
 
 let emit ?(attrs = []) level name =
   let th = Atomic.get threshold in
   if th <> 0 && level_value level >= th then begin
-    Flight.record (Atomic.get ring)
-      ~attrs:(("level", level_name level) :: attrs)
-      ~hlc:(Clock.now ()) ~round:0 name;
+    let attrs = ("level", level_name level) :: attrs in
+    (* stamped under the lock, so ring order stays HLC order *)
+    Mutex.protect lock (fun () ->
+        Flight.record (Atomic.get ring) ~attrs ~hlc:(Clock.now ()) ~round:0
+          name);
     (* past [capacity], this entry displaced one nobody read: make the
        truncation observable instead of silent *)
     if Atomic.fetch_and_add emitted 1 >= capacity && Metric.enabled () then
@@ -67,7 +72,7 @@ let emit ?(attrs = []) level name =
 
 let total () = Atomic.get emitted
 let dropped () = max 0 (total () - capacity)
-let recent () = Flight.entries (Atomic.get ring)
+let recent () = Mutex.protect lock (fun () -> Flight.entries (Atomic.get ring))
 
 let reset () =
   Atomic.set ring (fresh_ring ());

@@ -2,7 +2,9 @@
 
     Gated by [CSM_EVENTS] (read by {!Exporter.install}) or [set_level];
     with logging disabled [emit] is one atomic load and allocates
-    nothing.  The ring keeps the newest [capacity] events. *)
+    nothing.  The ring keeps the newest [capacity] events.  Any thread
+    may emit: [emit] and [recent] take the log's own lock, since a
+    flight ring has none. *)
 
 type level = Debug | Info | Warn | Error
 

@@ -8,7 +8,15 @@
    interleave.  The process-global [Event] log is one more instance.
    The ring keeps the newest [capacity] entries; [recorded] counts
    everything ever recorded so a dump states how much history was
-   lost. *)
+   lost.
+
+   The ring is flat: one preallocated array per field, one slot per
+   entry, so a record overwrites a slot instead of allocating an entry
+   the ring would keep alive (and the minor GC would promote).  A node
+   writes an entry per frame it sends or takes in; with [record_fields]
+   and literal strings that write allocates nothing.  [entries] builds
+   the [entry] records, attributes included, only when a dump reads
+   the ring.  A ring has one owner thread: it takes no lock. *)
 
 type entry = {
   f_hlc : Clock.stamp;  (* HLC at the moment of recording *)
@@ -21,9 +29,17 @@ type entry = {
 type t = {
   node : int;
   cap : int;
-  ring : entry option array;
-  lock : Mutex.t;
-  mutable next : int;  (* guarded by lock *)
+  hlcs : int array;
+  rounds : int array;
+  peers : int array;  (* -1: no peer attribute *)
+  traces : Bytes.t;  (* 8 bytes a slot, little-endian *)
+  kinds : string array;
+  peer_keys : string array;  (* "dst" | "src" *)
+  frames : string array;  (* "": no frame attribute *)
+  note_keys : string array;  (* "": no note *)
+  notes : string array;
+  attrs : (string * string) list array;  (* [record]'s own attributes *)
+  mutable next : int;  (* records ever made; the next fills [next mod cap] *)
 }
 
 let default_capacity = 512
@@ -34,31 +50,77 @@ let create ?(capacity = default_capacity) ~node () =
     {
       node;
       cap = capacity;
-      ring = Array.make capacity None;
-      lock = Mutex.create ();
+      hlcs = Array.make capacity 0;
+      rounds = Array.make capacity 0;
+      peers = Array.make capacity (-1);
+      traces = Bytes.make (capacity * 8) '\000';
+      kinds = Array.make capacity "";
+      peer_keys = Array.make capacity "";
+      frames = Array.make capacity "";
+      note_keys = Array.make capacity "";
+      notes = Array.make capacity "";
+      attrs = Array.make capacity [];
       next = 0;
     }
 
 let node t = t.node
 let capacity t = t.cap
 
-let record t ?(trace = 0L) ?(attrs = []) ~hlc ~round kind =
-  let e = { f_hlc = hlc; f_trace = trace; f_round = round; f_kind = kind; f_attrs = attrs } in
-  Mutex.protect t.lock (fun () ->
-      t.ring.(t.next mod t.cap) <- Some e;
-      t.next <- t.next + 1)
+let write t ~trace ~hlc ~round ~peer_key ~peer ~frame ~note_key ~note ~attrs
+    kind =
+  let i = t.next mod t.cap in
+  t.hlcs.(i) <- hlc;
+  t.rounds.(i) <- round;
+  t.peers.(i) <- peer;
+  Bytes.set_int64_le t.traces (i * 8) trace;
+  t.kinds.(i) <- kind;
+  t.peer_keys.(i) <- peer_key;
+  t.frames.(i) <- frame;
+  t.note_keys.(i) <- note_key;
+  t.notes.(i) <- note;
+  t.attrs.(i) <- attrs;
+  t.next <- t.next + 1
 
-let recorded t = Mutex.protect t.lock (fun () -> t.next)
+let record_fields t ~trace ~hlc ~round ~peer_key ~peer ~frame ~note_key ~note
+    kind =
+  write t ~trace ~hlc ~round ~peer_key ~peer ~frame ~note_key ~note ~attrs:[]
+    kind
+
+let record t ?(trace = 0L) ?(attrs = []) ~hlc ~round kind =
+  write t ~trace ~hlc ~round ~peer_key:"" ~peer:(-1) ~frame:"" ~note_key:""
+    ~note:"" ~attrs kind
+
+let recorded t = t.next
+
+(* Slot [i] as an entry: the peer pair, then the frame, then the note,
+   then [record]'s attributes. *)
+let entry t i =
+  let attrs = t.attrs.(i) in
+  let attrs =
+    if t.note_keys.(i) = "" then attrs
+    else (t.note_keys.(i), t.notes.(i)) :: attrs
+  in
+  let attrs =
+    if t.frames.(i) = "" then attrs else ("frame", t.frames.(i)) :: attrs
+  in
+  let attrs =
+    if t.peers.(i) < 0 then attrs
+    else (t.peer_keys.(i), string_of_int t.peers.(i)) :: attrs
+  in
+  {
+    f_hlc = t.hlcs.(i);
+    f_trace = Bytes.get_int64_le t.traces (i * 8);
+    f_round = t.rounds.(i);
+    f_kind = t.kinds.(i);
+    f_attrs = attrs;
+  }
 
 (* Surviving entries, oldest first (recording order = HLC order within
    one node, since every stamp strictly increases). *)
 let entries t =
-  Mutex.protect t.lock (fun () ->
-      let n = t.next in
-      let lo = max 0 (n - t.cap) in
-      List.filter_map
-        (fun i -> t.ring.(i mod t.cap))
-        (List.init (n - lo) (fun j -> lo + j)))
+  let n = t.next in
+  let lo = max 0 (n - t.cap) in
+  List.init (n - lo) (fun j -> entry t ((lo + j) mod t.cap))
 
 let entry_json (e : entry) =
   Json.Obj

@@ -5,8 +5,16 @@
 
     Instance-based: loopback clusters run N node runtimes in one
     process and each gets its own black box; the process-global
-    {!Event} log keeps its entries in one more instance.  Thread-safe
-    per instance. *)
+    {!Event} log keeps its entries in one more instance.
+
+    A ring has a single owner: it takes no lock, so one thread records
+    into it and reads it (a node runtime captures its own ring at the
+    end of its run).  A ring shared by several threads needs its
+    owner's lock around every call; {!Event} holds one.
+
+    The ring is flat — one preallocated slot per entry and field — so
+    {!record_fields} with literal strings allocates nothing: a node's
+    per-frame entries leave no garbage for the minor GC to promote. *)
 
 type entry = {
   f_hlc : Clock.stamp;  (** HLC stamp at the moment of recording *)
@@ -34,6 +42,25 @@ val record :
   string ->
   unit
 (** Append an entry, overwriting the oldest once full. *)
+
+val record_fields :
+  t ->
+  trace:int64 ->
+  hlc:Clock.stamp ->
+  round:int ->
+  peer_key:string ->
+  peer:int ->
+  frame:string ->
+  note_key:string ->
+  note:string ->
+  string ->
+  unit
+(** [record] for the entries a node runtime writes per frame and phase,
+    without allocating.  The entry's attributes are, in order,
+    [(peer_key, string_of_int peer)] unless [peer < 0],
+    [("frame", frame)] unless [frame = ""], and [(note_key, note)]
+    unless [note_key = ""].  The strings are stored as given, so pass
+    literals (such as [Frame.kind_name]'s). *)
 
 val recorded : t -> int
 (** Entries ever recorded, including overwritten ones. *)

@@ -166,35 +166,34 @@ module Make (F : Field_intf.S) = struct
     in
     let send ~trace ~dst frame =
       let frame = stamp ~trace frame in
-      Flight.record flight ~trace
-        ~attrs:
-          [ ("dst", string_of_int dst); ("frame", Frame.kind_name frame.Frame.kind) ]
+      Flight.record_fields flight ~trace
         ~hlc:
           (match frame.Frame.ext with
           | Some e -> Clock.of_wire e.Frame.hlc
           | None -> Clock.now ())
-        ~round:frame.Frame.round "send";
+        ~round:frame.Frame.round ~peer_key:"dst" ~peer:dst
+        ~frame:(Frame.kind_name frame.Frame.kind)
+        ~note_key:"" ~note:"" "send";
       tr.Transport.send ~dst frame
     in
-    let record_recv ?(attrs = []) (fr : Frame.t) =
-      let hlc =
+    (* a received frame's flight entry, with one note pair ([note_key]
+       "" for none) *)
+    let record_recv (fr : Frame.t) note_key note =
+      let hlc, trace =
         match fr.Frame.ext with
-        | Some e -> Clock.observe (Clock.of_wire e.Frame.hlc)
-        | None -> Clock.now ()
+        | Some e -> (Clock.observe (Clock.of_wire e.Frame.hlc), e.Frame.trace_id)
+        | None -> (Clock.now (), 0L)
       in
-      Flight.record flight
-        ~trace:(match fr.Frame.ext with Some e -> e.Frame.trace_id | None -> 0L)
-        ~attrs:
-          (("src", string_of_int fr.Frame.sender)
-          :: ("frame", Frame.kind_name fr.Frame.kind)
-          :: attrs)
-        ~hlc ~round:fr.Frame.round "recv"
+      Flight.record_fields flight ~trace ~hlc ~round:fr.Frame.round
+        ~peer_key:"src" ~peer:fr.Frame.sender
+        ~frame:(Frame.kind_name fr.Frame.kind)
+        ~note_key ~note "recv"
     in
     (* An Output that missed its round's vote is logged and dropped, but
        a malformed one still counts, as it would have in time. *)
     let late_output (fr : Frame.t) =
       match W.decode_matrix_bin fr.Frame.payload with
-      | Some _ -> record_recv ~attrs:[ ("dropped", "decided") ] fr
+      | Some _ -> record_recv fr "dropped" "decided"
       | None -> Transport.record_error tr
     in
     let ledger = Array.make cfg.rounds None in
@@ -210,7 +209,7 @@ module Make (F : Field_intf.S) = struct
       match snap with
       | None -> Transport.record_error tr
       | Some s when s.Agg.s_final ->
-        record_recv fr;
+        record_recv fr "" "";
         Hashtbl.replace finals fr.Frame.sender s
       | Some _ -> ()
     in
@@ -238,7 +237,7 @@ module Make (F : Field_intf.S) = struct
                  && fr.Frame.sender < n -> (
             match W.decode_matrix_bin fr.Frame.payload with
             | Some _ ->
-              record_recv fr;
+              record_recv fr "" "";
               Hashtbl.replace got fr.Frame.sender fr.Frame.payload
             | None -> Transport.record_error tr)
           | Some fr

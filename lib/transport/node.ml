@@ -322,13 +322,10 @@ module Make (F : Field_intf.S) = struct
       | Some e -> (Clock.of_wire e.Frame.hlc, e.Frame.trace_id)
       | None -> (Clock.now (), trace_of inbox frame.Frame.round)
     in
-    Flight.record inbox.flight ~trace
-      ~attrs:
-        [
-          ("dst", string_of_int dst);
-          ("frame", Frame.kind_name frame.Frame.kind);
-        ]
-      ~hlc ~round:frame.Frame.round "send"
+    Flight.record_fields inbox.flight ~trace ~hlc ~round:frame.Frame.round
+      ~peer_key:"dst" ~peer:dst
+      ~frame:(Frame.kind_name frame.Frame.kind)
+      ~note_key:"" ~note:"" "send"
 
   let send_protocol cfg inbox (tr : Transport.t) ~dst frame =
     let frame = stamp cfg inbox frame in
@@ -426,13 +423,13 @@ module Make (F : Field_intf.S) = struct
       | Some e -> (Clock.observe (Clock.of_wire e.Frame.hlc), e.Frame.trace_id)
       | None -> (Clock.now (), 0L)
     in
-    let record_recv ?(attrs = []) ~round () =
-      Flight.record inbox.flight ~trace:rx_trace
-        ~attrs:
-          (("src", string_of_int sender)
-          :: ("frame", Frame.kind_name fr.Frame.kind)
-          :: attrs)
-        ~hlc:rx_hlc ~round "recv"
+    (* this frame's flight entry, with one note pair ([note_key] ""
+       for none) *)
+    let record kind ~round note_key note =
+      Flight.record_fields inbox.flight ~trace:rx_trace ~hlc:rx_hlc ~round
+        ~peer_key:"src" ~peer:sender
+        ~frame:(Frame.kind_name fr.Frame.kind)
+        ~note_key ~note kind
     in
     (* a valid frame of a live round: log it, and return the round's
        record with the frame's trace id adopted *)
@@ -441,24 +438,17 @@ module Make (F : Field_intf.S) = struct
       if rx_trace <> 0L && st.trace_id = 0L then
         (* csm-lint: allow R6 — trace ids are opaque correlation tokens: the record is the validated round's, the value fixed-width, never indexed or interpreted *)
         st.trace_id <- rx_trace;
-      record_recv ~round ();
+      record "recv" ~round "" "";
       st
     in
     let record_bad ~round reason =
       Transport.record_error tr;
-      Flight.record inbox.flight ~trace:rx_trace
-        ~attrs:
-          [
-            ("src", string_of_int sender);
-            ("frame", Frame.kind_name fr.Frame.kind);
-            ("reason", reason);
-          ]
-        ~hlc:rx_hlc ~round "error"
+      record "error" ~round "reason" reason
     in
     match fr.Frame.kind with
     | Frame.Shutdown when sender = n ->
       (* a control frame: it ends the run at whatever round it names *)
-      record_recv ~round:fr.Frame.round ();
+      record "recv" ~round:fr.Frame.round "" "";
       inbox.shutdown <- true
     | _ -> (
       match decode_round ~next:inbox.next ~rounds:cfg.rounds fr.Frame.round with
@@ -473,7 +463,7 @@ module Make (F : Field_intf.S) = struct
         let keep add =
           match verdict with
           | Ok round -> add (accept ~round)
-          | Error _ -> record_recv ~attrs:[ ("dropped", "decided") ] ~round ()
+          | Error _ -> record "recv" ~round "dropped" "decided"
         in
         let malformed add =
           record_bad ~round "bad-payload";
@@ -540,9 +530,9 @@ module Make (F : Field_intf.S) = struct
 
   let phase inbox ~round name =
     if Metric.enabled () then Metric.inc (Tel.node_phases ~phase:name);
-    Flight.record inbox.flight ~trace:(trace_of inbox round)
-      ~attrs:[ ("phase", name) ]
-      ~hlc:(Clock.now ()) ~round "phase"
+    Flight.record_fields inbox.flight ~trace:(trace_of inbox round)
+      ~hlc:(Clock.now ()) ~round ~peer_key:"" ~peer:(-1) ~frame:""
+      ~note_key:"phase" ~note:name "phase"
 
   (* One round up to its Output: [expected] senders send each round,
      this node included (see [expected_peers]).  Each wait stops at its

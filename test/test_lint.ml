@@ -373,7 +373,55 @@ let r9_static_lock_order () =
   leaf
     "let c = Condition.create ()\n\
      let wait ready = Mutex.protect a (fun () ->\n\
-    \  while not !ready do Condition.wait c a done)"
+    \  while not !ready do Condition.wait c a done)";
+  (* a closure bound by a local let is followed like a def: through a
+     locking wrapper, given by name or called from the thunk *)
+  let locked = "let locked f = Mutex.protect a f\n" in
+  nests (locked ^ "let use () = let h () = Mutex.protect b work in locked h");
+  nests
+    (locked
+   ^ "let use () = let h () = Mutex.protect b work in locked (fun () -> h ())"
+    );
+  leaf (locked ^ "let use () = let h () = work in locked h");
+  (* a local wrapper that runs its thunk under its lock *)
+  nests
+    "let use () =\n\
+    \  let locked f = Mutex.protect a f in\n\
+    \  locked (fun () -> Mutex.protect b work)";
+  (* a recursive local closure that takes a lock, called under one *)
+  nests
+    "let use n =\n\
+    \  let rec go i = if i > 0 then (Mutex.protect b work; go (i - 1)) in\n\
+    \  Mutex.protect a (fun () -> go n)";
+  (* a domain-local key whose initialiser takes a lock: each get may
+     run it, so a get under a lock nests; keyed by module-level name
+     (the shape of Span's buffer key) or by record field label (the
+     shape of Metric's histogram shards) *)
+  let registering =
+    "let reg = Mutex.create ()\n\
+     let key = Domain.DLS.new_key (fun () ->\n\
+    \  Mutex.protect reg (fun () -> ()); ref 0)\n"
+  in
+  nests
+    (registering
+   ^ "let bump () = Mutex.protect a (fun () -> incr (Domain.DLS.get key))");
+  nests
+    (registering
+   ^ "let get () = Domain.DLS.get key\n\
+      let bump () = Mutex.protect a (fun () -> incr (get ()))");
+  leaf (registering ^ "let bump () = incr (Domain.DLS.get key)");
+  nests
+    "type h = { lock : Mutex.t; shard_key : int ref Domain.DLS.key }\n\
+     let make () =\n\
+    \  let lock = Mutex.create () in\n\
+    \  { lock; shard_key = Domain.DLS.new_key (fun () ->\n\
+    \      Mutex.protect lock (fun () -> ()); ref 0) }\n\
+     let observe h = incr (Domain.DLS.get h.shard_key)\n\
+     let use h = Mutex.protect a (fun () -> observe h)";
+  (* a key whose initialiser takes no lock (the shape of Counted's) *)
+  leaf
+    "let key = Domain.DLS.new_key (fun () -> ref 0)\n\
+     let bump () = Mutex.protect a (fun () -> incr (Domain.DLS.get key))"
 
 let taint_suppressions () =
   (* an allow marker covers the next line, same as the per-file rules *)

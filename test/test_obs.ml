@@ -791,6 +791,120 @@ let flight_entry_json_total () =
         Json.Obj [ ("hlc", Json.Str "nope"); ("round", Json.Int 1) ] );
     ]
 
+(* ----- pinned flight dumps ----- *)
+
+(* Every entry shape a node runtime and the cluster client write: sends
+   (one traced), receives, a receive dropped for a decided round, an
+   error per reason and each of the five phases.  Kind, round, trace,
+   peer key, peer (-1: none), frame kind, note key, note. *)
+let node_shapes =
+  [
+    ("send", 0, 0L, "dst", 1, "commit", "", "");
+    ("send", 0, 0x1D5EEDL, "dst", 2, "commit", "", "");
+    ("recv", 0, 0L, "src", 4, "command", "", "");
+    ("phase", 0, 0L, "", -1, "", "phase", "commands");
+    ("recv", 0, 0x1D5EEDL, "src", 3, "commit", "", "");
+    ("phase", 0, 0L, "", -1, "", "phase", "committed");
+    ("phase", 0, 0L, "", -1, "", "phase", "computed");
+    ("recv", 0, 0L, "src", 2, "result", "", "");
+    ("phase", 0, 0L, "", -1, "", "phase", "decode-failed");
+    ("phase", 0, 0L, "", -1, "", "phase", "decoded");
+    ("recv", 0, 0L, "src", 1, "commit", "dropped", "decided");
+    ("error", 9, 0L, "src", 3, "result", "reason", "bad-round");
+    ("error", 1, 0L, "src", 2, "commit", "reason", "bad-payload");
+    ("error", 1, 0xBEEFL, "src", 0, "output", "reason", "unexpected-kind");
+    ("recv", 1, 0L, "src", 4, "shutdown", "", "");
+  ]
+
+(* Three generic entries, then the node shapes at explicit HLCs: 18
+   records into a ring of 16, which keeps the last generic one. *)
+let pinned_flight record_shape =
+  let f = Flight.create ~capacity:16 ~node:2 () in
+  let hlc i = Clock.pack ~ms:1_760_000_000_123 ~count:i in
+  Flight.record f ~hlc:(hlc 0) ~round:0 "phase";
+  Flight.record f ~trace:7L ~attrs:[ ("dst", "9") ] ~hlc:(hlc 1) ~round:0 "send";
+  Flight.record f ~trace:0xABCL
+    ~attrs:[ ("src", "5"); ("frame", "commit"); ("x", "y") ]
+    ~hlc:(hlc 2) ~round:3 "recv";
+  List.iteri (fun i shape -> record_shape f ~hlc:(hlc (i + 3)) shape) node_shapes;
+  f
+
+(* recorded while the ring still kept one entry record per slot *)
+let pinned_entries =
+  [
+    {|{"hlc":115343360008060930,"trace":"abc","round":3,"kind":"recv","attrs":{"src":"5","frame":"commit","x":"y"}}|};
+    {|{"hlc":115343360008060931,"trace":"0","round":0,"kind":"send","attrs":{"dst":"1","frame":"commit"}}|};
+    {|{"hlc":115343360008060932,"trace":"1d5eed","round":0,"kind":"send","attrs":{"dst":"2","frame":"commit"}}|};
+    {|{"hlc":115343360008060933,"trace":"0","round":0,"kind":"recv","attrs":{"src":"4","frame":"command"}}|};
+    {|{"hlc":115343360008060934,"trace":"0","round":0,"kind":"phase","attrs":{"phase":"commands"}}|};
+    {|{"hlc":115343360008060935,"trace":"1d5eed","round":0,"kind":"recv","attrs":{"src":"3","frame":"commit"}}|};
+    {|{"hlc":115343360008060936,"trace":"0","round":0,"kind":"phase","attrs":{"phase":"committed"}}|};
+    {|{"hlc":115343360008060937,"trace":"0","round":0,"kind":"phase","attrs":{"phase":"computed"}}|};
+    {|{"hlc":115343360008060938,"trace":"0","round":0,"kind":"recv","attrs":{"src":"2","frame":"result"}}|};
+    {|{"hlc":115343360008060939,"trace":"0","round":0,"kind":"phase","attrs":{"phase":"decode-failed"}}|};
+    {|{"hlc":115343360008060940,"trace":"0","round":0,"kind":"phase","attrs":{"phase":"decoded"}}|};
+    {|{"hlc":115343360008060941,"trace":"0","round":0,"kind":"recv","attrs":{"src":"1","frame":"commit","dropped":"decided"}}|};
+    {|{"hlc":115343360008060942,"trace":"0","round":9,"kind":"error","attrs":{"src":"3","frame":"result","reason":"bad-round"}}|};
+    {|{"hlc":115343360008060943,"trace":"0","round":1,"kind":"error","attrs":{"src":"2","frame":"commit","reason":"bad-payload"}}|};
+    {|{"hlc":115343360008060944,"trace":"beef","round":1,"kind":"error","attrs":{"src":"0","frame":"output","reason":"unexpected-kind"}}|};
+    {|{"hlc":115343360008060945,"trace":"0","round":1,"kind":"recv","attrs":{"src":"4","frame":"shutdown"}}|};
+  ]
+
+let flight_dumps_pinned () =
+  let check label record_shape =
+    let f = pinned_flight record_shape in
+    Alcotest.(check int) (label ^ ": recorded") 18 (Flight.recorded f);
+    Alcotest.(check (list string)) (label ^ ": entries") pinned_entries
+      (List.map
+         (fun e -> Json.to_string (Flight.entry_json e))
+         (Flight.entries f))
+  in
+  (* the attribute lists node.ml built per record before the ring went
+     flat *)
+  check "record ~attrs"
+    (fun f ~hlc (kind, round, trace, peer_key, peer, frame, note_key, note) ->
+      let attrs =
+        (if peer < 0 then [] else [ (peer_key, string_of_int peer) ])
+        @ (if frame = "" then [] else [ ("frame", frame) ])
+        @ if note_key = "" then [] else [ (note_key, note) ]
+      in
+      Flight.record f ~trace ~attrs ~hlc ~round kind);
+  check "record_fields"
+    (fun f ~hlc (kind, round, trace, peer_key, peer, frame, note_key, note) ->
+      Flight.record_fields f ~trace ~hlc ~round ~peer_key ~peer ~frame
+        ~note_key ~note kind);
+  (* the event log: attributes after the level, and a wrap past its
+     capacity that drops the two oldest events *)
+  let saved = Event.current_level () in
+  Event.reset ();
+  Event.set_level (Some Event.Debug);
+  Fun.protect
+    ~finally:(fun () ->
+      Event.set_level saved;
+      Event.reset ())
+    (fun () ->
+      Event.emit
+        ~attrs:[ ("round", "3"); ("node", "1") ]
+        Event.Error "round.decode_failed";
+      Event.emit Event.Info "a";
+      Event.emit ~attrs:[ ("k", "v") ] Event.Warn "b";
+      for i = 0 to Event.capacity - 3 do
+        Event.emit ~attrs:[ ("i", string_of_int i) ] Event.Debug "tick"
+      done;
+      Event.emit
+        ~attrs:[ ("rule", "suspicion"); ("value", "1") ]
+        Event.Warn "alert.firing";
+      Alcotest.(check (pair int int)) "events total, dropped" (1026, 2)
+        (Event.total (), Event.dropped ());
+      let lines = List.map (Format.asprintf "%a" Event.pp) (Event.recent ()) in
+      Alcotest.(check int) "ring full" Event.capacity (List.length lines);
+      Alcotest.(check (list string)) "oldest survivors"
+        [ "[warn] b k=v"; "[debug] tick i=0"; "[debug] tick i=1" ]
+        (List.filteri (fun i _ -> i < 3) lines);
+      Alcotest.(check (list string)) "newest"
+        [ "[debug] tick i=1021"; "[warn] alert.firing rule=suspicion value=1" ]
+        (List.filteri (fun i _ -> i >= Event.capacity - 2) lines))
+
 (* ----- telemetry snapshots and aggregation ----- *)
 
 let agg_bundle_round_trip () =
@@ -1792,6 +1906,7 @@ let suites =
           flight_ring_bounds;
         Alcotest.test_case "flight entry JSON total codec" `Quick
           flight_entry_json_total;
+        Alcotest.test_case "flight dumps pinned" `Quick flight_dumps_pinned;
         Alcotest.test_case "telemetry bundle round trip" `Quick
           agg_bundle_round_trip;
         QCheck_alcotest.to_alcotest ~long:false qcheck_snapshot_round_trip;
