@@ -11,11 +11,9 @@ module P = Csm_core.Protocol.Make (F)
 module Params = Csm_core.Params
 module M = E.M
 module Table2 = Csm_harness.Table2
-module Metric = Csm_obs.Metric
 
 type bound = Decode_sync | Decode_partial | Output_delivery | Input_totality
 
-let all_bounds = [ Decode_sync; Decode_partial; Output_delivery; Input_totality ]
 let certified_bounds = [ Decode_sync; Output_delivery; Input_totality ]
 
 let bound_name = function
@@ -109,17 +107,6 @@ type result = { verdict : verdict; signal : float }
 
 exception Found of { kind : violation_kind; detail : string }
 
-(* Verdicts must not depend on decoder-suspicion state accumulated by
-   earlier candidates (or by the host process): suspicion adds erasure
-   decoding power, so a stale gauge could silently flip a liveness
-   witness.  The oracle therefore always evaluates with metrics off. *)
-let without_metrics f =
-  if Metric.enabled () then begin
-    Metric.disable ();
-    Fun.protect ~finally:Metric.enable f
-  end
-  else f ()
-
 let eq_vec a b =
   Array.length a = Array.length b
   &&
@@ -135,11 +122,10 @@ let eq_mat a b =
   !ok
 
 (* The perturbed result vector node [i] reports to [observer] in round
-   [r] under [act].  Codeword mirrors Adversary.colluding_codeword: one
-   δ(z) of degree < code_dimension shared by every colluder, evaluated
-   at the liar's own point — the consistent fake that makes the bound
-   exactly tight. *)
-let corrupt_result engine inst ~act ~node:i ~round:r ~observer:o v =
+   [r] under [act].  Codeword: one δ(z) of degree < code_dimension
+   shared by every colluder, evaluated at the liar's own point — the
+   consistent fake that makes the bound exactly tight. *)
+let corrupt_result engine ~act ~node:i ~round:r ~observer:o v =
   match act with
   | Strategy.Silence _ -> v (* not silenced toward this observer *)
   | Strategy.Shift c -> Array.map (fun x -> F.add x (F.of_int c)) v
@@ -149,7 +135,8 @@ let corrupt_result engine inst ~act ~node:i ~round:r ~observer:o v =
       v'.(index) <- F.add v'.(index) (F.of_int delta);
     v'
   | Strategy.Codeword { seed } ->
-    let kdim = Params.code_dimension ~k:inst.k ~d:inst.d in
+    let p = engine.E.params in
+    let kdim = Params.code_dimension ~k:p.Params.k ~d:p.Params.d in
     let drng = Csm_rng.create (seed + (r * 7919)) in
     let coeffs = Array.init kdim (fun _ -> F.random drng) in
     let alpha = engine.E.coding.E.Coding.alphas.(i) in
@@ -247,7 +234,7 @@ let check_decode ~partial inst strat =
                     signal := !signal +. 0.25
                   else
                     received :=
-                      (i, corrupt_result engine inst ~act ~node:i ~round:r ~observer:o g.(i))
+                      (i, corrupt_result engine ~act ~node:i ~round:r ~observer:o g.(i))
                       :: !received
               end
               else if i <> o && !stalled > 0 then
@@ -424,9 +411,8 @@ let check_totality inst strat =
   { verdict; signal }
 
 let check bound inst strat =
-  without_metrics (fun () ->
-      match bound with
-      | Decode_sync -> check_decode ~partial:false inst strat
-      | Decode_partial -> check_decode ~partial:true inst strat
-      | Output_delivery -> check_output inst strat
-      | Input_totality -> check_totality inst strat)
+  match bound with
+  | Decode_sync -> check_decode ~partial:false inst strat
+  | Decode_partial -> check_decode ~partial:true inst strat
+  | Output_delivery -> check_output inst strat
+  | Input_totality -> check_totality inst strat

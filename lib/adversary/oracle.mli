@@ -16,8 +16,6 @@ type bound =
   | Output_delivery  (** 2b + 1 ≤ N *)
   | Input_totality  (** 3b + 1 ≤ N (PBFT, partial synchrony) *)
 
-val all_bounds : bound list
-
 val certified_bounds : bound list
 (** The three Table-2 bound families certified by the smoke gate (one
     representative per inequality; [Decode_partial] stays reachable from
@@ -58,5 +56,18 @@ type result = {
 
 val check : bound -> instance -> Strategy.t -> result
 (** Deterministic: same bound, instance and strategy always produce the
-    same result.  Runs with metrics disabled so decoder-suspicion state
-    accumulated elsewhere cannot leak into verdicts. *)
+    same result. *)
+
+val corrupt_result :
+  Csm_core.Engine.Make(Csm_field.Fp.Default).t ->
+  act:Strategy.action ->
+  node:int ->
+  round:int ->
+  observer:int ->
+  Csm_field.Fp.Default.t array ->
+  Csm_field.Fp.Default.t array
+(** The result vector [node] reports to [observer] in [round] under
+    [act], given its honest vector: what each strategy-DSL action means
+    for an execution result, as the decode oracles apply it.  [Silence]
+    returns the vector unchanged (withholding is the caller's
+    decision). *)

@@ -17,10 +17,9 @@
       banned wholesale in lib/field, lib/poly, lib/rs and as a sort
       comparator anywhere.
 
-   R3 mutex discipline — a function that takes a raw [Mutex.lock] must
-      release it exception-safely: either via [Fun.protect] or with an
-      [unlock] in an exception-handler position ([Mutex.protect] does
-      both for you).  Otherwise one raise under the lock deadlocks
+   R3 mutex discipline — no raw [Mutex.lock]/[Mutex.unlock]: every
+      critical section is one [Mutex.protect], which releases on every
+      exit.  One raise between a raw lock and its unlock deadlocks
       every other domain.
 
    R4 shared mutable state — module-level refs/tables/arrays are where
@@ -131,76 +130,7 @@ let r2_bare_compare_dir path =
 
 (* ----- R3 ----- *)
 
-let is_raw_lock = function [ "Mutex"; "lock" ] -> true | _ -> false
-
-let is_protect = function [ "Fun"; "protect" ] -> true | _ -> false
-
-let is_unlock = function [ "Mutex"; "unlock" ] -> true | _ -> false
-
-let mentions pred e =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ex ->
-          (match ex.pexp_desc with
-          | Pexp_ident { txt; _ } when pred (flat txt) -> found := true
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ex);
-    }
-  in
-  it.expr it e;
-  !found
-
-let lock_sites e =
-  let sites = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ex ->
-          (match ex.pexp_desc with
-          | Pexp_ident { txt; _ } when is_raw_lock (flat txt) ->
-            sites := ex.pexp_loc :: !sites
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ex);
-    }
-  in
-  it.expr it e;
-  List.rev !sites
-
-(* Is there a [Mutex.unlock] inside an exception-handler position — a
-   [try ... with] handler or a [match ... | exception p -> ...] case? *)
-let unlock_in_handler e =
-  let found = ref false in
-  let scan_cases cases =
-    List.iter
-      (fun c ->
-        if mentions is_unlock c.pc_rhs then found := true)
-      cases
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ex ->
-          (match ex.pexp_desc with
-          | Pexp_try (_, cases) -> scan_cases cases
-          | Pexp_match (_, cases) ->
-            scan_cases
-              (List.filter
-                 (fun c ->
-                   match c.pc_lhs.ppat_desc with
-                   | Ppat_exception _ -> true
-                   | _ -> false)
-                 cases)
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ex);
-    }
-  in
-  it.expr it e;
-  !found
+let r3_raw = function [ "Mutex"; ("lock" | "unlock") ] -> true | _ -> false
 
 (* ----- R4 ----- *)
 
@@ -267,6 +197,14 @@ let r5_sites e =
 let iterator ctx =
   let expr self e =
     (match e.pexp_desc with
+    (* R3: a raw lock or unlock *)
+    | Pexp_ident { txt; _ } when r3_raw (flat txt) ->
+      report ctx ~rule:"R3" ~severity:Finding.Error ~loc:e.pexp_loc
+        (Printf.sprintf
+           "raw %s: write the critical section as one Mutex.protect, which \
+            releases on every exit; a raise under a raw lock deadlocks \
+            other domains"
+           (String.concat "." (flat txt)))
     (* R1: nondeterminism outside the allowlisted layers *)
     | Pexp_ident { txt; _ } when not (r1_allowed ctx.path) -> (
       match r1_banned (flat txt) with
@@ -310,20 +248,6 @@ let iterator ctx =
     Ast_iterator.default_iterator.expr self e
   in
   let value_binding self vb =
-    (* R3: raw lock without an exception-safe release in this binding *)
-    let locks = lock_sites vb.pvb_expr in
-    (if locks <> [] then
-       let safe =
-         mentions is_protect vb.pvb_expr || unlock_in_handler vb.pvb_expr
-       in
-       if not safe then
-         List.iter
-           (fun loc ->
-             report ctx ~rule:"R3" ~severity:Finding.Error ~loc
-               "Mutex.lock without Fun.protect or an exception-handler \
-                unlock in the same function; a raise under the lock \
-                deadlocks other domains")
-           locks);
     (* R5: partial operations inside decoder bodies *)
     (match binding_name vb.pvb_pat with
     | Some name when r5_scope ctx.path name ->

@@ -21,6 +21,8 @@
 module Field_intf = Csm_field.Field_intf
 module Scope = Csm_metrics.Scope
 module Span = Csm_obs.Span
+module Metric = Csm_obs.Metric
+module Tel = Csm_obs.Telemetry
 
 module Make (F : Field_intf.S) = struct
   module Coding = Coding.Make (F)
@@ -80,26 +82,6 @@ module Make (F : Field_intf.S) = struct
     error_nodes : int list;  (* nodes whose reported results were wrong *)
   }
 
-  (* Suspected-Byzantine positions in a received-result list, from the
-     accumulated csm_node_suspicion gauge (error locations attributed by
-     earlier decodes).  Feeds the optimistic decoder's erasure-assisted
-     last resort; empty when metrics are off — suspicion only ever
-     *adds* decoding power beyond the plain error radius, so honest
-     results are identical either way. *)
-  let suspect_positions (recv : (int * F.t array) array) =
-    let module Metric = Csm_obs.Metric in
-    let module Tel = Csm_obs.Telemetry in
-    if not (Metric.enabled ()) then []
-    else begin
-      let sus = ref [] in
-      Array.iteri
-        (fun idx (node, _) ->
-          if Metric.gauge_value (Tel.node_suspicion ~node) > 0.0 then
-            sus := idx :: !sus)
-        recv;
-      List.rev !sus
-    end
-
   (* Step 4: decode from the received results ((node, vector) pairs;
      missing nodes model withholding).  Attributed to [role].
 
@@ -139,7 +121,11 @@ module Make (F : Field_intf.S) = struct
               Some c)
           | _ -> None
         in
-        let suspects = suspect_positions recv in
+        (* Register each reporter's csm_node_suspicion gauge, so an
+           exposition lists every reporting node, at zero until a
+           decode blames it.  The decode never reads them. *)
+        if Metric.enabled () then
+          List.iter (fun (node, _) -> ignore (Tel.node_suspicion ~node)) received;
         let next_states =
           Array.init t.params.Params.k (fun _ -> Array.make sd F.zero)
         in
@@ -154,7 +140,7 @@ module Make (F : Field_intf.S) = struct
             Array.init (Array.length recv) (fun i ->
                 (xs.(i), (snd recv.(i)).(j)))
           in
-          match RS.decode ~algorithm ?ctx ~suspects ~k:kdim pairs with
+          match RS.decode ~algorithm ?ctx ~k:kdim pairs with
           | None -> coord_ok.(j) <- false
           | Some d ->
             (* error positions (indices into [received]) *)

@@ -71,6 +71,3 @@ let vrf_verify k ~input (proof : vrf_proof) =
       Some (!v /. (256.0 ** 7.0))
     end
   end
-
-let pp_signature ppf (s : signature) =
-  Format.pp_print_string ppf (Digest.to_hex s)

@@ -30,5 +30,3 @@ val vrf_eval : signer -> input:string -> float * vrf_proof
 
 val vrf_verify : keyring -> input:string -> vrf_proof -> float option
 (** Returns the verified VRF value, or [None] if the proof is invalid. *)
-
-val pp_signature : Format.formatter -> signature -> unit

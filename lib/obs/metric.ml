@@ -234,8 +234,6 @@ let histogram ?(help = "") ?(labels = []) ?(buckets = default_buckets) name :
 let inc ?(by = 1) (c : counter) =
   if Atomic.get on then ignore (Atomic.fetch_and_add c by)
 
-let counter_value (c : counter) = Atomic.get c
-
 let set (g : gauge) v = if Atomic.get on then Atomic.set g v
 
 let add (g : gauge) v =
@@ -246,8 +244,6 @@ let add (g : gauge) v =
     in
     cas ()
   end
-
-let gauge_value (g : gauge) = Atomic.get g
 
 let observe h v = if Atomic.get on then observe_hist h v
 

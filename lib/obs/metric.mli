@@ -34,11 +34,9 @@ val histogram :
     re-registered as a different kind. *)
 
 val inc : ?by:int -> counter -> unit
-val counter_value : counter -> int
 
 val set : gauge -> float -> unit
 val add : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : hist -> float -> unit
 (** Lock-free after a domain's first observation on the instrument. *)

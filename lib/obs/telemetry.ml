@@ -82,8 +82,7 @@ let rs_fastpath ~outcome =
     ~help:
       "Optimistic Reed-Solomon decode attempts, by outcome (hit = \
        candidate verified on every received point; fallback = full Gao \
-       decode ran; erasure = suspicion-guided erasure decode recovered \
-       after Gao failed)"
+       decode ran)"
     ~labels:[ ("outcome", outcome) ]
     "csm_rs_fastpath_total"
 

@@ -28,8 +28,7 @@ val rs_decodes : algorithm:string -> outcome:string -> Metric.counter
 
 val rs_fastpath : outcome:string -> Metric.counter
 (** Optimistic-decode outcomes: ["hit"] (candidate verified everywhere),
-    ["fallback"] (full error decode ran), ["erasure"] (suspicion-guided
-    erasure decode recovered after the error decoder failed). *)
+    ["fallback"] (full error decode ran and succeeded). *)
 
 val rs_corrected_symbols : Metric.counter
 val decode_errors : node:int -> Metric.counter

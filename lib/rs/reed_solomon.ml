@@ -15,16 +15,14 @@
      precomputed Lagrange coefficient matrix, verify the candidate
      against the remaining points with precomputed Vandermonde rows
      (the certificate set τ of equation (9) must be everything), and
-     only on a mismatch fall back to Gao and then — when the caller has
-     accumulated per-node suspicion — to erasure-assisted decoding with
-     the suspects pre-erased.  The fault-free round therefore costs n
-     dot products of length k instead of a full error decode, run on
-     the byte-packed batch kernels when the field provides them; the
-     matrices are round-independent (Remark 4) and can be cached by the
-     caller via [prepare_fast].
+     only on a mismatch fall back to Gao.  The fault-free round
+     therefore costs n dot products of length k instead of a full
+     error decode, run on the byte-packed batch kernels when the field
+     provides them; the matrices are round-independent (Remark 4) and
+     can be cached by the caller via [prepare_fast].
 
-   [decode] defaults to the optimistic decoder; callers that compare
-   decoders (benches, tests) pin one with [?algorithm]. *)
+   [decode] defaults to the optimistic decoder; the rs bench pins Gao
+   with [?algorithm] to measure the fast path against it. *)
 
 module Field_intf = Csm_field.Field_intf
 
@@ -42,8 +40,6 @@ module Make (F : Field_intf.S) = struct
     if P.degree message >= Array.length points then
       invalid_arg "Reed_solomon.encode: message degree too high for length";
     Array.map (P.eval message) points
-
-  let encode_fast ~message ~points = Sub.eval_all message points
 
   type decoded = {
     poly : P.t;  (* the recovered message polynomial, degree < k *)
@@ -236,15 +232,11 @@ module Make (F : Field_intf.S) = struct
 
   (* Optimistic decode: interpolate the first k received points, accept
      immediately when the candidate explains every point (zero errors —
-     the common fault-free round), otherwise run the full error decoder,
-     and as a last resort erase the [suspects] (indices into [pairs],
-     e.g. nodes with accumulated decoder suspicion) and decode the
-     shortened code.  Within the unique-decoding radius the result is
-     identical to [decode_gao] (the fast path only ever accepts a
-     zero-error full agreement, which Gao also finds); the erasure last
-     resort extends the reach beyond that radius under the
-     erasure-and-error certificate 2e + s <= n − k. *)
-  let decode_optimistic ?ctx ?(suspects = []) ~k pairs =
+     the common fault-free round), otherwise run the full error decoder.
+     For k ≥ 1 the result is [decode_gao]'s on every input: the fast
+     path only ever accepts a zero-error full agreement, which Gao also
+     finds. *)
+  let decode_optimistic ?ctx ~k pairs =
     let n = Array.length pairs in
     if n < k || k < 1 then None
     else begin
@@ -313,61 +305,22 @@ module Make (F : Field_intf.S) = struct
       | Some d ->
         record_fastpath "hit";
         Some d
-      | None -> (
-        match decode_gao ~k pairs with
-        | Some d ->
-          record_fastpath "fallback";
-          Some d
-        | None ->
-          let survivors =
-            let keep = Array.make n true in
-            List.iter
-              (fun i -> if i >= 0 && i < n then keep.(i) <- false)
-              suspects;
-            let out = ref [] in
-            for i = n - 1 downto 0 do
-              if keep.(i) then out := pairs.(i) :: !out
-            done;
-            Array.of_list !out
-          in
-          if
-            suspects = []
-            || Array.length survivors = n
-            || Array.length survivors < k
-          then None
-          else
-            (* Erasure-assisted: decode the shortened code with the
-               suspects pre-erased.  [decode_gao] certifies the result
-               against the survivors' own radius, which is exactly the
-               erasure-and-error bound 2e + s <= n − k (s erased
-               suspects, e errors among the survivors) — a wrong
-               suspicion only shrinks the survivor set, it cannot relax
-               that certificate.  The agreement set τ and the corrected
-               positions are then reclassified against the full pair
-               set, so suspects that actually lied surface in
-               [errors]. *)
-            match decode_gao ~k survivors with
-            | None -> None
-            | Some d ->
-              let agreement, errors = classify ~poly:d.poly pairs in
-              record_fastpath "erasure";
-              Some { poly = d.poly; agreement; errors })
+      | None ->
+        let d = decode_gao ~k pairs in
+        if Option.is_some d then record_fastpath "fallback";
+        d
     end
 
-  type algorithm = Berlekamp_welch | Gao | Optimistic
+  type algorithm = Gao | Optimistic
 
-  let algorithm_name = function
-    | Berlekamp_welch -> "berlekamp_welch"
-    | Gao -> "gao"
-    | Optimistic -> "optimistic"
+  let algorithm_name = function Gao -> "gao" | Optimistic -> "optimistic"
 
-  let decode ?(algorithm = Optimistic) ?ctx ?suspects ~k pairs =
+  let decode ?(algorithm = Optimistic) ?ctx ~k pairs =
     Csm_obs.Span.with_ ~name:"rs.decode" (fun () ->
         let result =
           match algorithm with
-          | Berlekamp_welch -> decode_bw ~k pairs
           | Gao -> decode_gao ~k pairs
-          | Optimistic -> decode_optimistic ?ctx ?suspects ~k pairs
+          | Optimistic -> decode_optimistic ?ctx ~k pairs
         in
         let module Metric = Csm_obs.Metric in
         let module Tel = Csm_obs.Telemetry in
@@ -383,20 +336,6 @@ module Make (F : Field_intf.S) = struct
           | None -> Metric.inc (Tel.rs_decodes ~algorithm:alg ~outcome:"failed"))
         end;
         result)
-
-  (* Erasure-only decoding (crash faults): every received symbol is
-     trusted, so interpolating through any k of them must explain all of
-     them.  O(n·k) after interpolation — much cheaper than error
-     decoding, and it needs only k symbols instead of k + 2e. *)
-  let decode_erasures ~k pairs =
-    let n = Array.length pairs in
-    if n < k then None
-    else begin
-      let poly = Lag.interpolate (Array.sub pairs 0 k) in
-      let agreement, errors = classify ~poly pairs in
-      if errors = [] then Some { poly; agreement; errors }
-      else None
-    end
 
   (* Corrupt a codeword in [count] distinct positions chosen by [rng],
      guaranteeing each corrupted symbol actually changes.  Test/adversary

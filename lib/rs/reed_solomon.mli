@@ -15,9 +15,6 @@ module Make (F : Field_intf.S) : sig
   (** Evaluate the message polynomial (degree < k) at each point.
       @raise Invalid_argument when the degree is ≥ the code length. *)
 
-  val encode_fast : message:P.t -> points:F.t array -> F.t array
-  (** Same, via subproduct-tree multipoint evaluation (quasi-linear). *)
-
   type decoded = {
     poly : P.t;  (** recovered message polynomial, degree < k *)
     agreement : int list;
@@ -42,38 +39,25 @@ module Make (F : Field_intf.S) : sig
   (** @raise Invalid_argument when the point set is shorter than k. *)
 
   val decode_optimistic :
-    ?ctx:fast_ctx ->
-    ?suspects:int list ->
-    k:int ->
-    (F.t * F.t) array ->
-    decoded option
+    ?ctx:fast_ctx -> k:int -> (F.t * F.t) array -> decoded option
   (** Optimistic fast path: interpolate the first k received points and
       accept when the candidate explains {e every} point (the
       certificate set τ of eq. (9) is everything — the fault-free
-      round), else fall back to [decode_gao], and finally — when
-      [suspects] (indices into the pair array) is nonempty — to
-      erasure-assisted decoding with the suspects pre-erased, always
-      re-validated against the full pair set.  Agrees with [decode_gao]
-      on every input within the unique-decoding radius.  A [ctx] that
-      does not match the pairs' points is ignored (a fresh one is
+      round), else fall back to [decode_gao]; [None] when that fails.
+      Agrees with [decode_gao] on every input when k ≥ 1.  A [ctx]
+      that does not match the pairs' points is ignored (a fresh one is
       built), so a stale cache can never corrupt a decode. *)
 
-  type algorithm = Berlekamp_welch | Gao | Optimistic
+  type algorithm = Gao | Optimistic
 
   val decode :
     ?algorithm:algorithm ->
     ?ctx:fast_ctx ->
-    ?suspects:int list ->
     k:int ->
     (F.t * F.t) array ->
     decoded option
-  (** Default algorithm is [Optimistic]; [ctx]/[suspects] are used by
-      it and ignored otherwise. *)
-
-  val decode_erasures : k:int -> (F.t * F.t) array -> decoded option
-  (** Erasure-only (crash-fault) decoding: all received symbols trusted;
-      needs only k symbols; [None] if the received symbols are not
-      consistent with one degree-(k−1) polynomial. *)
+  (** Default algorithm is [Optimistic]; [ctx] is used by it and ignored
+      by [Gao]. *)
 
   val corrupt : Csm_rng.t -> count:int -> F.t array -> F.t array * int list
   (** [corrupt rng ~count w] flips [count] distinct positions of [w] to

@@ -66,5 +66,3 @@ let pop t =
     done;
     Some (time, payload)
   end
-
-let peek_time t = if t.size = 0 then None else (let (time, _, _) = t.heap.(0) in Some time)

@@ -13,5 +13,3 @@ val push : 'a t -> time:int -> 'a -> unit
 
 val pop : 'a t -> (int * 'a) option
 (** Earliest event (insertion order among ties). *)
-
-val peek_time : 'a t -> int option

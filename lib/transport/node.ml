@@ -606,7 +606,7 @@ module Make (F : Field_intf.S) = struct
           (List.init n Fun.id)
       in
       (* the default decoder: optimistic verify-first fast path, with
-         Gao + suspicion-guided erasures as fallback *)
+         Gao as fallback *)
       match E.decode_results engine received with
       | None ->
         phase inbox ~round:r "decode-failed";
@@ -614,8 +614,8 @@ module Make (F : Field_intf.S) = struct
       | Some d ->
         phase inbox ~round:r "decoded";
         (* attribute decoder-corrected error locations, like the
-           simulator protocol does: the suspicion gauge is both the
-           erasure hint for later decodes and the live alert signal *)
+           simulator protocol does: the suspicion gauge is the live
+           alert signal *)
         if Metric.enabled () then begin
           List.iter
             (fun j ->

@@ -194,6 +194,44 @@ let fixture_replays name () =
     | Ok () -> ()
     | Error m -> failf "%s does not replay: %s" path m)
 
+(* Verdicts depend only on the bound, instance and strategy: with
+   metrics on and csm_node_suspicion raised for every node, or for the
+   strategy's liars alone, each committed fixture still yields its
+   recorded violation. *)
+let verdicts_ignore_metrics () =
+  let module Metric = Csm_obs.Metric in
+  let module Tel = Csm_obs.Telemetry in
+  Metric.enable ();
+  Metric.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metric.reset ();
+      Metric.disable ())
+    (fun () ->
+      List.iter
+        (fun name ->
+          match Trace.load ~path:(fixture name) with
+          | Error m -> failf "%s: %s" name m
+          | Ok t ->
+            let inst = t.Trace.instance in
+            let all = List.init inst.Oracle.n Fun.id in
+            List.iter
+              (fun suspects ->
+                Metric.reset ();
+                List.iter
+                  (fun node -> Metric.add (Tel.node_suspicion ~node) 1.0)
+                  suspects;
+                let r = Oracle.check t.Trace.bound inst t.Trace.strategy in
+                match r.Oracle.verdict with
+                | Oracle.Violation { kind; detail } ->
+                  check string (name ^ " kind")
+                    (Oracle.violation_kind_name t.Trace.kind)
+                    (Oracle.violation_kind_name kind);
+                  check string (name ^ " detail") t.Trace.detail detail
+                | Oracle.Safe -> failf "%s: safe with suspicion raised" name)
+              [ all; Strategy.byz_nodes t.Trace.strategy ])
+        [ "decode"; "output"; "totality" ])
+
 (* ----- certifier: one full bound end to end ----- *)
 
 let certify_one_bound () =
@@ -287,6 +325,8 @@ let suites =
           (fixture_replays "output");
         test_case "totality fixture replays byte-for-byte" `Quick
           (fixture_replays "totality");
+        test_case "oracle verdicts ignore metrics state" `Quick
+          verdicts_ignore_metrics;
         test_case "certify_bound: input-totality end to end" `Quick
           certify_one_bound;
         test_case "--faults lists kinds on bad input" `Quick faults_usage_error;

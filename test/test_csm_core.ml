@@ -303,7 +303,7 @@ let engine_decoder_agnostic () =
     let e = E.create ~machine ~params ~init in
     E.round e ~algorithm ~commands ~byzantine:(fun i -> i < b) ()
   in
-  let a = run E.RS.Gao and b' = run E.RS.Berlekamp_welch in
+  let a = run E.RS.Gao and b' = run E.RS.Optimistic in
   match (a.E.decoded, b'.E.decoded) with
   | Some da, Some db ->
     for k' = 0 to k - 1 do
@@ -311,6 +311,44 @@ let engine_decoder_agnostic () =
       then Alcotest.fail "decoders disagree in engine"
     done
   | _ -> Alcotest.fail "engine decode failed"
+
+(* Decoding depends only on the results it is handed: three liars past
+   the radius of 2 stay undecodable when metrics are on and the liars'
+   csm_node_suspicion gauges are raised, exactly as with metrics off. *)
+let decode_ignores_suspicion () =
+  let module Metric = Csm_obs.Metric in
+  let module Tel = Csm_obs.Telemetry in
+  let machine = M.degree_machine 1 in
+  let k = 2 and r = Csm_rng.create 0x5A5 in
+  let params = Params.make ~network:Params.Sync ~n:7 ~k ~d:1 ~b:2 in
+  let vec dim = Array.init dim (fun _ -> F.random r) in
+  let init = Array.init k (fun _ -> vec machine.M.state_dim) in
+  let commands = Array.init k (fun _ -> vec machine.M.input_dim) in
+  let engine = E.create ~machine ~params ~init in
+  let received =
+    List.init 7 (fun node ->
+        let g =
+          E.node_compute engine ~node
+            ~coded_command:(E.node_encode_command engine ~node ~commands)
+        in
+        (node, if node <= 2 then Array.map (fun v -> F.add v F.one) g else g))
+  in
+  let off = E.decode_results engine received in
+  Metric.enable ();
+  Metric.reset ();
+  let on =
+    Fun.protect
+      ~finally:(fun () ->
+        Metric.reset ();
+        Metric.disable ())
+      (fun () ->
+        List.iter
+          (fun node -> Metric.add (Tel.node_suspicion ~node) 1.0)
+          [ 0; 1; 2 ];
+        E.decode_results engine received)
+  in
+  Alcotest.(check bool) "metrics off: undecodable" true (Option.is_none off);
+  Alcotest.(check bool) "liars suspected: undecodable" true (Option.is_none on)
 
 (* The Boolean machine path: CSM over GF(2^10) executing the majority
    register, coded, under faults. *)
@@ -552,6 +590,8 @@ let suites =
           partial_sync_splits;
         Alcotest.test_case "storage efficiency = K" `Quick storage_efficiency;
         Alcotest.test_case "decoder agnostic" `Quick engine_decoder_agnostic;
+        Alcotest.test_case "decode ignores suspicion gauges" `Quick
+          decode_ignores_suspicion;
         Alcotest.test_case "boolean machine coded over GF(2^10)" `Quick
           boolean_machine_coded;
         Alcotest.test_case "register bank coded (KV workload)" `Quick

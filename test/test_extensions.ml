@@ -1,11 +1,11 @@
-(* Extensions beyond the core protocol: erasure-only decoding, node
-   recovery/regeneration, straggler-tolerant early decode, and the
-   Section-7 random-allocation comparison. *)
+(* Extensions beyond the core protocol: node recovery/regeneration,
+   straggler-tolerant early decode, the strategy DSL's execution-phase
+   lies against the engine, and the Section-7 random-allocation
+   comparison. *)
 
 open Csm_field
 open Csm_core
 module F = Fp.Default
-module RS = Csm_rs.Reed_solomon.Make (F)
 module E = Engine.Make (F)
 module P = Protocol.Make (F)
 module M = E.M
@@ -13,43 +13,6 @@ module RA = Csm_smr.Random_allocation
 
 let rng = Csm_rng.create 0xE77
 let fi = F.of_int
-
-(* ----- erasure-only decoding ----- *)
-
-let erasure_decode_roundtrip () =
-  for _ = 1 to 30 do
-    let k = 1 + Csm_rng.int rng 8 in
-    let n = k + Csm_rng.int rng 10 in
-    let msg =
-      if k = 1 then RS.P.constant (F.random rng) else RS.P.random rng ~degree:(k - 1)
-    in
-    let pts = Array.init n (fun i -> F.of_int (i + 1)) in
-    let word = RS.encode ~message:msg ~points:pts in
-    (* crash faults: drop random symbols, keep at least k *)
-    let keep_count = k + Csm_rng.int rng (n - k + 1) in
-    let keep = Csm_rng.sample rng ~n ~k:keep_count in
-    let pairs = Array.map (fun i -> (pts.(i), word.(i))) keep in
-    match RS.decode_erasures ~k pairs with
-    | Some d ->
-      if not (RS.P.equal d.RS.poly msg) then Alcotest.fail "wrong poly"
-    | None -> Alcotest.fail "erasure decode failed"
-  done
-
-let erasure_decode_rejects_corruption () =
-  let k = 3 and n = 8 in
-  let msg = RS.P.random rng ~degree:(k - 1) in
-  let pts = Array.init n (fun i -> F.of_int (i + 1)) in
-  let word = RS.encode ~message:msg ~points:pts in
-  let corrupted, _ = RS.corrupt rng ~count:1 word in
-  let pairs = Array.map2 (fun x y -> (x, y)) pts corrupted in
-  (* one lie makes the received set inconsistent: erasure decoding must
-     refuse rather than return a wrong polynomial *)
-  match RS.decode_erasures ~k pairs with
-  | None -> ()
-  | Some d ->
-    if not (RS.P.equal d.RS.poly msg) then
-      Alcotest.fail "erasure decode certified a wrong polynomial"
-    else Alcotest.fail "erasure decode accepted corrupted data"
 
 (* ----- node recovery ----- *)
 
@@ -246,20 +209,42 @@ let allocation_experiment_shape () =
   Alcotest.(check (float 0.001)) "csm bound honest" 1.0
     csm_over.RA.compromise_rate
 
-(* ----- adversary strategy library ----- *)
+(* ----- adversary strategies: the DSL's execution-phase lies ----- *)
 
-module Adv = Adversary.Make (F)
+module Strategy = Csm_adversary.Strategy
+module Oracle = Csm_adversary.Oracle
 
-(* Every named strategy, applied by b liars within the bound, is
-   corrected over multiple rounds on every example machine dimension. *)
+(* [strat]'s reports in [round], through the oracle's interpreter of
+   the DSL (as observer 0 receives them). *)
+let corruption strat ~engine ~round : E.corruption =
+ fun ~node g ->
+  match Strategy.action_at strat ~node ~round with
+  | None -> g
+  | Some act -> Oracle.corrupt_result engine ~act ~node ~round ~observer:0 g
+
+let liars nodes step =
+  Strategy.make
+    (List.map (fun node -> { Strategy.node; steps = [ step ] }) nodes)
+
+(* a +1 shift on even rounds only *)
+let flip_flop =
+  {
+    Strategy.rounds = Strategy.Every { period = 2; phase = 0 };
+    act = Strategy.Shift 1;
+  }
+
+(* Every lie, applied by b liars within the bound, is corrected over
+   multiple rounds. *)
 let all_strategies_corrected () =
   let machine = M.pair_market () in
   let d = M.degree machine in
   let k = 2 and b = 2 in
   let n = Params.composite_degree ~k ~d + (2 * b) + 1 in
   let params = Params.make ~network:Params.Sync ~n ~k ~d ~b in
+  let always act = { Strategy.rounds = Strategy.Always; act } in
   List.iter
-    (fun (strategy : Adv.t) ->
+    (fun step ->
+      let strat = liars (List.init b Fun.id) step in
       let r = Csm_rng.create 0xAD5 in
       let init = Array.init k (fun _ -> Array.init 2 (fun _ -> F.random r)) in
       let engine = E.create ~machine ~params ~init in
@@ -271,22 +256,29 @@ let all_strategies_corrected () =
         let report =
           E.round engine ~commands
             ~byzantine:(fun i -> i < b)
-            ~corruption:(strategy.Adv.corruption ~round ~engine)
+            ~corruption:(corruption strat ~engine ~round)
             ()
         in
         let next_ref, _ = M.run_fleet machine ~states:!states ~commands in
         states := next_ref;
         match report.E.decoded with
-        | None -> Alcotest.failf "%s: decode failed" strategy.Adv.name
+        | None -> Alcotest.failf "%s: decode failed" (Strategy.name strat)
         | Some dec ->
           for m = 0 to k - 1 do
             for j = 0 to 1 do
               if not (F.equal dec.E.next_states.(m).(j) next_ref.(m).(j))
-              then Alcotest.failf "%s: wrong state" strategy.Adv.name
+              then Alcotest.failf "%s: wrong state" (Strategy.name strat)
             done
           done
       done)
-    (Adv.all ~seed:99)
+    [
+      always (Strategy.Shift 1);
+      always (Strategy.Garbage { seed = 99 });
+      always (Strategy.Coord { index = 0; delta = 1 });
+      always (Strategy.Codeword { seed = 0xDE17A });
+      always (Strategy.Equivocate { seed = 99 });
+      flip_flop;
+    ]
 
 (* The flip-flop liar is only reported as erroneous on rounds it lies. *)
 let flip_flop_detection () =
@@ -297,13 +289,13 @@ let flip_flop_detection () =
   let r = Csm_rng.create 4 in
   let init = Array.init k (fun _ -> [| F.random r |]) in
   let engine = E.create ~machine ~params ~init in
-  let strategy = Adv.flip_flop (Adv.uniform_shift ()) in
+  let strat = liars [ 0 ] flip_flop in
   for round = 0 to 3 do
     let commands = Array.init k (fun _ -> [| F.random r |]) in
     let report =
       E.round engine ~commands
         ~byzantine:(fun i -> i = 0)
-        ~corruption:(strategy.Adv.corruption ~round ~engine)
+        ~corruption:(corruption strat ~engine ~round)
         ()
     in
     match report.E.decoded with
@@ -318,13 +310,6 @@ let flip_flop_detection () =
 
 let suites =
   [
-    ( "extensions:erasures",
-      [
-        Alcotest.test_case "erasure decode roundtrip" `Quick
-          erasure_decode_roundtrip;
-        Alcotest.test_case "erasure decode rejects corruption" `Quick
-          erasure_decode_rejects_corruption;
-      ] );
     ( "extensions:recovery",
       [
         Alcotest.test_case "recover from honest peers" `Quick

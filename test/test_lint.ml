@@ -56,18 +56,19 @@ let r2 () =
 let r3 () =
   fires "R3" ~path:"lib/core/x.ml"
     "let m = Mutex.create ()\nlet f () = Mutex.lock m; work (); Mutex.unlock m";
-  silent "R3" ~path:"lib/core/x.ml"
+  (* a raw lock fires even when its release is exception-safe *)
+  fires "R3" ~path:"lib/core/x.ml"
     "let m = Mutex.create ()\n\
      let f () =\n\
     \  Mutex.lock m;\n\
     \  Fun.protect ~finally:(fun () -> Mutex.unlock m) work";
-  (* unlock in an exception-handler position also counts *)
-  silent "R3" ~path:"lib/core/x.ml"
+  fires "R3" ~path:"lib/core/x.ml"
     "let m = Mutex.create ()\n\
      let f () =\n\
     \  Mutex.lock m;\n\
     \  (try work () with e -> Mutex.unlock m; raise e);\n\
     \  Mutex.unlock m";
+  fires "R3" ~path:"bin/x.ml" "let f m = Mutex.unlock m";
   (* Mutex.protect releases on every exit *)
   silent "R3" ~path:"lib/core/x.ml"
     "let m = Mutex.create ()\nlet f () = Mutex.protect m work"

@@ -476,8 +476,16 @@ let metric_disabled_fast_path () =
   done;
   let after = Gc.minor_words () in
   Alcotest.(check (float 0.0)) "no allocation when disabled" 0.0 (after -. before);
-  Alcotest.(check int) "counter untouched" 0 (Metric.counter_value c);
-  Alcotest.(check (float 0.0)) "gauge untouched" 0.0 (Metric.gauge_value g);
+  let value name =
+    let v =
+      List.find (fun v -> String.equal v.Metric.name name) (Metric.families ())
+    in
+    (List.hd v.Metric.samples).Metric.value
+  in
+  Alcotest.(check bool) "counter untouched" true
+    (value "test_disabled_total" = Metric.V_counter 0);
+  Alcotest.(check bool) "gauge untouched" true
+    (value "test_disabled_gauge" = Metric.V_gauge 0.0);
   Alcotest.(check int) "histogram untouched" 0 (Metric.snapshot h).Metric.s_count
 
 (* ----- Prometheus exposition: line-format checker ----- *)

@@ -30,11 +30,6 @@ let roundtrip_no_errors () =
     let msg = random_message k in
     let pts = points n in
     let word = RS.encode ~message:msg ~points:pts in
-    let fast = RS.encode_fast ~message:msg ~points:pts in
-    Array.iteri
-      (fun i x ->
-        if not (F.equal x fast.(i)) then Alcotest.fail "encode_fast mismatch")
-      word;
     let pairs = Array.map2 (fun x y -> (x, y)) pts word in
     check_decodes ~what:"bw clean" RS.decode_bw ~k pairs msg;
     check_decodes ~what:"gao clean" RS.decode_gao ~k pairs msg
@@ -265,40 +260,6 @@ let optimistic_fallback_matches_gao () =
       if not (P.equal d.RS.poly msg) then Alcotest.fail "gao wrong poly"
   done
 
-let optimistic_erasure_rescue () =
-  (* Corrupt beyond the full-code radius: every plain decoder fails,
-     but with the liars suspected the shortened decode recovers and the
-     reclassified error set names exactly the liars.  A wrongly added
-     honest suspect only shrinks the survivor set; the answer stands. *)
-  for _ = 1 to 20 do
-    let k = 2 + Csm_rng.int rng 4 in
-    let n = k + 8 + Csm_rng.int rng 8 in
-    let e_max = RS.max_errors ~n ~k in
-    let c = e_max + 1 in
-    let msg = random_message k in
-    let pts = points n in
-    let word = RS.encode ~message:msg ~points:pts in
-    let corrupted, positions = RS.corrupt rng ~count:c word in
-    let pairs = Array.map2 (fun x y -> (x, y)) pts corrupted in
-    Alcotest.(check bool)
-      "gao fails beyond radius" true
-      (Option.is_none (RS.decode_gao ~k pairs));
-    Alcotest.(check bool)
-      "optimistic w/o suspects fails too" true
-      (Option.is_none (RS.decode_optimistic ~k pairs));
-    (match RS.decode_optimistic ~suspects:positions ~k pairs with
-    | None -> Alcotest.fail "erasure-assisted decode failed"
-    | Some d ->
-      if not (P.equal d.RS.poly msg) then Alcotest.fail "erasure wrong poly";
-      Alcotest.(check (list int)) "errors = liars" positions d.RS.errors);
-    let honest = List.find (fun i -> not (List.mem i positions)) (List.init n Fun.id) in
-    match RS.decode_optimistic ~suspects:(honest :: positions) ~k pairs with
-    | None -> Alcotest.fail "erasure with one wrong suspicion failed"
-    | Some d ->
-      if not (P.equal d.RS.poly msg) then
-        Alcotest.fail "wrong-suspicion erasure wrong poly"
-  done
-
 (* ----- syndrome decoder (BM + Chien) on classical points ----- *)
 
 module BM = Bm.Make (F)
@@ -477,8 +438,6 @@ let suites =
         Alcotest.test_case "fast-path hit on clean words" `Quick optimistic_hit;
         Alcotest.test_case "fallback equals Gao within radius" `Quick
           optimistic_fallback_matches_gao;
-        Alcotest.test_case "suspicion-guided erasure rescue" `Quick
-          optimistic_erasure_rescue;
         QCheck_alcotest.to_alcotest ~long:false qcheck_cross_decoder;
         Alcotest.test_case "all decoders refuse beyond radius" `Quick
           all_none_beyond_radius;
