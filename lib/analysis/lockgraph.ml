@@ -6,13 +6,10 @@
    no acquisition order needs recording; the pass reports every
    acquisition reached while a lock is held.
 
-   An acquisition is [Mutex.protect _ _] or [Mutex.lock _].  A lock is
-   held
-     * inside [Mutex.protect m f]'s [f], and
-     * in the rest of a sequence after [Mutex.lock m], until
-       [Mutex.unlock].
-   [Condition.wait c m] gives [m] up and takes it back; it is not an
-   acquisition.
+   An acquisition is [Mutex.protect m f], and [m] is held inside [f]:
+   rule R3 rejects every raw [Mutex.lock] and [Mutex.unlock], so no
+   other form can hold a lock.  [Condition.wait c m] gives [m] up and
+   takes it back; it is not an acquisition.
 
    Calls are followed through two facts per def, computed to a fixpoint
    over the whole-program def table the taint pass uses:
@@ -135,13 +132,13 @@ let acquire ctx ~loc ~held what =
   ctx.acquires <- true;
   if held > 0 then ctx.found <- (loc, what) :: ctx.found
 
-(* Walk an expression with [held] locks held; returns the count for the
-   next expression of an enclosing sequence ([Mutex.lock]/[unlock]
-   change it). *)
-let rec walk ctx held e : int =
+(* Walk an expression with [held] locks held. *)
+let rec walk ctx held e =
   match e.pexp_desc with
   | Pexp_apply (h, args) -> walk_apply ctx held e h args
-  | Pexp_sequence (a, b) -> walk ctx (walk ctx held a) b
+  | Pexp_sequence (a, b) | Pexp_setfield (a, _, b) | Pexp_while (a, b) ->
+    walk ctx held a;
+    walk ctx held b
   | Pexp_let (rf, vbs, body) ->
     let closures =
       List.filter_map
@@ -151,7 +148,7 @@ let rec walk ctx held e : int =
             ->
             Some (txt, vb.pvb_expr, { acq = false; app = false })
           | _ ->
-            ignore (walk ctx held vb.pvb_expr);
+            walk ctx held vb.pvb_expr;
             None)
         vbs
     in
@@ -165,72 +162,50 @@ let rec walk ctx held e : int =
       List.iter (fun (_, e, s) -> summarise ctx e s) closures
     done;
     ctx.scope <- inner;
-    let after = walk ctx held body in
-    ctx.scope <- outer;
-    after
+    walk ctx held body;
+    ctx.scope <- outer
   (* a lambda not in argument position runs at an unknown later point:
      nothing can be assumed held *)
-  | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) ->
-    ignore (walk ctx 0 body);
-    held
-  | Pexp_function cases ->
-    List.iter (fun c -> ignore (walk ctx 0 c.pc_rhs)) cases;
-    held
+  | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) -> walk ctx 0 body
+  | Pexp_function cases -> List.iter (fun c -> walk ctx 0 c.pc_rhs) cases
   | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-    ignore (walk ctx held scrut);
+    walk ctx held scrut;
     List.iter
       (fun c ->
-        Option.iter (fun g -> ignore (walk ctx held g)) c.pc_guard;
-        ignore (walk ctx held c.pc_rhs))
-      cases;
-    held
+        Option.iter (walk ctx held) c.pc_guard;
+        walk ctx held c.pc_rhs)
+      cases
   | Pexp_ifthenelse (c, a, b) ->
-    List.iter (fun e -> ignore (walk ctx held e)) (c :: a :: Option.to_list b);
-    held
-  | Pexp_tuple es | Pexp_array es ->
-    List.iter (fun e -> ignore (walk ctx held e)) es;
-    held
+    List.iter (walk ctx held) (c :: a :: Option.to_list b)
+  | Pexp_tuple es | Pexp_array es -> List.iter (walk ctx held) es
   | Pexp_construct (_, Some a) | Pexp_variant (_, Some a) | Pexp_field (a, _)
     ->
-    ignore (walk ctx held a);
-    held
+    walk ctx held a
   | Pexp_record (fls, base) ->
     List.iter
       (fun ({ Location.txt; _ }, e) ->
         ctx.init_locks <- false;
-        ignore (walk ctx held e);
+        walk ctx held e;
         if ctx.init_locks && is_new_key e then
           Hashtbl.replace ctx.lock_keys (Field (Longident.last txt)) ())
       fls;
-    Option.iter (fun b -> ignore (walk ctx held b)) base;
-    held
-  | Pexp_setfield (a, _, b) | Pexp_while (a, b) ->
-    ignore (walk ctx held a);
-    ignore (walk ctx held b);
-    held
-  | Pexp_for (_, lo, hi, _, body) ->
-    List.iter (fun e -> ignore (walk ctx held e)) [ lo; hi; body ];
-    held
+    Option.iter (walk ctx held) base
+  | Pexp_for (_, lo, hi, _, body) -> List.iter (walk ctx held) [ lo; hi; body ]
   | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e)
   | Pexp_lazy e | Pexp_assert e | Pexp_letmodule (_, _, e)
   | Pexp_letexception (_, e) ->
     walk ctx held e
-  | _ -> held
+  | _ -> ()
 
 and walk_apply ctx held app h args =
   let loc = app.pexp_loc in
   match (stripped_head h, args) with
   | Some [ "Mutex"; "protect" ], (_, m) :: rest ->
-    ignore (walk ctx held m);
+    walk ctx held m;
     acquire ctx ~loc ~held "Mutex.protect";
     List.iter
       (fun (_, a) -> run_arg ctx ~invokes:true ~under:(held + 1) a)
-      rest;
-    held
-  | Some [ "Mutex"; "lock" ], [ _ ] ->
-    acquire ctx ~loc ~held "Mutex.lock";
-    held + 1
-  | Some [ "Mutex"; "unlock" ], [ _ ] -> max 0 (held - 1)
+      rest
   (* a spawned body, and a domain-local key's initialiser, run later
      holding nothing, and what they take is not the caller's; whether
      the initialiser may lock is kept for the binding of the key *)
@@ -243,17 +218,15 @@ and walk_apply ctx held app h args =
     ctx.acquires <- false;
     List.iter (fun (_, a) -> run_arg ctx ~invokes:true ~under:0 a) args;
     ctx.init_locks <- ctx.acquires;
-    ctx.acquires <- acquires;
-    held
+    ctx.acquires <- acquires
   (* the key's initialiser runs inside the first get of each domain *)
-  | Some [ "Domain"; "DLS"; "get" ], [ (_, k) ] ->
-    ignore (walk ctx held k);
-    (match dls_key ctx k with
+  | Some [ "Domain"; "DLS"; "get" ], [ (_, k) ] -> (
+    walk ctx held k;
+    match dls_key ctx k with
     | Some key when Hashtbl.mem ctx.lock_keys key ->
       acquire ctx ~loc ~held
         "Domain.DLS.get (whose key's initialiser may take a lock)"
-    | _ -> ());
-    held
+    | _ -> ())
   | _ ->
     let under, invokes =
       match resolve_summary ctx (head_key ctx h) with
@@ -279,8 +252,7 @@ and walk_apply ctx held app h args =
         ( held,
           stripped_head h = Some [ "Fun"; "protect" ] )
     in
-    List.iter (fun (_, a) -> run_arg ctx ~invokes ~under a) args;
-    held
+    List.iter (fun (_, a) -> run_arg ctx ~invokes ~under a) args
 
 (* A callee argument, assumed to run with [under] locks held: lambdas
    descend with that count; a parameter of the current def records an
@@ -288,10 +260,8 @@ and walk_apply ctx held app h args =
    naming a known def that may take a lock is an acquisition there. *)
 and run_arg ctx ~invokes ~under a =
   match a.pexp_desc with
-  | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) ->
-    ignore (walk ctx under body)
-  | Pexp_function cases ->
-    List.iter (fun c -> ignore (walk ctx under c.pc_rhs)) cases
+  | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) -> walk ctx under body
+  | Pexp_function cases -> List.iter (fun c -> walk ctx under c.pc_rhs) cases
   | Pexp_ident _ when is_param ctx a ->
     if invokes && under > 0 then apply_param ctx a
   | Pexp_ident _ -> (
@@ -299,7 +269,7 @@ and run_arg ctx ~invokes ~under a =
     | Some s when invokes && s.acq ->
       acquire ctx ~loc:a.pexp_loc ~held:under (callee a)
     | _ -> ())
-  | _ -> ignore (walk ctx under a)
+  | _ -> walk ctx under a
 
 (* The facts of a let-bound closure [e], into [s].  Its body sees the
    enclosing def's parameters too: running one of those under a lock
@@ -313,7 +283,7 @@ and summarise ctx e s =
   ctx.params <- S.union own params;
   ctx.applied <- S.empty;
   ctx.acquires <- false;
-  ignore (walk ctx 0 e);
+  walk ctx 0 e;
   s.acq <- s.acq || ctx.acquires;
   s.app <- s.app || not (S.is_empty (S.inter ctx.applied own));
   ctx.params <- params;
@@ -369,7 +339,7 @@ let analyze (units : Program.unit_ list) : Finding.t list =
             ctx.acquires <- false;
             ctx.applied <- S.empty;
             ctx.init_locks <- false;
-            ignore (walk ctx 0 expr);
+            walk ctx 0 expr;
             if ctx.init_locks && is_new_key expr then
               Hashtbl.replace lock_keys (Named (ctx.modname, name)) ();
             let applies = not (S.is_empty ctx.applied) in

@@ -3,6 +3,16 @@
     byte stream, per-peer outboxes with connection retry and exponential
     backoff, malformed frames counted instead of crashing.
 
+    A failed connect is retried after 50 us, then after twice as long
+    each time, up to every 100 ms.  The nodes of a freshly forked
+    cluster bind their listeners 0.6-2.1 ms after it starts, mostly
+    after the client's first send to them has failed, so the first
+    retries must come within a fraction of a millisecond of the bind.
+    A peer's
+    outbox holds at most 16 MiB: past that, each send drops the oldest
+    frames not yet started, so a peer that stays down costs bounded
+    memory and, if it comes back, gets the newest frames in order.
+
     An endpoint runs no thread and moves its outbound bytes only inside
     its own [send], [recv] and [close]: [send] writes what the kernel
     takes at once and queues the rest, which [recv] flushes — so a
@@ -33,6 +43,10 @@ val endpoint : addr:addr -> id:int -> endpoints:int -> Transport.t
     outbound on the first [send] to each destination.  [close] returns
     at once; frames still queued go to a lingering writer, which keeps
     connecting and writing for at most 1 s ({!linger}).
+
+    Raises [Unix.Unix_error] if the address cannot be bound or listened
+    on (a TCP port in use, a missing directory); the listening socket is
+    closed first.
 
     Ignores SIGPIPE for the whole process: a send to a peer that has
     died fails with [EPIPE] on that connection (the frame is retried on

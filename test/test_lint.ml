@@ -329,15 +329,13 @@ let r9_static_lock_order () =
   let unit_ body = [ ("lib/core/lx.ml", locks ^ body) ] in
   let nests body = wp_fires "R9" (unit_ body)
   and leaf body = wp_silent "R9" (unit_ body) in
-  (* direct nesting fires in either order *)
-  nests
-    "let f () = Mutex.lock a; Mutex.lock b; Mutex.unlock b; Mutex.unlock a";
-  nests
-    "let g () = Mutex.lock b; Mutex.lock a; Mutex.unlock a; Mutex.unlock b";
+  (* direct nesting fires in either order, anywhere in the section *)
   nests "let f () = Mutex.protect a (fun () -> Mutex.protect b work)";
+  nests "let g () = Mutex.protect b (fun () -> Mutex.protect a work)";
+  nests
+    "let f () = Mutex.protect a (fun () -> work (); Mutex.protect b work)";
   (* sequential sections stay silent *)
-  leaf
-    "let f () = Mutex.lock a; Mutex.unlock a; Mutex.lock b; Mutex.unlock b";
+  leaf "let f () = Mutex.protect a (fun () -> work ()); Mutex.protect b work";
   leaf
     "let f () = Mutex.protect a work; Mutex.protect b (fun () -> work ())";
   (* nesting through a call *)
@@ -362,8 +360,7 @@ let r9_static_lock_order () =
     ];
   (* a mutex passed as a parameter is a lock like any other *)
   nests "let both m n = Mutex.protect m (fun () -> Mutex.protect n work)";
-  nests
-    "let both m n = Mutex.lock m; Mutex.lock n; Mutex.unlock n; Mutex.unlock m";
+  nests "let both m n = Mutex.protect n (fun () -> Mutex.protect m work)";
   (* a wrapper that runs its thunk after releasing its lock (the shape
      of Span.with_) does not nest *)
   leaf

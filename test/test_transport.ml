@@ -683,6 +683,122 @@ let socket_send_never_blocks () =
       done;
       check Alcotest.int "frames delivered" 64 !next)
 
+(* Endpoint 0 sends to endpoint 1 before endpoint 1 exists, as a
+   cluster's client sends to nodes that are still starting.  Once
+   endpoint 1 is created, the frame must arrive within a fraction of a
+   millisecond, not after a fixed connect-retry timer: the median over
+   20 trials is held under 1.5 ms (on a 2-vCPU VM, a retry starting at
+   2 ms read about 2.5 ms, one starting at 50 us about 0.55 ms). *)
+let first_contact addr =
+  let frame = Frame.make ~kind:Frame.Command ~sender:0 ~round:0 "x" in
+  let trial () =
+    let a = Socket.endpoint ~addr ~id:0 ~endpoints:2 in
+    a.Transport.send ~dst:1 frame;
+    let b = Socket.endpoint ~addr ~id:1 ~endpoints:2 in
+    let created = Clock.mono () in
+    Fun.protect
+      ~finally:(fun () ->
+        a.Transport.close ();
+        b.Transport.close ())
+      (fun () ->
+        let rec arrival () =
+          ignore (a.Transport.recv ~timeout:0.0002);
+          match b.Transport.recv ~timeout:0.0 with
+          | Some _ -> Clock.mono () -. created
+          | None when Clock.mono () -. created < 5.0 -> arrival ()
+          | None -> Alcotest.fail "the first frame never arrived"
+        in
+        arrival ())
+  in
+  let waits = List.sort Float.compare (List.init 20 (fun _ -> trial ())) in
+  let median = (List.nth waits 9 +. List.nth waits 10) /. 2.0 in
+  checkb
+    (Printf.sprintf "median first contact %.2f ms, under 1.5 ms" (median *. 1e3))
+    true (median < 0.0015)
+
+let socket_first_contact () =
+  with_sock_dir (fun dir -> first_contact (Socket.Uds dir));
+  first_contact (Socket.Tcp (free_tcp_base ~ports:2))
+
+(* An outbox is bounded: 40 sends of 1 MiB to a peer that is not
+   reading leave the live heap under the outbox cap (16 MiB) plus
+   slack, because each send past the cap drops the oldest frames not
+   yet started.  The peer is either not up yet or up and not reading;
+   then the kernel holds the first frame or two, and the frame it took
+   only part of (frames of 1 MiB are too big for one write) must still
+   arrive whole.  Once the peer reads, it gets the frames it was sent,
+   in order and intact, up to one gap where frames were dropped, ending
+   with the last one sent. *)
+let socket_outbox_is_bounded () =
+  with_sock_dir @@ fun dir ->
+  let addr = Socket.Uds dir in
+  let sends = 40 in
+  let payload r = String.make (1 lsl 20) (Char.chr (Char.code 'a' + (r mod 26))) in
+  let live_bytes () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let run ~up_early =
+    let before = live_bytes () in
+    let a = Socket.endpoint ~addr ~id:0 ~endpoints:2 in
+    let endpoint_1 () = Socket.endpoint ~addr ~id:1 ~endpoints:2 in
+    let b = ref (if up_early then Some (endpoint_1 ()) else None) in
+    Fun.protect
+      ~finally:(fun () ->
+        a.Transport.close ();
+        Option.iter (fun (b : Transport.t) -> b.Transport.close ()) !b)
+      (fun () ->
+        for r = 0 to sends - 1 do
+          a.Transport.send ~dst:1
+            (Frame.make ~kind:Frame.Commit ~sender:0 ~round:r (payload r))
+        done;
+        let grown = live_bytes () - before in
+        checkb
+          (Printf.sprintf "live heap grew %.1f MiB, under 20 MiB"
+             (float_of_int grown /. 1048576.0))
+          true
+          (grown < 20 lsl 20);
+        let up = match !b with Some up -> up | None -> endpoint_1 () in
+        b := Some up;
+        let rounds = ref [] in
+        let limit = Clock.mono () +. 10.0 in
+        while
+          (match !rounds with r :: _ -> r < sends - 1 | [] -> true)
+          && Clock.mono () < limit
+        do
+          ignore (a.Transport.recv ~timeout:0.001);
+          let rec drain () =
+            match up.Transport.recv ~timeout:0.0 with
+            | Some f ->
+              checkb "payload intact" true
+                (String.equal (payload f.Frame.round) f.Frame.payload);
+              rounds := f.Frame.round :: !rounds;
+              drain ()
+            | None -> ()
+          in
+          drain ()
+        done;
+        (* [rounds] is newest first *)
+        let rec in_order = function
+          | r :: (r' :: _ as rest) -> r' < r && in_order rest
+          | _ -> true
+        in
+        let rec gaps = function
+          | r :: (r' :: _ as rest) -> Bool.to_int (r' < r - 1) + gaps rest
+          | _ -> 0
+        in
+        check Alcotest.int "frame errors" 0
+          (Transport.snapshot up).Transport.frame_errors;
+        check Alcotest.(option int) "the last frame sent arrives last"
+          (Some (sends - 1)) (List.nth_opt !rounds 0);
+        checkb "older frames were dropped" true (List.length !rounds < sends);
+        checkb "in send order" true (in_order !rounds);
+        check Alcotest.int "gaps in the send order" (Bool.to_int up_early)
+          (gaps !rounds))
+  in
+  run ~up_early:false;
+  run ~up_early:true
+
 (* One [select] in [recv] serves every inbound connection of a socket
    endpoint: a peer that stops mid-frame delays no other peer's frames,
    and its frame still arrives once the rest of it does. *)
@@ -851,16 +967,35 @@ let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 (* Socket endpoints release every fd they open — listener, inbound
    and outbound connections — once closed; a lingering writer would
-   close its connections a moment after [close]. *)
+   close its connections a moment after [close].  So does a creation
+   that fails: on a TCP port another socket listens on, and in a
+   Unix-domain directory that does not exist. *)
 let socket_endpoints_release_fds () =
   with_sock_dir (fun dir ->
-      let cycle () =
+      let pair () =
         let a, b = socket_pair dir in
         ignore (b.Transport.recv ~timeout:0.01);
         a.Transport.send ~dst:1 (Frame.make ~kind:Frame.Commit ~sender:0 ~round:0 "x");
         checkb "delivered" true (Option.is_some (b.Transport.recv ~timeout:5.0));
         a.Transport.close ();
         b.Transport.close ()
+      in
+      let taken = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close taken) @@ fun () ->
+      Unix.bind taken (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen taken 1;
+      let port =
+        match Unix.getsockname taken with Unix.ADDR_INET (_, p) -> p | _ -> 0
+      in
+      let failed () =
+        List.iter
+          (fun addr ->
+            match Socket.endpoint ~addr ~id:0 ~endpoints:1 with
+            | tr ->
+              tr.Transport.close ();
+              Alcotest.fail "an endpoint was created on an unusable address"
+            | exception Unix.Unix_error _ -> ())
+          [ Socket.Tcp port; Socket.Uds (Filename.concat dir "missing") ]
       in
       (* wait for any lingering writer to close its fds *)
       let settled target =
@@ -870,13 +1005,16 @@ let socket_endpoints_release_fds () =
         done;
         open_fds ()
       in
-      cycle ();
-      Thread.delay 0.1;
-      let before = open_fds () in
-      for _ = 1 to 50 do
-        cycle ()
-      done;
-      checkb "no fd leaked by 50 endpoint pairs" true (settled before <= before))
+      List.iter
+        (fun (what, cycle) ->
+          cycle ();
+          Thread.delay 0.1;
+          let before = open_fds () in
+          for _ = 1 to 50 do
+            cycle ()
+          done;
+          checkb ("no fd leaked by 50 " ^ what) true (settled before <= before))
+        [ ("endpoint pairs", pair); ("pairs of failed creations", failed) ])
 
 let stats_payload_round_trip () =
   let s =
@@ -1505,6 +1643,10 @@ let suites =
         Alcotest.test_case "recv contract: tcp" `Quick tcp_recv_contract;
         Alcotest.test_case "socket send never blocks on a peer not reading" `Quick
           socket_send_never_blocks;
+        Alcotest.test_case "socket first contact is prompt" `Quick
+          socket_first_contact;
+        Alcotest.test_case "socket outbox is bounded" `Quick
+          socket_outbox_is_bounded;
         Alcotest.test_case "socket: a stalled peer holds up nobody" `Quick
           socket_stalled_peer_holds_up_nobody;
         Alcotest.test_case "socket parser: 200 frames in one write" `Quick
