@@ -134,19 +134,22 @@ live-smoke:
 	@echo "live-smoke: ok"
 
 # Adversary-synthesis smoke: regenerate the Table-2 tightness
-# certification (search at b = muN must find no violation, at
-# b = muN + 1 must find a shrunk replayable witness, twice
-# byte-identically at the same seed) and gate every boolean plus the
-# searched budget/seed/schedule against bench/adversary_baseline.json.
-# The committed counterexample fixture must also still replay
-# byte-for-byte through the csm_adversary CLI.
+# certification of all four bounds (search at b = muN must find no
+# violation, at b = muN + 1 must find a shrunk replayable witness,
+# twice byte-identically at the same seed) and gate every boolean plus
+# the bound count and the searched budget/seed/schedule against
+# bench/adversary_baseline.json.  The three committed counterexample
+# fixtures must also still replay byte-for-byte through the
+# csm_adversary CLI.
 adversary-smoke:
 	dune exec bench/main.exe -- --adversary-smoke \
 	  --out /tmp/csm_ci_adversary_bench.json
 	dune exec bin/bench_gate.exe -- --current /tmp/csm_ci_adversary_bench.json \
 	  --baseline bench/adversary_baseline.json
-	dune exec bin/csm_adversary.exe -- \
-	  --replay test/fixtures/adversary_decode.json
+	for f in decode output totality; do \
+	  dune exec bin/csm_adversary.exe -- \
+	    --replay test/fixtures/adversary_$$f.json || exit 1; \
+	done
 	@echo "adversary-smoke: ok"
 
 # End-to-end cluster benchmark smoke (bench/e2e, see its README): short

@@ -233,19 +233,6 @@ let bench_rs_gao =
       let k, pairs = rs_instance n in
       Staged.stage (fun () -> assert (RS.decode_gao ~k pairs <> None)))
 
-(* syndrome decoder on classical points (n | p-1) *)
-module BMD = Csm_rs.Bm.Make (F)
-
-let bench_rs_bm =
-  Test.make_indexed ~name:"berlekamp-massey" ~args:[ 16; 32; 64 ] (fun n ->
-      let k = n / 3 in
-      let inst = BMD.instance ~n in
-      let rng = Csm_rng.create (0xB3 + n) in
-      let msg = BMD.P.random rng ~degree:(k - 1) in
-      let word = BMD.encode inst ~message:msg in
-      let corrupted, _ = RS.corrupt rng ~count:((n - k) / 2) word in
-      Staged.stage (fun () -> assert (BMD.decode inst ~k corrupted <> None)))
-
 (* fault-free word through a prepared context: the optimistic hit path *)
 let bench_rs_optimistic =
   Test.make_indexed ~name:"optimistic-fastpath" ~args:[ 16; 32; 64 ] (fun n ->
@@ -260,7 +247,7 @@ let bench_rs_optimistic =
 
 let rs_group =
   Test.make_grouped ~name:"rs"
-    [ bench_rs_bw; bench_rs_gao; bench_rs_bm; bench_rs_optimistic ]
+    [ bench_rs_bw; bench_rs_gao; bench_rs_optimistic ]
 
 (* ----- INTERMIX (Figure 5) ----- *)
 
@@ -1124,8 +1111,8 @@ let run_adversary_smoke ~out =
   let seed = 0xAD5E in
   let schedule = Adv.Search.Exhaustive in
   let certify () =
-    (* the oracles already run metrics-disabled; reset any ambient
-       registry state so the second run starts from the same world *)
+    (* verdicts never read metrics; reset any ambient registry state
+       so the second run starts from the same world *)
     if MetricO.enabled () then MetricO.reset ();
     Adv.Certify.all ~schedule ~budget ~seed ()
   in

@@ -142,7 +142,7 @@ let () =
       & info [ "bound" ] ~docv:"BOUND"
           ~doc:
             "Bound to certify: decode-sync, decode-partial, \
-             output-delivery, input-totality or all (the three certified \
+             output-delivery, input-totality or all (the four certified \
              Table-2 families).")
   in
   let budget =

@@ -14,7 +14,8 @@ module Table2 = Csm_harness.Table2
 
 type bound = Decode_sync | Decode_partial | Output_delivery | Input_totality
 
-let certified_bounds = [ Decode_sync; Output_delivery; Input_totality ]
+let certified_bounds =
+  [ Decode_sync; Decode_partial; Output_delivery; Input_totality ]
 
 let bound_name = function
   | Decode_sync -> "decode-sync"
@@ -93,6 +94,18 @@ let instance_for bound ~seed =
     in
     { n; k = 1; d = 1; b = (n - 1) / 3; rounds = 1; seed }
 
+(* The defender's parameters must be feasible in the bound's network
+   (input totality runs PBFT, the partial-synchrony consensus): the
+   oracles build their engine or PBFT configuration from them. *)
+let feasible bound inst =
+  let network =
+    match bound with
+    | Decode_sync | Output_delivery -> Params.Sync
+    | Decode_partial | Input_totality -> Params.Partial_sync
+  in
+  Params.valid
+    { Params.n = inst.n; k = inst.k; d = inst.d; b = inst.b; network }
+
 type violation_kind = Safety | Liveness
 
 let violation_kind_name = function Safety -> "safety" | Liveness -> "liveness"
@@ -121,8 +134,9 @@ let eq_mat a b =
   Array.iteri (fun i row -> if not (eq_vec row b.(i)) then ok := false) a;
   !ok
 
-(* The perturbed result vector node [i] reports to [observer] in round
-   [r] under [act].  Codeword: one δ(z) of degree < code_dimension
+(* The perturbed vector node [i] reports to [observer] in round [r]
+   under [act]: an execution result (decode oracles) or the client's
+   output (output oracle).  Codeword: one δ(z) of degree < code_dimension
    shared by every colluder, evaluated at the liar's own point — the
    consistent fake that makes the bound exactly tight. *)
 let corrupt_result engine ~act ~node:i ~round:r ~observer:o v =
@@ -183,16 +197,23 @@ let observers_of inst strat =
   in
   take 4 all
 
-let check_decode ~partial inst strat =
+(* The instance's engine: the degree-d machine from initial states
+   drawn from [inst.seed]'s stream, which the caller keeps drawing
+   from. *)
+let instance_engine ~network inst =
   let machine = M.degree_machine inst.d in
-  let network = if partial then Params.Partial_sync else Params.Sync in
   let params = Params.make ~network ~n:inst.n ~k:inst.k ~d:inst.d ~b:inst.b in
   let rng = Csm_rng.create inst.seed in
   let init =
     Array.init inst.k (fun _ ->
         Array.init machine.M.state_dim (fun _ -> F.random rng))
   in
-  let engine = E.create ~machine ~params ~init in
+  (E.create ~machine ~params ~init, rng)
+
+let check_decode ~partial inst strat =
+  let network = if partial then Params.Partial_sync else Params.Sync in
+  let engine, rng = instance_engine ~network inst in
+  let machine = engine.E.machine in
   let byz = Strategy.byz_nodes strat in
   let is_byz i = List.mem i byz in
   let observers = observers_of inst strat in
@@ -273,7 +294,11 @@ let check_decode ~partial inst strat =
   in
   { verdict; signal = !signal }
 
+(* The client's vote on one output.  Every node answers [truth]; a
+   liar's answer is its action read by [corrupt_result] with the client
+   (endpoint [n]) as the observer, and any Silence withholds it. *)
 let check_output inst strat =
+  let engine, _ = instance_engine ~network:Params.Sync inst in
   let truth = [| F.of_int 7 |] in
   let threshold = inst.b + 1 in
   let byz = Strategy.byz_nodes strat in
@@ -288,28 +313,11 @@ let check_output inst strat =
           | Some (Strategy.Silence _) ->
             signal := !signal +. 0.25;
             None
-          | Some (Strategy.Shift c) ->
+          | Some act ->
             signal := !signal +. 1.0;
-            Some (Array.map (fun x -> F.add x (F.of_int c)) truth)
-          | Some (Strategy.Coord { index; delta }) ->
-            signal := !signal +. 1.0;
-            let v = Array.copy truth in
-            if index >= 0 && index < Array.length v then
-              v.(index) <- F.add v.(index) (F.of_int delta);
-            Some v
-          | Some (Strategy.Codeword { seed }) ->
-            (* the shared colluding lie: same seed → same vector *)
-            signal := !signal +. 1.0;
-            let r = Csm_rng.create (0xD0 + seed) in
-            Some (Array.map (fun x -> F.add x (F.random r)) truth)
-          | Some (Strategy.Garbage { seed }) ->
-            signal := !signal +. 1.0;
-            let r = Csm_rng.create (seed + (i * 131)) in
-            Some (Array.map (fun _ -> F.random r) truth)
-          | Some (Strategy.Equivocate { seed }) ->
-            signal := !signal +. 1.0;
-            let r = Csm_rng.create (seed + (i * 131) + 7) in
-            Some (Array.map (fun _ -> F.random r) truth))
+            Some
+              (corrupt_result engine ~act ~node:i ~round:0 ~observer:inst.n
+                 truth))
       (List.init inst.n (fun i -> i))
   in
   let verdict =

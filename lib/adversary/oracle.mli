@@ -17,9 +17,8 @@ type bound =
   | Input_totality  (** 3b + 1 ≤ N (PBFT, partial synchrony) *)
 
 val certified_bounds : bound list
-(** The three Table-2 bound families certified by the smoke gate (one
-    representative per inequality; [Decode_partial] stays reachable from
-    the CLI). *)
+(** The four Table-2 bound families certified by the smoke gate, one
+    representative per inequality. *)
 
 val bound_name : bound -> string
 val bound_of_name : string -> (bound, string) result
@@ -38,6 +37,12 @@ val instance_for : bound -> seed:int -> instance
 (** The standard instance (first matching [Table2.standard_cases]
     entry) with the defender bound computed from the paper's
     inequality. *)
+
+val feasible : bound -> instance -> bool
+(** Whether the bound's oracle can run [instance]: its parameters pass
+    {!Csm_core.Params.valid} in the bound's network (partial synchrony
+    for decode-partial and input-totality, synchrony otherwise).  Every
+    {!instance_for} instance is feasible. *)
 
 type violation_kind = Safety | Liveness
 
@@ -66,8 +71,8 @@ val corrupt_result :
   observer:int ->
   Csm_field.Fp.Default.t array ->
   Csm_field.Fp.Default.t array
-(** The result vector [node] reports to [observer] in [round] under
-    [act], given its honest vector: what each strategy-DSL action means
-    for an execution result, as the decode oracles apply it.  [Silence]
-    returns the vector unchanged (withholding is the caller's
-    decision). *)
+(** The vector [node] reports to [observer] in [round] under [act],
+    given its honest vector: what each strategy-DSL action means, as the
+    decode oracles apply it to execution results and the output oracle
+    to the client's output (observer [n]).  [Silence] returns the vector
+    unchanged (withholding is the caller's decision). *)

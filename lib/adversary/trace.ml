@@ -92,6 +92,10 @@ let of_json j =
   else
     let* bound = Result.bind (str_field j "bound") Oracle.bound_of_name in
     let* instance = Result.bind (obj_field j "instance") instance_of_json in
+    let* () =
+      if Oracle.feasible bound instance then Ok ()
+      else Error "instance is infeasible for its bound"
+    in
     let* strategy = Result.bind (obj_field j "strategy") Strategy.of_json in
     let* violation = obj_field j "violation" in
     let* kind =

@@ -28,6 +28,8 @@ type t = {
 
 val to_json : t -> Csm_obs.Json.t
 val of_json : Csm_obs.Json.t -> (t, string) result
+(** Total: a malformed document, or an instance the bound's oracle
+    cannot run ({!Oracle.feasible}), is an [Error]. *)
 
 val to_string : t -> string
 (** Canonical bytes: JSON document plus a trailing newline. *)

@@ -128,7 +128,7 @@ module Make (F : Field_intf.S) = struct
         keyring = cfg.keyring;
       }
     in
-    let proposal = W.encode_commands commands in
+    let proposal = W.encode_commands_bin commands in
     let byz i =
       if not (adv.byzantine i) then None
       else if i = leader && adv.consensus_equivocate then
@@ -138,7 +138,7 @@ module Make (F : Field_intf.S) = struct
         in
         Some
           (DS.equivocating_leader ds_cfg ~me:i ~value_a:proposal
-             ~value_b:(W.encode_commands alt))
+             ~value_b:(W.encode_commands_bin alt))
       else Some Net.silent
     in
     let { DS.decisions; _ } = DS.run ds_cfg ~proposal ~byzantine:byz () in
@@ -162,7 +162,7 @@ module Make (F : Field_intf.S) = struct
           if not (validate s) then Skipped
           else begin
             match
-              W.decode_commands ~k:p.Params.k
+              W.decode_commands_bin ~k:p.Params.k
                 ~dim:
                   (match commands with
                   | [||] -> 0
@@ -186,7 +186,7 @@ module Make (F : Field_intf.S) = struct
         keyring = cfg.keyring;
       }
     in
-    let proposal = W.encode_commands commands in
+    let proposal = W.encode_commands_bin commands in
     let latency =
       Net.partial_sync ~gst:cfg.gst ~delta:cfg.delta
         ~pre:(fun ~src:_ ~dst:_ ~now:_ -> cfg.pre_gst_delay)
@@ -210,7 +210,7 @@ module Make (F : Field_intf.S) = struct
       else if not (validate first) then Skipped
       else begin
         match
-          W.decode_commands ~k:p.Params.k
+          W.decode_commands_bin ~k:p.Params.k
             ~dim:
               (match commands with
               | [||] -> 0
@@ -569,7 +569,7 @@ module Make (F : Field_intf.S) = struct
           heads
       in
       (* validity: the agreed value must be exactly the pool heads *)
-      let expected = W.encode_commands commands in
+      let expected = W.encode_commands_bin commands in
       let validate s = String.equal s expected in
       let outcome = run_round ~scope ~validate cfg engine ~round:r ~commands adv in
       outcomes := outcome :: !outcomes;

@@ -78,8 +78,9 @@ module Make (F : Field_intf.S) : sig
     commands:F.t array array ->
     adversary ->
     round_outcome
-  (** [validate] is applied by honest nodes to the agreed wire value
-      (the Validity property); rejection skips the round consistently. *)
+  (** [validate] is applied by honest nodes to the agreed value, the
+      round's Command frame payload ([W.encode_commands_bin]) (the
+      Validity property); rejection skips the round consistently. *)
 
   val run :
     ?scope:Csm_metrics.Scope.t ->

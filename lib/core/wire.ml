@@ -1,72 +1,17 @@
-(* Wire serialization of field-element vectors.
-
-   Two formats, both deterministic:
-
-   - a decimal string encoding, used as the consensus value format
-     (consensus protocols agree on byte strings, and signed values are
-     compared as strings, so the encoding must be canonical: exactly
-     one accepted spelling per vector);
-   - a fixed-width binary encoding (8-byte big-endian per element),
-     used as [Csm_wire.Frame] payloads by the real transports and by
-     the simulator's byte accounting.
+(* Wire serialization of field-element vectors: a fixed-width binary
+   encoding (8-byte big-endian per element).  It is the one format for
+   field vectors: [Csm_wire.Frame] payloads on the real transports, the
+   simulator's byte accounting, and the byte strings the simulated
+   consensus protocols agree on (a round's command proposal is exactly
+   the payload of the wire's Command frame).
 
    Every decoder is total and exact: inputs with trailing garbage,
-   non-canonical digits, truncated or extended bodies yield [None] and
-   never raise — a Byzantine peer must not be able to crash a decoder
-   or sneak two spellings of the same value past a string equality
-   check. *)
+   out-of-range elements, truncated or extended bodies yield [None] and
+   never raise — a Byzantine peer must not be able to crash a decoder. *)
 
 module Field_intf = Csm_field.Field_intf
 
 module Make (F : Field_intf.S) = struct
-  (* ----- canonical decimal strings (consensus values) ----- *)
-
-  let encode_vector (v : F.t array) =
-    String.concat "," (Array.to_list (Array.map (fun x -> string_of_int (F.to_int x)) v))
-
-  (* Strict non-negative decimal: digits only, no leading zeros (except
-     "0" itself), at most 18 digits (< 2⁶⁰, comfortably inside native
-     int).  [int_of_string]'s leniency (underscores, 0x/0o/0b prefixes,
-     leading zeros) would accept many spellings of one value — trailing
-     garbage like "3_" decodes as 3 — which breaks the canonicity the
-     consensus layer relies on. *)
-  let parse_nat s =
-    let len = String.length s in
-    if len = 0 || len > 18 then None
-    else if len > 1 && s.[0] = '0' then None
-    else
-      let rec go i acc =
-        if i = len then Some acc
-        else
-          match s.[i] with
-          | '0' .. '9' as c -> go (i + 1) ((acc * 10) + (Char.code c - 48))
-          | _ -> None
-      in
-      go 0 0
-
-  let decode_vector ~dim s =
-    if s = "" && dim = 0 then Some [||]
-    else
-      let parts = String.split_on_char ',' s in
-      if List.length parts <> dim then None
-      else
-        let decoded = List.filter_map parse_nat parts in
-        if List.length decoded <> dim then None
-        else Some (Array.of_list (List.map F.of_int decoded))
-
-  (* K command vectors, ';'-separated. *)
-  let encode_commands (commands : F.t array array) =
-    String.concat ";" (Array.to_list (Array.map encode_vector commands))
-
-  let decode_commands ~k ~dim s =
-    let parts = String.split_on_char ';' s in
-    if List.length parts <> k then None
-    else
-      let decoded = List.filter_map (decode_vector ~dim) parts in
-      if List.length decoded = k then Some (Array.of_list decoded) else None
-
-  (* ----- fixed-width binary (transport frame payloads) ----- *)
-
   let elt_bytes = 8
   let vector_bytes ~dim = dim * elt_bytes
   let commands_bytes ~k ~dim = k * vector_bytes ~dim

@@ -1,29 +1,16 @@
-(** Deterministic wire encodings of field-element vectors: canonical
-    decimal strings (the consensus value format) and fixed-width binary
-    (the [Csm_wire.Frame] payload format of the real transports).
+(** Deterministic fixed-width binary encoding of field-element vectors
+    (8-byte big-endian per element): the [Csm_wire.Frame] payload format
+    of the real transports, the simulator's byte accounting, and the
+    value format of the simulated consensus protocols, which agree on
+    exactly the bytes of the wire's Command frame.
 
-    Every decoder is total and exact — trailing garbage, non-canonical
-    digits, truncated or extended bodies yield [None], never an
+    Every decoder is total and exact — out-of-range elements, trailing
+    garbage, truncated or extended bodies yield [None], never an
     exception. *)
 
 module Field_intf = Csm_field.Field_intf
 
 module Make (F : Field_intf.S) : sig
-  (** {1 Canonical decimal strings} *)
-
-  val encode_vector : F.t array -> string
-
-  val decode_vector : dim:int -> string -> F.t array option
-  (** Strict: exactly [dim] comma-separated canonical decimals (digits
-      only, no leading zeros, ≤ 18 digits). *)
-
-  val encode_commands : F.t array array -> string
-  (** K command vectors, ';'-separated. *)
-
-  val decode_commands : k:int -> dim:int -> string -> F.t array array option
-
-  (** {1 Fixed-width binary (frame payloads)} *)
-
   val elt_bytes : int
   (** 8: each element is one big-endian u64. *)
 

@@ -97,7 +97,7 @@ let enumerate_deterministic () =
   in
   check int "largest subsets first" 3 (List.hd sizes)
 
-(* ----- oracle pins: the three Table-2 bounds are tight ----- *)
+(* ----- oracle pins: the four Table-2 bounds are tight ----- *)
 
 (* At the defender bound the full bounded-exhaustive class must be
    safe; one node past it the recorded fixture strategy must violate.
@@ -119,8 +119,51 @@ let bound_tight bound () =
   checkb "witness at b+1" true (above.Search.witnesses <> [])
 
 let decode_sync_tight = bound_tight Oracle.Decode_sync
+let decode_partial_tight = bound_tight Oracle.Decode_partial
 let output_delivery_tight = bound_tight Oracle.Output_delivery
 let input_totality_tight = bound_tight Oracle.Input_totality
+
+(* Each DSL action, run by nodes 0..m-1 at m = b and m = b + 1 on the
+   output-delivery instance.  At b the client's vote is safe.  Past it,
+   a lie every liar tells alike (shift, one-coordinate, the colluding
+   codeword) forges the output, and silence or per-node lies leave no
+   value with b + 1 votes.  The signal counts 0.25 per withholder and 1
+   per liar. *)
+let output_verdicts_by_action () =
+  let bound = Oracle.Output_delivery in
+  let instance = Oracle.instance_for bound ~seed in
+  let b = instance.Oracle.b in
+  let describe = function
+    | Oracle.Safe -> "safe"
+    | Oracle.Violation { kind; detail } ->
+      Oracle.violation_kind_name kind ^ ": " ^ detail
+  in
+  let forged = "safety: client accepted a forged output" in
+  let no_value = "liveness: client vote reached no value" in
+  List.iter
+    (fun (name, act, weight, above) ->
+      List.iter
+        (fun (m, expect) ->
+          let step = { Strategy.rounds = Strategy.Always; act } in
+          let plan node = { Strategy.node; steps = [ step ] } in
+          let r =
+            Oracle.check bound instance (Strategy.make (List.init m plan))
+          in
+          let what = Printf.sprintf "%s by %d nodes" name m in
+          check string (what ^ ": verdict") expect (describe r.Oracle.verdict);
+          check (float 0.0) (what ^ ": signal")
+            (weight *. float_of_int m)
+            r.Oracle.signal)
+        [ (b, "safe"); (b + 1, above) ])
+    [
+      ("silence", Strategy.Silence [], 0.25, no_value);
+      ("selective silence", Strategy.Silence [ 0 ], 0.25, no_value);
+      ("shift", Strategy.Shift 1, 1.0, forged);
+      ("coord", Strategy.Coord { index = 0; delta = 1 }, 1.0, forged);
+      ("codeword", Strategy.Codeword { seed = 0xC0DE }, 1.0, forged);
+      ("garbage", Strategy.Garbage { seed = 0x6AB }, 1.0, no_value);
+      ("equivocate", Strategy.Equivocate { seed = 0xE9 }, 1.0, no_value);
+    ]
 
 let oracle_deterministic () =
   let bound = Oracle.Decode_sync in
@@ -193,6 +236,29 @@ let fixture_replays name () =
     match Trace.replay t with
     | Ok () -> ()
     | Error m -> failf "%s does not replay: %s" path m)
+
+(* Every standard instance is feasible; a trace whose instance the
+   bound's oracle cannot run (b past the defender bound, no nodes) is a
+   load error, not an exception at replay. *)
+let infeasible_instances_rejected () =
+  List.iter
+    (fun bound ->
+      checkb (Oracle.bound_name bound ^ " standard instance") true
+        (Oracle.feasible bound (Oracle.instance_for bound ~seed)))
+    Oracle.certified_bounds;
+  List.iter
+    (fun (name, bump) ->
+      match Trace.load ~path:(fixture name) with
+      | Error m -> failf "%s: %s" name m
+      | Ok t ->
+        let bad = { t with Trace.instance = bump t.Trace.instance } in
+        checkb (name ^ " infeasible instance rejected") true
+          (Result.is_error (Trace.of_json (Trace.to_json bad))))
+    [
+      ("decode", fun i -> { i with Oracle.b = i.Oracle.b + 1 });
+      ("output", fun i -> { i with Oracle.b = i.Oracle.b + 1 });
+      ("totality", fun i -> { i with Oracle.n = 0 });
+    ]
 
 (* Verdicts depend only on the bound, instance and strategy: with
    metrics on and csm_node_suspicion raised for every node, or for the
@@ -314,9 +380,12 @@ let suites =
         test_case "enumerate: deterministic, largest first" `Quick
           enumerate_deterministic;
         test_case "decode-sync bound is tight" `Quick decode_sync_tight;
+        test_case "decode-partial bound is tight" `Quick decode_partial_tight;
         test_case "output-delivery bound is tight" `Quick output_delivery_tight;
         test_case "input-totality bound is tight" `Quick input_totality_tight;
         test_case "oracle verdicts are deterministic" `Quick oracle_deterministic;
+        test_case "output verdicts per action at b and b+1" `Quick
+          output_verdicts_by_action;
         test_case "shrink reaches a canonical local minimum" `Quick
           shrink_minimizes;
         test_case "decode fixture replays byte-for-byte" `Quick
@@ -325,6 +394,8 @@ let suites =
           (fixture_replays "output");
         test_case "totality fixture replays byte-for-byte" `Quick
           (fixture_replays "totality");
+        test_case "trace rejects an infeasible instance" `Quick
+          infeasible_instances_rejected;
         test_case "oracle verdicts ignore metrics state" `Quick
           verdicts_ignore_metrics;
         test_case "certify_bound: input-totality end to end" `Quick

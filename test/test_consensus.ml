@@ -1,6 +1,7 @@
 (* Consensus: Dolev–Strong agreement/validity under equivocation and
    silence; PBFT happy path, crash/Byzantine leaders, view changes, and
-   partial synchrony with adversarial pre-GST delays. *)
+   partial synchrony with adversarial pre-GST delays; randomized fuzzing
+   of both protocols under random Byzantine subsets. *)
 
 module Auth = Csm_crypto.Auth
 module Net = Csm_sim.Net
@@ -279,6 +280,96 @@ let ds_trace_invariants () =
   Alcotest.(check (list string)) "no violations" [] (Trace.check t);
   Alcotest.(check bool) "decided" true (decisions.(1) = DS.Decided "tv")
 
+(* ----- randomized consensus fuzzing ----- *)
+
+(* one keyring per trial, seeded by the trial *)
+let keyring n seed = Auth.create_keyring (Csm_rng.create seed) ~n
+
+(* Random Byzantine subsets (within bounds) with random strategies:
+   agreement must hold among honest nodes in every sampled scenario. *)
+let fuzz_dolev_strong () =
+  let rng = Csm_rng.create 0xF02 in
+  for trial = 1 to 25 do
+    let n = 4 + Csm_rng.int rng 6 in
+    let f = Csm_rng.int rng (n - 1) in
+    let cfg =
+      {
+        DS.n;
+        f;
+        leader = 0;
+        delta = 10;
+        instance = Printf.sprintf "fuzz-%d" trial;
+        keyring = keyring n (trial * 31);
+      }
+    in
+    let byz = Array.init n (fun _ -> Csm_rng.int rng n < f) in
+    byz.(0) <- Csm_rng.bool rng && f > 0;
+    let nbyz = Array.fold_left (fun a b -> if b then a + 1 else a) 0 byz in
+    if nbyz <= f then begin
+      let strategy i : DS.msg Net.behavior option =
+        if not byz.(i) then None
+        else if i = 0 then
+          Some
+            (DS.equivocating_leader cfg ~me:0 ~value_a:"A" ~value_b:"B")
+        else Some Net.silent
+      in
+      let { DS.decisions; _ } = DS.run cfg ~proposal:"P" ~byzantine:strategy () in
+      let honest =
+        List.filter_map
+          (fun i -> if byz.(i) then None else Some decisions.(i))
+          (List.init n (fun i -> i))
+      in
+      match honest with
+      | [] -> ()
+      | first :: rest ->
+        List.iter
+          (fun d ->
+            if d <> first then
+              Alcotest.failf "DS fuzz trial %d: disagreement" trial)
+          rest
+    end
+  done
+
+let fuzz_pbft () =
+  let rng = Csm_rng.create 0xF03 in
+  for trial = 1 to 12 do
+    let f = 1 + Csm_rng.int rng 2 in
+    let n = (3 * f) + 1 in
+    let cfg =
+      {
+        Pbft.n;
+        f;
+        base_timeout = 2000;
+        instance = Printf.sprintf "fuzzp-%d" trial;
+        keyring = keyring n (trial * 53);
+      }
+    in
+    (* random f nodes silent *)
+    let bad = Csm_rng.sample rng ~n ~k:f in
+    let byz i = if Array.mem i bad then Some Net.silent else None in
+    let { Pbft.decisions; _ } =
+      Pbft.run cfg
+        ~proposals:(fun i -> Some (Printf.sprintf "p%d" i))
+        ~byzantine:byz ()
+    in
+    let honest =
+      List.filter_map
+        (fun i -> if Array.mem i bad then None else decisions.(i))
+        (List.init n (fun i -> i))
+    in
+    (match honest with
+    | [] -> Alcotest.failf "PBFT fuzz trial %d: no honest decisions" trial
+    | first :: rest ->
+      List.iter
+        (fun d ->
+          if not (String.equal d first) then
+            Alcotest.failf "PBFT fuzz trial %d: disagreement" trial)
+        rest);
+    if List.length honest <> n - f then
+      Alcotest.failf "PBFT fuzz trial %d: liveness (%d/%d decided)" trial
+        (List.length honest) (n - f)
+  done
+
 let suites =
   [
     ( "consensus:dolev-strong",
@@ -306,5 +397,11 @@ let suites =
           pbft_equivocating_leader_safe;
         Alcotest.test_case "forged message ignored" `Quick
           pbft_forged_message_ignored;
+      ] );
+    ( "consensus:fuzz",
+      [
+        Alcotest.test_case "dolev-strong random adversaries" `Quick
+          fuzz_dolev_strong;
+        Alcotest.test_case "pbft random crash subsets" `Quick fuzz_pbft;
       ] );
   ]

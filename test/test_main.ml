@@ -15,7 +15,6 @@ let () =
          Test_protocol.suites;
          Test_extensions.suites;
          Test_clients.suites;
-         Test_chain.suites;
          Test_circuit.suites;
          Test_metrics.suites;
          Test_field.suites;

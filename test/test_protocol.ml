@@ -175,29 +175,6 @@ let storage_stays_coded () =
   Alcotest.(check bool) "coded states consistent" true
     (E.consistent_with engine ~states:!states)
 
-let wire_roundtrip () =
-  let module W = P.W in
-  for _ = 1 to 50 do
-    let k = 1 + Csm_rng.int rng 5 in
-    let dim = 1 + Csm_rng.int rng 4 in
-    let cmds = Array.init k (fun _ -> Array.init dim (fun _ -> F.random rng)) in
-    match W.decode_commands ~k ~dim (W.encode_commands cmds) with
-    | None -> Alcotest.fail "wire roundtrip failed"
-    | Some back ->
-      Array.iteri
-        (fun i v ->
-          Array.iteri
-            (fun j x ->
-              if not (F.equal x back.(i).(j)) then Alcotest.fail "wire value")
-            v)
-        cmds
-  done;
-  (* malformed rejected *)
-  Alcotest.(check bool) "bad arity" true
-    (P.W.decode_commands ~k:2 ~dim:1 "1" = None);
-  Alcotest.(check bool) "bad int" true
-    (P.W.decode_commands ~k:1 ~dim:1 "xyz" = None)
-
 (* Differential testing: the networked protocol and the pure engine,
    fed identical commands, must produce identical per-round outputs and
    end in identical coded states (the network layer adds no semantics). *)
@@ -266,7 +243,6 @@ let suites =
         Alcotest.test_case "figure-2 scenario" `Quick figure2_scenario;
         Alcotest.test_case "coded storage stays consistent" `Quick
           storage_stays_coded;
-        Alcotest.test_case "wire roundtrip" `Quick wire_roundtrip;
         QCheck_alcotest.to_alcotest ~long:false protocol_vs_engine_differential;
       ] );
   ]

@@ -260,105 +260,18 @@ let optimistic_fallback_matches_gao () =
       if not (P.equal d.RS.poly msg) then Alcotest.fail "gao wrong poly"
   done
 
-(* ----- syndrome decoder (BM + Chien) on classical points ----- *)
-
-module BM = Bm.Make (F)
-
-let bm_roundtrip_and_errors () =
-  (* n must divide |F|-1 = 2^27·3·5 *)
-  List.iter
-    (fun (n, k) ->
-      let inst = BM.instance ~n in
-      for _ = 1 to 15 do
-        let msg = if k = 1 then BM.P.constant (F.random rng) else BM.P.random rng ~degree:(k - 1) in
-        let word = BM.encode inst ~message:msg in
-        let t_cap = (n - k) / 2 in
-        let e = Csm_rng.int rng (t_cap + 1) in
-        let corrupted, positions = RS.corrupt rng ~count:e word in
-        match BM.decode inst ~k corrupted with
-        | None -> Alcotest.failf "bm failed with e=%d <= %d (n=%d,k=%d)" e t_cap n k
-        | Some d ->
-          if not (BM.P.equal d.BM.message msg) then Alcotest.fail "bm wrong poly";
-          Alcotest.(check (list int)) "positions" positions
-            (List.sort Int.compare d.BM.error_positions)
-      done)
-    [ (15, 5); (16, 4); (32, 8); (30, 10); (60, 20) ]
-
-let bm_agrees_with_bw () =
-  (* same instances decoded by BM and by Berlekamp–Welch over the same
-     structured points *)
-  let n = 30 and k = 8 in
-  let inst = BM.instance ~n in
-  let alpha = Option.get (F.root_of_unity n) in
-  let points = Array.init n (fun i -> F.pow alpha i) in
-  for _ = 1 to 15 do
-    let word = Array.init n (fun _ -> F.random rng) in
-    let pairs = Array.map2 (fun x y -> (x, y)) points word in
-    match (BM.decode inst ~k word, RS.decode_bw ~k pairs) with
-    | None, None -> ()
-    | Some a, Some b ->
-      if not (BM.P.equal a.BM.message b.RS.poly) then
-        Alcotest.fail "bm and bw disagree"
-    | Some _, None -> Alcotest.fail "bm decoded, bw did not"
-    | None, Some _ -> Alcotest.fail "bw decoded, bm did not"
-  done
-
-let bm_beyond_radius_fails () =
-  let n = 16 and k = 4 in
-  let inst = BM.instance ~n in
-  let msg = BM.P.random rng ~degree:(k - 1) in
-  let word = BM.encode inst ~message:msg in
-  let t_cap = (n - k) / 2 in
-  let corrupted, _ = RS.corrupt rng ~count:(t_cap + 2) word in
-  match BM.decode inst ~k corrupted with
-  | None -> () (* the usual outcome beyond the radius *)
-  | Some d ->
-    (* decode certifies internally (all syndromes vanish after
-       correction), so a Some here means the corruption happened to land
-       within distance t of ANOTHER codeword; it must then differ from
-       the original message *)
-    Alcotest.(check bool) "different codeword" true
-      (not (BM.P.equal d.BM.message msg))
-
-let bm_zero_codeword () =
-  let n = 16 and k = 4 in
-  let inst = BM.instance ~n in
-  let word = Array.make n F.zero in
-  let corrupted, _ = RS.corrupt rng ~count:((n - k) / 2) word in
-  match BM.decode inst ~k corrupted with
-  | Some d when BM.P.is_zero d.BM.message -> ()
-  | Some _ -> Alcotest.fail "bm wrong poly for zero codeword"
-  | None -> Alcotest.fail "bm failed on zero codeword"
-
-(* Regression: a received word of the wrong length (a Byzantine node
-   truncating or padding its share) must yield None, not an exception. *)
-let bm_wrong_length_is_none () =
-  let n = 16 and k = 4 in
-  let inst = BM.instance ~n in
-  let word = BM.encode inst ~message:(BM.P.random rng ~degree:(k - 1)) in
-  List.iter
-    (fun len ->
-      Alcotest.(check bool)
-        (Printf.sprintf "len %d -> None" len)
-        true
-        (Option.is_none
-           (BM.decode inst ~k (Array.sub (Array.append word word) 0 len))))
-    [ 0; 1; n - 1; n + 1; 2 * n ]
-
 (* ----- cross-decoder agreement (QCheck) ----- *)
 
-(* On classical points (powers of a primitive n-th root of unity, so the
-   syndrome decoder applies too), all five decode entry points must
-   agree: BW, Gao, BM, optimistic, and [RS.decode] at its default
-   algorithm.  Within the radius they must all return the original
-   message; beyond it they must still agree with each other (including
-   agreeing to fail). *)
+(* On classical points (powers of a primitive n-th root of unity), all
+   four decode entry points must agree: BW, Gao, optimistic, and
+   [RS.decode] at its default algorithm.  Within the radius they must
+   all return the original message; beyond it they must still agree
+   with each other (including agreeing to fail). *)
 let qcheck_cross_decoder =
   let n = 30 in
-  let inst = BM.instance ~n in
   let alpha = Option.get (F.root_of_unity n) in
   let pts = Array.init n (fun i -> F.pow alpha i) in
-  QCheck.Test.make ~name:"five decoders agree on classical points" ~count:120
+  QCheck.Test.make ~name:"four decoders agree on classical points" ~count:120
     QCheck.(triple (int_range 1 8) (int_range 0 15) (int_range 0 1_000_000))
     (fun (k, e, seed) ->
       let r = Csm_rng.create (0xC0DE + seed) in
@@ -376,10 +289,7 @@ let qcheck_cross_decoder =
           RS.decode ~k pairs;
         ]
       in
-      let polys =
-        List.map (Option.map (fun d -> d.RS.poly)) rs_results
-        @ [ Option.map (fun d -> d.BM.message) (BM.decode inst ~k corrupted) ]
-      in
+      let polys = List.map (Option.map (fun d -> d.RS.poly)) rs_results in
       let same a b =
         match (a, b) with
         | None, None -> true
@@ -395,7 +305,6 @@ let all_none_beyond_radius () =
      (deterministic seeds — a coincidental nearby codeword would show up
      as a stable failure here, not flakiness). *)
   let n = 24 and k = 6 in
-  let inst = BM.instance ~n in
   let alpha = Option.get (F.root_of_unity n) in
   let pts = Array.init n (fun i -> F.pow alpha i) in
   let e = RS.max_errors ~n ~k + 1 in
@@ -408,9 +317,7 @@ let all_none_beyond_radius () =
     Alcotest.(check bool) "gao none" true
       (Option.is_none (RS.decode_gao ~k pairs));
     Alcotest.(check bool) "optimistic none" true
-      (Option.is_none (RS.decode_optimistic ~k pairs));
-    Alcotest.(check bool) "bm none" true
-      (Option.is_none (BM.decode inst ~k corrupted))
+      (Option.is_none (RS.decode_optimistic ~k pairs))
   done
 
 let suites =
@@ -441,15 +348,5 @@ let suites =
         QCheck_alcotest.to_alcotest ~long:false qcheck_cross_decoder;
         Alcotest.test_case "all decoders refuse beyond radius" `Quick
           all_none_beyond_radius;
-      ] );
-    ( "reed-solomon:bm",
-      [
-        Alcotest.test_case "BM roundtrip + random errors" `Quick
-          bm_roundtrip_and_errors;
-        Alcotest.test_case "BM agrees with BW" `Quick bm_agrees_with_bw;
-        Alcotest.test_case "BM beyond radius" `Quick bm_beyond_radius_fails;
-        Alcotest.test_case "BM zero codeword" `Quick bm_zero_codeword;
-        Alcotest.test_case "BM wrong-length word is None (regression)" `Quick
-          bm_wrong_length_is_none;
       ] );
   ]
