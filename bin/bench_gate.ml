@@ -7,7 +7,8 @@
    the make target that regenerates that report ("make"), why its
    numbers are what they are ("comment"), and a list of checks.  Each
    check names a report field by dotted path, where "*" stands for every
-   element of a list, and carries exactly one rule:
+   element of a list and a number for one element, and carries exactly
+   one rule:
 
      {"field": F, "equals": V}          boolean, integer or string
      {"field": F, "min": V}             floor
@@ -66,7 +67,7 @@ let rule_of check =
   | _ -> fail_usage "bench_gate: bad check %s" (Json.to_string check)
 
 (* Every (name, value) that a dotted path reaches; "*" fans out over a
-   list, naming each element by its index. *)
+   list and a number picks one element, each named by its index. *)
 let rec resolve name j = function
   | [] -> [ (name, j) ]
   | "*" :: rest -> (
@@ -77,10 +78,17 @@ let rec resolve name j = function
            items)
     | _ -> fail_usage "bench_gate: field %s is not a list" name)
   | key :: rest -> (
-    let name = if name = "" then key else name ^ "." ^ key in
-    match Json.member key j with
-    | Some v -> resolve name v rest
-    | None -> fail_usage "bench_gate: missing field %s" name)
+    match (j, int_of_string_opt key) with
+    | Json.List items, Some i -> (
+      let name = Printf.sprintf "%s[%d]" name i in
+      match if i < 0 then None else List.nth_opt items i with
+      | Some x -> resolve name x rest
+      | None -> fail_usage "bench_gate: missing field %s" name)
+    | _ -> (
+      let name = if name = "" then key else name ^ "." ^ key in
+      match Json.member key j with
+      | Some v -> resolve name v rest
+      | None -> fail_usage "bench_gate: missing field %s" name))
 
 (* The report value read as the bound's type, or exit 2. *)
 let typed name bound v =

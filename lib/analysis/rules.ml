@@ -28,10 +28,10 @@
       every entry there must name such a binding ([Driver.lint_tree]
       reports stale entries).
 
-   R5 decoder totality — wire decoders run on Byzantine input; a
-      [raise]/[failwith]/[Option.get]/[List.hd] inside a [decode_*]
-      body turns malformed bytes into a crash instead of a counted
-      [None]. *)
+   R5 decoder totality — wire decoders and validators run on
+      Byzantine input; a [raise]/[failwith]/[Option.get]/[List.hd]
+      inside a [decode_*] or [valid_*] body turns malformed bytes into
+      a crash instead of a counted [None] or [false]. *)
 
 open Parsetree
 
@@ -168,7 +168,8 @@ let rec binding_name pat =
 
 let r5_scope path name =
   starts_with "lib/" path
-  && (starts_with "decode" name || name = "of_header")
+  && (starts_with "decode" name || starts_with "valid_" name
+     || name = "of_header")
 
 let r5_banned = function
   | [ "failwith" ] | [ "invalid_arg" ] | [ "raise" ] | [ "raise_notrace" ]

@@ -82,19 +82,50 @@ module Make (F : Field_intf.S) = struct
     error_nodes : int list;  (* nodes whose reported results were wrong *)
   }
 
+  (* Decode received (sender, vector) pairs coordinate by coordinate:
+     coordinate j is the Reed–Solomon word (xs.(i), (snd recv.(i)).(j))
+     of dimension [k].  A
+     vector is one message from one sender, so a liar's errors sit at
+     the same positions in every coordinate it touches.  Once a
+     coordinate returns errors, its agreement set A (at least n − e
+     positions) is where every later coordinate is verified, by
+     [RS.decode_on] over a context for A's points built here, once per
+     call: a candidate that explains all of A is that coordinate's
+     unique decode.  A coordinate that does not verify on A (a liar
+     that told the truth on the first faulty coordinate) takes the full
+     decode.  Each result equals per-coordinate [RS.decode]'s, and every
+     coordinate is decoded, even after one fails.  [Gao] decodes each
+     coordinate on its own, as the reference. *)
+  let decode_vectors ~algorithm ?ctx ~k xs (recv : (int * F.t array) array) ~dim =
+    let located = ref None in
+    Array.init dim (fun j ->
+        let pairs = Array.mapi (fun i x -> (x, (snd recv.(i)).(j))) xs in
+        let verified =
+          match !located with
+          | Some (on, actx) -> RS.decode_on ~ctx:actx ~on ~k pairs
+          | None -> None
+        in
+        if Option.is_some verified then verified
+        else begin
+          let d = RS.decode ~algorithm ?ctx ~k pairs in
+          (match (!located, algorithm, d) with
+          | None, RS.Optimistic, Some { RS.errors = _ :: _; agreement; _ } ->
+            let on = Array.of_list agreement in
+            located :=
+              Some (on, RS.prepare_fast ~k (Array.map (fun i -> xs.(i)) on))
+          | _ -> ());
+          d
+        end)
+
   (* Step 4: decode from the received results ((node, vector) pairs;
      missing nodes model withholding).  Attributed to [role].
 
      The algorithm defaults to [RS.Optimistic], which shares one
      [RS.fast_ctx] across all coordinates and rounds, cached on the
      engine per set of reporting nodes and built the first time that
-     set reports.
-
-     The [dim] coordinates are independent Reed–Solomon instances,
-     decoded in order.  Each writes disjoint slots of [next_states] /
-     [outputs] and its own error list, merged afterwards.  All
-     coordinates are decoded even after one fails, so the work (and the
-     operation counts) does not depend on which coordinate failed. *)
+     set reports; its Gao fallback's tree is built the first time the
+     set's round has a lie.  The coordinates go through
+     [decode_vectors]: a faulty round locates its liars once. *)
   let decode_results ?(scope = Scope.null) ?(role = "decoder")
       ?(algorithm = RS.Optimistic) t (received : (int * F.t array) list) :
       decoded option =
@@ -126,6 +157,7 @@ module Make (F : Field_intf.S) = struct
            decode blames it.  The decode never reads them. *)
         if Metric.enabled () then
           List.iter (fun (node, _) -> ignore (Tel.node_suspicion ~node)) received;
+        let coords = decode_vectors ~algorithm ?ctx ~k:kdim xs recv ~dim in
         let next_states =
           Array.init t.params.Params.k (fun _ -> Array.make sd F.zero)
         in
@@ -133,38 +165,27 @@ module Make (F : Field_intf.S) = struct
           Array.init t.params.Params.k (fun _ ->
               Array.make t.machine.M.output_dim F.zero)
         in
-        let coord_ok = Array.make dim true in
-        let coord_errors = Array.make dim [] in
-        for j = 0 to dim - 1 do
-          let pairs =
-            Array.init (Array.length recv) (fun i ->
-                (xs.(i), (snd recv.(i)).(j)))
-          in
-          match RS.decode ~algorithm ?ctx ~k:kdim pairs with
-          | None -> coord_ok.(j) <- false
-          | Some d ->
-            (* error positions (indices into [received]) *)
-            coord_errors.(j) <- d.RS.errors;
-            (* evaluate h_j at each ω *)
-            Array.iteri
-              (fun k v ->
-                if j < sd then next_states.(k).(j) <- v
-                else outputs.(k).(j - sd) <- v)
-              (Coding.eval_at_omegas t.coding d.RS.poly)
-        done;
-        if Array.for_all (fun x -> x) coord_ok then begin
-          let errors = ref [] in
-          Array.iter
-            (fun idxs ->
+        let errors = ref [] in
+        Array.iteri
+          (fun j -> function
+            | None -> ()
+            | Some d ->
+              (* error positions are indices into [received] *)
               List.iter
                 (fun idx ->
                   let node, _ = recv.(idx) in
                   if not (List.mem node !errors) then errors := node :: !errors)
-                idxs)
-            coord_errors;
+                d.RS.errors;
+              (* evaluate h_j at each ω *)
+              Array.iteri
+                (fun k v ->
+                  if j < sd then next_states.(k).(j) <- v
+                  else outputs.(k).(j - sd) <- v)
+                (Coding.eval_at_omegas t.coding d.RS.poly))
+          coords;
+        if Array.for_all Option.is_some coords then
           Some
             { next_states; outputs; error_nodes = List.sort Int.compare !errors }
-        end
         else None))
 
   (* Step 5 (per node): re-encode the coded state. *)
@@ -263,26 +284,29 @@ module Make (F : Field_intf.S) = struct
      rebuilds it from other nodes' coded states.  The peers' states
      S̃ⱼ = u(αⱼ) are evaluations of the degree-(K−1) state polynomial, so
      they form a Reed-Solomon codeword of dimension K: with m reports of
-     which up to b are lies, decoding needs 2b + 1 <= m - (K-1).  The
-     recovered polynomial is evaluated at the joining node's point. *)
+     which up to b are lies, decoding needs 2b + 1 <= m - (K-1).  A
+     peer's state is one message, so its lies are located once, as in
+     [decode_results] ([decode_vectors], over one context per call).
+     The recovered polynomial is evaluated at the joining node's
+     point. *)
   let recover_coded_state t ~node ~(reports : (int * F.t array) list) =
-    let sd = t.machine.M.state_dim in
     let kdim = t.params.Params.k in
-    let out = Array.make sd F.zero in
-    let coord_ok = Array.make sd true in
-    (* one RS instance per coordinate, same shape as [decode_results] *)
-    for j = 0 to sd - 1 do
-      let pairs =
-        Array.of_list
-          (List.map
-             (fun (peer, s) -> (t.coding.Coding.alphas.(peer), s.(j)))
-             reports)
-      in
-      match RS.decode ~k:kdim pairs with
-      | None -> coord_ok.(j) <- false
-      | Some d -> out.(j) <- RS.P.eval d.RS.poly t.coding.Coding.alphas.(node)
-    done;
-    if Array.for_all (fun x -> x) coord_ok then Some out else None
+    let recv = Array.of_list reports in
+    let xs = Array.map (fun (peer, _) -> t.coding.Coding.alphas.(peer)) recv in
+    let ctx =
+      if Array.length xs >= kdim then Some (RS.prepare_fast ~k:kdim xs) else None
+    in
+    let coords =
+      decode_vectors ~algorithm:RS.Optimistic ?ctx ~k:kdim xs recv
+        ~dim:t.machine.M.state_dim
+    in
+    let out = Array.make (Array.length coords) F.zero in
+    Array.iteri
+      (fun j -> function
+        | None -> ()
+        | Some d -> out.(j) <- RS.P.eval d.RS.poly t.coding.Coding.alphas.(node))
+      coords;
+    if Array.for_all Option.is_some coords then Some out else None
 
   let recover_node t ~node ~reports =
     match recover_coded_state t ~node ~reports with

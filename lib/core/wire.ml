@@ -23,13 +23,21 @@ module Make (F : Field_intf.S) = struct
       v;
     Bytes.unsafe_to_string b
 
-  (* Read one element at [off]; negative values and values beyond
-     [max_int] (i.e. not representable in a native int) are rejected. *)
+  (* An element is a u64 from 0 to [max_int]: negative values and
+     values beyond [max_int] (not representable in a native int) are
+     rejected. *)
+  let max_elt = Int64.of_int max_int
+
   let read_elt s off =
     let x = String.get_int64_be s off in
-    if Int64.compare x 0L < 0 || Int64.compare x (Int64.of_int max_int) > 0
-    then None
-    else Some (F.of_int (Int64.to_int x))
+    if x < 0L || x > max_elt then None else Some (F.of_int (Int64.to_int x))
+
+  (* Are the elements from [pos] up to [stop] all in range?  Allocates
+     nothing. *)
+  let rec elts_in_range s pos stop =
+    pos >= stop
+    || (let x = String.get_int64_be s pos in
+        x >= 0L && x <= max_elt && elts_in_range s (pos + elt_bytes) stop)
 
   let decode_vector_bin_at s ~pos ~dim =
     let ok = ref true in
@@ -49,6 +57,11 @@ module Make (F : Field_intf.S) = struct
 
   let encode_commands_bin (commands : F.t array array) =
     String.concat "" (Array.to_list (Array.map encode_vector_bin commands))
+
+  let valid_commands_bin ~k ~dim s =
+    k >= 0 && dim >= 0
+    && String.length s = commands_bytes ~k ~dim
+    && elts_in_range s 0 (String.length s)
 
   let decode_commands_bin ~k ~dim s =
     if k < 0 || dim < 0 || String.length s <> commands_bytes ~k ~dim then None

@@ -6,7 +6,8 @@
 
     Every decoder is total and exact — out-of-range elements, trailing
     garbage, truncated or extended bodies yield [None], never an
-    exception. *)
+    exception — and so is the one validator, which answers [false]
+    where its decoder answers [None]. *)
 
 module Field_intf = Csm_field.Field_intf
 
@@ -25,6 +26,11 @@ module Make (F : Field_intf.S) : sig
 
   val encode_commands_bin : F.t array array -> string
   val decode_commands_bin : k:int -> dim:int -> string -> F.t array array option
+
+  val valid_commands_bin : k:int -> dim:int -> string -> bool
+  (** [true] exactly when [decode_commands_bin ~k ~dim s] is [Some _]:
+      the check alone, for a payload that is compared rather than used
+      (a Commit echo).  Total, and allocates nothing. *)
 
   val encode_matrix_bin : F.t array array -> string
   (** Self-describing rows of possibly different widths (the Output

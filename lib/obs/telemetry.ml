@@ -82,11 +82,12 @@ let rs_fastpath ~outcome =
     ~help:
       "Optimistic Reed-Solomon decode attempts, by outcome (hit = \
        candidate verified on every received point; fallback = full Gao \
-       decode ran)"
+       decode ran; located = verified on the agreement set an earlier \
+       coordinate located)"
     ~labels:[ ("outcome", outcome) ]
     "csm_rs_fastpath_total"
 
-let rs_corrected_symbols =
+let rs_corrected_symbols () =
   Metric.counter
     ~help:"Total erroneous symbols located and corrected by the RS decoder"
     "csm_rs_corrected_symbols_total"

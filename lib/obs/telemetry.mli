@@ -28,9 +28,14 @@ val rs_decodes : algorithm:string -> outcome:string -> Metric.counter
 
 val rs_fastpath : outcome:string -> Metric.counter
 (** Optimistic-decode outcomes: ["hit"] (candidate verified everywhere),
-    ["fallback"] (full error decode ran and succeeded). *)
+    ["fallback"] (full error decode ran and succeeded), ["located"]
+    (verified on the agreement set an earlier coordinate of the same
+    vectors located). *)
 
-val rs_corrected_symbols : Metric.counter
+val rs_corrected_symbols : unit -> Metric.counter
+(** Interned on each call, like the labelled families, so the family
+    survives a {!Metric.reset}. *)
+
 val decode_errors : node:int -> Metric.counter
 val node_suspicion : node:int -> Metric.gauge
 val straggler_wait : early:bool -> Metric.hist

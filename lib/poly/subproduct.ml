@@ -99,6 +99,8 @@ module Make (F : Field_intf.S) = struct
     (* m'(xᵢ) ≠ 0 for distinct points; one inversion for the whole batch *)
     { p_tree = t; p_inv_denoms = Lag.batch_inv denoms }
 
+  let root_prepared p = tree_poly p.p_tree
+
   let interpolate_prepared p values =
     let weights = Array.mapi (fun i y -> F.mul y p.p_inv_denoms.(i)) values in
     let idx = ref 0 in

@@ -35,6 +35,9 @@ module Make (F : Field_intf.S) : sig
 
   val prepare : F.t array -> prepared
 
+  val root_prepared : prepared -> P.t
+  (** m(z) = ∏ᵢ (z − xᵢ) over the prepared points. *)
+
   val interpolate_prepared : prepared -> F.t array -> P.t
   (** Per-round interpolation cost only: O(M(n)·log n). *)
 

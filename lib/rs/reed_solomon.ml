@@ -15,14 +15,17 @@
      precomputed Lagrange coefficient matrix, verify the candidate
      against the remaining points with precomputed Vandermonde rows
      (the certificate set τ of equation (9) must be everything), and
-     only on a mismatch fall back to Gao.  The fault-free round
-     therefore costs n dot products of length k instead of a full
-     error decode, run on the byte-packed batch kernels when the field
-     provides them; the matrices are round-independent (Remark 4) and
-     can be cached by the caller via [prepare_fast].
+     only on a mismatch fall back to Gao, over a subproduct tree the
+     context prepares once.  The fault-free round therefore costs n
+     dot products of length k instead of a full error decode, run on
+     the byte-packed batch kernels when the field provides them; the
+     matrices and the tree are round-independent (Remark 4) and can be
+     cached by the caller via [prepare_fast].
 
-   [decode] defaults to the optimistic decoder; the rs bench pins Gao
-   with [?algorithm] to measure the fast path against it. *)
+   [decode_on] is the fast path alone over a known agreement set, for
+   a word whose errors an earlier decode already located.  [decode]
+   defaults to the optimistic decoder; the rs bench pins Gao with
+   [?algorithm] to measure the fast path against it. *)
 
 module Field_intf = Csm_field.Field_intf
 
@@ -31,6 +34,9 @@ module Make (F : Field_intf.S) = struct
   module Lag = Csm_poly.Lagrange.Make (F)
   module Sub = Csm_poly.Subproduct.Make (F)
   module M = Csm_linalg.Linalg.Make (F)
+  module Span = Csm_obs.Span
+  module Metric = Csm_obs.Metric
+  module Tel = Csm_obs.Telemetry
 
   let max_errors ~n ~k =
     if n < k then invalid_arg "Reed_solomon.max_errors: n < k";
@@ -110,25 +116,26 @@ module Make (F : Field_intf.S) = struct
 
   (* Gao decoder: partial extended Euclid on g₀ = ∏(z−xᵢ) and the full
      interpolant g₁, stopping when the remainder degree drops below
-     ⌈(n+k)/2⌉; then f = g/v if the division is exact. *)
-  let decode_gao ~k pairs =
-    let n = Array.length pairs in
-    if n < k then None
+     ⌈(n+k)/2⌉; then f = g/v if the division is exact.  [gao_from]
+     takes g₀ and g₁ from the caller, which may have prepared their
+     tree once for the point set. *)
+  let gao_from ~k pairs ~g0 ~g1 =
+    if P.degree g1 <= k - 1 then validate ~k pairs g1
     else begin
-      let points = Array.map fst pairs in
-      let values = Array.map snd pairs in
-      let tree = Sub.build points in
-      let g0 = Sub.root_poly tree in
-      let g1 = Sub.interpolate_tree tree values in
-      if P.degree g1 <= k - 1 then validate ~k pairs g1
-      else begin
-        let stop = (n + k + 1) / 2 in
-        let g, _u, v = P.xgcd_until ~stop g0 g1 in
-        if P.is_zero v then None
-        else
-          let f, r = P.divmod g v in
-          if not (P.is_zero r) then None else validate ~k pairs f
-      end
+      let stop = (Array.length pairs + k + 1) / 2 in
+      let g, _u, v = P.xgcd_until ~stop g0 g1 in
+      if P.is_zero v then None
+      else
+        let f, r = P.divmod g v in
+        if not (P.is_zero r) then None else validate ~k pairs f
+    end
+
+  let decode_gao ~k pairs =
+    if Array.length pairs < k then None
+    else begin
+      let tree = Sub.build (Array.map fst pairs) in
+      gao_from ~k pairs ~g0:(Sub.root_poly tree)
+        ~g1:(Sub.interpolate_tree tree (Array.map snd pairs))
     end
 
   (* ----- optimistic fast path ----- *)
@@ -146,7 +153,15 @@ module Make (F : Field_intf.S) = struct
      k — and when the field exposes byte-packed batch kernels the rows
      are additionally pre-packed (fc_interp_b / fc_vand_b) so each dot
      runs on Bytes with identical op counts.  The head needs no
-     verification: interpolation is exact on its own points. *)
+     verification: interpolation is exact on its own points.
+
+     [fc_tree] is the prepared subproduct tree over all n points that
+     the Gao fallback runs on (its root ∏(z−xᵢ) and the inverted
+     m'(xᵢ) do not depend on the values).  The first fallback through
+     the context fills it, so a point set that only ever decodes clean
+     words never builds it.  Two domains falling back at once each
+     build an equal tree and one is kept, so the context stays safe to
+     share. *)
   type fast_ctx = {
     fc_points : F.t array;
     fc_k : int;
@@ -154,6 +169,7 @@ module Make (F : Field_intf.S) = struct
     fc_vand : F.t array array;
     fc_interp_b : Bytes.t array option;
     fc_vand_b : Bytes.t array option;
+    fc_tree : Sub.prepared option Atomic.t;
   }
 
   let prepare_fast ~k points =
@@ -214,6 +230,7 @@ module Make (F : Field_intf.S) = struct
       fc_vand = vand;
       fc_interp_b = interp_b;
       fc_vand_b = vand_b;
+      fc_tree = Atomic.make None;
     }
 
   let ctx_matches ctx ~k points =
@@ -225,88 +242,85 @@ module Make (F : Field_intf.S) = struct
           points;
         !ok)
 
-  let record_fastpath outcome =
-    let module Metric = Csm_obs.Metric in
-    if Metric.enabled () then
-      Metric.inc (Csm_obs.Telemetry.rs_fastpath ~outcome)
+  let prepared_tree ctx =
+    match Atomic.get ctx.fc_tree with
+    | Some tree -> tree
+    | None ->
+      let tree = Sub.prepare ctx.fc_points in
+      Atomic.set ctx.fc_tree (Some tree);
+      tree
 
-  (* Optimistic decode: interpolate the first k received points, accept
-     immediately when the candidate explains every point (zero errors —
-     the common fault-free round), otherwise run the full error decoder.
-     For k ≥ 1 the result is [decode_gao]'s on every input: the fast
-     path only ever accepts a zero-error full agreement, which Gao also
-     finds. *)
+  let record_fastpath outcome =
+    if Metric.enabled () then Metric.inc (Tel.rs_fastpath ~outcome)
+
+  (* The fast path on its own, over [pairs] at the context's points:
+     n dot products of length k — interpolate through the head, then
+     walk the tail Vandermonde rows, bailing at the first disagreeing
+     point.  [Some] candidate only when it explains every value.  The
+     scalar loop and the byte-packed kernels charge identical op
+     counts, so ledgers are backend-independent. *)
+  let verify ctx pairs =
+    Span.with_ ~name:"rs.fastpath" (fun () ->
+        let k = ctx.fc_k in
+        let head = Array.init k (fun i -> snd pairs.(i)) in
+        let scalar_dot row v =
+          let acc = ref F.zero in
+          for j = 0 to Array.length row - 1 do
+            acc := F.add !acc (F.mul row.(j) v.(j))
+          done;
+          !acc
+        in
+        let coeffs, ok =
+          match (F.batch, ctx.fc_interp_b, ctx.fc_vand_b) with
+          | Some b, Some irows, Some vrows ->
+            let hv = b.Field_intf.pack head in
+            let coeffs = Array.map (fun row -> b.Field_intf.dot row hv) irows in
+            let cv = b.Field_intf.pack coeffs in
+            let ok = ref true and j = ref 0 in
+            while !ok && !j < Array.length vrows do
+              if F.equal (b.Field_intf.dot vrows.(!j) cv) (snd pairs.(k + !j)) then
+                incr j
+              else ok := false
+            done;
+            (coeffs, !ok)
+          | _ ->
+            let coeffs = Array.map (fun row -> scalar_dot row head) ctx.fc_interp in
+            let ok = ref true and j = ref 0 in
+            while !ok && !j < Array.length ctx.fc_vand do
+              if F.equal (scalar_dot ctx.fc_vand.(!j) coeffs) (snd pairs.(k + !j)) then
+                incr j
+              else ok := false
+            done;
+            (coeffs, !ok)
+        in
+        if ok then Some (P.normalize coeffs) else None)
+
+  (* Optimistic decode: accept the fast path's candidate when it
+     explains every point (zero errors — the common fault-free round),
+     otherwise run Gao on the context's prepared tree.  For k ≥ 1 the
+     result is [decode_gao]'s on every input: the fast path only ever
+     accepts a zero-error full agreement, which Gao also finds, and the
+     prepared tree yields Gao's g₀ and g₁. *)
   let decode_optimistic ?ctx ~k pairs =
     let n = Array.length pairs in
     if n < k || k < 1 then None
     else begin
+      let points = Array.map fst pairs in
       let ctx =
         match ctx with
-        | Some c when ctx_matches c ~k (Array.map fst pairs) -> c
-        | _ -> prepare_fast ~k (Array.map fst pairs)
+        | Some c when ctx_matches c ~k points -> c
+        | _ -> prepare_fast ~k points
       in
-      let candidate =
-        Csm_obs.Span.with_ ~name:"rs.fastpath" (fun () ->
-            let head = Array.init k (fun i -> snd pairs.(i)) in
-            (* n dot products of length k: interpolate through the
-               head, then walk the tail Vandermonde rows, bailing at
-               the first disagreeing point.  The scalar loop and the
-               byte-packed kernels charge identical op counts, so
-               ledgers are backend-independent. *)
-            let scalar_dot row v =
-              let acc = ref F.zero in
-              for j = 0 to Array.length row - 1 do
-                acc := F.add !acc (F.mul row.(j) v.(j))
-              done;
-              !acc
-            in
-            let coeffs, ok =
-              match (F.batch, ctx.fc_interp_b, ctx.fc_vand_b) with
-              | Some b, Some irows, Some vrows ->
-                let hv = b.Field_intf.pack head in
-                let coeffs =
-                  Array.map (fun row -> b.Field_intf.dot row hv) irows
-                in
-                let cv = b.Field_intf.pack coeffs in
-                let ok = ref true and j = ref 0 in
-                while !ok && !j < Array.length vrows do
-                  if
-                    F.equal (b.Field_intf.dot vrows.(!j) cv)
-                      (snd pairs.(k + !j))
-                  then incr j
-                  else ok := false
-                done;
-                (coeffs, !ok)
-              | _ ->
-                let coeffs =
-                  Array.map (fun row -> scalar_dot row head) ctx.fc_interp
-                in
-                let ok = ref true and j = ref 0 in
-                while !ok && !j < Array.length ctx.fc_vand do
-                  if
-                    F.equal
-                      (scalar_dot ctx.fc_vand.(!j) coeffs)
-                      (snd pairs.(k + !j))
-                  then incr j
-                  else ok := false
-                done;
-                (coeffs, !ok)
-            in
-            if ok then
-              Some
-                {
-                  poly = P.normalize coeffs;
-                  agreement = List.init n Fun.id;
-                  errors = [];
-                }
-            else None)
-      in
-      match candidate with
-      | Some d ->
+      match verify ctx pairs with
+      | Some poly ->
         record_fastpath "hit";
-        Some d
+        Some { poly; agreement = List.init n Fun.id; errors = [] }
       | None ->
-        let d = decode_gao ~k pairs in
+        let tree = prepared_tree ctx in
+        let d =
+          gao_from ~k pairs ~g0:(Sub.root_prepared tree)
+            ~g1:(Sub.interpolate_prepared tree (Array.map snd pairs))
+        in
         if Option.is_some d then record_fastpath "fallback";
         d
     end
@@ -315,27 +329,74 @@ module Make (F : Field_intf.S) = struct
 
   let algorithm_name = function Gao -> "gao" | Optimistic -> "optimistic"
 
+  let count_decode algorithm result =
+    if Metric.enabled () then
+      match result with
+      | Some d ->
+        Metric.inc
+          (Tel.rs_decodes ~algorithm
+             ~outcome:(if d.errors = [] then "clean" else "corrected"));
+        if d.errors <> [] then
+          Metric.inc ~by:(List.length d.errors) (Tel.rs_corrected_symbols ())
+      | None -> Metric.inc (Tel.rs_decodes ~algorithm ~outcome:"failed")
+
   let decode ?(algorithm = Optimistic) ?ctx ~k pairs =
-    Csm_obs.Span.with_ ~name:"rs.decode" (fun () ->
+    Span.with_ ~name:"rs.decode" (fun () ->
         let result =
           match algorithm with
           | Gao -> decode_gao ~k pairs
           | Optimistic -> decode_optimistic ?ctx ~k pairs
         in
-        let module Metric = Csm_obs.Metric in
-        let module Tel = Csm_obs.Telemetry in
-        if Metric.enabled () then begin
-          let alg = algorithm_name algorithm in
-          (match result with
-          | Some d ->
-            Metric.inc
-              (Tel.rs_decodes ~algorithm:alg
-                 ~outcome:(if d.errors = [] then "clean" else "corrected"));
-            if d.errors <> [] then
-              Metric.inc ~by:(List.length d.errors) Tel.rs_corrected_symbols
-          | None -> Metric.inc (Tel.rs_decodes ~algorithm:alg ~outcome:"failed"))
-        end;
+        count_decode (algorithm_name algorithm) result;
         result)
+
+  (* Does [ctx] hold the points of [pairs] at positions [on], which
+     must rise strictly within the word? *)
+  let fits_on ctx ~on ~k pairs =
+    let n = Array.length pairs in
+    ctx.fc_k = k
+    && Array.length ctx.fc_points = Array.length on
+    && (let ok = ref true and prev = ref (-1) in
+        Array.iteri
+          (fun i p ->
+            if p <= !prev || p >= n || not (F.equal ctx.fc_points.(i) (fst pairs.(p)))
+            then ok := false
+            else prev := p)
+          on;
+        !ok)
+
+  (* The verify-only fast path over a known agreement set: [on] holds
+     at least n − e positions and [ctx] their points.  A candidate that
+     explains every value at [on] is the unique decode within the
+     radius — another polynomial of degree < k agreeing with n − e
+     values would share n − 2e ≥ k of them with it — so it is
+     [decode_gao]'s answer, and only the positions outside [on] are
+     evaluated, to classify them.  No fallback: [None] when the
+     candidate does not verify or [on]/[ctx] do not fit, and the caller
+     decodes in full.  Counted like a [decode], as optimistic. *)
+  let decode_on ~ctx ~on ~k pairs =
+    let n = Array.length pairs in
+    if k < 1 || n < k || Array.length on < n - max_errors ~n ~k
+       || not (fits_on ctx ~on ~k pairs)
+    then None
+    else
+      Span.with_ ~name:"rs.decode" (fun () ->
+          match verify ctx (Array.map (fun i -> pairs.(i)) on) with
+          | None -> None
+          | Some poly ->
+            let inside = Array.make n false in
+            Array.iter (fun i -> inside.(i) <- true) on;
+            let agreement = ref [] and errors = ref [] in
+            for i = n - 1 downto 0 do
+              let x, y = pairs.(i) in
+              if inside.(i) || F.equal (P.eval poly x) y then
+                agreement := i :: !agreement
+              else errors := i :: !errors
+            done;
+            let d = Some { poly; agreement = !agreement; errors = !errors } in
+            record_fastpath "located";
+            count_decode (algorithm_name Optimistic) d;
+            d)
 
   (* Corrupt a codeword in [count] distinct positions chosen by [rng],
      guaranteeing each corrupted symbol actually changes.  Test/adversary

@@ -31,9 +31,14 @@ module Make (F : Field_intf.S) : sig
 
   type fast_ctx
   (** Round-independent precomputation for the optimistic decoder over a
-      fixed received-point set (prepared subproduct trees over the first
-      k points and over all points — the Remark-4 argument).  Safe to
-      share across domains once built. *)
+      fixed received-point set (the Remark-4 argument): the Lagrange
+      rows over the first k points and the Vandermonde rows over the
+      rest, built by [prepare_fast], and the prepared subproduct tree
+      over all points that the Gao fallback runs on, built by the first
+      fallback through the context (so a set whose words are always
+      clean never builds it).  Safe to share across domains once built:
+      two domains that fall back at once each build an equal tree, and
+      one is kept. *)
 
   val prepare_fast : k:int -> F.t array -> fast_ctx
   (** @raise Invalid_argument when the point set is shorter than k. *)
@@ -43,10 +48,11 @@ module Make (F : Field_intf.S) : sig
   (** Optimistic fast path: interpolate the first k received points and
       accept when the candidate explains {e every} point (the
       certificate set τ of eq. (9) is everything — the fault-free
-      round), else fall back to [decode_gao]; [None] when that fails.
-      Agrees with [decode_gao] on every input when k ≥ 1.  A [ctx]
-      that does not match the pairs' points is ignored (a fresh one is
-      built), so a stale cache can never corrupt a decode. *)
+      round), else fall back to Gao over the context's prepared tree;
+      [None] when that fails.  Agrees with [decode_gao] on every input
+      when k ≥ 1.  A [ctx] that does not match the pairs' points is
+      ignored (a fresh one is built), so a stale cache can never
+      corrupt a decode. *)
 
   type algorithm = Gao | Optimistic
 
@@ -58,6 +64,18 @@ module Make (F : Field_intf.S) : sig
     decoded option
   (** Default algorithm is [Optimistic]; [ctx] is used by it and ignored
       by [Gao]. *)
+
+  val decode_on :
+    ctx:fast_ctx -> on:int array -> k:int -> (F.t * F.t) array -> decoded option
+  (** The verify-only fast path over a known agreement set: [on] lists
+      positions of the pairs in rising order, at least n − e of them,
+      and [ctx] is prepared over their points.  When the candidate
+      interpolated there explains every value at [on], it is the unique
+      decode within the radius, and so [decode_gao]'s answer; it is
+      returned with the positions outside [on] classified, and counted
+      as an optimistic decode.  [None], with no fallback, when it does
+      not verify or [on] and [ctx] do not fit: the caller then decodes
+      in full. *)
 
   val corrupt : Csm_rng.t -> count:int -> F.t array -> F.t array * int list
   (** [corrupt rng ~count w] flips [count] distinct positions of [w] to

@@ -479,13 +479,12 @@ module Make (F : Field_intf.S) = struct
           with
           | Some cs -> keep (fun st -> hear_command st fr.Frame.payload cs)
           | None -> record_bad ~round "bad-payload")
-        | Frame.Commit when sender >= 0 && sender < n && sender <> cfg.node -> (
-          match
-            W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim
-              fr.Frame.payload
-          with
-          | Some _ -> keep (fun st -> hear_commit st sender (Valid fr.Frame.payload))
-          | None -> malformed (fun st -> hear_commit st sender Malformed))
+        | Frame.Commit when sender >= 0 && sender < n && sender <> cfg.node ->
+          (* an echo is compared with the Command, never used: checked,
+             not decoded *)
+          if W.valid_commands_bin ~k ~dim:cfg.machine.M.input_dim fr.Frame.payload
+          then keep (fun st -> hear_commit st sender (Valid fr.Frame.payload))
+          else malformed (fun st -> hear_commit st sender Malformed)
         | Frame.Result when sender >= 0 && sender < n && sender <> cfg.node -> (
           let dim = cfg.machine.M.state_dim + cfg.machine.M.output_dim in
           match W.decode_vector_bin ~dim fr.Frame.payload with
@@ -606,7 +605,8 @@ module Make (F : Field_intf.S) = struct
           (List.init n Fun.id)
       in
       (* the default decoder: optimistic verify-first fast path, with
-         Gao as fallback *)
+         Gao as fallback; a lie is located once, on the first faulty
+         coordinate, and the rest are verified on its agreement set *)
       match E.decode_results engine received with
       | None ->
         phase inbox ~round:r "decode-failed";

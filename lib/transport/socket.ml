@@ -11,8 +11,14 @@
    retried from [recv] after 50 us, doubling up to 100 ms: the nodes of
    a freshly forked cluster bind 0.6-2.1 ms after it starts, mostly
    after the client's first send, so the first retry must come within
-   a fraction of a millisecond of the bind.  After a write error the
-   head frame is rewritten whole on one new connection, then dropped.
+   a fraction of a millisecond of the bind.  A [send] to a peer that is
+   down only queues, unless the peer's retry is due or a millisecond
+   has passed since its last failed connect: a failed connect costs
+   three system calls, about 9 us, so a crashed peer costs at most one
+   a millisecond while frames keep going to it, and a peer that comes
+   back is reached by the next send a millisecond on.  After a write
+   error the head frame is rewritten whole on one new connection, then
+   dropped.
    An outbox holds at most [outbox_cap] bytes: past it, the oldest
    frames not yet started are dropped, so a peer that stays down costs
    bounded memory and gets the newest frames, in order, if it comes
@@ -85,6 +91,7 @@ type peer = {
   mutable failed : bool;  (* the head frame's write failed once *)
   mutable attempt : int;  (* failed connects in a row *)
   mutable retry_at : float;  (* when [recv] may connect again *)
+  mutable failed_at : float;  (* when the last connect failed *)
 }
 
 let has_bytes p = not (Queue.is_empty p.out)
@@ -122,8 +129,19 @@ let release p =
    then 10 a second. *)
 let backoff p =
   let delay = min 0.1 (0.00005 *. (2. ** float_of_int p.attempt)) in
-  p.retry_at <- Unix.gettimeofday () +. delay;
+  let now = Unix.gettimeofday () in
+  p.failed_at <- now;
+  p.retry_at <- now +. delay;
   p.attempt <- p.attempt + 1
+
+(* A send connects a peer without a connection once its retry is due,
+   or once [send_retry] has passed since its last failed connect,
+   whichever is sooner: at most one failed connect a millisecond while
+   frames keep coming, not one a frame. *)
+let send_retry = 0.001
+
+let send_due p =
+  Unix.gettimeofday () >= Float.min p.retry_at (p.failed_at +. send_retry)
 
 let connect p =
   match Unix.socket (Unix.domain_of_sockaddr p.sa) Unix.SOCK_STREAM 0 with
@@ -137,10 +155,10 @@ let connect p =
       backoff p)
 
 (* Write what the kernel takes of [p]'s outbox, connecting first if
-   [p] has no connection.  A write error before any byte went through
-   is a failed (TCP) connect. *)
+   [p] has no connection and a send may connect it.  A write error
+   before any byte went through is a failed (TCP) connect. *)
 let rec push p =
-  if Option.is_none p.fd && has_bytes p then connect p;
+  if Option.is_none p.fd && has_bytes p && send_due p then connect p;
   match (p.fd, Queue.peek_opt p.out) with
   | Some fd, Some s -> (
     match Unix.single_write_substring fd s p.off (String.length s - p.off) with
@@ -272,6 +290,7 @@ let endpoint ~addr ~id ~endpoints =
           failed = false;
           attempt = 0;
           retry_at = 0.0;
+          failed_at = 0.0;
         })
   in
   (* Deliver every whole frame in [c]'s buffer and move the partial

@@ -72,7 +72,8 @@ let step up = function
   | v -> v
 
 (* A check's field path, its value at the bound, and just past it (a
-   list past its length repeats its first element). *)
+   list past its length repeats its last element, so checks on its
+   elements by index still read their own values). *)
 let bound_of report check =
   let m key = Json.member key check in
   let path =
@@ -95,7 +96,8 @@ let bound_of report check =
     | _, _, _, _, Some (Json.Int n) ->
       let xs = match get report path with Json.List xs -> xs | _ -> [] in
       ( Json.List (List.init n (fun _ -> Json.Obj [])),
-        Json.List (match xs with x :: _ -> x :: xs | [] -> [ Json.Obj [] ]) )
+        Json.List
+          (match List.rev xs with x :: _ -> xs @ [ x ] | [] -> [ Json.Obj [] ]) )
     | _ -> Alcotest.failf "unsupported check %s" (Json.to_string check)
   in
   (path, at, past)
@@ -104,7 +106,11 @@ let bound_of report check =
 let first_name path =
   String.concat ""
     (List.mapi
-       (fun i s -> if s = "*" then "[0]" else if i = 0 then s else "." ^ s)
+       (fun i s ->
+         if s = "*" then "[0]"
+         else if Option.is_some (int_of_string_opt s) then "[" ^ s ^ "]"
+         else if i = 0 then s
+         else "." ^ s)
        path)
 
 let first_path = List.map (fun s -> if s = "*" then "0" else s)

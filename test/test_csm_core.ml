@@ -350,6 +350,94 @@ let decode_ignores_suspicion () =
   Alcotest.(check bool) "metrics off: undecodable" true (Option.is_none off);
   Alcotest.(check bool) "liars suspected: undecodable" true (Option.is_none on)
 
+(* A faulty round locates its liars once: [decode_results] verifies the
+   coordinates after the first faulty one on that coordinate's
+   agreement set, and must equal per-coordinate Gao ([?algorithm:Gao])
+   on every input.  Each coordinate of the received vectors is a random
+   polynomial of degree < d(K−1)+1 at the reporters' points, from a
+   random subset of the nodes, with errors at positions every
+   coordinate shares (one liar's vector), at a liar's positions on some
+   coordinates only, or at positions drawn per coordinate; from 0 to
+   e+1 of them.  Past the radius on every coordinate of a word with
+   redundancy, both are [None].
+   One engine decodes several words, so its cached contexts (and their
+   prepared Gao trees) are reused. *)
+let same_decoded a b =
+  let rows x y =
+    Array.length x = Array.length y
+    && Array.for_all2
+         (fun u v -> Array.length u = Array.length v && Array.for_all2 F.equal u v)
+         x y
+  in
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    rows a.E.next_states b.E.next_states
+    && rows a.E.outputs b.E.outputs
+    && a.E.error_nodes = b.E.error_nodes
+  | _ -> false
+
+let qcheck_vector_decode_equals_gao =
+  QCheck.Test.make ~name:"vector decode equals per-coordinate Gao" ~count:150
+    QCheck.(pair (int_range 0 2) (int_range 0 1_000_000))
+    (fun (mode, seed) ->
+      let r = Csm_rng.create (0xD0C + seed) in
+      let machine =
+        M.random r ~state_dim:(1 + Csm_rng.int r 3) ~input_dim:1
+          ~output_dim:(1 + Csm_rng.int r 2) ~degree:(1 + Csm_rng.int r 2)
+          ~terms:3
+      in
+      let d = M.degree machine and k = 1 + Csm_rng.int r 3 in
+      let b = 1 + Csm_rng.int r 2 and slack = Csm_rng.int r 3 in
+      let n = Params.composite_degree ~k ~d + (2 * b) + 1 + slack in
+      let params = Params.make ~network:Params.Sync ~n ~k ~d ~b in
+      let init = Array.init k (fun _ -> Array.init machine.M.state_dim (fun _ -> F.random r)) in
+      let engine = E.create ~machine ~params ~init in
+      let kdim = Params.code_dimension ~k ~d and dim = E.result_dim engine in
+      (* the reporters: every node but up to [slack] withheld ones *)
+      let nodes =
+        List.filter (fun _ -> Csm_rng.int r (n + 1) >= slack) (List.init n Fun.id)
+      in
+      let m = List.length nodes in
+      let e = E.RS.max_errors ~n:(max m kdim) ~k:kdim in
+      let word () =
+        let polys =
+          Array.init dim (fun _ ->
+              if kdim = 1 then E.RS.P.constant (F.random r)
+              else E.RS.P.random r ~degree:(kdim - 1))
+        in
+        let rows =
+          Array.of_list
+            (List.map
+               (fun node ->
+                 let x = engine.E.coding.E.Coding.alphas.(node) in
+                 Array.map (fun p -> E.RS.P.eval p x) polys)
+               nodes)
+        in
+        let lie i j = rows.(i).(j) <- F.add rows.(i).(j) (F.random_nonzero r) in
+        let errors = min m (Csm_rng.int r (e + 2)) in
+        let liars = Csm_rng.sample r ~n:m ~k:errors in
+        (match mode with
+        | 0 -> Array.iter (fun i -> for j = 0 to dim - 1 do lie i j done) liars
+        | 1 ->
+          Array.iter
+            (fun i -> for j = 0 to dim - 1 do if Csm_rng.bool r then lie i j done)
+            liars
+        | _ ->
+          for j = 0 to dim - 1 do
+            Array.iter (fun i -> lie i j) (Csm_rng.sample r ~n:m ~k:errors)
+          done);
+        (* with no redundancy (m = kdim) every word is a codeword *)
+        (List.combine nodes (Array.to_list rows), mode = 0 && errors > e && m > kdim)
+      in
+      List.for_all
+        (fun _ ->
+          let received, past_radius = word () in
+          let ours = E.decode_results engine received in
+          let gao = E.decode_results ~algorithm:E.RS.Gao engine received in
+          same_decoded ours gao && ((not past_radius) || Option.is_none ours))
+        (List.init 3 Fun.id))
+
 (* The Boolean machine path: CSM over GF(2^10) executing the majority
    register, coded, under faults. *)
 let boolean_machine_coded () =
@@ -601,5 +689,6 @@ let suites =
         Alcotest.test_case "engine over Mersenne31 (no NTT)" `Quick
           engine_over_mersenne;
         QCheck_alcotest.to_alcotest ~long:false qcheck_engine_random_machines;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_vector_decode_equals_gao;
       ] );
   ]

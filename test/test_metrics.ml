@@ -195,7 +195,7 @@ let smoke_round_total () =
     EC.round ~scope engine ~commands ~byzantine:(fun i -> i < smoke_b) ()
   in
   Alcotest.(check bool) "decoded" true (r.EC.decoded <> None);
-  Alcotest.(check int) "ledger grand total" 462_996 (Ledger.grand_total ledger)
+  Alcotest.(check int) "ledger grand total" 145_903 (Ledger.grand_total ledger)
 
 let rs_smoke_warm_decode () =
   let module C8 = Counted.Make (Gf2m.Gf256) in
@@ -258,6 +258,67 @@ let decode_context_per_reporter_set () =
   ignore (ops_for b);
   Alcotest.(check int) "A after B costs A's warm decode" warm_a (ops_for a)
 
+(* A lie round counts one csm_rs_decodes_total per coordinate, with
+   the outcome that coordinate's own decode gives, and every corrected
+   symbol; csm_rs_fastpath_total says how each was reached.  At 8/2/2/2
+   (code dimension 3, radius 2) with a 4-slot register bank, 5
+   coordinates: node 0 lies on coordinates 0-3, node 1 on coordinate 1
+   only.  Coordinate 0 misses the fast path and falls back to Gao (1
+   error), which locates the agreement set A = nodes 1-7; coordinate 1
+   does not verify on A (node 1 lies there) and falls back too (2
+   errors); coordinates 2-4 are located on A (1, 1 and 0 errors).  A
+   decode of each coordinate on its own counts the same decodes and
+   corrected symbols, with fallbacks 4 and hit 1. *)
+let lie_round_rs_metrics () =
+  let module Metric = Csm_obs.Metric in
+  let module E = Csm_core.Engine.Make (Fp.Default) in
+  let machine = E.M.register_bank ~slots:4 in
+  let params = Params.make ~network:Params.Sync ~n:8 ~k:2 ~d:2 ~b:2 in
+  let rng = Csm_rng.create 0x11E in
+  let vectors dim =
+    Array.init 2 (fun _ -> Array.init dim (fun _ -> Fp.Default.random rng))
+  in
+  let engine = E.create ~machine ~params ~init:(vectors machine.E.M.state_dim) in
+  let commands = vectors machine.E.M.input_dim in
+  let lies node j = (node = 0 && j <= 3) || (node = 1 && j = 1) in
+  let received =
+    List.init 8 (fun node ->
+        let coded_command = E.node_encode_command engine ~node ~commands in
+        let g = E.node_compute engine ~node ~coded_command in
+        (node, Array.mapi (fun j v -> if lies node j then Fp.Default.add v Fp.Default.one else v) g))
+  in
+  let count name labels =
+    match List.find_opt (fun v -> v.Metric.name = name) (Metric.families ()) with
+    | None -> 0
+    | Some v -> (
+      match List.find_opt (fun s -> s.Metric.labels = labels) v.Metric.samples with
+      | Some { Metric.value = Metric.V_counter c; _ } -> c
+      | _ -> 0)
+  in
+  Metric.enable ();
+  Metric.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metric.reset ();
+      Metric.disable ())
+    (fun () ->
+      (match E.decode_results engine received with
+      | Some d -> Alcotest.(check (list int)) "liars" [ 0; 1 ] d.E.error_nodes
+      | None -> Alcotest.fail "a lie round within the radius failed");
+      let decodes outcome =
+        count "csm_rs_decodes_total"
+          [ ("algorithm", "optimistic"); ("outcome", outcome) ]
+      in
+      let fastpath outcome = count "csm_rs_fastpath_total" [ ("outcome", outcome) ] in
+      Alcotest.(check int) "corrected decodes" 4 (decodes "corrected");
+      Alcotest.(check int) "clean decodes" 1 (decodes "clean");
+      Alcotest.(check int) "failed decodes" 0 (decodes "failed");
+      Alcotest.(check int) "corrected symbols" 5
+        (count "csm_rs_corrected_symbols_total" []);
+      Alcotest.(check int) "fast-path fallbacks" 2 (fastpath "fallback");
+      Alcotest.(check int) "located on A" 3 (fastpath "located");
+      Alcotest.(check int) "fast-path hits" 0 (fastpath "hit"))
+
 let suites =
   [
     ( "metrics",
@@ -274,11 +335,13 @@ let suites =
           counted_batch_exact;
         Alcotest.test_case "ledger roles" `Quick ledger_roles;
         Alcotest.test_case "throughput formula" `Quick throughput_formula;
-        Alcotest.test_case "smoke round totals 462996 ops" `Quick
+        Alcotest.test_case "smoke round totals 145903 ops" `Quick
           smoke_round_total;
         Alcotest.test_case "rs-smoke warm decode costs 44640 ops" `Quick
           rs_smoke_warm_decode;
         Alcotest.test_case "decode context cached per reporter set" `Quick
           decode_context_per_reporter_set;
+        Alcotest.test_case "lie round counts one rs decode per coordinate" `Quick
+          lie_round_rs_metrics;
       ] );
   ]

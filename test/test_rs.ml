@@ -300,6 +300,86 @@ let qcheck_cross_decoder =
       List.for_all (same head) polys
       && (e > RS.max_errors ~n ~k || same head (Some msg)))
 
+(* Two decodes agree exactly: both [None], or the same polynomial,
+   agreement set and error positions. *)
+let same_decode a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    P.equal a.RS.poly b.RS.poly
+    && a.RS.agreement = b.RS.agreement
+    && a.RS.errors = b.RS.errors
+  | _ -> false
+
+let random_codeword r ~k ~pts =
+  let msg = if k = 1 then P.constant (F.random r) else P.random r ~degree:(k - 1) in
+  RS.encode ~message:msg ~points:pts
+
+let random_word r ~k ~pts ~errors =
+  let word, _ = RS.corrupt r ~count:errors (random_codeword r ~k ~pts) in
+  Array.map2 (fun x y -> (x, y)) pts word
+
+(* The optimistic decoder falls back to Gao over its context's
+   prepared subproduct tree, built by the first fallback and reused by
+   every later one: over one context, a stream of words with 0 to e+1
+   errors decodes exactly as [decode_gao] does. *)
+let qcheck_prepared_fallback =
+  QCheck.Test.make ~name:"prepared fallback equals Gao" ~count:100
+    QCheck.(triple (int_range 1 8) (int_range 0 14) (int_range 0 1_000_000))
+    (fun (k, extra, seed) ->
+      let r = Csm_rng.create (0xFA11 + seed) in
+      let n = k + extra in
+      let pts = points n in
+      let ctx = RS.prepare_fast ~k pts in
+      List.for_all
+        (fun _ ->
+          let errors = min n (Csm_rng.int r (RS.max_errors ~n ~k + 2)) in
+          let pairs = random_word r ~k ~pts ~errors in
+          same_decode (RS.decode_optimistic ~ctx ~k pairs) (RS.decode_gao ~k pairs))
+        (List.init 5 Fun.id))
+
+(* [decode_on] returns [decode_gao]'s answer or [None], never another.
+   Its positions are the agreement set A of a first decode with e
+   errors, and the second word errs at A's complement only (one liar's
+   vector erring at the same positions: it must verify), anywhere, or
+   past the radius.  Or they are any rising set of at least k positions
+   of a word that errs only off them: a candidate that explains fewer
+   than n − e values is not trusted. *)
+let qcheck_decode_on =
+  QCheck.Test.make ~name:"decode_on is Gao's answer or None" ~count:300
+    QCheck.(triple (int_range 1 6) (int_range 2 14) (pair (int_range 0 3)
+              (int_range 0 1_000_000)))
+    (fun (k, extra, (mode, seed)) ->
+      let r = Csm_rng.create (0xA5E7 + seed) in
+      let n = k + extra in
+      let e = RS.max_errors ~n ~k in
+      let pts = points n in
+      (* a codeword erring at [positions] *)
+      let erring positions =
+        let word = random_codeword r ~k ~pts in
+        List.iter (fun i -> word.(i) <- F.add word.(i) (F.random_nonzero r)) positions;
+        Array.map2 (fun x y -> (x, y)) pts word
+      in
+      let on, pairs =
+        match (mode, RS.decode_gao ~k (random_word r ~k ~pts ~errors:e)) with
+        | 3, _ | _, None ->
+          let on = Csm_rng.sample r ~n ~k:(k + Csm_rng.int r (n - k + 1)) in
+          Array.sort Int.compare on;
+          let off = List.filter (fun i -> not (Array.mem i on)) (List.init n Fun.id) in
+          (on, erring (List.filter (fun _ -> Csm_rng.bool r) off))
+        | 0, Some first -> (Array.of_list first.RS.agreement, erring first.RS.errors)
+        | 1, Some first ->
+          (Array.of_list first.RS.agreement,
+           random_word r ~k ~pts ~errors:(Csm_rng.int r (e + 1)))
+        | _, Some first ->
+          (Array.of_list first.RS.agreement, random_word r ~k ~pts ~errors:(min n (e + 1)))
+      in
+      let ctx = RS.prepare_fast ~k (Array.map (fun i -> pts.(i)) on) in
+      let gao = RS.decode_gao ~k pairs in
+      match RS.decode_on ~ctx ~on ~k pairs with
+      | Some _ as d -> same_decode d gao
+      | None -> mode <> 0 || Option.is_none gao)
+
 let all_none_beyond_radius () =
   (* Random corruption just past the radius: every decoder must refuse
      (deterministic seeds — a coincidental nearby codeword would show up
@@ -348,5 +428,7 @@ let suites =
         QCheck_alcotest.to_alcotest ~long:false qcheck_cross_decoder;
         Alcotest.test_case "all decoders refuse beyond radius" `Quick
           all_none_beyond_radius;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_prepared_fallback;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_decode_on;
       ] );
   ]

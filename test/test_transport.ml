@@ -384,6 +384,69 @@ let binary_strictness () =
     ignore (W.decode_matrix_bin s)
   done
 
+(* [valid_commands_bin] answers exactly as [decode_commands_bin] does:
+   on encoded commands, on them with one byte changed (half the time
+   an element's top byte, where the range check bites), truncated,
+   extended or mangled as the node's Corrupt fault does, and on random
+   bytes; with the encoded shape, or (one time in four) another one. *)
+let qcheck_valid_commands =
+  QCheck.Test.make ~name:"valid_commands_bin iff decode_commands_bin" ~count:500
+    QCheck.(pair (int_range 0 4) (int_range 0 1_000_000))
+    (fun (mode, seed) ->
+      let r = Csm_rng.create (0x7A1 + seed) in
+      let k = Csm_rng.int r 4 and dim = Csm_rng.int r 4 in
+      let encoded =
+        W.encode_commands_bin
+          (Array.init k (fun _ -> Array.init dim (fun _ -> F.random r)))
+      in
+      let len = String.length encoded in
+      let s =
+        match mode with
+        | 0 -> encoded
+        | 1 when len > 0 ->
+          let b = Bytes.of_string encoded in
+          let at = Csm_rng.int r len in
+          let at = if Csm_rng.bool r then at - (at mod W.elt_bytes) else at in
+          Bytes.set b at (Char.chr (Csm_rng.int r 256));
+          Bytes.to_string b
+        | 2 when len > 0 -> String.sub encoded 0 (Csm_rng.int r len)
+        | 3 -> if Csm_rng.bool r then encoded ^ "\x00" else N.corrupt_payload encoded
+        | _ -> String.init (Csm_rng.int r 64) (fun _ -> Char.chr (Csm_rng.int r 256))
+      in
+      let k, dim =
+        if Csm_rng.int r 4 = 0 then (Csm_rng.int r 5 - 1, Csm_rng.int r 4) else (k, dim)
+      in
+      W.valid_commands_bin ~k ~dim s
+      = Option.is_some (W.decode_commands_bin ~k ~dim s))
+
+(* A Commit echo is checked, not decoded: [valid_commands_bin]
+   allocates nothing, on valid commands at K=2 and at the paper-scale
+   K=16, and on ones it rejects. *)
+let valid_commands_allocates_nothing () =
+  let rng = Csm_rng.create 0xA110 in
+  List.iter
+    (fun (k, dim) ->
+      let s =
+        W.encode_commands_bin
+          (Array.init k (fun _ -> Array.init dim (fun _ -> F.random rng)))
+      in
+      let bad = N.corrupt_payload s in
+      let ok = ref true in
+      for _ = 1 to 10 do
+        ok := !ok && W.valid_commands_bin ~k ~dim s
+      done;
+      let before = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        ok := !ok && W.valid_commands_bin ~k ~dim s
+                  && not (W.valid_commands_bin ~k ~dim bad)
+      done;
+      let after = Gc.minor_words () in
+      checkb "valid accepted, corrupt rejected" true !ok;
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "words allocated at K=%d" k)
+        0.0 (after -. before))
+    [ (2, 2); (16, 1) ]
+
 (* ----- the sim's sizers equal real wire bytes ----- *)
 
 let sim_sizes_equal_wire_bytes () =
@@ -693,6 +756,41 @@ let first_contact addr =
 let socket_first_contact () =
   with_sock_dir (fun dir -> first_contact (Socket.Uds dir));
   first_contact (Socket.Tcp (free_tcp_base ~ports:2))
+
+(* A send to a peer that is down queues its frame and connects only
+   when the peer's retry is due, not once per send.  100 sends in a row
+   to an endpoint that is not bound make a handful of failed connects
+   at the backoff's pace (50 us, doubling), so once it binds, the
+   sender's [recv] reaches it within a few milliseconds.  A connect per
+   send fails 100 times and backs the retry off to its 100 ms cap.  The
+   median of 5 trials is held under 20 ms. *)
+let socket_down_peer_backoff () =
+  with_sock_dir @@ fun dir ->
+  let addr = Socket.Uds dir in
+  let trial () =
+    let a = Socket.endpoint ~addr ~id:0 ~endpoints:2 in
+    Fun.protect ~finally:a.Transport.close (fun () ->
+        for r = 0 to 99 do
+          a.Transport.send ~dst:1 (Frame.make ~kind:Frame.Commit ~sender:0 ~round:r "x")
+        done;
+        let b = Socket.endpoint ~addr ~id:1 ~endpoints:2 in
+        let bound = Clock.mono () in
+        Fun.protect ~finally:b.Transport.close (fun () ->
+            let rec arrival () =
+              ignore (a.Transport.recv ~timeout:0.0002);
+              match b.Transport.recv ~timeout:0.0 with
+              | Some _ -> Clock.mono () -. bound
+              | None when Clock.mono () -. bound < 5.0 -> arrival ()
+              | None -> Alcotest.fail "the queued frames never arrived"
+            in
+            arrival ()))
+  in
+  let waits = List.sort Float.compare (List.init 5 (fun _ -> trial ())) in
+  let median = List.nth waits 2 in
+  checkb
+    (Printf.sprintf "median arrival %.2f ms after the bind, under 20 ms"
+       (median *. 1e3))
+    true (median < 0.02)
 
 (* An outbox is bounded: 40 sends of 1 MiB to a peer that is not
    reading leave the live heap under the outbox cap (16 MiB) plus
@@ -1597,6 +1695,9 @@ let suites =
         QCheck_alcotest.to_alcotest ~long:false qcheck_frame_round_trip;
         Alcotest.test_case "binary codec round trips" `Quick
           binary_round_trips;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_valid_commands;
+        Alcotest.test_case "valid_commands_bin allocates nothing" `Quick
+          valid_commands_allocates_nothing;
         Alcotest.test_case "binary decoder strictness + fuzz" `Quick
           binary_strictness;
         Alcotest.test_case "sim sizers equal real wire bytes" `Quick
@@ -1617,6 +1718,8 @@ let suites =
           socket_send_never_blocks;
         Alcotest.test_case "socket first contact is prompt" `Quick
           socket_first_contact;
+        Alcotest.test_case "socket connects to a down peer at the backoff's pace"
+          `Quick socket_down_peer_backoff;
         Alcotest.test_case "socket outbox is bounded" `Quick
           socket_outbox_is_bounded;
         Alcotest.test_case "socket: a stalled peer holds up nobody" `Quick
