@@ -83,6 +83,11 @@ cluster-smoke:
 	  > /tmp/csm_cluster_slow.txt
 	grep -q '^verify: ok' /tmp/csm_cluster_slow.txt
 	grep -q 'frame_errors=0' /tmp/csm_cluster_slow.txt
+	CSM_METRICS=/tmp/csm_cluster_lie.prom \
+	  dune exec bin/csm_cluster.exe -- --transport socket \
+	  -n 5 -k 1 -d 1 -b 2 --rounds 4 --faults 0:lie > /tmp/csm_cluster_lie.txt
+	grep -q '^verify: ok' /tmp/csm_cluster_lie.txt
+	grep -q '^csm_decode_errors_total{node="0"}' /tmp/csm_cluster_lie.prom
 	@echo "cluster-smoke: ok"
 
 # Cluster observability smoke: gate the allocation-overhead bench

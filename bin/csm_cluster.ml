@@ -40,7 +40,9 @@
    frame-v2 trace extension, gathers each process's final telemetry
    snapshot and writes ONE merged Chrome trace with cross-node flow
    arrows ordered by HLC.  --prom-out writes the cluster-merged
-   Prometheus exposition.  --flightrec arms the flight-recorder dump: a
+   Prometheus exposition.  With CSM_METRICS set, forked nodes ship
+   their final snapshots too, and the CSM_METRICS exposition folds
+   their registries into this process's.  --flightrec arms the flight-recorder dump: a
    csm-flightrec/1 document is written on ledger divergence, frame
    errors, decoder suspicion, or on request.  --replay FILE recomputes
    a dump's recorded rounds from its embedded seed and checks them
@@ -514,9 +516,16 @@ let run n k d b rounds seed transport dir port_base faults deadline out
   let stream =
     if streaming then Some (Option.value ~default:0.1 interval_env) else None
   in
+  (* forked nodes count into their own registries: with CSM_METRICS
+     set they ship their final snapshots too, and the exposition takes
+     their views in *)
+  let node_metrics =
+    Option.is_some (Prom.metrics_path ())
+    && match mode with Cluster.Loopback -> false | _ -> true
+  in
   let cfg =
-    { C.params; rounds; seed; mode; faults; deadline; trace; telemetry;
-      stream; live }
+    { C.params; rounds; seed; mode; faults; deadline; trace;
+      telemetry = telemetry || node_metrics; stream; live }
   in
   (* the scrape endpoint serves the merged live view for the whole run *)
   let server =
@@ -679,10 +688,14 @@ let run n k d b rounds seed transport dir port_base faults deadline out
       Printf.printf "flightrec: wrote %s (reason=%s)\n" flightrec_out reason
     | None -> ()
   end;
-  (* fold the socket-boundary counters into the metrics registry so a
-     CSM_METRICS exposition shows the transport layer next to the
-     simulator layers *)
+  (* fold the forked nodes' registries and the socket-boundary counters
+     into this one, so a CSM_METRICS exposition shows the nodes and the
+     transport layer next to the simulator layers *)
   if Metric.enabled () then begin
+    if node_metrics then
+      List.iter
+        (fun (s : Agg.snapshot) -> if s.Agg.s_node < n then Metric.absorb s.Agg.s_views)
+        result.C.telemetry;
     let np1 = n + 1 in
     let arr f =
       Array.init np1 (fun i ->

@@ -218,9 +218,9 @@ let run n k d b rounds network adversary seed trace report metrics ticker
   Format.printf "measured: λ=%.6f γ=%d β=%d (total ops %d)@." lambda k b
     (Ledger.grand_total ledger);
   (* paper-headline gauges, exported alongside the per-node signals *)
-  Metric.set Tel.throughput_lambda lambda;
-  Metric.set Tel.storage_gamma (float_of_int k);
-  Metric.set Tel.security_beta (float_of_int b);
+  Metric.set (Tel.throughput_lambda ()) lambda;
+  Metric.set (Tel.storage_gamma ()) (float_of_int k);
+  Metric.set (Tel.security_beta ()) (float_of_int b);
   (match Event.recent () with
   | [] -> ()
   | events ->

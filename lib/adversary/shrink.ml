@@ -105,7 +105,7 @@ let shrink ~still_fails t =
             current := c;
             incr steps;
             progress := true;
-            if Metric.enabled () then Metric.inc Tel.adversary_shrink_steps
+            if Metric.enabled () then Metric.inc (Tel.adversary_shrink_steps ())
           end
           else try_moves rest
         end

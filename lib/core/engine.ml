@@ -80,6 +80,7 @@ module Make (F : Field_intf.S) = struct
     next_states : F.t array array;  (* k × state_dim *)
     outputs : F.t array array;  (* k × output_dim *)
     error_nodes : int list;  (* nodes whose reported results were wrong *)
+    polys : RS.P.t array;  (* h_j, one per coordinate of gᵢ *)
   }
 
   (* Decode received (sender, vector) pairs coordinate by coordinate:
@@ -117,6 +118,47 @@ module Make (F : Field_intf.S) = struct
           d
         end)
 
+  (* The received results' evaluation points, in received order. *)
+  let points t recv = Array.map (fun (node, _) -> t.coding.Coding.alphas.(node)) recv
+
+  (* Register each reporter's csm_node_suspicion gauge, so an
+     exposition lists every reporting node, at zero until a decode
+     blames it.  The decode never reads them. *)
+  let register_reporters received =
+    if Metric.enabled () then
+      List.iter (fun (node, _) -> ignore (Tel.node_suspicion ~node)) received
+
+  (* Coordinate decodes to a round's decode: evaluate each h_j at the ωs
+     and split them into next states and outputs, and map the error
+     positions (indices into [recv]) to node ids.  [None] when any
+     coordinate failed. *)
+  let assemble t recv (coords : RS.decoded option array) =
+    let sd = t.machine.M.state_dim in
+    let next_states = Array.init t.params.Params.k (fun _ -> Array.make sd F.zero) in
+    let outputs =
+      Array.init t.params.Params.k (fun _ -> Array.make t.machine.M.output_dim F.zero)
+    in
+    let polys = Array.make (Array.length coords) RS.P.zero in
+    let errors = ref [] in
+    Array.iteri
+      (fun j -> function
+        | None -> ()
+        | Some d ->
+          List.iter
+            (fun idx ->
+              let node, _ = recv.(idx) in
+              if not (List.mem node !errors) then errors := node :: !errors)
+            d.RS.errors;
+          polys.(j) <- d.RS.poly;
+          Array.iteri
+            (fun k v ->
+              if j < sd then next_states.(k).(j) <- v else outputs.(k).(j - sd) <- v)
+            (Coding.eval_at_omegas t.coding d.RS.poly))
+      coords;
+    if Array.for_all Option.is_some coords then
+      Some { next_states; outputs; error_nodes = List.sort Int.compare !errors; polys }
+    else None
+
   (* Step 4: decode from the received results ((node, vector) pairs;
      missing nodes model withholding).  Attributed to [role].
 
@@ -133,11 +175,8 @@ module Make (F : Field_intf.S) = struct
     scope.Scope.run ~role (fun () ->
         let dim = result_dim t in
         let kdim = Params.code_dimension ~k:t.params.Params.k ~d:t.params.Params.d in
-        let sd = t.machine.M.state_dim in
         let recv = Array.of_list received in
-        let xs =
-          Array.map (fun (node, _) -> t.coding.Coding.alphas.(node)) recv
-        in
+        let xs = points t recv in
         let ctx =
           match algorithm with
           | RS.Optimistic when Array.length xs >= kdim -> (
@@ -152,41 +191,63 @@ module Make (F : Field_intf.S) = struct
               Some c)
           | _ -> None
         in
-        (* Register each reporter's csm_node_suspicion gauge, so an
-           exposition lists every reporting node, at zero until a
-           decode blames it.  The decode never reads them. *)
-        if Metric.enabled () then
-          List.iter (fun (node, _) -> ignore (Tel.node_suspicion ~node)) received;
-        let coords = decode_vectors ~algorithm ?ctx ~k:kdim xs recv ~dim in
-        let next_states =
-          Array.init t.params.Params.k (fun _ -> Array.make sd F.zero)
-        in
-        let outputs =
-          Array.init t.params.Params.k (fun _ ->
-              Array.make t.machine.M.output_dim F.zero)
-        in
-        let errors = ref [] in
+        register_reporters received;
+        assemble t recv (decode_vectors ~algorithm ?ctx ~k:kdim xs recv ~dim)))
+
+  (* Fewest results from which decoding corrects b lies: m with
+     2b + 1 <= m - d(K-1).  Any results beyond this are straggler
+     slack (the coded-computing latency win). *)
+  let min_results t =
+    Params.composite_degree ~k:t.params.Params.k ~d:t.params.Params.d
+    + (2 * t.params.Params.b) + 1
+
+  (* Fewest results whose agreement fixes the decode: d(K−1)+b+1.  If
+     that many lie on one polynomial of degree ≤ d(K−1), at most b of
+     them lie, so at least d(K−1)+1 are honest and the polynomial is
+     the honest h_j.  A node decodes at this many when they agree and
+     waits for [min_results] only when they do not. *)
+  let early_results t =
+    Params.composite_degree ~k:t.params.Params.k ~d:t.params.Params.d
+    + t.params.Params.b + 1
+
+  (* Decode on agreement: [Some] only when at least [early_results]
+     results are given and every coordinate's values lie on one
+     polynomial of degree ≤ d(K−1), checked by RS's fast path alone
+     ([RS.verify_words]).  No fallback: on [None] the caller waits for
+     [min_results] and calls [decode_results].  The context is built
+     on each call and kept out of [rs_ctxs]: the early reporter sets
+     would evict the full-quorum contexts and their Gao trees. *)
+  let verify_results t (received : (int * F.t array) list) : decoded option =
+    Span.with_ ~name:"engine.verify" (fun () ->
+        let recv = Array.of_list received in
+        if Array.length recv < early_results t then None
+        else begin
+          let kdim = Params.code_dimension ~k:t.params.Params.k ~d:t.params.Params.d in
+          let xs = points t recv in
+          let words =
+            Array.init (result_dim t) (fun j ->
+                Array.mapi (fun i x -> (x, (snd recv.(i)).(j))) xs)
+          in
+          match RS.verify_words ~ctx:(RS.prepare_fast ~k:kdim xs) ~k:kdim words with
+          | None -> None
+          | Some ds ->
+            register_reporters received;
+            assemble t recv (Array.map Option.some ds)
+        end)
+
+  (* The senders among [results] whose vectors disagree with [d]'s
+     coordinate polynomials at their points: the liars of a decoded
+     round, however many of its results the decode itself saw. *)
+  let liars t d (results : (int * F.t array) list) =
+    List.filter_map
+      (fun (node, g) ->
+        let x = t.coding.Coding.alphas.(node) in
+        let agrees = ref (Array.length g = Array.length d.polys) in
         Array.iteri
-          (fun j -> function
-            | None -> ()
-            | Some d ->
-              (* error positions are indices into [received] *)
-              List.iter
-                (fun idx ->
-                  let node, _ = recv.(idx) in
-                  if not (List.mem node !errors) then errors := node :: !errors)
-                d.RS.errors;
-              (* evaluate h_j at each ω *)
-              Array.iteri
-                (fun k v ->
-                  if j < sd then next_states.(k).(j) <- v
-                  else outputs.(k).(j - sd) <- v)
-                (Coding.eval_at_omegas t.coding d.RS.poly))
-          coords;
-        if Array.for_all Option.is_some coords then
-          Some
-            { next_states; outputs; error_nodes = List.sort Int.compare !errors }
-        else None))
+          (fun j p -> if !agrees && not (F.equal (RS.P.eval p x) g.(j)) then agrees := false)
+          d.polys;
+        if !agrees then None else Some node)
+      results
 
   (* Step 5 (per node): re-encode the coded state. *)
   let node_update_state ?(scope = Scope.null) t ~node ~next_states =
@@ -271,14 +332,6 @@ module Make (F : Field_intf.S) = struct
 
   (* Storage accounting (field elements per node): a single coded state. *)
   let storage_per_node t = t.machine.M.state_dim
-
-  (* Minimum number of results needed to start decoding a round while
-     still tolerating b lies among them: m with 2b + 1 <= m - d(K-1).
-     Any results beyond this are straggler slack — a node may decode as
-     soon as [min_results] arrive (the coded-computing latency win). *)
-  let min_results t =
-    Params.composite_degree ~k:t.params.Params.k ~d:t.params.Params.d
-    + (2 * t.params.Params.b) + 1
 
   (* Node recovery / regeneration: a node that lost its coded state
      rebuilds it from other nodes' coded states.  The peers' states

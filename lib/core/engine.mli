@@ -40,6 +40,9 @@ module Make (F : Field_intf.S) : sig
     next_states : F.t array array;
     outputs : F.t array array;
     error_nodes : int list;
+    polys : RS.P.t array;
+        (** the decoded h_j, one per coordinate of gᵢ: what {!liars}
+            checks a result against *)
   }
 
   val decode_results :
@@ -54,6 +57,20 @@ module Make (F : Field_intf.S) : sig
       function of the engine and [received] alone.  The algorithm
       defaults to [RS.Optimistic], which reuses the engine-cached
       [rs_ctx] across coordinates and rounds. *)
+
+  val verify_results : t -> (int * F.t array) list -> decoded option
+  (** Decode on agreement: [Some] only when at least {!early_results}
+      results are given and, in every coordinate, all of them lie on one
+      polynomial of degree ≤ d(K−1) (RS's fast path alone, no Gao
+      fallback).  Then at least d(K−1)+1 of them are honest, so the
+      decode equals [decode_results]' on any honest superset, with no
+      [error_nodes].  [None] otherwise: wait for {!min_results} and
+      call [decode_results].  The RS context is built per call, not
+      cached in [rs_ctxs]. *)
+
+  val liars : t -> decoded -> (int * F.t array) list -> int list
+  (** The senders, in the given order, whose result vectors disagree
+      with the decoded [polys] at their evaluation points. *)
 
   val node_update_state :
     ?scope:Scope.t -> t -> node:int -> next_states:F.t array array -> unit
@@ -88,8 +105,15 @@ module Make (F : Field_intf.S) : sig
   val storage_per_node : t -> int
 
   val min_results : t -> int
-  (** Earliest result count at which decoding tolerates b lies:
-      d(K−1) + 2b + 1.  Results beyond this are straggler slack. *)
+  (** Fewest results from which decoding corrects b lies:
+      d(K−1) + 2b + 1.  A node waits for this many only when its first
+      {!early_results} do not agree. *)
+
+  val early_results : t -> int
+  (** Fewest results whose agreement fixes the decode: d(K−1) + b + 1.
+      If they all lie on one polynomial of degree ≤ d(K−1), at least
+      d(K−1)+1 of them are honest, so it is the honest one (the
+      certificate set τ of eq. (9)). *)
 
   val recover_coded_state :
     t -> node:int -> reports:(int * F.t array) list -> F.t array option

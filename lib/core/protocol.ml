@@ -420,7 +420,7 @@ module Make (F : Field_intf.S) = struct
   let run_round ?(scope = Scope.null) ?validate cfg (engine : E.t) ~round
       ~commands adv : round_outcome =
     let outcome =
-      Metric.time Tel.round_latency (fun () ->
+      Metric.time (Tel.round_latency ()) (fun () ->
     Span.with_ ~ops:scope.Scope.ops
       ~attrs:[ ("round", string_of_int round) ]
       ~name:"protocol.round"

@@ -295,7 +295,12 @@ module Make (F : Field_intf.S) = struct
               {
                 decoded =
                   Some
-                    { E.next_states; outputs; error_nodes = all_errors };
+                    {
+                      E.next_states;
+                      outputs;
+                      error_nodes = all_errors;
+                      polys = Array.map (fun (coeffs, _) -> P.normalize coeffs) per_coord;
+                    };
                 fraud = None;
                 max_interactions = !max_inter;
               }

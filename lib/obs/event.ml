@@ -67,7 +67,7 @@ let emit ?(attrs = []) level name =
     (* past [capacity], this entry displaced one nobody read: make the
        truncation observable instead of silent *)
     if Atomic.fetch_and_add emitted 1 >= capacity && Metric.enabled () then
-      Metric.inc Telemetry.events_dropped
+      Metric.inc (Telemetry.events_dropped ())
   end
 
 let total () = Atomic.get emitted

@@ -301,4 +301,44 @@ let families () =
          in
          { name; help; kind; samples })
 
+(* Fold another registry's views into this one, as [Agg.merge_views]
+   merges two: counters add, gauges keep the larger value, histograms
+   add their buckets.  A sample that cannot be registered here (a bad
+   name, another kind or bucket layout under its name) is skipped. *)
+let absorb views =
+  if Atomic.get on then
+    List.iter
+      (fun v ->
+        List.iter
+          (fun s ->
+            match (v.kind, s.value) with
+            | K_counter, V_counter c -> (
+              match counter ~help:v.help ~labels:s.labels v.name with
+              | ctr -> ignore (Atomic.fetch_and_add ctr c)
+              | exception Invalid_argument _ -> ())
+            | K_gauge, V_gauge x -> (
+              match gauge ~help:v.help ~labels:s.labels v.name with
+              | g ->
+                let rec cas () =
+                  let cur = Atomic.get g in
+                  if x > cur && not (Atomic.compare_and_set g cur x) then cas ()
+                in
+                cas ()
+              | exception Invalid_argument _ -> ())
+            | K_histogram, V_histogram snap -> (
+              match histogram ~help:v.help ~labels:s.labels ~buckets:snap.s_bounds v.name with
+              | h
+                when Array.length h.bounds = Array.length snap.s_bounds
+                     && Array.for_all2 Float.equal h.bounds snap.s_bounds
+                     && Array.length snap.s_counts = Array.length h.bounds + 1 ->
+                let sh = Domain.DLS.get h.shard_key in
+                Array.iteri (fun i c -> sh.counts.(i) <- sh.counts.(i) + c) snap.s_counts;
+                sh.sum <- sh.sum +. snap.s_sum;
+                sh.cnt <- sh.cnt + snap.s_count
+              | _ -> ()
+              | exception Invalid_argument _ -> ())
+            | (K_counter | K_gauge | K_histogram), _ -> ())
+          v.samples)
+      views
+
 let reset () = Mutex.protect reg_lock (fun () -> Hashtbl.reset registry)

@@ -95,6 +95,13 @@ type view = {
 val families : unit -> view list
 (** Every registered family, sorted by name, with current values. *)
 
+val absorb : view list -> unit
+(** Fold another registry's views (a forked node's final snapshot) into
+    this one, as [Agg.merge_views] merges: counters add, gauges
+    keep the larger value, histograms add their buckets.  Samples that
+    do not fit here (a bad name, another kind or bucket layout) are
+    skipped; a no-op while metrics are disabled. *)
+
 val reset : unit -> unit
 (** Drop the whole registry (tests / per-run isolation).  Handles
     interned before the reset keep working but are no longer

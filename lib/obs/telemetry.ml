@@ -9,7 +9,10 @@
    of the simulated cluster.
 
    Every constructor below interns into the [Metric] registry, so
-   calling it repeatedly returns the same instrument.  Hot paths should
+   calling it repeatedly returns the same instrument.  Each is a
+   function, families without labels too: [Metric.reset] empties the
+   registry, and a handle interned once at module load would then
+   count into an instrument no exposition lists.  Hot paths should
    still guard with [Metric.enabled ()] to keep the disabled path
    allocation-free. *)
 
@@ -50,7 +53,7 @@ let record_per_node ~layer ~sent ~received ~bytes_sent ~bytes_received =
     done
   end
 
-let round_latency =
+let round_latency () =
   Metric.histogram
     ~help:"Wall-clock protocol round latency (consensus + execution), seconds"
     "csm_round_latency_seconds"
@@ -150,7 +153,7 @@ let flightrec_dumps ~reason =
     ~labels:[ ("reason", reason) ]
     "csm_flightrec_dumps_total"
 
-let events_dropped =
+let events_dropped () =
   Metric.counter
     ~help:
       "Event-log ring entries overwritten before being read — the \
@@ -198,7 +201,7 @@ let adversary_violations ~bound ~kind =
     ~labels:[ ("bound", bound); ("kind", kind) ]
     "csm_adversary_violations_total"
 
-let adversary_shrink_steps =
+let adversary_shrink_steps () =
   Metric.counter
     ~help:
       "Accepted shrinking moves while minimizing failing strategies to \
@@ -207,35 +210,35 @@ let adversary_shrink_steps =
 
 (* ----- OCaml runtime family (Gc.quick_stat + /proc) ----- *)
 
-let gc_minor_collections =
+let gc_minor_collections () =
   Metric.gauge ~help:"Minor garbage collections since program start"
     "csm_gc_minor_collections"
 
-let gc_major_collections =
+let gc_major_collections () =
   Metric.gauge ~help:"Major garbage collection cycles since program start"
     "csm_gc_major_collections"
 
-let gc_compactions =
+let gc_compactions () =
   Metric.gauge ~help:"Heap compactions since program start"
     "csm_gc_compactions"
 
-let gc_heap_words =
+let gc_heap_words () =
   Metric.gauge ~help:"Major heap size, words" "csm_gc_heap_words"
 
-let gc_top_heap_words =
+let gc_top_heap_words () =
   Metric.gauge ~help:"Largest major heap size reached, words"
     "csm_gc_top_heap_words"
 
-let gc_minor_words =
+let gc_minor_words () =
   Metric.gauge ~help:"Words allocated in the minor heap since program start"
     "csm_gc_minor_words"
 
-let process_rss_bytes =
+let process_rss_bytes () =
   Metric.gauge
     ~help:"Resident set size from /proc/self/statm, bytes (0 where absent)"
     "csm_process_rss_bytes"
 
-let process_start_time_seconds =
+let process_start_time_seconds () =
   Metric.gauge
     ~help:"Unix time the process sampled the runtime family first, seconds"
     "csm_process_start_time_seconds"
@@ -268,27 +271,27 @@ let rss_bytes () =
 let sample_runtime () =
   if Metric.enabled () then begin
     let st = Gc.quick_stat () in
-    Metric.set gc_minor_collections (float_of_int st.Gc.minor_collections);
-    Metric.set gc_major_collections (float_of_int st.Gc.major_collections);
-    Metric.set gc_compactions (float_of_int st.Gc.compactions);
-    Metric.set gc_heap_words (float_of_int st.Gc.heap_words);
-    Metric.set gc_top_heap_words (float_of_int st.Gc.top_heap_words);
-    Metric.set gc_minor_words st.Gc.minor_words;
-    Metric.set process_rss_bytes (rss_bytes ());
+    Metric.set (gc_minor_collections ()) (float_of_int st.Gc.minor_collections);
+    Metric.set (gc_major_collections ()) (float_of_int st.Gc.major_collections);
+    Metric.set (gc_compactions ()) (float_of_int st.Gc.compactions);
+    Metric.set (gc_heap_words ()) (float_of_int st.Gc.heap_words);
+    Metric.set (gc_top_heap_words ()) (float_of_int st.Gc.top_heap_words);
+    Metric.set (gc_minor_words ()) st.Gc.minor_words;
+    Metric.set (process_rss_bytes ()) (rss_bytes ());
     if Atomic.get start_latch = 0.0 then
       ignore
         (Atomic.compare_and_set start_latch 0.0 (Unix.gettimeofday ()));
-    Metric.set process_start_time_seconds (Atomic.get start_latch)
+    Metric.set (process_start_time_seconds ()) (Atomic.get start_latch)
   end
 
-let throughput_lambda =
+let throughput_lambda () =
   Metric.gauge ~help:"Measured commands-per-round throughput λ"
     "csm_throughput_lambda"
 
-let storage_gamma =
+let storage_gamma () =
   Metric.gauge ~help:"Storage efficiency γ = K (machines per coded state)"
     "csm_storage_gamma"
 
-let security_beta =
+let security_beta () =
   Metric.gauge ~help:"Security parameter β = b (tolerated Byzantine nodes)"
     "csm_security_beta"

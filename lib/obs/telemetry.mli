@@ -1,6 +1,7 @@
 (** The CSM metric families (Prometheus naming, csm_ prefix), defined
     once so every instrumentation site and the EXPERIMENTS.md table
-    agree.  Constructors intern into {!Metric}; guard hot paths with
+    agree.  Constructors intern into {!Metric} on every call, so each
+    family survives a [Metric.reset]; guard hot paths with
     [Metric.enabled ()]. *)
 
 val tick_buckets : float array
@@ -20,7 +21,7 @@ val record_per_node :
 (** Fold per-node simulator stats into the message counters; a no-op
     when metrics are disabled. *)
 
-val round_latency : Metric.hist
+val round_latency : unit -> Metric.hist
 val consensus_latency : protocol:string -> Metric.hist
 val pbft_messages : phase:string -> Metric.counter
 val rounds_total : result:string -> Metric.counter
@@ -53,7 +54,7 @@ val flightrec_dumps : reason:string -> Metric.counter
 (** Flight-recorder dumps written, by trigger: ["divergence"],
     ["frame-errors"], ["suspicion"], ["alert"], ["requested"]. *)
 
-val events_dropped : Metric.counter
+val events_dropped : unit -> Metric.counter
 (** Event-ring entries overwritten unread ([csm_events_dropped_total]).
     Its help text still names the event tail telemetry snapshots no
     longer carry: changing it would change every exposition. *)
@@ -78,20 +79,20 @@ val adversary_violations : bound:string -> kind:string -> Metric.counter
     ([csm_adversary_violations_total]), by bound and kind
     (["safety"] | ["liveness"]). *)
 
-val adversary_shrink_steps : Metric.counter
+val adversary_shrink_steps : unit -> Metric.counter
 (** Accepted shrinking moves while minimizing failing strategies
     ([csm_adversary_shrink_steps_total]). *)
 
 (** {1 OCaml runtime family} *)
 
-val gc_minor_collections : Metric.gauge
-val gc_major_collections : Metric.gauge
-val gc_compactions : Metric.gauge
-val gc_heap_words : Metric.gauge
-val gc_top_heap_words : Metric.gauge
-val gc_minor_words : Metric.gauge
-val process_rss_bytes : Metric.gauge
-val process_start_time_seconds : Metric.gauge
+val gc_minor_collections : unit -> Metric.gauge
+val gc_major_collections : unit -> Metric.gauge
+val gc_compactions : unit -> Metric.gauge
+val gc_heap_words : unit -> Metric.gauge
+val gc_top_heap_words : unit -> Metric.gauge
+val gc_minor_words : unit -> Metric.gauge
+val process_rss_bytes : unit -> Metric.gauge
+val process_start_time_seconds : unit -> Metric.gauge
 
 val sample_runtime : unit -> unit
 (** Refresh the [csm_gc_*] / process gauges from [Gc.quick_stat] and
@@ -99,6 +100,6 @@ val sample_runtime : unit -> unit
     any exposition or telemetry emission that should carry runtime
     health. *)
 
-val throughput_lambda : Metric.gauge
-val storage_gamma : Metric.gauge
-val security_beta : Metric.gauge
+val throughput_lambda : unit -> Metric.gauge
+val storage_gamma : unit -> Metric.gauge
+val security_beta : unit -> Metric.gauge

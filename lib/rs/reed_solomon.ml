@@ -23,7 +23,10 @@
      cached by the caller via [prepare_fast].
 
    [decode_on] is the fast path alone over a known agreement set, for
-   a word whose errors an earlier decode already located.  [decode]
+   a word whose errors an earlier decode already located;
+   [verify_words] is the fast path alone over several words, all or
+   nothing, for a caller that decodes in full when any disagrees.
+   [decode]
    defaults to the optimistic decoder; the rs bench pins Gao with
    [?algorithm] to measure the fast path against it. *)
 
@@ -349,6 +352,36 @@ module Make (F : Field_intf.S) = struct
         in
         count_decode (algorithm_name algorithm) result;
         result)
+
+  (* The fast path alone over several words on the context's points,
+     all or nothing: [Some] only when each word's candidate explains
+     every one of its values, and then each word counts as a clean hit,
+     as [decode] counts one.  [None], counting nothing, at the first
+     word that does not verify or whose points are not the context's.
+     No fallback: the caller decodes in full. *)
+  let verify_words ~ctx ~k words =
+    let polys = Array.make (Array.length words) P.zero in
+    let rec go j =
+      j >= Array.length words
+      || ctx_matches ctx ~k (Array.map fst words.(j))
+         && (match verify ctx words.(j) with
+            | Some poly ->
+              polys.(j) <- poly;
+              go (j + 1)
+            | None -> false)
+    in
+    if not (go 0) then None
+    else begin
+      let agreement = List.init (Array.length ctx.fc_points) Fun.id in
+      Some
+        (Array.map
+           (fun poly ->
+             let d = { poly; agreement; errors = [] } in
+             record_fastpath "hit";
+             count_decode (algorithm_name Optimistic) (Some d);
+             d)
+           polys)
+    end
 
   (* Does [ctx] hold the points of [pairs] at positions [on], which
      must rise strictly within the word? *)

@@ -65,6 +65,15 @@ module Make (F : Field_intf.S) : sig
   (** Default algorithm is [Optimistic]; [ctx] is used by it and ignored
       by [Gao]. *)
 
+  val verify_words :
+    ctx:fast_ctx -> k:int -> (F.t * F.t) array array -> decoded array option
+  (** The fast path alone over several words at [ctx]'s points, all or
+      nothing: [Some], one zero-error decode per word, only when every
+      word's candidate explains all of its values; each then counts as
+      an optimistic clean hit.  [None], counting nothing, when any word
+      does not verify or its points are not [ctx]'s.  No Gao fallback:
+      a caller that gets [None] decodes in full. *)
+
   val decode_on :
     ctx:fast_ctx -> on:int array -> k:int -> (F.t * F.t) array -> decoded option
   (** The verify-only fast path over a known agreement set: [on] lists

@@ -10,8 +10,10 @@
                               node's own view arrive (self included)
      compute                  X̃ᵢ = encode(commands), gᵢ = f(S̃ᵢ, X̃ᵢ)
      Result  (node → nodes)   gᵢ, binary vector payload
-     decode                   Reed–Solomon decode once d(K−1)+2b+1
-                              results are in (own included)
+     decode                   once d(K−1)+b+1 results are in (own
+                              included) and agree; when they do
+                              not, Reed–Solomon decode once
+                              d(K−1)+2b+1 are in
      Output  (node → client)  decoded Ŷ rows then next-state Ŝ rows
      re-encode                S̃ᵢ(t+1) from the decoded next states
 
@@ -23,12 +25,15 @@
    [deadline] so silent peers cannot stall a round either.
 
    Each wait stops at the paper's quorum: b+1 matching echoes, then
-   d(K−1)+2b+1 results.  So a round runs at the pace of its fastest
-   quorum, not of its slowest sender.  Hearing every sender that sends
-   and the deadline stay as caps.  Once its Output is sent, a node
-   still hears the rest of the round before it moves on, so every
-   frame of a round is taken in (and a malformed one counted) before
-   the node can answer the Shutdown.
+   d(K−1)+b+1 results when they agree (at most b of them lie, so their
+   one polynomial is the honest one), else d(K−1)+2b+1.  So a round
+   runs at the pace of its fastest quorum, not of its slowest sender.
+   Hearing every sender that sends and the deadline stay as caps.
+   Once its Output is sent, a node still hears the rest of the round
+   before it moves on, so every frame of a round is taken in (and a
+   malformed one counted) before the node can answer the Shutdown;
+   then, with metrics on, it blames every sender whose Result
+   disagrees with the decode.
 
    A wait checks its condition, and only while it does not hold takes
    one frame from [Transport.recv] (over sockets it wakes on the next
@@ -284,6 +289,12 @@ module Make (F : Field_intf.S) = struct
   let hear_result st sender v =
     if hear st.results sender v then st.n_results <- st.n_results + 1
 
+  (* The round's valid results as (sender, gⱼ), in sender order. *)
+  let valid_results cfg st =
+    List.filter_map
+      (fun j -> match st.results.(j) with Valid g -> Some (j, g) | _ -> None)
+      (List.init cfg.params.Params.n Fun.id)
+
   (* Round [r] is decided: forget its record and move the window. *)
   let decided inbox r =
     Hashtbl.remove inbox.live r;
@@ -535,7 +546,8 @@ module Make (F : Field_intf.S) = struct
 
   (* One round up to its Output: [expected] senders send each round,
      this node included (see [expected_peers]).  Each wait stops at its
-     quorum, at every expected sender heard, or at the deadline. *)
+     quorum, at every expected sender heard, or at the deadline.  The
+     round's decode, or [None] when it has none. *)
   let run_round cfg (tr : Transport.t) engine inbox ~expected r =
     let n = cfg.params.Params.n in
     let b = cfg.params.Params.b in
@@ -544,7 +556,7 @@ module Make (F : Field_intf.S) = struct
     (* 1. the round's commands, from the client *)
     ignore (wait_until cfg tr inbox (fun () -> Option.is_some st.command));
     match st.command with
-    | None -> false
+    | None -> None
     | Some (cmd_payload, commands) ->
       phase inbox ~round:r "commands";
       (* 2. commit: echo the command payload to every peer, then wait
@@ -557,7 +569,7 @@ module Make (F : Field_intf.S) = struct
       ignore
         (wait_until ~in_round:true cfg tr inbox (fun () ->
              committed () || st.n_commits >= expected - 1));
-      if not (committed ()) then false
+      if not (committed ()) then None
       else begin
       phase inbox ~round:r "committed";
       (* 3. compute gᵢ over the committed commands *)
@@ -590,41 +602,38 @@ module Make (F : Field_intf.S) = struct
         if j <> me then send_protocol cfg inbox tr ~dst:j result
       done;
       hear_result st me (Valid g);
-      (* 5. collect d(K−1)+2b+1 results, own included, and decode the
-         valid ones.  Any that many with at most b lies decode to the
-         one polynomial.  A malformed Result counts as heard: its
-         sender cannot also lie, so c of them leave at most b−c lies
-         among the valid rest *)
+      (* 5. decode on agreement: once d(K−1)+b+1 results are in, own
+         included, a decode on which all the valid ones agree is the
+         honest one (at most b of them lie).  Only when they disagree
+         does the node wait for d(K−1)+2b+1, any that many of which,
+         with at most b lies, decode to the one polynomial.  A
+         malformed Result counts as heard: its sender cannot also lie,
+         so c of them leave at most b−c lies among the valid rest *)
       let quorum = min (E.min_results engine) expected in
+      let early = min (E.early_results engine) quorum in
       ignore
-        (wait_until ~in_round:true cfg tr inbox (fun () ->
-             st.n_results >= quorum));
-      let received =
-        List.filter_map
-          (fun j -> match st.results.(j) with Valid g -> Some (j, g) | _ -> None)
-          (List.init n Fun.id)
+        (wait_until ~in_round:true cfg tr inbox (fun () -> st.n_results >= early));
+      let decoded =
+        match E.verify_results engine (valid_results cfg st) with
+        | Some _ as d -> d
+        | None ->
+          ignore
+            (wait_until ~in_round:true cfg tr inbox (fun () ->
+                 st.n_results >= quorum));
+          (* the default decoder: optimistic verify-first fast path,
+             with Gao as fallback; a lie is located once, on the first
+             faulty coordinate, and the rest are verified on its
+             agreement set *)
+          E.decode_results engine (valid_results cfg st)
       in
-      (* the default decoder: optimistic verify-first fast path, with
-         Gao as fallback; a lie is located once, on the first faulty
-         coordinate, and the rest are verified on its agreement set *)
-      match E.decode_results engine received with
+      match decoded with
       | None ->
         phase inbox ~round:r "decode-failed";
-        false
+        None
       | Some d ->
         phase inbox ~round:r "decoded";
-        (* attribute decoder-corrected error locations, like the
-           simulator protocol does: the suspicion gauge is the live
-           alert signal *)
-        if Metric.enabled () then begin
-          List.iter
-            (fun j ->
-              Metric.inc (Tel.decode_errors ~node:j);
-              Metric.add (Tel.node_suspicion ~node:j) 1.0)
-            d.E.error_nodes;
-          Metric.inc ~by:cfg.params.Params.k
-            (Tel.commands_committed ~node:me)
-        end;
+        if Metric.enabled () then
+          Metric.inc ~by:cfg.params.Params.k (Tel.commands_committed ~node:me);
         (* 6. ship the decoded outputs + next states to the client *)
         let payload =
           W.encode_matrix_bin (Array.append d.E.outputs d.E.next_states)
@@ -633,7 +642,7 @@ module Make (F : Field_intf.S) = struct
           (Frame.make ~kind:Frame.Output ~sender:me ~round:r payload);
         (* 7. advance our own coded state *)
         E.node_update_state engine ~node:me ~next_states:d.E.next_states;
-        true
+        decoded
       end
 
   (* The rest of round [r], after [run_round] returns on any path.  A
@@ -645,15 +654,29 @@ module Make (F : Field_intf.S) = struct
      round that ended earlier (no Command, or no commit) already waited
      to its caps.  Under a closed-loop client this costs no latency: the
      next Command follows the slowest sender's Output, which that sender
-     writes after its Commits and Results. *)
-  let hear_out cfg tr inbox ~expected r =
+     writes after its Commits and Results.
+
+     With the round's frames in, a decoded round attributes its liars:
+     every valid Result heard is checked against the decoded coordinate
+     polynomials, and each sender that disagrees counts once in the
+     suspicion signal — also one the decode never saw, since an early
+     decode stops at d(K−1)+b+1 results. *)
+  let hear_out cfg tr engine inbox ~expected r decoded =
     let st = round_in cfg inbox r in
     match st.results.(cfg.node) with
     | Unheard -> ()
-    | Malformed | Valid _ ->
+    | Malformed | Valid _ -> (
       ignore
         (wait_until ~in_round:true cfg tr inbox (fun () ->
-             st.n_commits >= expected - 1 && st.n_results >= expected))
+             st.n_commits >= expected - 1 && st.n_results >= expected));
+      match decoded with
+      | Some d when Metric.enabled () ->
+        List.iter
+          (fun j ->
+            Metric.inc (Tel.decode_errors ~node:j);
+            Metric.add (Tel.node_suspicion ~node:j) 1.0)
+          (E.liars engine d (valid_results cfg st))
+      | Some _ | None -> ())
 
   (* Binary stats payload: five big-endian u64 counters. *)
   let stats_payload (s : Transport.stats) =
@@ -709,13 +732,14 @@ module Make (F : Field_intf.S) = struct
          sends runs them too *)
       if (not inbox.shutdown) || commanded inbox r then begin
         let t0 = Unix.gettimeofday () in
-        ignore
-          (Span.with_ ~name:"node.round"
-             ~attrs:(("round", string_of_int r) :: node_attr)
-             (fun () -> run_round cfg tr engine inbox ~expected r));
+        let decoded =
+          Span.with_ ~name:"node.round"
+            ~attrs:(("round", string_of_int r) :: node_attr)
+            (fun () -> run_round cfg tr engine inbox ~expected r)
+        in
         if Metric.enabled () then
-          Metric.observe Tel.round_latency (Unix.gettimeofday () -. t0);
-        hear_out cfg tr inbox ~expected r;
+          Metric.observe (Tel.round_latency ()) (Unix.gettimeofday () -. t0);
+        hear_out cfg tr engine inbox ~expected r decoded;
         decided inbox r
       end
     done;

@@ -96,13 +96,17 @@ module Make (F : Field_intf.S) : sig
       exit, exceptional included.  Never raises on Byzantine input.
 
       Each wait stops at the paper's quorum.  The node commits once b+1
-      valid Commits equal its Command, its own echo included, and
-      decodes once d(K−1)+2b+1 results are heard, its own included.
-      Hearing every sender that [faults] says sends, or [deadline],
-      also ends a wait.  After its Output the node still hears the rest
-      of the round (every such peer's Commit and Result, or
-      [deadline]) before it starts the next, so its [Stats] reply
-      counts every frame of every round it ran.
+      valid Commits equal its Command, its own echo included.  It
+      decodes once d(K−1)+b+1 results are heard, its own included, if
+      they agree on one polynomial per coordinate; otherwise once
+      d(K−1)+2b+1 are heard.  Hearing every sender that [faults] says
+      sends, or [deadline], also ends a wait.  After its Output the
+      node still hears the rest of the round (every such peer's Commit
+      and Result, or [deadline]) before it starts the next, so its
+      [Stats] reply counts every frame of every round it ran; then,
+      with metrics on, it blames each sender whose valid Result
+      disagrees with the decode in [csm_decode_errors_total] and
+      [csm_node_suspicion].
 
       A protocol frame is kept only for an undecided round at most
       {!window} rounds ahead of the node's lowest undecided one.  A

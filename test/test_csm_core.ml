@@ -438,6 +438,145 @@ let qcheck_vector_decode_equals_gao =
           same_decoded ours gao && ((not past_radius) || Option.is_none ours))
         (List.init 3 Fun.id))
 
+(* Decode on agreement.  The honest results of a random round over
+   valid (n, K, d, b) decode to h_j; up to b liars then report random
+   vectors, or the values of a wrong p_j = h_j + c_j·∏_{s∈S}(z − α_s)
+   that matches the d(K−1) honest nodes of S, and the received subset
+   is random (in mode 1 it holds the liars and S first, so as few as
+   d(K−1)+b+1 results can be all but one on p).  On any subset of
+   m ≥ d(K−1)+b+1 results the early decode is [None] or the honest
+   decode; the same subset with no lies is [Some]; fewer than
+   d(K−1)+b+1 results, honest or not, give [None].  [liars] names the
+   received senders whose vectors are not the honest ones. *)
+let same_polys a b = Array.length a = Array.length b && Array.for_all2 E.RS.P.equal a b
+
+let qcheck_early_decode =
+  QCheck.Test.make ~name:"early decode is the honest decode or None" ~count:200
+    QCheck.(pair (int_range 0 1) (int_range 0 1_000_000))
+    (fun (mode, seed) ->
+      let r = Csm_rng.create (0xEA7 + seed) in
+      let machine =
+        M.random r ~state_dim:(1 + Csm_rng.int r 2) ~input_dim:1
+          ~output_dim:(1 + Csm_rng.int r 2) ~degree:(1 + Csm_rng.int r 2)
+          ~terms:3
+      in
+      let d = M.degree machine and k = 1 + Csm_rng.int r 3 in
+      let b = Csm_rng.int r 3 and slack = Csm_rng.int r 3 in
+      let dk = Params.composite_degree ~k ~d in
+      let n = dk + (2 * b) + 1 + slack in
+      let params = Params.make ~network:Params.Sync ~n ~k ~d ~b in
+      let init = Array.init k (fun _ -> Array.init machine.M.state_dim (fun _ -> F.random r)) in
+      let commands = Array.init k (fun _ -> Array.init machine.M.input_dim (fun _ -> F.random r)) in
+      let engine = E.create ~machine ~params ~init in
+      let early = E.early_results engine and dim = E.result_dim engine in
+      let honest =
+        Array.init n (fun node ->
+            E.node_compute engine ~node
+              ~coded_command:(E.node_encode_command engine ~node ~commands))
+      in
+      let reference =
+        match E.decode_results engine (List.init n (fun i -> (i, honest.(i)))) with
+        | Some h -> h
+        | None -> failwith "an honest round did not decode"
+      in
+      let alpha i = engine.E.coding.E.Coding.alphas.(i) in
+      let order = Csm_rng.sample r ~n ~k:n in
+      let liars = Array.sub order 0 (Csm_rng.int r (b + 1)) in
+      let agreeing = Array.sub order (Array.length liars) dk in
+      let lied =
+        Array.mapi
+          (fun i g ->
+            if not (Array.mem i liars) then g
+            else if mode = 0 then Array.init dim (fun _ -> F.random r)
+            else
+              Array.map
+                (fun h ->
+                  let c = F.random_nonzero r in
+                  let on_s =
+                    Array.fold_left
+                      (fun acc s -> F.mul acc (F.sub (alpha i) (alpha s)))
+                      F.one agreeing
+                  in
+                  F.add (E.RS.P.eval h (alpha i)) (F.mul c on_s))
+                reference.E.polys)
+          honest
+      in
+      let subset m =
+        let ids =
+          if mode = 1 then Array.to_list (Array.sub order 0 m)
+          else Array.to_list (Csm_rng.sample r ~n ~k:m)
+        in
+        ( List.map (fun i -> (i, lied.(i))) ids,
+          List.map (fun i -> (i, honest.(i))) ids )
+      in
+      let agrees = function
+        | None -> true
+        | Some e ->
+          same_decoded (Some e) (Some { reference with E.error_nodes = [] })
+          && same_polys e.E.polys reference.E.polys
+      in
+      List.for_all
+        (fun _ ->
+          let m = early + Csm_rng.int r (n - early + 1) in
+          let with_lies, clean = subset m in
+          let below_lies, below_clean = subset (Csm_rng.int r early) in
+          let expected_liars =
+            List.filter_map
+              (fun (i, g) ->
+                if Array.for_all2 F.equal g honest.(i) then None else Some i)
+              with_lies
+          in
+          agrees (E.verify_results engine with_lies)
+          && (match E.verify_results engine clean with
+             | Some _ as e -> agrees e
+             | None -> false)
+          && Option.is_none (E.verify_results engine below_lies)
+          && Option.is_none (E.verify_results engine below_clean)
+          && E.liars engine reference with_lies = expected_liars)
+        (List.init 4 Fun.id))
+
+(* Two liars at 8/2/2/2 report the values of a wrong degree-2
+   polynomial that matches honest nodes 2 and 3.  The first five
+   results (the liars, nodes 2 and 3, and node 4) are four on the wrong
+   polynomial and one on the honest one: the early decode refuses them.
+   The full decode of the first seven corrects both lies. *)
+let early_decode_refuses_a_planted_polynomial () =
+  let machine = M.degree_machine 2 in
+  let k = 2 and r = Csm_rng.create 0x2F2 in
+  let params = Params.make ~network:Params.Sync ~n:8 ~k ~d:2 ~b:2 in
+  let vec dim = Array.init dim (fun _ -> F.random r) in
+  let engine =
+    E.create ~machine ~params ~init:(Array.init k (fun _ -> vec machine.M.state_dim))
+  in
+  let commands = Array.init k (fun _ -> vec machine.M.input_dim) in
+  let honest =
+    Array.init 8 (fun node ->
+        E.node_compute engine ~node
+          ~coded_command:(E.node_encode_command engine ~node ~commands))
+  in
+  let reference =
+    match E.decode_results engine (List.init 8 (fun i -> (i, honest.(i)))) with
+    | Some h -> h
+    | None -> Alcotest.fail "the honest round did not decode"
+  in
+  let alpha i = engine.E.coding.E.Coding.alphas.(i) in
+  let planted x h = F.add (E.RS.P.eval h x) (F.mul (F.sub x (alpha 2)) (F.sub x (alpha 3))) in
+  let results =
+    List.init 8 (fun i ->
+        (i, if i <= 1 then Array.map (planted (alpha i)) reference.E.polys else honest.(i)))
+  in
+  let first m = List.filteri (fun i _ -> i < m) results in
+  Alcotest.(check int) "early quorum" 5 (E.early_results engine);
+  Alcotest.(check bool) "four of five agree on the wrong polynomial" true
+    (Option.is_none (E.verify_results engine (first 5)));
+  (match E.decode_results engine (first 7) with
+  | Some dec ->
+    Alcotest.(check bool) "full decode: honest outputs" true
+      (same_decoded (Some dec) (Some { reference with E.error_nodes = [ 0; 1 ] }));
+    Alcotest.(check (list int)) "both liars located" [ 0; 1 ] dec.E.error_nodes
+  | None -> Alcotest.fail "the full decode failed");
+  Alcotest.(check (list int)) "liars among all eight" [ 0; 1 ] (E.liars engine reference results)
+
 (* The Boolean machine path: CSM over GF(2^10) executing the majority
    register, coded, under faults. *)
 let boolean_machine_coded () =
@@ -690,5 +829,8 @@ let suites =
           engine_over_mersenne;
         QCheck_alcotest.to_alcotest ~long:false qcheck_engine_random_machines;
         QCheck_alcotest.to_alcotest ~long:false qcheck_vector_decode_equals_gao;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_early_decode;
+        Alcotest.test_case "early decode refuses a planted polynomial" `Quick
+          early_decode_refuses_a_planted_polynomial;
       ] );
   ]

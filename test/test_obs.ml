@@ -1193,6 +1193,56 @@ let agg_merge_views () =
     (Prom.render_views
        (Agg.merge_views [ Agg.merge_views [ a; b ]; b ]))
 
+(* A forked node's final views fold into this process's registry as
+   [Agg.merge_views] merges them (counters add, gauges keep the larger
+   value, histograms add buckets); a sample of another kind under a
+   registered name is skipped, and nothing is taken in while metrics
+   are off. *)
+let metric_absorb () =
+  Metric.enable ();
+  Metric.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metric.reset ();
+      Metric.disable ())
+    (fun () ->
+      let bounds = [| 1.0; 10.0 |] in
+      Metric.inc ~by:3 (Metric.counter ~labels:[ ("node", "0") ] "csm_x_total");
+      Metric.set (Metric.gauge "csm_g") 1.5;
+      let h = Metric.histogram ~buckets:bounds "csm_h" in
+      Metric.observe h 0.5;
+      Metric.observe h 2.0;
+      let ours = Metric.families () in
+      let theirs =
+        [
+          counter_view "csm_x_total" 4;
+          gauge_view "csm_g" 2.5;
+          counter_view "csm_g" 9;
+          {
+            Metric.name = "csm_h";
+            help = "";
+            kind = Metric.K_histogram;
+            samples =
+              [
+                {
+                  Metric.labels = [];
+                  value =
+                    Metric.V_histogram
+                      { Metric.s_bounds = bounds; s_counts = [| 0; 0; 1 |]; s_sum = 20.0; s_count = 1 };
+                };
+              ];
+          };
+        ]
+      in
+      Metric.absorb theirs;
+      let absorbed = Prom.render_views (Metric.families ()) in
+      Alcotest.(check string) "absorb = merge_views" (Prom.render_views (Agg.merge_views [ ours; theirs ]))
+        absorbed;
+      Metric.disable ();
+      Metric.absorb theirs;
+      Alcotest.(check string) "disabled: nothing taken in" absorbed
+        (Prom.render_views (Metric.families ())))
+
 let agg_cross_flow_pairing () =
   Alcotest.(check string) "flow key shape" "1/Share/0->1"
     (Agg.flow_key ~round:1 ~frame:"Share" ~src:0 ~dst:1);
@@ -1924,6 +1974,7 @@ let suites =
           agg_latest_scope;
         Alcotest.test_case "view merge sums/maxes, order-free" `Quick
           agg_merge_views;
+        Alcotest.test_case "metric absorb merges like Agg" `Quick metric_absorb;
         Alcotest.test_case "cross-node flow pairing" `Quick
           agg_cross_flow_pairing;
         Alcotest.test_case "event log monotonic timestamps" `Quick

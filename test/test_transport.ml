@@ -1378,11 +1378,11 @@ let node_never_polls_empty () =
         calls)
     [ []; [ (1, Node.Lie Node.lie_default) ] ]
 
-(* A node waits for b+1 matching echoes and d(K−1)+2b+1 results, not
-   for every sender: with node 3 sending each frame 0.1 s late, nodes
-   0-2 answer every Command within 0.05 s, and every Output equals the
-   reference.  Waiting for node 3 would cost each of them 0.4-0.6 s in
-   round 0. *)
+(* A node waits for b+1 matching echoes and d(K−1)+b+1 agreeing
+   results (d(K−1)+2b+1 when they disagree), not for every sender:
+   with node 3 sending each frame 0.1 s late, nodes 0-2 answer every
+   Command within 0.05 s, and every Output equals the reference.
+   Waiting for node 3 would cost each of them 0.4-0.6 s in round 0. *)
 let slow_peer_holds_up_nobody () =
   let rounds = 2 in
   let reference, outputs, _, _ =
@@ -1565,6 +1565,116 @@ let cluster_loopback_streaming () =
       | `Malformed -> Alcotest.fail "synthetic snapshot malformed");
       check Alcotest.string "state unchanged by stale snapshot" before
         (Csm_obs.Prom.render_views (Live.node_views live)))
+
+(* Decode on agreement: at 5/1/1/2 the early quorum is d(K−1)+b+1 = 3
+   and the full one d(K−1)+2b+1 = 5 = N.  With nodes 3 and 4 sending
+   every frame 50 ms late, each of nodes 0-2 has three agreeing
+   results, its own and the other two's, so its flight ring holds the
+   round's "decoded" phase before any Result from node 3 or 4.  (A
+   node that waited for all five Results would record them first.)
+   Every round is accepted with the reference ledger. *)
+let early_decode_skips_slow_peers () =
+  let rounds = 3 and slow = [ 3; 4 ] in
+  let r =
+    C.run
+      {
+        (cluster_cfg ~rounds ~telemetry:true
+           ~faults:(List.map (fun i -> (i, Node.Delay 0.05)) slow)
+           ())
+        with
+        C.params = Params.make ~network:Params.Sync ~n:5 ~k:1 ~d:1 ~b:2;
+      }
+  in
+  checkb "verified" true r.C.ok;
+  let ring i =
+    match List.find_opt (fun (s : Agg.snapshot) -> s.Agg.s_node = i) r.C.telemetry with
+    | Some s -> s.Agg.s_flight
+    | None -> Alcotest.failf "node %d sent no final snapshot" i
+  in
+  let attr (e : Csm_obs.Flight.entry) key = List.assoc_opt key e.Csm_obs.Flight.f_attrs in
+  List.iter
+    (fun i ->
+      for round = 0 to rounds - 1 do
+        let rec scan = function
+          | [] -> Alcotest.failf "node %d round %d: no decoded phase" i round
+          | (e : Csm_obs.Flight.entry) :: rest ->
+            if e.f_round <> round then scan rest
+            else if e.f_kind = "phase" && attr e "phase" = Some "decoded" then ()
+            else if
+              e.f_kind = "recv"
+              && attr e "frame" = Some "result"
+              && List.exists (fun j -> attr e "src" = Some (string_of_int j)) slow
+            then
+              Alcotest.failf "node %d round %d: a slow peer's Result came before the decode" i
+                round
+            else scan rest
+        in
+        scan (ring i)
+      done)
+    [ 0; 1; 2 ]
+
+(* Liars are attributed at the end of a round, from every Result heard:
+   at 8/2/2/2 with nodes 0 and 1 lying, whichever results a node
+   decoded from, each of the seven other nodes blames each liar once a
+   round (a liar holds its own honest result, so it blames the other
+   one), and nobody blames an honest node. *)
+let liars_attributed_once_a_round () =
+  let rounds = 4 in
+  Metric.enable ();
+  Metric.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metric.reset ();
+      Metric.disable ())
+    (fun () ->
+      let r =
+        C.run
+          {
+            (cluster_cfg ~rounds
+               ~faults:[ (0, Node.Lie Node.lie_default); (1, Node.Lie Node.lie_default) ]
+               ())
+            with
+            C.params = Params.make ~network:Params.Sync ~n:8 ~k:2 ~d:2 ~b:2;
+          }
+      in
+      checkb "verified" true r.C.ok;
+      let blamed =
+        match
+          List.find_opt
+            (fun (v : Metric.view) -> v.Metric.name = "csm_decode_errors_total")
+            (Metric.families ())
+        with
+        | None -> []
+        | Some v ->
+          List.map
+            (fun (s : Metric.sample) ->
+              ( List.assoc "node" s.Metric.labels,
+                match s.Metric.value with Metric.V_counter c -> c | _ -> -1 ))
+            v.Metric.samples
+      in
+      check
+        Alcotest.(list (pair string int))
+        "csm_decode_errors_total by node"
+        [ ("0", 7 * rounds); ("1", 7 * rounds) ]
+        (List.sort (fun (a, _) (b, _) -> String.compare a b) blamed))
+
+(* Every telemetry family is interned per call: after a registry reset,
+   a loopback round with metrics on lists its round latency, and a
+   runtime sample its gauges. *)
+let telemetry_families_survive_reset () =
+  Metric.enable ();
+  Metric.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metric.reset ();
+      Metric.disable ())
+    (fun () ->
+      checkb "verified" true (C.run (cluster_cfg ~rounds:1 ())).C.ok;
+      Csm_obs.Telemetry.sample_runtime ();
+      let names = List.map (fun (v : Metric.view) -> v.Metric.name) (Metric.families ()) in
+      List.iter
+        (fun name -> checkb (name ^ " listed") true (List.mem name names))
+        [ "csm_round_latency_seconds"; "csm_gc_heap_words"; "csm_process_rss_bytes" ])
 
 (* ----- loopback vs socket equivalence through the binary ----- *)
 
@@ -1761,6 +1871,12 @@ let suites =
           cluster_loopback_streaming;
         Alcotest.test_case "cluster loopback telemetry + trace" `Quick
           cluster_loopback_telemetry;
+        Alcotest.test_case "early decode skips slow peers" `Quick
+          early_decode_skips_slow_peers;
+        Alcotest.test_case "liars attributed once a round" `Quick
+          liars_attributed_once_a_round;
+        Alcotest.test_case "telemetry families survive a registry reset" `Quick
+          telemetry_families_survive_reset;
         Alcotest.test_case "loopback = socket (binary, fault-free)" `Quick
           loopback_socket_equivalent;
         Alcotest.test_case "loopback = socket (binary, drop fault)" `Quick
