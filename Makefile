@@ -69,7 +69,11 @@ metrics-smoke:
 # the exposition) and still verify.  Then 4 nodes, one of them sending
 # every frame 50 ms late: the others wait only for their quorums, so
 # every round is accepted within its 0.2 s deadline, and the slow
-# node's late Outputs are dropped, not counted as frame errors.
+# node's late Outputs are dropped, not counted as frame errors.  Last,
+# 5 nodes with node 0 lying, over sockets and over loopback: each must
+# verify, and its CSM_METRICS exposition must read node 0's
+# csm_node_suspicion as exactly 1, a conviction flag whether the node
+# registries are merged (sockets) or shared (loopback).
 cluster-smoke:
 	dune exec bin/csm_cluster.exe -- --transport socket \
 	  -n 3 -k 1 -d 1 -b 1 --rounds 2 --faults 1:drop
@@ -88,6 +92,12 @@ cluster-smoke:
 	  -n 5 -k 1 -d 1 -b 2 --rounds 4 --faults 0:lie > /tmp/csm_cluster_lie.txt
 	grep -q '^verify: ok' /tmp/csm_cluster_lie.txt
 	grep -q '^csm_decode_errors_total{node="0"}' /tmp/csm_cluster_lie.prom
+	grep -qx 'csm_node_suspicion{node="0"} 1' /tmp/csm_cluster_lie.prom
+	CSM_METRICS=/tmp/csm_cluster_lie_loop.prom \
+	  dune exec bin/csm_cluster.exe -- --transport loopback \
+	  -n 5 -k 1 -d 1 -b 2 --rounds 4 --faults 0:lie > /tmp/csm_cluster_lie_loop.txt
+	grep -q '^verify: ok' /tmp/csm_cluster_lie_loop.txt
+	grep -qx 'csm_node_suspicion{node="0"} 1' /tmp/csm_cluster_lie_loop.prom
 	@echo "cluster-smoke: ok"
 
 # Cluster observability smoke: gate the allocation-overhead bench

@@ -714,10 +714,9 @@ let run n k d b rounds seed transport dir port_base faults deadline out
             (Tel.transport_frame_errors ~node:i)
         | _ -> ())
       result.C.stats;
+    (* [Exporter.install]'s exit hook writes the exposition *)
     match Prom.metrics_path () with
-    | Some path ->
-      Prom.write ~path;
-      Printf.printf "metrics: wrote %s\n" path
+    | Some path -> Printf.printf "metrics: %s (written at exit)\n" path
     | None -> ()
   end;
   (match out with

@@ -230,10 +230,9 @@ let run n k d b rounds network adversary seed trace report metrics ticker
   if metrics then begin
     print_newline ();
     Prom.output stdout;
+    (* [Exporter.install]'s exit hook writes the exposition *)
     match Prom.metrics_path () with
-    | Some path ->
-      Prom.write ~path;
-      Format.printf "metrics: wrote %s@." path
+    | Some path -> Format.printf "metrics: %s (written at exit)@." path
     | None -> ()
   end;
   if Span.enabled () then begin

@@ -201,26 +201,52 @@ module Make (F : Field_intf.S) = struct
     Params.composite_degree ~k:t.params.Params.k ~d:t.params.Params.d
     + (2 * t.params.Params.b) + 1
 
-  (* Fewest results whose agreement fixes the decode: d(K−1)+b+1.  If
-     that many lie on one polynomial of degree ≤ d(K−1), at most b of
-     them lie, so at least d(K−1)+1 are honest and the polynomial is
-     the honest h_j.  A node decodes at this many when they agree and
-     waits for [min_results] only when they do not. *)
-  let early_results t =
+  (* The senders whose results the early decode drops, and how many:
+     the [convicted] ones while they number c ≤ b.  A conviction is
+     sound when the faulty set is fixed with at most b members, so the
+     rest then hold at most b−c liars.  A node that has convicted more
+     than b is outside the model and drops none. *)
+  let exclusion t convicted =
+    let c = ref 0 in
+    for j = 0 to t.params.Params.n - 1 do
+      if convicted j then incr c
+    done;
+    if !c <= t.params.Params.b then (convicted, !c) else ((fun _ -> false), 0)
+
+  let nobody _ = false
+
+  let excluded ?(convicted = nobody) t = fst (exclusion t convicted)
+
+  (* Fewest results whose agreement fixes the decode: d(K−1)+(b−c)+1
+     from senders outside the c excluded ones.  If that many lie on one
+     polynomial of degree ≤ d(K−1), at most b−c of them lie, so at least
+     d(K−1)+1 are honest and the polynomial is the honest h_j.  A node
+     decodes at this many when they agree and waits for [min_results]
+     only when they do not. *)
+  let early_of t c =
     Params.composite_degree ~k:t.params.Params.k ~d:t.params.Params.d
-    + t.params.Params.b + 1
+    + (t.params.Params.b - c) + 1
+
+  let early_results ?(convicted = nobody) t = early_of t (snd (exclusion t convicted))
 
   (* Decode on agreement: [Some] only when at least [early_results]
-     results are given and every coordinate's values lie on one
-     polynomial of degree ≤ d(K−1), checked by RS's fast path alone
-     ([RS.verify_words]).  No fallback: on [None] the caller waits for
-     [min_results] and calls [decode_results].  The context is built
-     on each call and kept out of [rs_ctxs]: the early reporter sets
-     would evict the full-quorum contexts and their Gao trees. *)
-  let verify_results t (received : (int * F.t array) list) : decoded option =
+     results from unexcluded senders are given and every coordinate's
+     values among them lie on one polynomial of degree ≤ d(K−1),
+     checked by RS's fast path alone ([RS.verify_words]).  No fallback:
+     on [None] the caller waits for [min_results] and calls
+     [decode_results].  The context is built on each call and kept out
+     of [rs_ctxs]: the early reporter sets would evict the full-quorum
+     contexts and their Gao trees. *)
+  let verify_results ?(convicted = nobody) t (received : (int * F.t array) list) :
+      decoded option =
     Span.with_ ~name:"engine.verify" (fun () ->
-        let recv = Array.of_list received in
-        if Array.length recv < early_results t then None
+        let dropped, c = exclusion t convicted in
+        let recv =
+          Array.of_list
+            (if c = 0 then received
+             else List.filter (fun (node, _) -> not (dropped node)) received)
+        in
+        if Array.length recv < early_of t c then None
         else begin
           let kdim = Params.code_dimension ~k:t.params.Params.k ~d:t.params.Params.d in
           let xs = points t recv in

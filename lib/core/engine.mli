@@ -58,15 +58,18 @@ module Make (F : Field_intf.S) : sig
       defaults to [RS.Optimistic], which reuses the engine-cached
       [rs_ctx] across coordinates and rounds. *)
 
-  val verify_results : t -> (int * F.t array) list -> decoded option
-  (** Decode on agreement: [Some] only when at least {!early_results}
-      results are given and, in every coordinate, all of them lie on one
+  val verify_results :
+    ?convicted:(int -> bool) -> t -> (int * F.t array) list -> decoded option
+  (** Decode on agreement.  The results of the {!excluded} senders are
+      dropped; [Some] only when at least {!early_results} of the rest
+      are given and, in every coordinate, all of those lie on one
       polynomial of degree ≤ d(K−1) (RS's fast path alone, no Gao
       fallback).  Then at least d(K−1)+1 of them are honest, so the
       decode equals [decode_results]' on any honest superset, with no
       [error_nodes].  [None] otherwise: wait for {!min_results} and
-      call [decode_results].  The RS context is built per call, not
-      cached in [rs_ctxs]. *)
+      call [decode_results] over every valid result, convicted senders'
+      included.  The RS context is built per call, not cached in
+      [rs_ctxs].  [convicted] defaults to nobody. *)
 
   val liars : t -> decoded -> (int * F.t array) list -> int list
   (** The senders, in the given order, whose result vectors disagree
@@ -106,14 +109,25 @@ module Make (F : Field_intf.S) : sig
 
   val min_results : t -> int
   (** Fewest results from which decoding corrects b lies:
-      d(K−1) + 2b + 1.  A node waits for this many only when its first
-      {!early_results} do not agree. *)
+      d(K−1) + 2b + 1.  A node waits for this many, convicted senders'
+      results included, only when its first {!early_results} do not
+      agree. *)
 
-  val early_results : t -> int
-  (** Fewest results whose agreement fixes the decode: d(K−1) + b + 1.
-      If they all lie on one polynomial of degree ≤ d(K−1), at least
-      d(K−1)+1 of them are honest, so it is the honest one (the
-      certificate set τ of eq. (9)). *)
+  val excluded : ?convicted:(int -> bool) -> t -> int -> bool
+  (** The senders whose results {!verify_results} drops: the
+      [convicted] nodes while they number c ≤ b, none once more are
+      convicted.  A conviction is sound when the faulty set is fixed
+      with at most b members: the rest then hold at most b−c liars.
+      More than b convictions fall outside that model, so the early
+      decode then runs exactly as with none. *)
+
+  val early_results : ?convicted:(int -> bool) -> t -> int
+  (** Fewest results from unexcluded senders whose agreement fixes the
+      decode: d(K−1) + (b−c) + 1, c the number of {!excluded} senders
+      (d(K−1) + b + 1 with none).  If they all lie on one polynomial of
+      degree ≤ d(K−1), at most b−c of them lie, so at least d(K−1)+1
+      are honest and it is the honest one (the certificate set τ of
+      eq. (9)). *)
 
   val recover_coded_state :
     t -> node:int -> reports:(int * F.t array) list -> F.t array option

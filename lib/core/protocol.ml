@@ -369,10 +369,11 @@ module Make (F : Field_intf.S) = struct
     delivered : F.t array option array;  (* per-machine client decisions *)
   }
 
-  (* Round-level health signals: outcome counters, the per-node
-     suspicion gauge fed by the decoder's error locations (counted once
+  (* Round-level health signals: outcome counters, the per-node decode
+     error counter fed by the decoder's error locations (counted once
      per round, from the honest nodes' agreed decode — not once per
-     decoder, which would multiply by n − b), and warn/error events for
+     decoder, which would multiply by n − b), the suspicion gauge set
+     to 1 for each node so convicted, and warn/error events for
      anomalous rounds. *)
   let record_round_outcome (o : round_outcome) =
     if Metric.enabled () then begin
@@ -388,7 +389,7 @@ module Make (F : Field_intf.S) = struct
         List.iter
           (fun node ->
             Metric.inc (Tel.decode_errors ~node);
-            Metric.add (Tel.node_suspicion ~node) 1.0)
+            Metric.set (Tel.node_suspicion ~node) 1.0)
           d.E.error_nodes
       | None -> ()
     end;

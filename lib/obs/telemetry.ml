@@ -104,8 +104,8 @@ let decode_errors ~node =
 let node_suspicion ~node =
   Metric.gauge
     ~help:
-      "Cumulative decoder error locations attributed to the node (β signal); \
-       nonzero marks suspected Byzantine behavior"
+      "1 once a decode has proved the node's result wrong: the node is \
+       convicted as Byzantine (β signal); 0 otherwise"
     ~labels:[ node_label node ]
     "csm_node_suspicion"
 

@@ -38,7 +38,12 @@ val rs_corrected_symbols : unit -> Metric.counter
     survives a {!Metric.reset}. *)
 
 val decode_errors : node:int -> Metric.counter
+
 val node_suspicion : node:int -> Metric.gauge
+(** Set to 1 when a node is convicted, never added to, so it reads 1
+    whether node registries are shared (loopback) or merged with max
+    (forked clusters, the live store). *)
+
 val straggler_wait : early:bool -> Metric.hist
 val transport_frame_errors : node:int -> Metric.counter
 (** Corrupt/truncated frames detected (and dropped) at the transport

@@ -10,10 +10,11 @@
                               node's own view arrive (self included)
      compute                  X̃ᵢ = encode(commands), gᵢ = f(S̃ᵢ, X̃ᵢ)
      Result  (node → nodes)   gᵢ, binary vector payload
-     decode                   once d(K−1)+b+1 results are in (own
-                              included) and agree; when they do
-                              not, Reed–Solomon decode once
-                              d(K−1)+2b+1 are in
+     decode                   once d(K−1)+(b−c)+1 results are in
+                              from senders outside the c ≤ b this
+                              node has convicted (own included) and
+                              agree; when they do not, Reed–Solomon
+                              decode once d(K−1)+2b+1 are in
      Output  (node → client)  decoded Ŷ rows then next-state Ŝ rows
      re-encode                S̃ᵢ(t+1) from the decoded next states
 
@@ -32,8 +33,13 @@
    Once its Output is sent, a node still hears the rest of the round
    before it moves on, so every frame of a round is taken in (and a
    malformed one counted) before the node can answer the Shutdown;
-   then, with metrics on, it blames every sender whose Result
-   disagrees with the decode.
+   then it checks every Result heard against the decode and convicts
+   each other sender that disagrees, for the rest of the run.  The
+   faulty set is fixed with at most b members, so with c ≤ b peers
+   convicted at most b−c of the rest lie: later early decodes drop the
+   convicted senders' results and need d(K−1)+(b−c)+1 agreeing ones
+   from the rest.  A persistent liar thus costs a node one locating
+   decode per run, not one per round.
 
    A wait checks its condition, and only while it does not hold takes
    one frame from [Transport.recv] (over sockets it wakes on the next
@@ -180,6 +186,10 @@ module Make (F : Field_intf.S) = struct
            Command arrives *)
     results : F.t array heard array;  (* sender → gⱼ, own included *)
     mutable n_results : int;
+    mutable untrusted : int -> bool;
+        (* senders whose results the early decode drops, set when the
+           result wait starts ([trust]); nobody until then *)
+    mutable n_trusted : int;  (* senders heard, [untrusted] ones aside *)
     mutable trace_id : int64;
         (* causal trace id, adopted from the first valid extended frame
            of the round (the client's Command); 0 untraced *)
@@ -197,6 +207,9 @@ module Make (F : Field_intf.S) = struct
   type inbox = {
     live : (int, round_in) Hashtbl.t;  (* rounds next .. next+window *)
     mutable next : int;  (* lowest round not yet decided *)
+    convicted : bool array;
+        (* peers a decoded round proved wrong, for the rest of the run;
+           changed only between rounds, by [hear_out] *)
     flight : Flight.t;  (* this node's always-on black box *)
     mutable shutdown : bool;
     (* in-flight snapshot emitter state (config.stream = Some _) *)
@@ -208,10 +221,11 @@ module Make (F : Field_intf.S) = struct
            equality is exact) *)
   }
 
-  let make_inbox ~node () =
+  let make_inbox ~node ~n () =
     {
       live = Hashtbl.create 4;
       next = 0;
+      convicted = Array.make n false;
       flight = Flight.create ~node ();
       shutdown = false;
       st_emitted = 0;
@@ -242,6 +256,8 @@ module Make (F : Field_intf.S) = struct
           n_matching = 0;
           results = Array.make n Unheard;
           n_results = 0;
+          untrusted = (fun _ -> false);
+          n_trusted = 0;
           trace_id = 0L;
         }
       in
@@ -287,7 +303,21 @@ module Make (F : Field_intf.S) = struct
     end
 
   let hear_result st sender v =
-    if hear st.results sender v then st.n_results <- st.n_results + 1
+    if hear st.results sender v then begin
+      st.n_results <- st.n_results + 1;
+      if not (st.untrusted sender) then st.n_trusted <- st.n_trusted + 1
+    end
+
+  (* Fix the senders the round's early decode drops and count the
+     results already heard from the rest; intake keeps the count. *)
+  let trust st untrusted =
+    st.untrusted <- untrusted;
+    st.n_trusted <- 0;
+    Array.iteri
+      (fun j -> function
+        | Unheard -> ()
+        | Malformed | Valid _ -> if not (untrusted j) then st.n_trusted <- st.n_trusted + 1)
+      st.results
 
   (* The round's valid results as (sender, gⱼ), in sender order. *)
   let valid_results cfg st =
@@ -602,19 +632,26 @@ module Make (F : Field_intf.S) = struct
         if j <> me then send_protocol cfg inbox tr ~dst:j result
       done;
       hear_result st me (Valid g);
-      (* 5. decode on agreement: once d(K−1)+b+1 results are in, own
-         included, a decode on which all the valid ones agree is the
-         honest one (at most b of them lie).  Only when they disagree
-         does the node wait for d(K−1)+2b+1, any that many of which,
-         with at most b lies, decode to the one polynomial.  A
-         malformed Result counts as heard: its sender cannot also lie,
-         so c of them leave at most b−c lies among the valid rest *)
+      (* 5. decode on agreement: with c ≤ b peers convicted, once
+         d(K−1)+(b−c)+1 results are in from the rest, own included, a
+         decode on which all the valid ones agree is the honest one (at
+         most b−c of them lie; c = 0 before any conviction).  Only when
+         they disagree does the node wait for d(K−1)+2b+1, convicted
+         senders' included, any that many of which, with at most b
+         lies, decode to the one polynomial.  A malformed Result counts
+         as heard: its sender cannot also lie, so m of them leave at
+         most b−m lies among the valid rest.  Convictions change only
+         between rounds, so the trusted count is taken once here and
+         kept at intake *)
+      let convicted j = inbox.convicted.(j) in
       let quorum = min (E.min_results engine) expected in
-      let early = min (E.early_results engine) quorum in
+      let early = E.early_results ~convicted engine in
+      trust st (E.excluded ~convicted engine);
       ignore
-        (wait_until ~in_round:true cfg tr inbox (fun () -> st.n_results >= early));
+        (wait_until ~in_round:true cfg tr inbox (fun () ->
+             st.n_trusted >= early || st.n_results >= quorum));
       let decoded =
-        match E.verify_results engine (valid_results cfg st) with
+        match E.verify_results ~convicted engine (valid_results cfg st) with
         | Some _ as d -> d
         | None ->
           ignore
@@ -656,11 +693,14 @@ module Make (F : Field_intf.S) = struct
      next Command follows the slowest sender's Output, which that sender
      writes after its Commits and Results.
 
-     With the round's frames in, a decoded round attributes its liars:
-     every valid Result heard is checked against the decoded coordinate
-     polynomials, and each sender that disagrees counts once in the
-     suspicion signal — also one the decode never saw, since an early
-     decode stops at d(K−1)+b+1 results. *)
+     With the round's frames in, a decoded round finds its liars: every
+     valid Result heard is checked against the decoded coordinate
+     polynomials, and each sender that disagrees counts once in
+     [csm_decode_errors_total] — also one the decode never saw, since
+     an early decode stops at its quorum.  Each other sender that
+     disagrees is convicted for the rest of the run (its
+     [csm_node_suspicion] set to 1), so the next rounds' early decodes
+     drop its results. *)
   let hear_out cfg tr engine inbox ~expected r decoded =
     let st = round_in cfg inbox r in
     match st.results.(cfg.node) with
@@ -670,13 +710,16 @@ module Make (F : Field_intf.S) = struct
         (wait_until ~in_round:true cfg tr inbox (fun () ->
              st.n_commits >= expected - 1 && st.n_results >= expected));
       match decoded with
-      | Some d when Metric.enabled () ->
+      | Some d ->
         List.iter
           (fun j ->
-            Metric.inc (Tel.decode_errors ~node:j);
-            Metric.add (Tel.node_suspicion ~node:j) 1.0)
+            if Metric.enabled () then Metric.inc (Tel.decode_errors ~node:j);
+            if j <> cfg.node && not inbox.convicted.(j) then begin
+              inbox.convicted.(j) <- true;
+              if Metric.enabled () then Metric.set (Tel.node_suspicion ~node:j) 1.0
+            end)
           (E.liars engine d (valid_results cfg st))
-      | Some _ | None -> ())
+      | None -> ())
 
   (* Binary stats payload: five big-endian u64 counters. *)
   let stats_payload (s : Transport.stats) =
@@ -722,8 +765,8 @@ module Make (F : Field_intf.S) = struct
     let engine =
       E.create ~machine:cfg.machine ~params:cfg.params ~init:cfg.init
     in
-    let inbox = make_inbox ~node:cfg.node () in
     let n = cfg.params.Params.n in
+    let inbox = make_inbox ~node:cfg.node ~n () in
     let expected = expected_peers cfg in
     let node_attr = [ ("node", string_of_int cfg.node) ] in
     for r = 0 to cfg.rounds - 1 do

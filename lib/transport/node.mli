@@ -34,8 +34,8 @@ type fault =
       (** broadcast a well-formed but wrong Result vector while keeping
           honest local state and honest Commit echoes — intake
           validation passes; only the peers' Reed–Solomon decode
-          catches it, attributing the error locations to the liar
-          (suspicion gauge, live [suspicion] alert).  The spec
+          catches it, and each peer then convicts the liar (suspicion
+          gauge set to 1, live [suspicion] alert).  The spec
           parameterizes the perturbation and its round schedule, so
           synthesized adversary strategies map onto it. *)
 
@@ -97,16 +97,21 @@ module Make (F : Field_intf.S) : sig
 
       Each wait stops at the paper's quorum.  The node commits once b+1
       valid Commits equal its Command, its own echo included.  It
-      decodes once d(K−1)+b+1 results are heard, its own included, if
-      they agree on one polynomial per coordinate; otherwise once
-      d(K−1)+2b+1 are heard.  Hearing every sender that [faults] says
-      sends, or [deadline], also ends a wait.  After its Output the
-      node still hears the rest of the round (every such peer's Commit
-      and Result, or [deadline]) before it starts the next, so its
-      [Stats] reply counts every frame of every round it ran; then,
-      with metrics on, it blames each sender whose valid Result
-      disagrees with the decode in [csm_decode_errors_total] and
-      [csm_node_suspicion].
+      decodes once d(K−1)+(b−c)+1 results are heard from senders other
+      than the c ≤ b peers it has convicted, its own included, if they
+      agree on one polynomial per coordinate; otherwise once
+      d(K−1)+2b+1 are heard, convicted senders included.  Hearing every
+      sender that [faults] says sends, or [deadline], also ends a wait.
+      After its Output the node still hears the rest of the round
+      (every such peer's Commit and Result, or [deadline]) before it
+      starts the next, so its [Stats] reply counts every frame of every
+      round it ran.  Then it checks every valid Result heard against the
+      decode: each sender that disagrees counts once in
+      [csm_decode_errors_total] (metrics on), and each other such sender
+      is convicted for the rest of the run, with its
+      [csm_node_suspicion] set to 1.  A node that has convicted more
+      than b peers is outside the model (at most b faulty nodes, the
+      same ones every round) and decodes as with none convicted.
 
       A protocol frame is kept only for an undecided round at most
       {!window} rounds ahead of the node's lowest undecided one.  A

@@ -438,69 +438,99 @@ let qcheck_vector_decode_equals_gao =
           same_decoded ours gao && ((not past_radius) || Option.is_none ours))
         (List.init 3 Fun.id))
 
-(* Decode on agreement.  The honest results of a random round over
-   valid (n, K, d, b) decode to h_j; up to b liars then report random
-   vectors, or the values of a wrong p_j = h_j + c_j·∏_{s∈S}(z − α_s)
-   that matches the d(K−1) honest nodes of S, and the received subset
-   is random (in mode 1 it holds the liars and S first, so as few as
-   d(K−1)+b+1 results can be all but one on p).  On any subset of
-   m ≥ d(K−1)+b+1 results the early decode is [None] or the honest
-   decode; the same subset with no lies is [Some]; fewer than
-   d(K−1)+b+1 results, honest or not, give [None].  [liars] names the
-   received senders whose vectors are not the honest ones. *)
+(* A random round over valid (n, K, d, b) for the early-decode
+   properties: the engine, every node's honest result and their decode,
+   whose polynomials are the honest h_j. *)
+type early_round = {
+  er_engine : E.t;
+  er_n : int;
+  er_b : int;
+  er_dk : int;  (* d(K−1) *)
+  er_honest : F.t array array;
+  er_reference : E.decoded;
+}
+
+let early_round r =
+  let machine =
+    M.random r ~state_dim:(1 + Csm_rng.int r 2) ~input_dim:1
+      ~output_dim:(1 + Csm_rng.int r 2) ~degree:(1 + Csm_rng.int r 2)
+      ~terms:3
+  in
+  let d = M.degree machine and k = 1 + Csm_rng.int r 3 in
+  let b = Csm_rng.int r 3 and slack = Csm_rng.int r 3 in
+  let dk = Params.composite_degree ~k ~d in
+  let n = dk + (2 * b) + 1 + slack in
+  let params = Params.make ~network:Params.Sync ~n ~k ~d ~b in
+  let init = Array.init k (fun _ -> Array.init machine.M.state_dim (fun _ -> F.random r)) in
+  let commands = Array.init k (fun _ -> Array.init machine.M.input_dim (fun _ -> F.random r)) in
+  let engine = E.create ~machine ~params ~init in
+  let honest =
+    Array.init n (fun node ->
+        E.node_compute engine ~node
+          ~coded_command:(E.node_encode_command engine ~node ~commands))
+  in
+  let reference =
+    match E.decode_results engine (List.init n (fun i -> (i, honest.(i)))) with
+    | Some h -> h
+    | None -> failwith "an honest round did not decode"
+  in
+  { er_engine = engine; er_n = n; er_b = b; er_dk = dk; er_honest = honest;
+    er_reference = reference }
+
+(* The round's results with [liars] reporting random vectors (mode 0),
+   or the values of a wrong p_j = h_j + c_j·∏_{s∈S}(z − α_s) that
+   matches the honest nodes of S = [agreeing] (mode 1). *)
+let lie_results r w ~mode ~liars ~agreeing =
+  let engine = w.er_engine in
+  let alpha i = engine.E.coding.E.Coding.alphas.(i) in
+  let dim = E.result_dim engine in
+  Array.mapi
+    (fun i g ->
+      if not (Array.mem i liars) then g
+      else if mode = 0 then Array.init dim (fun _ -> F.random r)
+      else
+        Array.map
+          (fun h ->
+            let c = F.random_nonzero r in
+            let on_s =
+              Array.fold_left
+                (fun acc s -> F.mul acc (F.sub (alpha i) (alpha s)))
+                F.one agreeing
+            in
+            F.add (E.RS.P.eval h (alpha i)) (F.mul c on_s))
+          w.er_reference.E.polys)
+    w.er_honest
+
 let same_polys a b = Array.length a = Array.length b && Array.for_all2 E.RS.P.equal a b
 
+(* An early decode is [None] or the round's honest decode. *)
+let honest_or_none w = function
+  | None -> true
+  | Some e ->
+    same_decoded (Some e) (Some { w.er_reference with E.error_nodes = [] })
+    && same_polys e.E.polys w.er_reference.E.polys
+
+(* Decode on agreement.  Over random rounds, up to b liars report
+   random vectors or the values of a wrong polynomial matching the d(K−1)
+   honest nodes of S, and the received subset is random (in mode 1 it
+   holds the liars and S first, so as few as d(K−1)+b+1 results can be
+   all but one on p).  On any subset of m ≥ d(K−1)+b+1 results the
+   early decode is [None] or the honest decode; the same subset with no
+   lies is [Some]; fewer than d(K−1)+b+1 results, honest or not, give
+   [None].  [liars] names the received senders whose vectors are not
+   the honest ones. *)
 let qcheck_early_decode =
   QCheck.Test.make ~name:"early decode is the honest decode or None" ~count:200
     QCheck.(pair (int_range 0 1) (int_range 0 1_000_000))
     (fun (mode, seed) ->
       let r = Csm_rng.create (0xEA7 + seed) in
-      let machine =
-        M.random r ~state_dim:(1 + Csm_rng.int r 2) ~input_dim:1
-          ~output_dim:(1 + Csm_rng.int r 2) ~degree:(1 + Csm_rng.int r 2)
-          ~terms:3
-      in
-      let d = M.degree machine and k = 1 + Csm_rng.int r 3 in
-      let b = Csm_rng.int r 3 and slack = Csm_rng.int r 3 in
-      let dk = Params.composite_degree ~k ~d in
-      let n = dk + (2 * b) + 1 + slack in
-      let params = Params.make ~network:Params.Sync ~n ~k ~d ~b in
-      let init = Array.init k (fun _ -> Array.init machine.M.state_dim (fun _ -> F.random r)) in
-      let commands = Array.init k (fun _ -> Array.init machine.M.input_dim (fun _ -> F.random r)) in
-      let engine = E.create ~machine ~params ~init in
-      let early = E.early_results engine and dim = E.result_dim engine in
-      let honest =
-        Array.init n (fun node ->
-            E.node_compute engine ~node
-              ~coded_command:(E.node_encode_command engine ~node ~commands))
-      in
-      let reference =
-        match E.decode_results engine (List.init n (fun i -> (i, honest.(i)))) with
-        | Some h -> h
-        | None -> failwith "an honest round did not decode"
-      in
-      let alpha i = engine.E.coding.E.Coding.alphas.(i) in
+      let w = early_round r in
+      let engine = w.er_engine and n = w.er_n and honest = w.er_honest in
+      let early = E.early_results engine in
       let order = Csm_rng.sample r ~n ~k:n in
-      let liars = Array.sub order 0 (Csm_rng.int r (b + 1)) in
-      let agreeing = Array.sub order (Array.length liars) dk in
-      let lied =
-        Array.mapi
-          (fun i g ->
-            if not (Array.mem i liars) then g
-            else if mode = 0 then Array.init dim (fun _ -> F.random r)
-            else
-              Array.map
-                (fun h ->
-                  let c = F.random_nonzero r in
-                  let on_s =
-                    Array.fold_left
-                      (fun acc s -> F.mul acc (F.sub (alpha i) (alpha s)))
-                      F.one agreeing
-                  in
-                  F.add (E.RS.P.eval h (alpha i)) (F.mul c on_s))
-                reference.E.polys)
-          honest
-      in
+      let liars = Array.sub order 0 (Csm_rng.int r (w.er_b + 1)) in
+      let agreeing = Array.sub order (Array.length liars) w.er_dk in
+      let lied = lie_results r w ~mode ~liars ~agreeing in
       let subset m =
         let ids =
           if mode = 1 then Array.to_list (Array.sub order 0 m)
@@ -509,12 +539,7 @@ let qcheck_early_decode =
         ( List.map (fun i -> (i, lied.(i))) ids,
           List.map (fun i -> (i, honest.(i))) ids )
       in
-      let agrees = function
-        | None -> true
-        | Some e ->
-          same_decoded (Some e) (Some { reference with E.error_nodes = [] })
-          && same_polys e.E.polys reference.E.polys
-      in
+      let agrees = honest_or_none w in
       List.for_all
         (fun _ ->
           let m = early + Csm_rng.int r (n - early + 1) in
@@ -532,8 +557,70 @@ let qcheck_early_decode =
              | None -> false)
           && Option.is_none (E.verify_results engine below_lies)
           && Option.is_none (E.verify_results engine below_clean)
-          && E.liars engine reference with_lies = expected_liars)
+          && E.liars engine w.er_reference with_lies = expected_liars)
         (List.init 4 Fun.id))
+
+(* Convicted liars leave the early quorum.  Over the same random rounds
+   a liar set L, |L| ≤ b, lies as above, and a convicted set C ⊆ L is
+   handed to the early decode, which then needs d(K−1)+(b−|C|)+1
+   results from outside C.  The node order is C, L∖C, S, the rest;
+   mode 1 takes prefixes of it, so every liar, convicted or not,
+   reports the polynomial planted on S.  A subset with u results from
+   outside C: u ≥ d(K−1)+(b−|C|)+1 gives [None] or the honest decode,
+   and [Some] honest when only C lies; fewer give [None] either way.
+   The prefix L ∪ S, below the threshold, is always checked: a decode
+   that counted C's results there would accept the planted polynomial.
+   More than b convictions change nothing: the decode equals the one
+   with none. *)
+let qcheck_early_decode_convicted =
+  QCheck.Test.make ~name:"early decode drops convicted senders" ~count:200
+    QCheck.(pair (int_range 0 1) (int_range 0 1_000_000))
+    (fun (mode, seed) ->
+      let r = Csm_rng.create (0xC0C + seed) in
+      let w = early_round r in
+      let engine = w.er_engine and n = w.er_n and b = w.er_b and dk = w.er_dk in
+      let order = Csm_rng.sample r ~n ~k:n in
+      let nl = Csm_rng.int r (b + 1) in
+      let nc = Csm_rng.int r (nl + 1) in
+      let liars = Array.sub order 0 nl in
+      let agreeing = Array.sub order nl dk in
+      let convicted j = Array.exists (( = ) j) (Array.sub order 0 nc) in
+      let threshold = dk + (b - nc) + 1 in
+      let lied = lie_results r w ~mode ~liars ~agreeing in
+      let only_c = Array.mapi (fun i g -> if convicted i then lied.(i) else g) w.er_honest in
+      let results src ids = List.map (fun i -> (i, src.(i))) ids in
+      let verify src ids = E.verify_results ~convicted engine (results src ids) in
+      let check ids =
+        let u = List.length (List.filter (fun i -> not (convicted i)) ids) in
+        if u >= threshold then
+          honest_or_none w (verify lied ids)
+          && (match verify only_c ids with
+             | Some _ as e -> honest_or_none w e
+             | None -> false)
+        else Option.is_none (verify lied ids) && Option.is_none (verify only_c ids)
+      in
+      let over = Csm_rng.sample r ~n ~k:(b + 1 + Csm_rng.int r (n - b)) in
+      let ignored ids =
+        let unconvicted = E.verify_results engine (results lied ids) in
+        let overconvicted =
+          E.verify_results ~convicted:(fun j -> Array.exists (( = ) j) over) engine
+            (results lied ids)
+        in
+        match (unconvicted, overconvicted) with
+        | None, None -> true
+        | Some a, Some b ->
+          same_decoded unconvicted overconvicted && same_polys a.E.polys b.E.polys
+        | _ -> false
+      in
+      let prefix m = Array.to_list (Array.sub order 0 m) in
+      E.early_results ~convicted engine = threshold
+      && check (prefix (nl + dk))
+      && List.for_all
+           (fun _ ->
+             let m = Csm_rng.int r (n + 1) in
+             let ids = if mode = 1 then prefix m else Array.to_list (Csm_rng.sample r ~n ~k:m) in
+             check ids && ignored ids)
+           (List.init 4 Fun.id))
 
 (* Two liars at 8/2/2/2 report the values of a wrong degree-2
    polynomial that matches honest nodes 2 and 3.  The first five
@@ -830,6 +917,7 @@ let suites =
         QCheck_alcotest.to_alcotest ~long:false qcheck_engine_random_machines;
         QCheck_alcotest.to_alcotest ~long:false qcheck_vector_decode_equals_gao;
         QCheck_alcotest.to_alcotest ~long:false qcheck_early_decode;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_early_decode_convicted;
         Alcotest.test_case "early decode refuses a planted polynomial" `Quick
           early_decode_refuses_a_planted_polynomial;
       ] );

@@ -1566,6 +1566,36 @@ let cluster_loopback_streaming () =
       check Alcotest.string "state unchanged by stale snapshot" before
         (Csm_obs.Prom.render_views (Live.node_views live)))
 
+(* In each of [nodes]' flight rings, every round from [from] on holds
+   its "decoded" phase before any Result from a [slow] peer. *)
+let decodes_before_slow (r : C.result) ~slow ~nodes ~from ~rounds =
+  let ring i =
+    match List.find_opt (fun (s : Agg.snapshot) -> s.Agg.s_node = i) r.C.telemetry with
+    | Some s -> s.Agg.s_flight
+    | None -> Alcotest.failf "node %d sent no final snapshot" i
+  in
+  let attr (e : Csm_obs.Flight.entry) key = List.assoc_opt key e.Csm_obs.Flight.f_attrs in
+  List.iter
+    (fun i ->
+      for round = from to rounds - 1 do
+        let rec scan = function
+          | [] -> Alcotest.failf "node %d round %d: no decoded phase" i round
+          | (e : Csm_obs.Flight.entry) :: rest ->
+            if e.f_round <> round then scan rest
+            else if e.f_kind = "phase" && attr e "phase" = Some "decoded" then ()
+            else if
+              e.f_kind = "recv"
+              && attr e "frame" = Some "result"
+              && List.exists (fun j -> attr e "src" = Some (string_of_int j)) slow
+            then
+              Alcotest.failf "node %d round %d: a slow peer's Result came before the decode" i
+                round
+            else scan rest
+        in
+        scan (ring i)
+      done)
+    nodes
+
 (* Decode on agreement: at 5/1/1/2 the early quorum is d(K−1)+b+1 = 3
    and the full one d(K−1)+2b+1 = 5 = N.  With nodes 3 and 4 sending
    every frame 50 ms late, each of nodes 0-2 has three agreeing
@@ -1586,32 +1616,33 @@ let early_decode_skips_slow_peers () =
       }
   in
   checkb "verified" true r.C.ok;
-  let ring i =
-    match List.find_opt (fun (s : Agg.snapshot) -> s.Agg.s_node = i) r.C.telemetry with
-    | Some s -> s.Agg.s_flight
-    | None -> Alcotest.failf "node %d sent no final snapshot" i
+  decodes_before_slow r ~slow ~nodes:[ 0; 1; 2 ] ~from:0 ~rounds
+
+(* Convicted liars leave the early quorum: at 8/2/2/2 with nodes 0 and
+   1 lying every round and nodes 6 and 7 sending every frame 50 ms
+   late, node 2's six prompt results are its own, 3, 4, 5, 0 and 1, and
+   any five of them hold a liar, so round 0 waits for a slow peer's
+   Result and its full decode convicts 0 and 1.  From round 1 on each
+   of nodes 2-5 drops the two convicted senders and needs d(K−1)+0+1 =
+   3 agreeing results from the rest, which its four prompt honest ones
+   give before any Result from node 6 or 7.  Every round is accepted
+   with the reference ledger. *)
+let convicted_liars_leave_the_early_quorum () =
+  let rounds = 4 and slow = [ 6; 7 ] in
+  let r =
+    C.run
+      {
+        (cluster_cfg ~rounds ~telemetry:true
+           ~faults:
+             ([ (0, Node.Lie Node.lie_default); (1, Node.Lie Node.lie_default) ]
+             @ List.map (fun i -> (i, Node.Delay 0.05)) slow)
+           ())
+        with
+        C.params = Params.make ~network:Params.Sync ~n:8 ~k:2 ~d:2 ~b:2;
+      }
   in
-  let attr (e : Csm_obs.Flight.entry) key = List.assoc_opt key e.Csm_obs.Flight.f_attrs in
-  List.iter
-    (fun i ->
-      for round = 0 to rounds - 1 do
-        let rec scan = function
-          | [] -> Alcotest.failf "node %d round %d: no decoded phase" i round
-          | (e : Csm_obs.Flight.entry) :: rest ->
-            if e.f_round <> round then scan rest
-            else if e.f_kind = "phase" && attr e "phase" = Some "decoded" then ()
-            else if
-              e.f_kind = "recv"
-              && attr e "frame" = Some "result"
-              && List.exists (fun j -> attr e "src" = Some (string_of_int j)) slow
-            then
-              Alcotest.failf "node %d round %d: a slow peer's Result came before the decode" i
-                round
-            else scan rest
-        in
-        scan (ring i)
-      done)
-    [ 0; 1; 2 ]
+  checkb "verified" true r.C.ok;
+  decodes_before_slow r ~slow ~nodes:[ 2; 3; 4; 5 ] ~from:1 ~rounds
 
 (* Liars are attributed at the end of a round, from every Result heard:
    at 8/2/2/2 with nodes 0 and 1 lying, whichever results a node
@@ -1686,9 +1717,9 @@ let cluster_exe =
     (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
     "csm_cluster.exe"
 
-let run_cluster_exe args out =
+let run_cluster_exe ?(env = "") args out =
   let cmd =
-    Printf.sprintf "%s %s --out %s > /dev/null 2>&1" (Filename.quote cluster_exe)
+    Printf.sprintf "%s %s %s --out %s > /dev/null 2>&1" env (Filename.quote cluster_exe)
       args (Filename.quote out)
   in
   Sys.command cmd
@@ -1785,6 +1816,36 @@ let socket_corrupt_detected () =
          done;
          !found))
 
+(* csm_node_suspicion is a conviction flag: a 3-round 5/1/1/2 run with
+   node 0 lying reads 1 for node 0 and 0 for the others in its
+   CSM_METRICS exposition, over loopback, where the nodes share one
+   registry, and over sockets, where the client merges the node
+   registries with max. *)
+let suspicion_is_a_flag () =
+  List.iter
+    (fun transport ->
+      let prom = Filename.temp_file "csm_cluster_suspicion" ".prom" in
+      let out = Filename.temp_file "csm_cluster_suspicion" ".json" in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Sys.remove prom with Sys_error _ -> ());
+          try Sys.remove out with Sys_error _ -> ())
+        (fun () ->
+          let rc =
+            run_cluster_exe
+              (Printf.sprintf
+                 "--transport %s -n 5 -k 1 -d 1 -b 2 --rounds 3 --faults 0:lie" transport)
+              out ~env:(Printf.sprintf "CSM_METRICS=%s" (Filename.quote prom))
+          in
+          check Alcotest.int (transport ^ " exit") 0 rc;
+          let lines = String.split_on_char '\n' (read_file prom) in
+          List.iter
+            (fun (node, v) ->
+              let line = Printf.sprintf "csm_node_suspicion{node=\"%d\"} %d" node v in
+              checkb (transport ^ ": " ^ line) true (List.mem line lines))
+            [ (0, 1); (1, 0); (2, 0); (3, 0); (4, 0) ]))
+    [ "loopback"; "socket" ]
+
 let suites =
   [
     ( "transport",
@@ -1873,6 +1934,8 @@ let suites =
           cluster_loopback_telemetry;
         Alcotest.test_case "early decode skips slow peers" `Quick
           early_decode_skips_slow_peers;
+        Alcotest.test_case "convicted liars leave the early quorum" `Quick
+          convicted_liars_leave_the_early_quorum;
         Alcotest.test_case "liars attributed once a round" `Quick
           liars_attributed_once_a_round;
         Alcotest.test_case "telemetry families survive a registry reset" `Quick
@@ -1887,5 +1950,7 @@ let suites =
           loopback_tcp_equivalent_lie;
         Alcotest.test_case "socket corrupt fault detected" `Quick
           socket_corrupt_detected;
+        Alcotest.test_case "suspicion reads 1 on loopback and sockets" `Quick
+          suspicion_is_a_flag;
       ] );
   ]
