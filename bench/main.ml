@@ -742,6 +742,188 @@ let obs_words_per_op ~iters f =
   done;
   (Gc.minor_words () -. before) /. float_of_int iters
 
+(* ----- the node runtime's allocation, per call, frame and round -----
+
+   A forked node inherits its parent's minor heap, and each page of it
+   costs a page fault the first time the node writes there, so what a
+   round allocates is what the first rounds of every socket cluster
+   pay in faults (EXPERIMENTS.md, "First touch").  Three sets of exact
+   counts, gated in bench/obs_baseline.json:
+
+   - words per call of each binary codec and of Frame.encode/decode,
+     at the sizes of a 4/1/1/1 round (the degree-1 machine: 1-element
+     commands, 2-element results, a 2x1 Output matrix);
+   - words per frame sent and per frame received by a Socket endpoint
+     pair over Unix-domain sockets, one frame at a time, so each
+     receive is one select and one read;
+   - words per honest round of node 0 of a 4/1/1/1 cluster, Node.run
+     over a scripted Transport.t that replays each round's Command,
+     three Commits and three Results in a fixed order and drops what
+     the node sends: the runtime, its codecs and the engine, without
+     the transport. *)
+
+module Socket = Csm_transport.Socket
+module NodeT = Csm_transport.Node
+module ClusterT = Csm_transport.Cluster
+module CT = ClusterT.Make (F)
+
+let words_between f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* What one empty [words_between] reads: its own boxed float. *)
+let words_overhead () = words_between ignore
+
+let codec_words ~iters =
+  let v2 = [| F.of_int 7; F.of_int 11 |] in
+  let rows = [| [| F.of_int 3 |]; [| F.of_int 5 |] |] in
+  let cmds = [| [| F.of_int 9 |] |] in
+  let sv = TW.encode_vector_bin v2
+  and sm = TW.encode_matrix_bin rows
+  and sc = TW.encode_commands_bin cmds in
+  let fr = Frame.make ~kind:Frame.Result ~sender:2 ~round:17 sv in
+  let sf = Frame.encode fr in
+  let per f = obs_words_per_op ~iters f in
+  [
+    ("encode_vector_bin", per (fun () -> TW.encode_vector_bin v2));
+    ("decode_vector_bin", per (fun () -> TW.decode_vector_bin ~dim:2 sv));
+    ("encode_commands_bin", per (fun () -> TW.encode_commands_bin cmds));
+    ("decode_commands_bin", per (fun () -> TW.decode_commands_bin ~k:1 ~dim:1 sc));
+    ("encode_matrix_bin", per (fun () -> TW.encode_matrix_bin rows));
+    ("decode_matrix_bin", per (fun () -> TW.decode_matrix_bin sm));
+    ("frame_encode", per (fun () -> Frame.encode fr));
+    ("frame_decode", per (fun () -> Frame.decode sf));
+  ]
+
+(* Words per frame sent and per frame received over one endpoint pair,
+   after a warm-up that connects and accepts. *)
+let socket_frame_words ~iters =
+  let dir = Filename.temp_file "csm_obs_sock" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let addr = Socket.Uds dir in
+      let b = Socket.endpoint ~addr ~id:1 ~endpoints:2 in
+      let a = Socket.endpoint ~addr ~id:0 ~endpoints:2 in
+      let fr =
+        Frame.make ~kind:Frame.Result ~sender:0 ~round:1
+          (TW.encode_vector_bin [| F.of_int 7; F.of_int 11 |])
+      in
+      let got = ref 0 in
+      let recv () =
+        match b.Transport.recv ~timeout:1.0 with Some _ -> incr got | None -> ()
+      in
+      for _ = 1 to 20 do
+        a.Transport.send ~dst:1 fr;
+        recv ()
+      done;
+      let overhead = words_overhead () in
+      let sent = ref 0.0 and received = ref 0.0 in
+      got := 0;
+      for _ = 1 to iters do
+        sent := !sent +. words_between (fun () -> a.Transport.send ~dst:1 fr) -. overhead;
+        received := !received +. words_between recv -. overhead
+      done;
+      a.Transport.close ();
+      b.Transport.close ();
+      if !got <> iters then failwith "obs-smoke: socket pair lost frames";
+      (!sent /. float_of_int iters, !received /. float_of_int iters))
+
+(* Node 0's rounds of a fault-free 4/1/1/1 cluster, scripted: a
+   transport whose [recv] hands out the frames of each round in a fixed
+   order (Command; Commits from 1, 2, 3; Results from 1, 2, 3), then
+   the client's Shutdown, and whose [send] drops what it is given.  The
+   peers' results come from a reference engine, so every round decodes
+   on agreement as a real honest round does. *)
+let scripted_node ~rounds =
+  let params = Params.make ~network:Params.Sync ~n:4 ~k:1 ~d:1 ~b:1 in
+  let n = params.Params.n in
+  let cfg =
+    {
+      CT.params;
+      rounds;
+      seed = 42;
+      mode = ClusterT.Loopback;
+      faults = [];
+      deadline = 30.0;
+      trace = false;
+      telemetry = false;
+      stream = None;
+      live = None;
+    }
+  in
+  let machine = CT.machine cfg and init = CT.initial_states cfg in
+  let engine = CT.E.create ~machine ~params ~init in
+  let rng = Csm_rng.create cfg.CT.seed in
+  let frame kind ~sender ~round p = Some (Frame.make ~kind ~sender ~round p) in
+  let script =
+    List.concat
+      (List.init rounds (fun r ->
+           let commands = CT.workload rng ~k:1 r in
+           let report = CT.E.round engine ~commands ~byzantine:(fun _ -> false) () in
+           let cmd = TW.encode_commands_bin commands in
+           (frame Frame.Command ~sender:n ~round:r cmd
+           :: List.init 3 (fun j -> frame Frame.Commit ~sender:(j + 1) ~round:r cmd))
+           @ List.init 3 (fun j ->
+                 frame Frame.Result ~sender:(j + 1) ~round:r
+                   (TW.encode_vector_bin report.CT.E.computed.(j + 1)))))
+    @ [ frame Frame.Shutdown ~sender:n ~round:rounds "" ]
+  in
+  let script = Array.of_list script in
+  let next = ref 0 in
+  let tr =
+    {
+      Transport.id = 0;
+      endpoints = n + 1;
+      send = (fun ~dst:_ _ -> ());
+      recv =
+        (fun ~timeout:_ ->
+          if !next < Array.length script then begin
+            let f = script.(!next) in
+            incr next;
+            f
+          end
+          else None);
+      close = ignore;
+      stats = Transport.zero_stats ();
+      stats_mutex = Mutex.create ();
+    }
+  in
+  let node =
+    {
+      CT.N.node = 0;
+      params;
+      machine;
+      init;
+      rounds;
+      fault = NodeT.Honest;
+      faults = [];
+      deadline = 30.0;
+      trace = false;
+      telemetry = false;
+      stream = None;
+      scope = Agg.Node;
+    }
+  in
+  (node, tr)
+
+(* Words per honest node-round: two scripted runs that differ only in
+   length, so what a run allocates once cancels out. *)
+let node_round_words () =
+  let short = 20 and long = 120 in
+  let s_node, s_tr = scripted_node ~rounds:short in
+  let l_node, l_tr = scripted_node ~rounds:long in
+  let ws = words_between (fun () -> CT.N.run s_node s_tr) in
+  let wl = words_between (fun () -> CT.N.run l_node l_tr) in
+  (wl -. ws) /. float_of_int (long - short)
+
 let run_obs_smoke ~out =
   let iters = 10_000 in
   let payload = String.make 64 'p' in
@@ -768,6 +950,10 @@ let run_obs_smoke ~out =
   in
   let v2_extra_words = frame_v2_words -. frame_v1_words in
   let disabled_overhead_words = hlc_now_words +. flight_record_words in
+  let codecs = codec_words ~iters in
+  let socket_send_words, socket_recv_words = socket_frame_words ~iters:2_000 in
+  let node_round = node_round_words () in
+  let node_round_repeats = Float.equal node_round (node_round_words ()) in
   (* correctness booleans *)
   let v1_bytes_unchanged =
     let b = Frame.encode v1 in
@@ -824,6 +1010,13 @@ let run_obs_smoke ~out =
   Printf.bprintf buf "  \"v2_roundtrip_ok\": %b,\n" v2_roundtrip_ok;
   Printf.bprintf buf "  \"hlc_monotone\": %b,\n" hlc_monotone;
   Printf.bprintf buf "  \"bundle_roundtrip_ok\": %b,\n" bundle_roundtrip_ok;
+  Printf.bprintf buf "  \"codec_words\": {%s},\n"
+    (String.concat ", "
+       (List.map (fun (name, w) -> Printf.sprintf "%S: %.2f" name w) codecs));
+  Printf.bprintf buf "  \"socket_send_words\": %.2f,\n" socket_send_words;
+  Printf.bprintf buf "  \"socket_recv_words\": %.2f,\n" socket_recv_words;
+  Printf.bprintf buf "  \"node_round_words\": %.2f,\n" node_round;
+  Printf.bprintf buf "  \"node_round_repeats\": %b,\n" node_round_repeats;
   Printf.bprintf buf
     "  \"note\": \"allocation counts (words/op, minor heap) are \
      deterministic for a fixed code path and gate host-independently; \
@@ -835,6 +1028,11 @@ let run_obs_smoke ~out =
   Format.printf
     "wrote %s (v1=%.1fw v2=%.1fw extra=%.1fw disabled=%.1fw ok=%b)@." out
     frame_v1_words frame_v2_words v2_extra_words disabled_overhead_words ok;
+  Format.printf "words: %s; socket send=%.1f recv=%.1f; node round=%.1f%s@."
+    (String.concat " "
+       (List.map (fun (name, w) -> Printf.sprintf "%s=%.1f" name w) codecs))
+    socket_send_words socket_recv_words node_round
+    (if node_round_repeats then "" else " (did not repeat)");
   if not ok then exit 1
 
 (* ----- live-smoke mode: streaming telemetry end-to-end gates -----
@@ -858,9 +1056,6 @@ module AlertO = Csm_obs.Alert
 module MetricO = Csm_obs.Metric
 module PromO = Csm_obs.Prom
 module HttpO = Csm_obs.Http
-module NodeT = Csm_transport.Node
-module ClusterT = Csm_transport.Cluster
-module CT = ClusterT.Make (F)
 
 let live_counter_view name v =
   {
@@ -1246,3 +1441,4 @@ let () =
   else if List.mem "--adversary-smoke" argv then
     run_adversary_smoke ~out:(out_arg ~default:"BENCH_adversary.json" argv)
   else run_all ()
+

@@ -169,7 +169,7 @@ let rec binding_name pat =
 let r5_scope path name =
   starts_with "lib/" path
   && (starts_with "decode" name || starts_with "valid_" name
-     || name = "of_header")
+     || name = "of_header" || name = "frame_bytes")
 
 let r5_banned = function
   | [ "failwith" ] | [ "invalid_arg" ] | [ "raise" ] | [ "raise_notrace" ]

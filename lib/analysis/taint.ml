@@ -9,15 +9,18 @@
 
      lattice     Untrusted ⊏ Checked ⊏ Trusted  (join = worst)
      sources     wire-frame decodes ([Frame.decode]/[of_header]/
-                 [decode_header] — framing is validated, the payload
-                 bytes inside are still adversary-chosen), transport
+                 [decode_header]/[decode_at]/[frame_bytes] — framing is
+                 validated, the payload bytes inside are still
+                 adversary-chosen), transport
                  reads ([Transport.recv], [Unix.read]/[recv]), and the
                  telemetry bundle/delta decodes in lib/obs/agg.ml
                  (shape-validated, values still adversary-chosen)
      sanitizers  total [decode_*]/[of_header]/[of_wire] returning
                  [option]/[result]: matching [Some]/[Ok] marks both the
                  bound value and the sanitized argument expressions as
-                 Checked
+                 Checked; a total [valid_*] predicate (held to R5) in a
+                 guard marks its arguments Checked on the branch it
+                 guards
      sinks       protocol/ledger state mutation (engine, smr, the node
                  runtime's inbox, consensus), decision commits,
                  adversary-indexable [get]/[set]/[sub], field-kernel
@@ -78,6 +81,8 @@ let source_refs =
     (Some "Frame", "decode");
     (Some "Frame", "of_header");
     (Some "Frame", "decode_header");
+    (Some "Frame", "decode_at");
+    (Some "Frame", "frame_bytes");
     (Some "Transport", "recv");
     (Some "Unix", "read");
     (Some "Unix", "recv");
@@ -113,6 +118,13 @@ let sanitizer_ref key =
   match key with
   | None -> false
   | Some ((_, v) as k) -> sanitizer_name v && not (source_ref (Some k))
+
+(* A total validator: [true] exactly where its decoder would answer
+   [Some] (R5 holds its body to that). *)
+let validator_ref key =
+  match key with
+  | None -> false
+  | Some (_, v) -> String.length v > 6 && String.sub v 0 6 = "valid_"
 
 (* ----- configuration: sinks ----- *)
 
@@ -157,6 +169,8 @@ let sinks =
     { k_mod = Some "Array"; k_val = "make"; k_pos = Some [ 0 ];
       k_scope = [ "lib/" ]; k_what = "array sizing" };
     (* protocol / ledger state mutation *)
+    { k_mod = Some "Array"; k_val = "set"; k_pos = Some [ 2 ];
+      k_scope = state_scope; k_what = "protocol-state array write" };
     (* key and value positions; the table handle itself (arg 0) is the
        state being written, not the adversary's lever *)
     { k_mod = Some "Hashtbl"; k_val = "replace"; k_pos = Some [ 1; 2 ];
@@ -632,9 +646,15 @@ and eval_apply ctx env app h args =
    and [a <= b], [b] in [a > b] and [a >= b], both sides of [a = b] —
    provided the bound on the other side is itself not Untrusted
    (comparing two adversary values validates neither).  A lower bound
-   alone ([c.len - pos < size] for [size]) validates nothing. *)
+   alone ([c.len - pos < size] for [size]) validates nothing.  A total
+   [valid_*] predicate validates every argument it is given. *)
 and guard_checked ctx env g =
   match g.pexp_desc with
+  | Pexp_apply (h, args) when validator_ref (head_key ctx h) ->
+    List.fold_left
+      (fun acc (_, a) ->
+        match expr_path a with Some p -> Paths.add p acc | None -> acc)
+      Paths.empty args
   | Pexp_apply (h, [ (_, a); (_, b) ]) -> (
     let add acc operand other =
       if is_untrusted (eval (mute ctx) env other) then acc
@@ -686,6 +706,17 @@ let param_key_of_msg msg =
     | None -> None)
 
 let empty_env = { vars = []; checked = Paths.empty }
+
+(* The parameter keys of a binding, in order. *)
+let param_keys e =
+  let keys = ref [] in
+  ignore
+    (strip_params_keyed empty_env
+       (fun k ->
+         keys := k :: !keys;
+         Trusted)
+       0 e);
+  List.rev !keys
 
 (* Walk a structure, collecting top-level and functor/module-nested
    value bindings, module aliases, and module-level mutable names. *)
@@ -819,7 +850,12 @@ let analyze ?(registry = Hashtbl.create 1) (units : Program.unit_ list) :
           (* params-Trusted run: the unconditional return taint *)
           let env, body = strip_params empty_env Trusted d.d_expr in
           let base = eval ctx env body in
-          (* params-Untrusted run: conditional return / sink reach *)
+          (* params-Untrusted runs: the conditional return, with every
+             parameter Untrusted at once, and the sink reach, one
+             parameter at a time with the others Trusted — a bound that
+             comes from another parameter (a node's config) validates,
+             so a call site is flagged only for the arguments that
+             actually reach a sink *)
           let hits = ref [] in
           let probe =
             {
@@ -842,12 +878,18 @@ let analyze ?(registry = Hashtbl.create 1) (units : Program.unit_ list) :
                       | _ -> ());
             }
           in
-          let env_u, body_u =
-            strip_params_keyed empty_env
-              (fun k -> Untrusted (param_origin ^ ":" ^ k))
-              0 d.d_expr
-          in
-          let cond = eval probe env_u body_u in
+          let untrusted k = Untrusted (param_origin ^ ":" ^ k) in
+          let env_u, body_u = strip_params_keyed empty_env untrusted 0 d.d_expr in
+          let cond = eval (mute ctx) env_u body_u in
+          List.iter
+            (fun key ->
+              let env_k, body_k =
+                strip_params_keyed empty_env
+                  (fun k -> if k = key then untrusted k else Trusted)
+                  0 d.d_expr
+              in
+              ignore (eval probe env_k body_k))
+            (param_keys d.d_expr);
           let propagates =
             match cond with
             | Untrusted o ->

@@ -40,6 +40,18 @@ module Make (F : Field_intf.S) = struct
            node ids in received order.  A quorum wait decodes from
            whichever nodes answered first, so a few sets recur round
            after round (Remark 4).  At most n, cleared when full *)
+    scratch : scratch;
+  }
+
+  (* The early decode's room, reused by every call: the points and
+     vectors of the results it verifies, and RS's matrices over them.
+     The early reporter sets change from round to round, so a context
+     per set would be built per call, or would evict the full-quorum
+     contexts from [rs_ctxs]. *)
+  and scratch = {
+    sc_rs : RS.scratch;
+    sc_points : F.t array;  (* n *)
+    sc_rows : F.t array array;  (* n *)
   }
 
   let result_dim t = t.machine.M.state_dim + t.machine.M.output_dim
@@ -59,6 +71,16 @@ module Make (F : Field_intf.S) = struct
       coded_states = Coding.encode_vectors coding init;
       round_index = 0;
       rs_ctxs = Hashtbl.create 8;
+      scratch =
+        {
+          sc_rs =
+            RS.scratch
+              ~k:(Params.code_dimension ~k:params.k ~d:params.d)
+              ~n:params.n
+              ~words:(machine.M.state_dim + machine.M.output_dim);
+          sc_points = Array.make params.n F.zero;
+          sc_rows = Array.make params.n [||];
+        };
     }
 
   let coded_state t ~node = t.coded_states.(node)
@@ -201,21 +223,21 @@ module Make (F : Field_intf.S) = struct
     Params.composite_degree ~k:t.params.Params.k ~d:t.params.Params.d
     + (2 * t.params.Params.b) + 1
 
-  (* The senders whose results the early decode drops, and how many:
-     the [convicted] ones while they number c ≤ b.  A conviction is
-     sound when the faulty set is fixed with at most b members, so the
-     rest then hold at most b−c liars.  A node that has convicted more
-     than b is outside the model and drops none. *)
-  let exclusion t convicted =
+  (* How many senders the early decode drops: the [convicted] ones
+     while they number c ≤ b, none once more are.  A conviction is sound
+     when the faulty set is fixed with at most b members, so the rest
+     then hold at most b−c liars.  A node that has convicted more than b
+     is outside the model and drops none. *)
+  let dropped_count t (convicted : bool array) =
     let c = ref 0 in
-    for j = 0 to t.params.Params.n - 1 do
-      if convicted j then incr c
+    for j = 0 to Array.length convicted - 1 do
+      if convicted.(j) then incr c
     done;
-    if !c <= t.params.Params.b then (convicted, !c) else ((fun _ -> false), 0)
+    if !c <= t.params.Params.b then !c else 0
 
   let nobody _ = false
 
-  let excluded ?(convicted = nobody) t = fst (exclusion t convicted)
+  let convicted_array t convicted = Array.init t.params.Params.n convicted
 
   (* Fewest results whose agreement fixes the decode: d(K−1)+(b−c)+1
      from senders outside the c excluded ones.  If that many lie on one
@@ -227,53 +249,101 @@ module Make (F : Field_intf.S) = struct
     Params.composite_degree ~k:t.params.Params.k ~d:t.params.Params.d
     + (t.params.Params.b - c) + 1
 
-  let early_results ?(convicted = nobody) t = early_of t (snd (exclusion t convicted))
+  let early_results ?(convicted = nobody) t =
+    early_of t (dropped_count t (convicted_array t convicted))
 
-  (* Decode on agreement: [Some] only when at least [early_results]
-     results from unexcluded senders are given and every coordinate's
-     values among them lie on one polynomial of degree ≤ d(K−1),
-     checked by RS's fast path alone ([RS.verify_words]).  No fallback:
-     on [None] the caller waits for [min_results] and calls
-     [decode_results].  The context is built on each call and kept out
-     of [rs_ctxs]: the early reporter sets would evict the full-quorum
-     contexts and their Gao trees. *)
+  let early_count t ~convicted = early_of t (dropped_count t convicted)
+
+  (* A decode whose coordinate polynomials are [polys] and which found
+     no error: each h_j evaluated at the ωs and split into next states
+     and outputs, as [assemble] does. *)
+  let clean_decode t polys =
+    let sd = t.machine.M.state_dim and k = t.params.Params.k in
+    let next_states = Array.make k [||] and outputs = Array.make k [||] in
+    for i = 0 to k - 1 do
+      next_states.(i) <- Array.make sd F.zero;
+      outputs.(i) <- Array.make t.machine.M.output_dim F.zero
+    done;
+    for j = 0 to Array.length polys - 1 do
+      let vs = Coding.eval_at_omegas t.coding polys.(j) in
+      for i = 0 to k - 1 do
+        if j < sd then next_states.(i).(j) <- vs.(i) else outputs.(i).(j - sd) <- vs.(i)
+      done
+    done;
+    { next_states; outputs; error_nodes = []; polys }
+
+  (* Decode on agreement over the first [count] results of [senders] /
+     [vectors]: [Some] only when at least [early_results] of them come
+     from unexcluded senders and every coordinate's values among those
+     lie on one polynomial of degree ≤ d(K−1), checked by RS's fast path
+     alone on the engine's scratch.  No fallback: on [None] the caller
+     waits for [min_results] and calls [decode_results]. *)
+  let verify_into t ~convicted ~senders ~vectors ~count =
+    let c = dropped_count t convicted in
+    let sc = t.scratch in
+    let m = ref 0 in
+    for i = 0 to count - 1 do
+      let node = senders.(i) in
+      if not (c > 0 && convicted.(node)) then begin
+        sc.sc_points.(!m) <- t.coding.Coding.alphas.(node);
+        sc.sc_rows.(!m) <- vectors.(i);
+        incr m
+      end
+    done;
+    let verified =
+      if !m < early_of t c then None
+      else
+        RS.verify_columns sc.sc_rs ~points:sc.sc_points ~rows:sc.sc_rows ~m:!m
+          ~dim:(result_dim t)
+    in
+    Array.fill sc.sc_rows 0 !m [||];
+    match verified with
+    | None -> None
+    | Some polys ->
+      if Metric.enabled () then
+        for i = 0 to count - 1 do
+          ignore (Tel.node_suspicion ~node:senders.(i))
+        done;
+      Some (clean_decode t polys)
+
+  let verify_held t ~convicted ~senders ~vectors ~count =
+    if Span.enabled () then
+      Span.with_ ~name:"engine.verify" (fun () ->
+          verify_into t ~convicted ~senders ~vectors ~count)
+    else verify_into t ~convicted ~senders ~vectors ~count
+
   let verify_results ?(convicted = nobody) t (received : (int * F.t array) list) :
       decoded option =
-    Span.with_ ~name:"engine.verify" (fun () ->
-        let dropped, c = exclusion t convicted in
-        let recv =
-          Array.of_list
-            (if c = 0 then received
-             else List.filter (fun (node, _) -> not (dropped node)) received)
-        in
-        if Array.length recv < early_of t c then None
-        else begin
-          let kdim = Params.code_dimension ~k:t.params.Params.k ~d:t.params.Params.d in
-          let xs = points t recv in
-          let words =
-            Array.init (result_dim t) (fun j ->
-                Array.mapi (fun i x -> (x, (snd recv.(i)).(j))) xs)
-          in
-          match RS.verify_words ~ctx:(RS.prepare_fast ~k:kdim xs) ~k:kdim words with
-          | None -> None
-          | Some ds ->
-            register_reporters received;
-            assemble t recv (Array.map Option.some ds)
-        end)
+    let senders = Array.of_list (List.map fst received) in
+    let vectors = Array.of_list (List.map snd received) in
+    verify_held t ~convicted:(convicted_array t convicted) ~senders ~vectors
+      ~count:(Array.length senders)
+
+  (* Does [node]'s vector [g] agree with [d]'s coordinate polynomials at
+     its point?  Stops at the first coordinate that does not. *)
+  let agrees t d node g =
+    let x = t.coding.Coding.alphas.(node) in
+    Array.length g = Array.length d.polys
+    && begin
+      let ok = ref true and j = ref 0 in
+      while !ok && !j < Array.length g do
+        if F.equal (RS.P.eval d.polys.(!j) x) g.(!j) then incr j else ok := false
+      done;
+      !ok
+    end
 
   (* The senders among [results] whose vectors disagree with [d]'s
      coordinate polynomials at their points: the liars of a decoded
      round, however many of its results the decode itself saw. *)
   let liars t d (results : (int * F.t array) list) =
-    List.filter_map
-      (fun (node, g) ->
-        let x = t.coding.Coding.alphas.(node) in
-        let agrees = ref (Array.length g = Array.length d.polys) in
-        Array.iteri
-          (fun j p -> if !agrees && not (F.equal (RS.P.eval p x) g.(j)) then agrees := false)
-          d.polys;
-        if !agrees then None else Some node)
-      results
+    List.filter_map (fun (node, g) -> if agrees t d node g then None else Some node) results
+
+  let liars_held t d ~senders ~vectors ~count =
+    let rec go i acc =
+      if i < 0 then acc
+      else go (i - 1) (if agrees t d senders.(i) vectors.(i) then acc else senders.(i) :: acc)
+    in
+    go (count - 1) []
 
   (* Step 5 (per node): re-encode the coded state. *)
   let node_update_state ?(scope = Scope.null) t ~node ~next_states =

@@ -19,7 +19,10 @@ module Make (F : Field_intf.S) : sig
         (** cached optimistic-decode precomputations (prepared
             subproduct trees), one per set of reporting node ids in
             received order; at most [n], cleared when full *)
+    scratch : scratch;  (** the early decode's room, reused by every call *)
   }
+
+  and scratch
 
   val result_dim : t -> int
   (** state_dim + output_dim: the dimension of gᵢ. *)
@@ -60,20 +63,39 @@ module Make (F : Field_intf.S) : sig
 
   val verify_results :
     ?convicted:(int -> bool) -> t -> (int * F.t array) list -> decoded option
-  (** Decode on agreement.  The results of the {!excluded} senders are
-      dropped; [Some] only when at least {!early_results} of the rest
-      are given and, in every coordinate, all of those lie on one
-      polynomial of degree ≤ d(K−1) (RS's fast path alone, no Gao
-      fallback).  Then at least d(K−1)+1 of them are honest, so the
-      decode equals [decode_results]' on any honest superset, with no
-      [error_nodes].  [None] otherwise: wait for {!min_results} and
-      call [decode_results] over every valid result, convicted senders'
-      included.  The RS context is built per call, not cached in
-      [rs_ctxs].  [convicted] defaults to nobody. *)
+  (** Decode on agreement.  The results of the senders
+      {!dropped_count} drops are dropped; [Some] only when at least
+      {!early_results} of the rest are given and, in every coordinate,
+      all of those lie on one polynomial of degree ≤ d(K−1) (RS's fast
+      path alone, no Gao fallback).  Then at least d(K−1)+1 of them are
+      honest, so the decode equals [decode_results]' on any honest
+      superset, with no [error_nodes].  [None] otherwise: wait for
+      {!min_results} and call [decode_results] over every valid result,
+      convicted senders' included.  The check runs on the engine's
+      scratch; nothing is cached in [rs_ctxs].  [convicted] defaults to
+      nobody. *)
+
+  val verify_held :
+    t ->
+    convicted:bool array ->
+    senders:int array ->
+    vectors:F.t array array ->
+    count:int ->
+    decoded option
+  (** {!verify_results} over the first [count] results of [senders]
+      and [vectors] (sender [senders.(i)] reported [vectors.(i)]), with
+      [convicted.(j)] for [?convicted j]: a node keeps its round's
+      results in arrays it reuses, and the check runs on the engine's
+      scratch, so a call allocates only the decode it returns. *)
 
   val liars : t -> decoded -> (int * F.t array) list -> int list
   (** The senders, in the given order, whose result vectors disagree
       with the decoded [polys] at their evaluation points. *)
+
+  val liars_held :
+    t -> decoded -> senders:int array -> vectors:F.t array array -> count:int -> int list
+  (** {!liars} over the first [count] results of [senders] and
+      [vectors]; allocates only the list it returns. *)
 
   val node_update_state :
     ?scope:Scope.t -> t -> node:int -> next_states:F.t array array -> unit
@@ -113,17 +135,20 @@ module Make (F : Field_intf.S) : sig
       results included, only when its first {!early_results} do not
       agree. *)
 
-  val excluded : ?convicted:(int -> bool) -> t -> int -> bool
-  (** The senders whose results {!verify_results} drops: the
-      [convicted] nodes while they number c ≤ b, none once more are
-      convicted.  A conviction is sound when the faulty set is fixed
-      with at most b members: the rest then hold at most b−c liars.
-      More than b convictions fall outside that model, so the early
-      decode then runs exactly as with none. *)
+  val dropped_count : t -> bool array -> int
+  (** How many senders {!verify_results} drops when [convicted.(j)]
+      marks the convicted ones: all of them while they number c ≤ b,
+      none once more are convicted.  A conviction is sound when the
+      faulty set is fixed with at most b members: the rest then hold at
+      most b−c liars.  More than b convictions fall outside that model,
+      so the early decode then runs exactly as with none. *)
+
+  val early_count : t -> convicted:bool array -> int
+  (** {!early_results} with [convicted.(j)] for [?convicted j]. *)
 
   val early_results : ?convicted:(int -> bool) -> t -> int
   (** Fewest results from unexcluded senders whose agreement fixes the
-      decode: d(K−1) + (b−c) + 1, c the number of {!excluded} senders
+      decode: d(K−1) + (b−c) + 1, c the number of dropped senders
       (d(K−1) + b + 1 with none).  If they all lie on one polynomial of
       degree ≤ d(K−1), at most b−c of them lie, so at least d(K−1)+1
       are honest and it is the honest one (the certificate set τ of

@@ -16,21 +16,25 @@ module Make (F : Field_intf.S) = struct
   let vector_bytes ~dim = dim * elt_bytes
   let commands_bytes ~k ~dim = k * vector_bytes ~dim
 
+  (* Encoders write one exact-size [Bytes] in place; decoders check the
+     whole input (length, then every element's range) before they
+     allocate, then read it once into the result.  So a rejected input
+     costs no allocation, and an accepted one costs its arrays. *)
+
+  let write_vector b pos (v : F.t array) =
+    for i = 0 to Array.length v - 1 do
+      Bytes.set_int64_be b (pos + (i * elt_bytes)) (Int64.of_int (F.to_int v.(i)))
+    done
+
   let encode_vector_bin (v : F.t array) =
     let b = Bytes.create (vector_bytes ~dim:(Array.length v)) in
-    Array.iteri
-      (fun i x -> Bytes.set_int64_be b (i * elt_bytes) (Int64.of_int (F.to_int x)))
-      v;
+    write_vector b 0 v;
     Bytes.unsafe_to_string b
 
   (* An element is a u64 from 0 to [max_int]: negative values and
      values beyond [max_int] (not representable in a native int) are
      rejected. *)
   let max_elt = Int64.of_int max_int
-
-  let read_elt s off =
-    let x = String.get_int64_be s off in
-    if x < 0L || x > max_elt then None else Some (F.of_int (Int64.to_int x))
 
   (* Are the elements from [pos] up to [stop] all in range?  Allocates
      nothing. *)
@@ -39,24 +43,28 @@ module Make (F : Field_intf.S) = struct
     || (let x = String.get_int64_be s pos in
         x >= 0L && x <= max_elt && elts_in_range s (pos + elt_bytes) stop)
 
-  let decode_vector_bin_at s ~pos ~dim =
-    let ok = ref true in
-    let v =
-      Array.init dim (fun i ->
-          match read_elt s (pos + (i * elt_bytes)) with
-          | Some x -> x
-          | None ->
-            ok := false;
-            F.zero)
-    in
-    if !ok then Some v else None
+  (* The [dim] elements at [pos], already checked in range. *)
+  let read_vector s pos dim =
+    let v = Array.make dim F.zero in
+    for i = 0 to dim - 1 do
+      v.(i) <- F.of_int (Int64.to_int (String.get_int64_be s (pos + (i * elt_bytes))))
+    done;
+    v
 
   let decode_vector_bin ~dim s =
     if dim < 0 || String.length s <> vector_bytes ~dim then None
-    else decode_vector_bin_at s ~pos:0 ~dim
+    else if elts_in_range s 0 (String.length s) then Some (read_vector s 0 dim)
+    else None
 
   let encode_commands_bin (commands : F.t array array) =
-    String.concat "" (Array.to_list (Array.map encode_vector_bin commands))
+    let total = Array.fold_left (fun n c -> n + Array.length c) 0 commands in
+    let b = Bytes.create (vector_bytes ~dim:total) in
+    let pos = ref 0 in
+    for i = 0 to Array.length commands - 1 do
+      write_vector b !pos commands.(i);
+      pos := !pos + vector_bytes ~dim:(Array.length commands.(i))
+    done;
+    Bytes.unsafe_to_string b
 
   let valid_commands_bin ~k ~dim s =
     k >= 0 && dim >= 0
@@ -64,72 +72,74 @@ module Make (F : Field_intf.S) = struct
     && elts_in_range s 0 (String.length s)
 
   let decode_commands_bin ~k ~dim s =
-    if k < 0 || dim < 0 || String.length s <> commands_bytes ~k ~dim then None
+    if not (valid_commands_bin ~k ~dim s) then None
     else begin
-      (* total: a single bad row aborts the whole decode with [None]
-         without ever forcing an option (R5) *)
       let rows = Array.make k [||] in
-      let ok = ref true in
       for i = 0 to k - 1 do
-        match decode_vector_bin_at s ~pos:(i * vector_bytes ~dim) ~dim with
-        | Some row -> rows.(i) <- row
-        | None -> ok := false
+        rows.(i) <- read_vector s (i * vector_bytes ~dim) dim
       done;
-      if !ok then Some rows else None
+      Some rows
     end
 
   (* Self-describing matrix (rows of possibly different widths): u32
      row count, then per row a u32 width followed by the elements.
      Used for the Output frame payload (K output rows + K next-state
-     rows).  Caps bound the allocation a corrupted length claim can
-     force before the exact-length check. *)
+     rows).  Caps bound what a length claim may name; the decoder
+     allocates only for an input it has checked whole. *)
 
   let max_matrix_rows = 1 lsl 16
   let max_matrix_dim = 1 lsl 20
 
   let encode_matrix_bin (rows : F.t array array) =
-    let buf = Buffer.create 64 in
-    let u32 v =
-      let b = Bytes.create 4 in
-      Bytes.set_int32_be b 0 (Int32.of_int v);
-      Buffer.add_bytes buf b
+    let size =
+      Array.fold_left (fun n row -> n + 4 + vector_bytes ~dim:(Array.length row)) 4 rows
     in
-    u32 (Array.length rows);
-    Array.iter
-      (fun row ->
-        u32 (Array.length row);
-        Buffer.add_string buf (encode_vector_bin row))
-      rows;
-    Buffer.contents buf
+    let b = Bytes.create size in
+    Bytes.set_int32_be b 0 (Int32.of_int (Array.length rows));
+    let pos = ref 4 in
+    for i = 0 to Array.length rows - 1 do
+      let row = rows.(i) in
+      Bytes.set_int32_be b !pos (Int32.of_int (Array.length row));
+      write_vector b (!pos + 4) row;
+      pos := !pos + 4 + vector_bytes ~dim:(Array.length row)
+    done;
+    Bytes.unsafe_to_string b
+
+  (* The u32 at [pos] when it is there and below 2^31, else -1. *)
+  let u32_at s pos =
+    if pos + 4 > String.length s then -1
+    else
+      let v = Int32.to_int (String.get_int32_be s pos) in
+      if v < 0 then -1 else v
+
+  (* Do rows [i] to [rows - 1], the first at [pos], fill [s] to its end
+     exactly, each within [max_matrix_dim] and in range?  Allocates
+     nothing. *)
+  let rec matrix_rows_ok s i rows pos =
+    if i = rows then pos = String.length s
+    else
+      let dim = u32_at s pos in
+      dim >= 0 && dim <= max_matrix_dim
+      && (let body = pos + 4 in
+          let stop = body + vector_bytes ~dim in
+          stop <= String.length s
+          && elts_in_range s body stop
+          && matrix_rows_ok s (i + 1) rows stop)
 
   let decode_matrix_bin s =
-    let len = String.length s in
-    let u32 pos =
-      if pos + 4 > len then None
-      else
-        let v = Int32.to_int (String.get_int32_be s pos) in
-        if v < 0 then None else Some v
-    in
-    match u32 0 with
-    | None -> None
-    | Some rows when rows > max_matrix_rows -> None
-    | Some rows ->
+    let rows = u32_at s 0 in
+    (* every row takes at least its 4-byte width: a count the input
+       cannot hold is refused before anything is allocated *)
+    if rows < 0 || rows > max_matrix_rows || String.length s < 4 + (4 * rows) then None
+    else if not (matrix_rows_ok s 0 rows 4) then None
+    else begin
       let out = Array.make rows [||] in
-      let rec go i pos =
-        if i = rows then if pos = len then Some out else None
-        else
-          match u32 pos with
-          | None -> None
-          | Some dim when dim > max_matrix_dim -> None
-          | Some dim ->
-            let body = pos + 4 in
-            if body + vector_bytes ~dim > len then None
-            else (
-              match decode_vector_bin_at s ~pos:body ~dim with
-              | None -> None
-              | Some row ->
-                out.(i) <- row;
-                go (i + 1) (body + vector_bytes ~dim))
-      in
-      go 0 4
+      let pos = ref 4 in
+      for i = 0 to rows - 1 do
+        let dim = u32_at s !pos in
+        out.(i) <- read_vector s (!pos + 4) dim;
+        pos := !pos + 4 + vector_bytes ~dim
+      done;
+      Some out
+    end
 end

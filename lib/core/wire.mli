@@ -7,7 +7,9 @@
     Every decoder is total and exact — out-of-range elements, trailing
     garbage, truncated or extended bodies yield [None], never an
     exception — and so is the one validator, which answers [false]
-    where its decoder answers [None]. *)
+    where its decoder answers [None].  Encoders write one exact-size
+    buffer; decoders allocate only the result of an input they have
+    checked whole. *)
 
 module Field_intf = Csm_field.Field_intf
 
@@ -37,4 +39,7 @@ module Make (F : Field_intf.S) : sig
       frame payload: K output rows followed by K next-state rows). *)
 
   val decode_matrix_bin : string -> F.t array array option
+  (** Checks the whole input (row count against its length, each row's
+      width and elements) before it allocates: a short payload that
+      claims many rows costs nothing. *)
 end

@@ -24,8 +24,9 @@
 
    [decode_on] is the fast path alone over a known agreement set, for
    a word whose errors an earlier decode already located;
-   [verify_words] is the fast path alone over several words, all or
-   nothing, for a caller that decodes in full when any disagrees.
+   [verify_columns] is the fast path alone over several words, all or
+   nothing, on caller-owned scratch, for a caller that decodes in full
+   when any disagrees.
    [decode]
    defaults to the optimistic decoder; the rs bench pins Gao with
    [?algorithm] to measure the fast path against it. *)
@@ -353,34 +354,119 @@ module Make (F : Field_intf.S) = struct
         count_decode (algorithm_name algorithm) result;
         result)
 
-  (* The fast path alone over several words on the context's points,
-     all or nothing: [Some] only when each word's candidate explains
-     every one of its values, and then each word counts as a clean hit,
-     as [decode] counts one.  [None], counting nothing, at the first
-     word that does not verify or whose points are not the context's.
-     No fallback: the caller decodes in full. *)
-  let verify_words ~ctx ~k words =
-    let polys = Array.make (Array.length words) P.zero in
-    let rec go j =
-      j >= Array.length words
-      || ctx_matches ctx ~k (Array.map fst words.(j))
-         && (match verify ctx words.(j) with
-            | Some poly ->
-              polys.(j) <- poly;
-              go (j + 1)
-            | None -> false)
-    in
-    if not (go 0) then None
+  (* The fast path on caller-owned scratch, for point sets that change
+     from call to call (the reporters of an early quorum): the head's
+     Lagrange rows and the tail's Vandermonde rows are rebuilt in place
+     on every call, with [prepare_fast]'s arithmetic, so a call
+     allocates only the polynomials it returns.  Room for [n] points,
+     dimension [k] and [words] words. *)
+  type scratch = {
+    sc_k : int;
+    sc_m : F.t array;  (* k + 1: ∏ (z − xⱼ) over the head *)
+    sc_q : F.t array;  (* k: one Lagrange basis polynomial *)
+    sc_interp : F.t array array;  (* k × k, as [fc_interp] *)
+    sc_vand : F.t array array;  (* (n − k) × k, as [fc_vand] *)
+    sc_coeffs : F.t array array;  (* words × k: each word's candidate *)
+  }
+
+  let scratch ~k ~n ~words =
+    if n < k || k < 1 then invalid_arg "Reed_solomon.scratch";
+    {
+      sc_k = k;
+      sc_m = Array.make (k + 1) F.zero;
+      sc_q = Array.make k F.zero;
+      sc_interp = Array.init k (fun _ -> Array.make k F.zero);
+      sc_vand = Array.init (n - k) (fun _ -> Array.make k F.zero);
+      sc_coeffs = Array.init words (fun _ -> Array.make k F.zero);
+    }
+
+  (* [prepare_fast]'s matrices for the first [m] of [points], into [sc]. *)
+  let prepare_scratch sc points m =
+    let k = sc.sc_k and mp = sc.sc_m and q = sc.sc_q in
+    Array.fill mp 0 (k + 1) F.zero;
+    mp.(0) <- F.one;
+    for j = 0 to k - 1 do
+      let x = points.(j) in
+      for i = j + 1 downto 1 do
+        mp.(i) <- F.sub mp.(i - 1) (F.mul x mp.(i))
+      done;
+      mp.(0) <- F.neg (F.mul x mp.(0))
+    done;
+    for j = 0 to k - 1 do
+      let x = points.(j) in
+      q.(k - 1) <- mp.(k);
+      for i = k - 1 downto 1 do
+        q.(i - 1) <- F.add mp.(i) (F.mul x q.(i))
+      done;
+      let at_x = ref F.zero in
+      for i = k - 1 downto 0 do
+        at_x := F.add (F.mul !at_x x) q.(i)
+      done;
+      let w = F.inv !at_x in
+      for i = 0 to k - 1 do
+        sc.sc_interp.(i).(j) <- F.mul w q.(i)
+      done
+    done;
+    for t = 0 to m - k - 1 do
+      let x = points.(k + t) and row = sc.sc_vand.(t) in
+      row.(0) <- F.one;
+      for i = 1 to k - 1 do
+        row.(i) <- F.mul row.(i - 1) x
+      done
+    done
+
+  (* [verify]'s scalar loop over word [j], read as column [j] of [rows]:
+     interpolate the head into the word's candidate, then walk the tail,
+     bailing at the first disagreeing point. *)
+  let verify_column sc ~rows ~m j =
+    let k = sc.sc_k and coeffs = sc.sc_coeffs.(j) in
+    for i = 0 to k - 1 do
+      let row = sc.sc_interp.(i) in
+      let acc = ref F.zero in
+      for l = 0 to k - 1 do
+        acc := F.add !acc (F.mul row.(l) rows.(l).(j))
+      done;
+      coeffs.(i) <- !acc
+    done;
+    let ok = ref true and t = ref 0 in
+    while !ok && !t < m - k do
+      let row = sc.sc_vand.(!t) in
+      let acc = ref F.zero in
+      for l = 0 to k - 1 do
+        acc := F.add !acc (F.mul row.(l) coeffs.(l))
+      done;
+      if F.equal !acc rows.(k + !t).(j) then incr t else ok := false
+    done;
+    !ok
+
+  let verify_columns sc ~points ~rows ~m ~dim =
+    let k = sc.sc_k in
+    if m < k || m - k > Array.length sc.sc_vand || dim > Array.length sc.sc_coeffs then
+      None
     else begin
-      let agreement = List.init (Array.length ctx.fc_points) Fun.id in
-      Some
-        (Array.map
-           (fun poly ->
-             let d = { poly; agreement; errors = [] } in
-             record_fastpath "hit";
-             count_decode (algorithm_name Optimistic) (Some d);
-             d)
-           polys)
+      prepare_scratch sc points m;
+      let ok = ref true and j = ref 0 in
+      while !ok && !j < dim do
+        let w = !j in
+        if Span.enabled () then
+          ok := Span.with_ ~name:"rs.fastpath" (fun () -> verify_column sc ~rows ~m w)
+        else ok := verify_column sc ~rows ~m w;
+        incr j
+      done;
+      if not !ok then None
+      else begin
+        let polys = Array.make dim P.zero in
+        for j = 0 to dim - 1 do
+          polys.(j) <- P.normalize (Array.copy sc.sc_coeffs.(j));
+          (* each word counts as a clean optimistic hit, as [decode]
+             counts one *)
+          if Metric.enabled () then begin
+            record_fastpath "hit";
+            Metric.inc (Tel.rs_decodes ~algorithm:(algorithm_name Optimistic) ~outcome:"clean")
+          end
+        done;
+        Some polys
+      end
     end
 
   (* Does [ctx] hold the points of [pairs] at positions [on], which

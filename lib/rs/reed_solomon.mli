@@ -65,14 +65,30 @@ module Make (F : Field_intf.S) : sig
   (** Default algorithm is [Optimistic]; [ctx] is used by it and ignored
       by [Gao]. *)
 
-  val verify_words :
-    ctx:fast_ctx -> k:int -> (F.t * F.t) array array -> decoded array option
-  (** The fast path alone over several words at [ctx]'s points, all or
-      nothing: [Some], one zero-error decode per word, only when every
-      word's candidate explains all of its values; each then counts as
-      an optimistic clean hit.  [None], counting nothing, when any word
-      does not verify or its points are not [ctx]'s.  No Gao fallback:
-      a caller that gets [None] decodes in full. *)
+  type scratch
+  (** Caller-owned room for the fast path over point sets that change
+      from call to call: {!verify_columns} rebuilds [prepare_fast]'s
+      matrices in it, so a call allocates only what it returns. *)
+
+  val scratch : k:int -> n:int -> words:int -> scratch
+  (** Room for up to [n] points, dimension [k], [words] words.
+      @raise Invalid_argument when n < k or k < 1. *)
+
+  val verify_columns :
+    scratch ->
+    points:F.t array ->
+    rows:F.t array array ->
+    m:int ->
+    dim:int ->
+    P.t array option
+  (** The fast path alone over [dim] words, all or nothing, read
+      column-wise: word [j] takes value [rows.(i).(j)] at [points.(i)],
+      for i < [m], and is verified with [prepare_fast]'s arithmetic.
+      [Some], one candidate per word, only when every word's candidate
+      explains all of its values; each then counts as an optimistic
+      clean hit.  [None], counting nothing, otherwise, or when [m] and
+      [dim] exceed the scratch or [m] < k.  No Gao fallback: a caller
+      that gets [None] decodes in full. *)
 
   val decode_on :
     ctx:fast_ctx -> on:int array -> k:int -> (F.t * F.t) array -> decoded option

@@ -186,10 +186,11 @@ module Make (F : Field_intf.S) = struct
            Command arrives *)
     results : F.t array heard array;  (* sender → gⱼ, own included *)
     mutable n_results : int;
-    mutable untrusted : int -> bool;
-        (* senders whose results the early decode drops, set when the
-           result wait starts ([trust]); nobody until then *)
+    mutable untrusted : bool array;
+        (* sender → its results are dropped by the early decode, set
+           when the result wait starts ([trust]); nobody until then *)
     mutable n_trusted : int;  (* senders heard, [untrusted] ones aside *)
+    mutable early : int;  (* the early decode's quorum, set by [trust] *)
     mutable trace_id : int64;
         (* causal trace id, adopted from the first valid extended frame
            of the round (the client's Command); 0 untraced *)
@@ -210,6 +211,13 @@ module Make (F : Field_intf.S) = struct
     convicted : bool array;
         (* peers a decoded round proved wrong, for the rest of the run;
            changed only between rounds, by [hear_out] *)
+    nobody : bool array;  (* all false: no sender is untrusted *)
+    expected : int;  (* senders heard each round, self included *)
+    quorum : int;  (* results that decode past b lies, capped by [expected] *)
+    held_senders : int array;
+    held_vectors : F.t array array;
+        (* a round's valid results in sender order, for the engine:
+           rewritten by [hold] before each use *)
     flight : Flight.t;  (* this node's always-on black box *)
     mutable shutdown : bool;
     (* in-flight snapshot emitter state (config.stream = Some _) *)
@@ -221,18 +229,6 @@ module Make (F : Field_intf.S) = struct
            equality is exact) *)
   }
 
-  let make_inbox ~node ~n () =
-    {
-      live = Hashtbl.create 4;
-      next = 0;
-      convicted = Array.make n false;
-      flight = Flight.create ~node ();
-      shutdown = false;
-      st_emitted = 0;
-      st_next = 0.0;
-      st_sent = Hashtbl.create 32;
-    }
-
   (* Most round records one node of this instance has held at once. *)
   let peak = Atomic.make 0
 
@@ -242,25 +238,28 @@ module Make (F : Field_intf.S) = struct
     let p = Atomic.get peak in
     if held > p && not (Atomic.compare_and_set peak p held) then note_peak held
 
-  (* The record of round [r], created on first use. *)
+  let new_round n nobody =
+    {
+      command = None;
+      commits = Array.make n Unheard;
+      n_commits = 0;
+      n_matching = 0;
+      results = Array.make n Unheard;
+      n_results = 0;
+      untrusted = nobody;
+      n_trusted = 0;
+      early = 0;
+      trace_id = 0L;
+    }
+
+  (* The record of round [r], created on first use.  (The lookups here
+     raise [Not_found] rather than return an option, so a hit allocates
+     nothing.) *)
   let round_in cfg inbox r =
-    match Hashtbl.find_opt inbox.live r with
-    | Some st -> st
-    | None ->
-      let n = cfg.params.Params.n in
-      let st =
-        {
-          command = None;
-          commits = Array.make n Unheard;
-          n_commits = 0;
-          n_matching = 0;
-          results = Array.make n Unheard;
-          n_results = 0;
-          untrusted = (fun _ -> false);
-          n_trusted = 0;
-          trace_id = 0L;
-        }
-      in
+    match Hashtbl.find inbox.live r with
+    | st -> st
+    | exception Not_found ->
+      let st = new_round cfg.params.Params.n inbox.nobody in
       Hashtbl.replace inbox.live r st;
       note_peak (Hashtbl.length inbox.live);
       st
@@ -293,37 +292,52 @@ module Make (F : Field_intf.S) = struct
   let hear_command st payload commands =
     if Option.is_none st.command then begin
       st.command <- Some (payload, commands);
-      st.n_matching <-
-        Array.fold_left
-          (fun acc c ->
-            match c with
-            | Valid p when String.equal p payload -> acc + 1
-            | Unheard | Malformed | Valid _ -> acc)
-          0 st.commits
+      let m = ref 0 in
+      for j = 0 to Array.length st.commits - 1 do
+        match st.commits.(j) with
+        | Valid p when String.equal p payload -> incr m
+        | Unheard | Malformed | Valid _ -> ()
+      done;
+      st.n_matching <- !m
     end
 
   let hear_result st sender v =
     if hear st.results sender v then begin
       st.n_results <- st.n_results + 1;
-      if not (st.untrusted sender) then st.n_trusted <- st.n_trusted + 1
+      if not st.untrusted.(sender) then st.n_trusted <- st.n_trusted + 1
     end
 
-  (* Fix the senders the round's early decode drops and count the
-     results already heard from the rest; intake keeps the count. *)
-  let trust st untrusted =
-    st.untrusted <- untrusted;
+  (* Fix the senders the round's early decode drops and its quorum, and
+     count the results already heard from the rest; intake keeps the
+     count.  Convictions change only between rounds. *)
+  let trust engine inbox st =
+    let convicted = inbox.convicted in
+    st.untrusted <- (if E.dropped_count engine convicted > 0 then convicted else inbox.nobody);
+    st.early <- E.early_count engine ~convicted;
     st.n_trusted <- 0;
-    Array.iteri
-      (fun j -> function
-        | Unheard -> ()
-        | Malformed | Valid _ -> if not (untrusted j) then st.n_trusted <- st.n_trusted + 1)
-      st.results
+    for j = 0 to Array.length st.results - 1 do
+      match st.results.(j) with
+      | Unheard -> ()
+      | Malformed | Valid _ -> if not st.untrusted.(j) then st.n_trusted <- st.n_trusted + 1
+    done
 
-  (* The round's valid results as (sender, gⱼ), in sender order. *)
-  let valid_results cfg st =
-    List.filter_map
-      (fun j -> match st.results.(j) with Valid g -> Some (j, g) | _ -> None)
-      (List.init cfg.params.Params.n Fun.id)
+  (* Put the round's valid results, in sender order, where the engine
+     reads them; their number. *)
+  let hold inbox st =
+    let count = ref 0 in
+    for j = 0 to Array.length st.results - 1 do
+      match st.results.(j) with
+      | Valid g ->
+        inbox.held_senders.(!count) <- j;
+        inbox.held_vectors.(!count) <- g;
+        incr count
+      | Unheard | Malformed -> ()
+    done;
+    !count
+
+  (* The held results as (sender, gⱼ) pairs, for the full decode. *)
+  let held_list inbox count =
+    List.init count (fun i -> (inbox.held_senders.(i), inbox.held_vectors.(i)))
 
   (* Round [r] is decided: forget its record and move the window. *)
   let decided inbox r =
@@ -332,14 +346,14 @@ module Make (F : Field_intf.S) = struct
 
   (* Has round [r]'s Command arrived? *)
   let commanded inbox r =
-    match Hashtbl.find_opt inbox.live r with
-    | Some st -> Option.is_some st.command
-    | None -> false
+    match Hashtbl.find inbox.live r with
+    | st -> Option.is_some st.command
+    | exception Not_found -> false
 
   let trace_of inbox round =
-    match Hashtbl.find_opt inbox.live round with
-    | Some st -> st.trace_id
-    | None -> 0L
+    match Hashtbl.find inbox.live round with
+    | st -> st.trace_id
+    | exception Not_found -> 0L
 
   (* Stamp an outbound protocol frame (trace mode): promote it to
      wire v2 carrying the round's trace id and a fresh HLC send stamp. *)
@@ -358,10 +372,15 @@ module Make (F : Field_intf.S) = struct
       }
 
   let record_send inbox ~dst (frame : Frame.t) =
-    let hlc, trace =
+    let hlc =
       match frame.Frame.ext with
-      | Some e -> (Clock.of_wire e.Frame.hlc, e.Frame.trace_id)
-      | None -> (Clock.now (), trace_of inbox frame.Frame.round)
+      | Some e -> Clock.of_wire e.Frame.hlc
+      | None -> Clock.now ()
+    in
+    let trace =
+      match frame.Frame.ext with
+      | Some e -> e.Frame.trace_id
+      | None -> trace_of inbox frame.Frame.round
     in
     Flight.record_fields inbox.flight ~trace ~hlc ~round:frame.Frame.round
       ~peer_key:"dst" ~peer:dst
@@ -385,6 +404,12 @@ module Make (F : Field_intf.S) = struct
       record_send inbox ~dst frame;
       tr.Transport.send ~dst
         { frame with Frame.payload = corrupt_payload frame.Frame.payload }
+
+  (* Send [frame] to every peer but this node. *)
+  let send_peers cfg inbox tr frame =
+    for j = 0 to cfg.params.Params.n - 1 do
+      if j <> cfg.node then send_protocol cfg inbox tr ~dst:j frame
+    done
 
   (* Refresh the runtime-health gauges a snapshot is about to carry. *)
   let sample_health cfg =
@@ -448,10 +473,36 @@ module Make (F : Field_intf.S) = struct
     else if r >= 0 && r < next then Error `Decided
     else Error `Bad
 
+  (* A received frame's flight entry, with one note pair ([note_key] ""
+     for none). *)
+  let record_recv inbox (fr : Frame.t) ~hlc ~trace kind note_key note =
+    Flight.record_fields inbox.flight ~trace ~hlc ~round:fr.Frame.round
+      ~peer_key:"src" ~peer:fr.Frame.sender
+      ~frame:(Frame.kind_name fr.Frame.kind)
+      ~note_key ~note kind
+
+  let record_bad tr inbox fr ~hlc ~trace reason =
+    Transport.record_error tr;
+    record_recv inbox fr ~hlc ~trace "error" "reason" reason
+
+  (* A valid frame of a live round, whose record is [st]: log it, and
+     adopt its trace id.  The record comes from the validated round
+     alone, so the frame's other fields never reach it. *)
+  let accept inbox fr ~hlc ~trace st =
+    if trace <> 0L && st.trace_id = 0L then
+      (* csm-lint: allow R6 — trace ids are opaque correlation tokens: the record is the validated round's, the value fixed-width, never indexed or interpreted *)
+      st.trace_id <- trace;
+    record_recv inbox fr ~hlc ~trace "recv" "" ""
+
+  (* A valid frame of a decided round is logged and dropped, touching
+     no state. *)
+  let dropped inbox fr ~hlc ~trace = record_recv inbox fr ~hlc ~trace "recv" "dropped" "decided"
+
   (* Intake-time validation: bound the round and decode the payload
      with the total decoders the moment the frame arrives, so a
      malformed frame is counted and dropped exactly once no matter when
-     the round logic looks. *)
+     the round logic looks.  The payload is checked for a decided round
+     too: a malformed frame is a frame error whenever it arrives. *)
   let dispatch cfg (tr : Transport.t) inbox (fr : Frame.t) =
     let n = cfg.params.Params.n in
     let k = cfg.params.Params.k in
@@ -459,112 +510,122 @@ module Make (F : Field_intf.S) = struct
     (* HLC receive rule: fold the sender's stamp in before anything
        else, so the local clock (and the flight entry below) is already
        causally after the send *)
-    let rx_hlc, rx_trace =
+    let hlc =
       match fr.Frame.ext with
-      | Some e -> (Clock.observe (Clock.of_wire e.Frame.hlc), e.Frame.trace_id)
-      | None -> (Clock.now (), 0L)
+      | Some e -> Clock.observe (Clock.of_wire e.Frame.hlc)
+      | None -> Clock.now ()
     in
-    (* this frame's flight entry, with one note pair ([note_key] ""
-       for none) *)
-    let record kind ~round note_key note =
-      Flight.record_fields inbox.flight ~trace:rx_trace ~hlc:rx_hlc ~round
-        ~peer_key:"src" ~peer:sender
-        ~frame:(Frame.kind_name fr.Frame.kind)
-        ~note_key ~note kind
-    in
-    (* a valid frame of a live round: log it, and return the round's
-       record with the frame's trace id adopted *)
-    let accept ~round =
-      let st = round_in cfg inbox round in
-      if rx_trace <> 0L && st.trace_id = 0L then
-        (* csm-lint: allow R6 — trace ids are opaque correlation tokens: the record is the validated round's, the value fixed-width, never indexed or interpreted *)
-        st.trace_id <- rx_trace;
-      record "recv" ~round "" "";
-      st
-    in
-    let record_bad ~round reason =
-      Transport.record_error tr;
-      record "error" ~round "reason" reason
-    in
+    let trace = match fr.Frame.ext with Some e -> e.Frame.trace_id | None -> 0L in
     match fr.Frame.kind with
     | Frame.Shutdown when sender = n ->
       (* a control frame: it ends the run at whatever round it names *)
-      record "recv" ~round:fr.Frame.round "" "";
+      record_recv inbox fr ~hlc ~trace "recv" "" "";
       inbox.shutdown <- true
     | _ -> (
       match decode_round ~next:inbox.next ~rounds:cfg.rounds fr.Frame.round with
       | Error `Bad ->
         (* the flight entry logs the forged value, but nothing keys on it *)
-        record_bad ~round:fr.Frame.round "bad-round"
+        record_bad tr inbox fr ~hlc ~trace "bad-round"
       | verdict -> (
-        (* the payload is checked for a decided round too: a malformed
-           frame is a frame error whenever it arrives, while a valid one
-           for a decided round is logged and dropped, touching no state *)
-        let round = match verdict with Ok r -> r | Error _ -> fr.Frame.round in
-        let keep add =
-          match verdict with
-          | Ok round -> add (accept ~round)
-          | Error _ -> record "recv" ~round "dropped" "decided"
-        in
-        let malformed add =
-          record_bad ~round "bad-payload";
-          match verdict with
-          | Ok round -> add (round_in cfg inbox round)
-          | Error _ -> ()
-        in
         match fr.Frame.kind with
         | Frame.Command when sender = n -> (
           match
-            W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim
-              fr.Frame.payload
+            W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim fr.Frame.payload
           with
-          | Some cs -> keep (fun st -> hear_command st fr.Frame.payload cs)
-          | None -> record_bad ~round "bad-payload")
+          | Some cs -> (
+            match verdict with
+            | Ok round ->
+              let st = round_in cfg inbox round in
+              accept inbox fr ~hlc ~trace st;
+              hear_command st fr.Frame.payload cs
+            | Error _ -> dropped inbox fr ~hlc ~trace)
+          | None -> record_bad tr inbox fr ~hlc ~trace "bad-payload")
         | Frame.Commit when sender >= 0 && sender < n && sender <> cfg.node ->
           (* an echo is compared with the Command, never used: checked,
              not decoded *)
-          if W.valid_commands_bin ~k ~dim:cfg.machine.M.input_dim fr.Frame.payload
-          then keep (fun st -> hear_commit st sender (Valid fr.Frame.payload))
-          else malformed (fun st -> hear_commit st sender Malformed)
+          if W.valid_commands_bin ~k ~dim:cfg.machine.M.input_dim fr.Frame.payload then (
+            match verdict with
+            | Ok round ->
+              let st = round_in cfg inbox round in
+              accept inbox fr ~hlc ~trace st;
+              hear_commit st sender (Valid fr.Frame.payload)
+            | Error _ -> dropped inbox fr ~hlc ~trace)
+          else begin
+            record_bad tr inbox fr ~hlc ~trace "bad-payload";
+            match verdict with
+            | Ok round -> hear_commit (round_in cfg inbox round) sender Malformed
+            | Error _ -> ()
+          end
         | Frame.Result when sender >= 0 && sender < n && sender <> cfg.node -> (
           let dim = cfg.machine.M.state_dim + cfg.machine.M.output_dim in
           match W.decode_vector_bin ~dim fr.Frame.payload with
-          | Some g -> keep (fun st -> hear_result st sender (Valid g))
-          | None -> malformed (fun st -> hear_result st sender Malformed))
+          | Some g -> (
+            match verdict with
+            | Ok round ->
+              let st = round_in cfg inbox round in
+              accept inbox fr ~hlc ~trace st;
+              hear_result st sender (Valid g)
+            | Error _ -> dropped inbox fr ~hlc ~trace)
+          | None -> (
+            record_bad tr inbox fr ~hlc ~trace "bad-payload";
+            match verdict with
+            | Ok round -> hear_result (round_in cfg inbox round) sender Malformed
+            | Error _ -> ()))
         | _ ->
           (* unexpected kind/sender combination: malformed at the
              protocol level, counted like any other bad frame *)
-          record_bad ~round "unexpected-kind"))
+          record_bad tr inbox fr ~hlc ~trace "unexpected-kind"))
 
-  (* Take in frames one at a time until [cond] holds or [cfg.deadline]
-     passes, or, unless [~in_round], the client's Shutdown arrives.
-     Each lap checks [cond] first and then waits at most 50 ms in
-     [recv] for one frame, so a node never asks for a frame it does not
-     need and never polls an empty endpoint.  A [cond] is a quorum or
-     "every expected sender heard", and holds as soon as the frame
-     that completes it is dispatched: a wait takes in no frame past its
-     quorum, and the rest of the round waits in [hear_out].  A round
-     under way runs to its end: the client sent its Command before the
-     Shutdown, so every peer that sends will send its frames for it,
-     and stopping early would leave the node's counters short of frames
-     already in flight.  Every lap also gives the streaming emitter a
-     chance to fire — waits are where a node spends its wall time, so
-     this is what keeps snapshots flowing even while a round stalls on
-     a straggler. *)
-  let wait_until ?(in_round = false) cfg tr inbox cond =
-    let limit = Unix.gettimeofday () +. cfg.deadline in
-    let rec loop () =
-      maybe_stream cfg tr inbox;
-      if cond () then true
-      else if
-        (inbox.shutdown && not in_round) || Unix.gettimeofday () >= limit
-      then false
-      else begin
-        Option.iter (dispatch cfg tr inbox) (tr.Transport.recv ~timeout:0.05);
-        loop ()
-      end
-    in
-    loop ()
+  (* What a wait waits for; each reads counts [dispatch] keeps. *)
+  type goal =
+    | Command_in  (* the round's Command *)
+    | Committed  (* b+1 matching echoes (self included) *)
+    | Commits_heard  (* [Committed], or every expected peer's Commit *)
+    | Agreed  (* the early quorum, or the full one *)
+    | Quorum  (* the full quorum: decodes past b lies *)
+    | All_heard  (* every expected peer's Commit and Result *)
+    | Shutdown_in  (* the client's Shutdown *)
+
+  let met cfg inbox st = function
+    | Command_in -> Option.is_some st.command
+    | Committed -> st.n_matching + 1 >= cfg.params.Params.b + 1
+    | Commits_heard ->
+      st.n_matching + 1 >= cfg.params.Params.b + 1 || st.n_commits >= inbox.expected - 1
+    | Agreed -> st.n_trusted >= st.early || st.n_results >= inbox.quorum
+    | Quorum -> st.n_results >= inbox.quorum
+    | All_heard -> st.n_commits >= inbox.expected - 1 && st.n_results >= inbox.expected
+    | Shutdown_in -> inbox.shutdown
+
+  (* Take in frames one at a time until [goal] is met for round record
+     [st] or [cfg.deadline] passes, or, unless [~in_round], the client's
+     Shutdown arrives.  Each lap checks the goal first and then waits
+     at most 50 ms in [recv] for one frame, so a node never asks for a
+     frame it does not need and never polls an empty endpoint.  A goal
+     is a quorum or "every expected sender heard", and is met as soon
+     as the frame that completes it is dispatched: a wait takes in no
+     frame past its quorum, and the rest of the round waits in
+     [hear_out].  A round under way runs to its end: the client sent
+     its Command before the Shutdown, so every peer that sends will
+     send its frames for it, and stopping early would leave the node's
+     counters short of frames already in flight.  Every lap also gives
+     the streaming emitter a chance to fire — waits are where a node
+     spends its wall time, so this is what keeps snapshots flowing even
+     while a round stalls on a straggler.  A lap makes no closure: the
+     frame goes to [dispatch] in a direct call. *)
+  let rec wait_loop cfg (tr : Transport.t) inbox st goal ~in_round limit =
+    maybe_stream cfg tr inbox;
+    if met cfg inbox st goal then true
+    else if (inbox.shutdown && not in_round) || Unix.gettimeofday () >= limit then false
+    else begin
+      (match tr.Transport.recv ~timeout:0.05 with
+      | Some fr -> dispatch cfg tr inbox fr
+      | None -> ());
+      wait_loop cfg tr inbox st goal ~in_round limit
+    end
+
+  let wait_until ?(in_round = false) cfg tr inbox st goal =
+    ignore
+      (wait_loop cfg tr inbox st goal ~in_round (Unix.gettimeofday () +. cfg.deadline))
 
   (* ---- one protocol round ---- *)
 
@@ -574,63 +635,52 @@ module Make (F : Field_intf.S) = struct
       ~hlc:(Clock.now ()) ~round ~peer_key:"" ~peer:(-1) ~frame:""
       ~note_key:"phase" ~note:name "phase"
 
-  (* One round up to its Output: [expected] senders send each round,
-     this node included (see [expected_peers]).  Each wait stops at its
-     quorum, at every expected sender heard, or at the deadline.  The
-     round's decode, or [None] when it has none. *)
-  let run_round cfg (tr : Transport.t) engine inbox ~expected r =
-    let n = cfg.params.Params.n in
-    let b = cfg.params.Params.b in
+  (* A [Lie] node's broadcast: a well-formed but wrong vector
+     (coordinates nudged per its lie_spec, on the spec's round
+     schedule), while it keeps the honest gᵢ locally — intake
+     validation passes everywhere and only the peers' Reed–Solomon
+     decode catches and attributes the lie. *)
+  let broadcast_of cfg ~round g =
+    match cfg.fault with
+    | Lie l when lie_active l ~round -> (
+      let off = F.of_int l.l_offset in
+      match l.l_coord with
+      | None -> Array.map (fun x -> F.add x off) g
+      | Some c ->
+        let g' = Array.copy g in
+        if c >= 0 && c < Array.length g' then g'.(c) <- F.add g'.(c) off;
+        g')
+    | _ -> g
+
+  (* One round up to its Output: [inbox.expected] senders send each
+     round, this node included (see [expected_peers]).  Each wait stops
+     at its quorum, at every expected sender heard, or at the deadline.
+     The round's decode, or [None] when it has none. *)
+  let run_round cfg (tr : Transport.t) engine inbox r =
     let me = cfg.node in
     let st = round_in cfg inbox r in
     (* 1. the round's commands, from the client *)
-    ignore (wait_until cfg tr inbox (fun () -> Option.is_some st.command));
+    wait_until cfg tr inbox st Command_in;
     match st.command with
     | None -> None
     | Some (cmd_payload, commands) ->
       phase inbox ~round:r "commands";
       (* 2. commit: echo the command payload to every peer, then wait
          for b+1 matching endorsements (self included) *)
-      let commit = Frame.make ~kind:Frame.Commit ~sender:me ~round:r cmd_payload in
-      for j = 0 to n - 1 do
-        if j <> me then send_protocol cfg inbox tr ~dst:j commit
-      done;
-      let committed () = st.n_matching + 1 >= b + 1 in
-      ignore
-        (wait_until ~in_round:true cfg tr inbox (fun () ->
-             committed () || st.n_commits >= expected - 1));
-      if not (committed ()) then None
+      send_peers cfg inbox tr (Frame.make ~kind:Frame.Commit ~sender:me ~round:r cmd_payload);
+      wait_until ~in_round:true cfg tr inbox st Commits_heard;
+      if not (met cfg inbox st Committed) then None
       else begin
       phase inbox ~round:r "committed";
       (* 3. compute gᵢ over the committed commands *)
       let coded_command = E.node_encode_command engine ~node:me ~commands in
       let g = E.node_compute engine ~node:me ~coded_command in
       phase inbox ~round:r "computed";
-      (* 4. broadcast the result, keep our own.  A [Lie] node ships a
-         well-formed but wrong vector (coordinates nudged per its
-         lie_spec, on the spec's round schedule) while keeping the
-         honest gᵢ locally — intake validation passes everywhere and
-         only the peers' Reed–Solomon decode catches and attributes the
-         lie *)
-      let broadcast_g =
-        match cfg.fault with
-        | Lie l when lie_active l ~round:r ->
-          let off = F.of_int l.l_offset in
-          (match l.l_coord with
-          | None -> Array.map (fun x -> F.add x off) g
-          | Some c ->
-            let g' = Array.copy g in
-            if c >= 0 && c < Array.length g' then g'.(c) <- F.add g'.(c) off;
-            g')
-        | _ -> g
-      in
-      let result =
-        Frame.make ~kind:Frame.Result ~sender:me ~round:r
-          (W.encode_vector_bin broadcast_g)
-      in
-      for j = 0 to n - 1 do
-        if j <> me then send_protocol cfg inbox tr ~dst:j result
-      done;
+      (* 4. broadcast the result (a liar's, per [broadcast_of]), keep
+         our own *)
+      send_peers cfg inbox tr
+        (Frame.make ~kind:Frame.Result ~sender:me ~round:r
+           (W.encode_vector_bin (broadcast_of cfg ~round:r g)));
       hear_result st me (Valid g);
       (* 5. decode on agreement: with c ≤ b peers convicted, once
          d(K−1)+(b−c)+1 results are in from the rest, own included, a
@@ -643,25 +693,22 @@ module Make (F : Field_intf.S) = struct
          most b−m lies among the valid rest.  Convictions change only
          between rounds, so the trusted count is taken once here and
          kept at intake *)
-      let convicted j = inbox.convicted.(j) in
-      let quorum = min (E.min_results engine) expected in
-      let early = E.early_results ~convicted engine in
-      trust st (E.excluded ~convicted engine);
-      ignore
-        (wait_until ~in_round:true cfg tr inbox (fun () ->
-             st.n_trusted >= early || st.n_results >= quorum));
+      trust engine inbox st;
+      wait_until ~in_round:true cfg tr inbox st Agreed;
+      let count = hold inbox st in
       let decoded =
-        match E.verify_results ~convicted engine (valid_results cfg st) with
+        match
+          E.verify_held engine ~convicted:inbox.convicted ~senders:inbox.held_senders
+            ~vectors:inbox.held_vectors ~count
+        with
         | Some _ as d -> d
         | None ->
-          ignore
-            (wait_until ~in_round:true cfg tr inbox (fun () ->
-                 st.n_results >= quorum));
+          wait_until ~in_round:true cfg tr inbox st Quorum;
           (* the default decoder: optimistic verify-first fast path,
              with Gao as fallback; a lie is located once, on the first
              faulty coordinate, and the rest are verified on its
              agreement set *)
-          E.decode_results engine (valid_results cfg st)
+          E.decode_results engine (held_list inbox (hold inbox st))
       in
       match decoded with
       | None ->
@@ -675,7 +722,7 @@ module Make (F : Field_intf.S) = struct
         let payload =
           W.encode_matrix_bin (Array.append d.E.outputs d.E.next_states)
         in
-        send_protocol cfg inbox tr ~dst:n
+        send_protocol cfg inbox tr ~dst:cfg.params.Params.n
           (Frame.make ~kind:Frame.Output ~sender:me ~round:r payload);
         (* 7. advance our own coded state *)
         E.node_update_state engine ~node:me ~next_states:d.E.next_states;
@@ -701,16 +748,15 @@ module Make (F : Field_intf.S) = struct
      disagrees is convicted for the rest of the run (its
      [csm_node_suspicion] set to 1), so the next rounds' early decodes
      drop its results. *)
-  let hear_out cfg tr engine inbox ~expected r decoded =
+  let hear_out cfg tr engine inbox r decoded =
     let st = round_in cfg inbox r in
     match st.results.(cfg.node) with
     | Unheard -> ()
     | Malformed | Valid _ -> (
-      ignore
-        (wait_until ~in_round:true cfg tr inbox (fun () ->
-             st.n_commits >= expected - 1 && st.n_results >= expected));
+      wait_until ~in_round:true cfg tr inbox st All_heard;
       match decoded with
       | Some d ->
+        let count = hold inbox st in
         List.iter
           (fun j ->
             if Metric.enabled () then Metric.inc (Tel.decode_errors ~node:j);
@@ -718,7 +764,8 @@ module Make (F : Field_intf.S) = struct
               inbox.convicted.(j) <- true;
               if Metric.enabled () then Metric.set (Tel.node_suspicion ~node:j) 1.0
             end)
-          (E.liars engine d (valid_results cfg st))
+          (E.liars_held engine d ~senders:inbox.held_senders ~vectors:inbox.held_vectors
+             ~count)
       | None -> ())
 
   (* Binary stats payload: five big-endian u64 counters. *)
@@ -757,6 +804,25 @@ module Make (F : Field_intf.S) = struct
 
   (* ---- entry point: run all rounds, then answer the shutdown ---- *)
 
+  let make_inbox cfg engine =
+    let n = cfg.params.Params.n in
+    let expected = expected_peers cfg in
+    {
+      live = Hashtbl.create 4;
+      next = 0;
+      convicted = Array.make n false;
+      nobody = Array.make n false;
+      expected;
+      quorum = min (E.min_results engine) expected;
+      held_senders = Array.make n 0;
+      held_vectors = Array.make n [||];
+      flight = Flight.create ~node:cfg.node ();
+      shutdown = false;
+      st_emitted = 0;
+      st_next = 0.0;
+      st_sent = Hashtbl.create 32;
+    }
+
   let run cfg (tr : Transport.t) =
     (* every exit closes the endpoint: an exception must not leak its
        fds into a process that runs cluster after cluster *)
@@ -766,29 +832,31 @@ module Make (F : Field_intf.S) = struct
       E.create ~machine:cfg.machine ~params:cfg.params ~init:cfg.init
     in
     let n = cfg.params.Params.n in
-    let inbox = make_inbox ~node:cfg.node ~n () in
-    let expected = expected_peers cfg in
-    let node_attr = [ ("node", string_of_int cfg.node) ] in
+    let inbox = make_inbox cfg engine in
     for r = 0 to cfg.rounds - 1 do
       (* after the client's Shutdown, only the rounds whose Command came
          before it still run: the client sent those, so every peer that
          sends runs them too *)
       if (not inbox.shutdown) || commanded inbox r then begin
         let t0 = Unix.gettimeofday () in
+        (* the span's attribute list is built only while spans are on *)
         let decoded =
-          Span.with_ ~name:"node.round"
-            ~attrs:(("round", string_of_int r) :: node_attr)
-            (fun () -> run_round cfg tr engine inbox ~expected r)
+          if Span.enabled () then
+            Span.with_ ~name:"node.round"
+              ~attrs:[ ("round", string_of_int r); ("node", string_of_int cfg.node) ]
+              (fun () -> run_round cfg tr engine inbox r)
+          else run_round cfg tr engine inbox r
         in
         if Metric.enabled () then
           Metric.observe (Tel.round_latency ()) (Unix.gettimeofday () -. t0);
-        hear_out cfg tr engine inbox ~expected r decoded;
+        hear_out cfg tr engine inbox r decoded;
         decided inbox r
       end
     done;
     (* wait for the client's shutdown, reply with our counters (control
        frames are exempt from the node's fault: the driver needs them) *)
-    ignore (wait_until cfg tr inbox (fun () -> inbox.shutdown));
+    (* the goal reads no round record: an empty one stands in *)
+    wait_until cfg tr inbox (new_round 0 inbox.nobody) Shutdown_in;
     let snap = Transport.snapshot tr in
     tr.Transport.send ~dst:n
       (Frame.make ~kind:Frame.Stats ~sender:cfg.node ~round:cfg.rounds

@@ -31,9 +31,9 @@
    until a frame is complete or its deadline — the receiver-side
    defence against withholding peers — passes.  Each inbound connection
    owns one byte buffer: a connection the [select] finds readable gets
-   one [read], and every whole frame in the buffer is decoded and
-   counted, its header validated by [Frame.decode_header] before
-   anything it claims is allocated.  What one read leaves in the
+   one [read], and every whole frame in the buffer is decoded in place
+   and counted, its header validated by [Frame.frame_bytes] before
+   anything it claims is allocated; the payload is the one copy made.  What one read leaves in the
    kernel, the next [select] finds again (it is level-triggered).  The
    partial tail moves to the front of the buffer, so a peer that stops
    mid-frame holds up nobody else.  A frame larger than the default
@@ -159,8 +159,9 @@ let connect p =
    before any byte went through is a failed (TCP) connect. *)
 let rec push p =
   if Option.is_none p.fd && has_bytes p && send_due p then connect p;
-  match (p.fd, Queue.peek_opt p.out) with
-  | Some fd, Some s -> (
+  match p.fd with
+  | Some fd when has_bytes p -> (
+    let s = Queue.peek p.out in
     match Unix.single_write_substring fd s p.off (String.length s - p.off) with
     | k ->
       p.up <- true;
@@ -190,20 +191,43 @@ let rec push p =
   | _ -> ()
 
 (* Connect the peers whose retry is due; then the connections with
-   bytes to write, and [wait] cut short by the next retry still due. *)
-let outbound peers wait =
+   bytes to write.  Allocates only for a peer with bytes left. *)
+let outbound peers =
   let now = Unix.gettimeofday () in
-  Array.fold_left
-    (fun (writes, wait) p ->
-      if has_bytes p && Option.is_none p.fd && p.retry_at <= now then push p;
-      match p.fd with
-      | Some fd when has_bytes p -> (fd :: writes, wait)
-      | None when has_bytes p -> (writes, Float.min wait (p.retry_at -. now))
-      | _ -> (writes, wait))
-    ([], wait) peers
+  let writes = ref [] in
+  for i = 0 to Array.length peers - 1 do
+    let p = peers.(i) in
+    if has_bytes p && Option.is_none p.fd && p.retry_at <= now then push p;
+    match p.fd with
+    | Some fd when has_bytes p -> writes := fd :: !writes
+    | _ -> ()
+  done;
+  !writes
 
-let push_writable writable p =
-  match p.fd with Some fd when List.memq fd writable -> push p | _ -> ()
+let waiting p = has_bytes p && Option.is_none p.fd
+
+(* [wait] cut short by the next connect retry of a peer that has bytes
+   and no connection; [wait] itself when there is none. *)
+let retry_wait peers wait =
+  if not (Array.exists waiting peers) then wait
+  else begin
+    let now = Unix.gettimeofday () in
+    let w = ref wait in
+    for i = 0 to Array.length peers - 1 do
+      if waiting peers.(i) then w := Float.min !w (peers.(i).retry_at -. now)
+    done;
+    !w
+  end
+
+let push_writable writable peers =
+  match writable with
+  | [] -> ()
+  | _ ->
+    for i = 0 to Array.length peers - 1 do
+      match peers.(i).fd with
+      | Some fd when List.memq fd writable -> push peers.(i)
+      | _ -> ()
+    done
 
 (* Lingering writers still running, process-wide; [linger] waits for
    them to finish. *)
@@ -226,9 +250,9 @@ let linger_write peers =
   let rec drain () =
     let left = deadline -. Unix.gettimeofday () in
     if left > 0.0 && Array.exists has_bytes peers then begin
-      let writes, wait = outbound peers left in
-      (match Unix.select [] writes [] (Float.max 0.0 wait) with
-      | _, writable, _ -> Array.iter (push_writable writable) peers
+      let writes = outbound peers in
+      (match Unix.select [] writes [] (Float.max 0.0 (retry_wait peers left)) with
+      | _, writable, _ -> push_writable writable peers
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       drain ()
     end
@@ -277,7 +301,15 @@ let endpoint ~addr ~id ~endpoints =
     }
   in
   let inbound = ref [] in
-  let ready : Frame.t Queue.t = Queue.create () in
+  (* what [select] reads: the listener and every inbound connection,
+     rebuilt only when a connection comes or goes *)
+  let read_fds = ref [ listener ] in
+  let set_inbound cs =
+    inbound := cs;
+    read_fds := listener :: List.map (fun c -> c.conn) cs
+  in
+  (* decoded frames, each kept as the [Some] that [recv] returns *)
+  let ready : Frame.t option Queue.t = Queue.create () in
   let peers =
     Array.init endpoints (fun dst ->
         {
@@ -293,51 +325,62 @@ let endpoint ~addr ~id ~endpoints =
           failed_at = 0.0;
         })
   in
-  (* Deliver every whole frame in [c]'s buffer and move the partial
-     tail to its front, in a buffer that can hold the frame the tail
-     starts; [false] on a malformed header. *)
-  let parse c =
-    let rec frames pos =
-      if c.len - pos < Frame.header_bytes then keep pos Frame.header_bytes
-      else
-        match Frame.decode_header ~pos (Bytes.unsafe_to_string c.buf) with
-        | None ->
-          (* framing lost: count and drop the connection *)
-          Transport.record_error t;
-          false
-        | Some h ->
-          let body_len = Frame.body_bytes h in
-          let size = Frame.header_bytes + body_len in
-          if c.len - pos < size then keep pos size
-          else begin
-            Transport.record_received t size;
-            (match
-               Frame.of_header h
-                 ~body:(Bytes.sub_string c.buf (pos + Frame.header_bytes) body_len)
-             with
-            | Some fr -> Queue.push fr ready
-            | None -> Transport.record_error t);
-            frames (pos + size)
-          end
-    and keep pos need =
-      let tail = c.len - pos in
-      if need > Bytes.length c.buf then begin
-        (* a size [decode_header] has held to [max_payload_bytes] *)
-        let grown = Bytes.create need in
-        Bytes.blit c.buf pos grown 0 tail;
-        c.buf <- grown
+  (* Frames and bytes moved since the counters were last published:
+     only this endpoint's thread touches them, and [publish] adds them
+     to [t.stats] under its lock, with no closure made per frame. *)
+  let sent_frames = ref 0 and sent_bytes = ref 0 in
+  let received_frames = ref 0 and received_bytes = ref 0 in
+  let add_pending () =
+    let s = t.Transport.stats in
+    s.Transport.frames_sent <- s.Transport.frames_sent + !sent_frames;
+    s.Transport.bytes_sent <- s.Transport.bytes_sent + !sent_bytes;
+    s.Transport.frames_received <- s.Transport.frames_received + !received_frames;
+    s.Transport.bytes_received <- s.Transport.bytes_received + !received_bytes;
+    sent_frames := 0;
+    sent_bytes := 0;
+    received_frames := 0;
+    received_bytes := 0
+  in
+  let publish () = Mutex.protect t.Transport.stats_mutex add_pending in
+  (* Deliver every whole frame in [c]'s buffer from [pos] on and move
+     the partial tail to its front, in a buffer that can hold the frame
+     the tail starts; [false] on a malformed header. *)
+  let rec parse c pos =
+    if c.len - pos < Frame.header_bytes then keep c pos Frame.header_bytes
+    else
+      let s = Bytes.unsafe_to_string c.buf in
+      let size = Frame.frame_bytes s ~pos in
+      if size < 0 then begin
+        (* framing lost: count and drop the connection *)
+        Transport.record_error t;
+        false
       end
-      else if Bytes.length c.buf > default_buf && need <= default_buf then begin
-        (* the frame that outgrew the default buffer is parsed *)
-        let default = Bytes.create default_buf in
-        Bytes.blit c.buf pos default 0 tail;
-        c.buf <- default
+      else if c.len - pos < size then keep c pos size
+      else begin
+        incr received_frames;
+        received_bytes := !received_bytes + size;
+        (match Frame.decode_at s ~pos with
+        | Some _ as fr -> Queue.push fr ready
+        | None -> Transport.record_error t);
+        parse c (pos + size)
       end
-      else Bytes.blit c.buf pos c.buf 0 tail;
-      c.len <- tail;
-      true
-    in
-    frames 0
+  and keep c pos need =
+    let tail = c.len - pos in
+    if need > Bytes.length c.buf then begin
+      (* a size [Frame.frame_bytes] has held to [max_payload_bytes] *)
+      let grown = Bytes.create need in
+      Bytes.blit c.buf pos grown 0 tail;
+      c.buf <- grown
+    end
+    else if Bytes.length c.buf > default_buf && need <= default_buf then begin
+      (* the frame that outgrew the default buffer is parsed *)
+      let default = Bytes.create default_buf in
+      Bytes.blit c.buf pos default 0 tail;
+      c.buf <- default
+    end
+    else Bytes.blit c.buf pos c.buf 0 tail;
+    c.len <- tail;
+    true
   in
   (* One [read] of what [c] has delivered, then its whole frames;
      [false] once the connection is done: end of stream, an error, or
@@ -347,59 +390,69 @@ let endpoint ~addr ~id ~endpoints =
     | 0 -> false
     | k ->
       c.len <- c.len + k;
-      parse c
+      let ok = parse c 0 in
+      publish ();
+      ok
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       true
     | exception Unix.Unix_error _ -> false
   in
   let drop c =
-    inbound := List.filter (fun c' -> c' != c) !inbound;
+    set_inbound (List.filter (fun c' -> c' != c) !inbound);
     close_quietly c.conn
   in
   let accept () =
     match Unix.accept ~cloexec:true listener with
     | conn, _ ->
       Unix.set_nonblock conn;
-      inbound := { conn; buf = Bytes.create default_buf; len = 0 } :: !inbound
+      set_inbound ({ conn; buf = Bytes.create default_buf; len = 0 } :: !inbound)
     | exception
         Unix.Unix_error
           ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
       ->
       ()
   in
-  (* One [select] of at most [wait] seconds, cut short by the next due
+  let rec read_ready readable = function
+    | [] -> ()
+    | c :: rest ->
+      if List.memq c.conn readable && not (read_frames c) then drop c;
+      read_ready readable rest
+  in
+  (* The running [recv]'s deadline, kept unboxed in a float array. *)
+  let deadline = [| 0.0 |] in
+  (* One [select] until the deadline at most, cut short by the next due
      connect retry, then accept, read and flush what it found ready. *)
-  let poll wait =
-    let writes, wait = outbound peers wait in
-    match
-      Unix.select
-        (listener :: List.map (fun c -> c.conn) !inbound)
-        writes [] (Float.max 0.0 wait)
-    with
+  let poll () =
+    let writes = outbound peers in
+    let wait = retry_wait peers (deadline.(0) -. Unix.gettimeofday ()) in
+    match Unix.select !read_fds writes [] (Float.max 0.0 wait) with
     | readable, writable, _ ->
       if List.memq listener readable then accept ();
-      List.iter
-        (fun c -> if List.memq c.conn readable && not (read_frames c) then drop c)
-        !inbound;
-      Array.iter (push_writable writable) peers
+      read_ready readable !inbound;
+      push_writable writable peers
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
+  let rec recv_ready () =
+    if not (Queue.is_empty ready) then Queue.pop ready
+    else begin
+      poll ();
+      if Queue.is_empty ready && Unix.gettimeofday () >= deadline.(0) then None
+      else recv_ready ()
+    end
+  in
   let recv ~timeout =
-    let deadline = Unix.gettimeofday () +. timeout in
-    let rec go () =
-      match Queue.take_opt ready with
-      | Some fr -> Some fr
-      | None ->
-        poll (deadline -. Unix.gettimeofday ());
-        if Queue.is_empty ready && Unix.gettimeofday () >= deadline then None
-        else go ()
-    in
-    if !closed then None else go ()
+    if !closed then None
+    else begin
+      deadline.(0) <- Unix.gettimeofday () +. timeout;
+      recv_ready ()
+    end
   in
   let send ~dst frame =
     if (not !closed) && dst >= 0 && dst < endpoints then begin
       let bytes = Frame.encode frame in
-      Transport.record_sent t (String.length bytes);
+      incr sent_frames;
+      sent_bytes := !sent_bytes + String.length bytes;
+      publish ();
       let p = peers.(dst) in
       Queue.push bytes p.out;
       p.queued <- p.queued + String.length bytes;

@@ -153,61 +153,87 @@ type header = {
 
 let body_bytes h = h.h_ext_bytes + h.h_payload_bytes
 
+(* The u32 field at [off] of the header at [pos], as a non-negative
+   int (a value of 2^31 or more reads negative). *)
+let u32 s pos off = Int32.to_int (String.get_int32_be s (pos + off))
+
+(* Is the header at [pos] well formed (magic, version, tag, field
+   ranges)?  Its 16 bytes must be there.  Allocates nothing. *)
+let header_ok s pos =
+  s.[pos] = 'C'
+  && s.[pos + 1] = 'S'
+  && (let version = Char.code s.[pos + 2] in
+      version = current_version || version = ext_version)
+  && Option.is_some (kind_of_tag (Char.code s.[pos + 3]))
+  && u32 s pos 4 >= 0
+  && u32 s pos 8 >= 0
+  && (let len = u32 s pos 12 in
+      len >= 0 && len <= max_payload_bytes)
+
+let has_header s pos = pos >= 0 && String.length s - pos >= header_bytes
+
 let decode_header ?(pos = 0) s =
-  if pos < 0 || String.length s - pos < header_bytes then None
-  else if s.[pos] <> 'C' || s.[pos + 1] <> 'S' then None
+  if not (has_header s pos && header_ok s pos) then None
   else
-    let version = Char.code s.[pos + 2] in
-    if version <> current_version && version <> ext_version then None
+    match kind_of_tag (Char.code s.[pos + 3]) with
+    | None -> None
+    | Some k ->
+      let version = Char.code s.[pos + 2] in
+      Some
+        {
+          h_version = version;
+          h_kind = k;
+          h_sender = u32 s pos 4;
+          h_round = u32 s pos 8;
+          h_ext_bytes = ext_bytes_of_version version;
+          h_payload_bytes = u32 s pos 12;
+        }
+
+let frame_bytes s ~pos =
+  if not (has_header s pos && header_ok s pos) then -1
+  else header_bytes + ext_bytes_of_version (Char.code s.[pos + 2]) + u32 s pos 12
+
+(* The frame whose body (extension, then payload) starts at [body] in
+   [s], its header fields already read: the payload is copied out
+   once. *)
+let frame_at ~version ~kind ~sender ~round s ~body ~payload_bytes =
+  let ext =
+    if version < ext_version then None
     else
-      match kind_of_tag (Char.code s.[pos + 3]) with
-      | None -> None
-      | Some k ->
-        let u32 off = Int32.to_int (String.get_int32_be s (pos + off)) in
-        let sender = u32 4 and round = u32 8 and len = u32 12 in
-        if sender < 0 || round < 0 || len < 0 || len > max_payload_bytes then
-          None
-        else
-          Some
-            {
-              h_version = version;
-              h_kind = k;
-              h_sender = sender;
-              h_round = round;
-              h_ext_bytes = ext_bytes_of_version version;
-              h_payload_bytes = len;
-            }
+      Some
+        { trace_id = String.get_int64_be s body; hlc = String.get_int64_be s (body + 8) }
+  in
+  {
+    version;
+    kind;
+    sender;
+    round;
+    ext;
+    payload = String.sub s (body + ext_bytes_of_version version) payload_bytes;
+  }
 
 (* [body] is everything after the 16 header bytes: the extension (when
    the header claims version 2) immediately followed by the payload. *)
 let of_header h ~body =
   if String.length body <> body_bytes h then None
   else
-    let ext =
-      if h.h_ext_bytes = 0 then None
-      else
-        Some
-          {
-            trace_id = String.get_int64_be body 0;
-            hlc = String.get_int64_be body 8;
-          }
-    in
     Some
-      {
-        version = h.h_version;
-        kind = h.h_kind;
-        sender = h.h_sender;
-        round = h.h_round;
-        ext;
-        payload = String.sub body h.h_ext_bytes h.h_payload_bytes;
-      }
+      (frame_at ~version:h.h_version ~kind:h.h_kind ~sender:h.h_sender
+         ~round:h.h_round body ~body:0 ~payload_bytes:h.h_payload_bytes)
 
-let decode s =
-  match decode_header s with
-  | None -> None
-  | Some h ->
-    if String.length s <> header_bytes + body_bytes h then None
-    else of_header h ~body:(String.sub s header_bytes (body_bytes h))
+let decode_at s ~pos =
+  let size = frame_bytes s ~pos in
+  if size < 0 || String.length s - pos < size then None
+  else
+    match kind_of_tag (Char.code s.[pos + 3]) with
+    | None -> None
+    | Some kind ->
+      Some
+        (frame_at ~version:(Char.code s.[pos + 2]) ~kind ~sender:(u32 s pos 4)
+           ~round:(u32 s pos 8) s ~body:(pos + header_bytes)
+           ~payload_bytes:(u32 s pos 12))
+
+let decode s = if frame_bytes s ~pos:0 <> String.length s then None else decode_at s ~pos:0
 
 let pp ppf t =
   Format.fprintf ppf "%s[v%d from=%d round=%d %dB%s]" (kind_name t.kind)

@@ -109,4 +109,16 @@ val of_header : header -> body:string -> t option
     (when the header claims one) immediately followed by the payload.
     Rejects a body whose length differs from [body_bytes h]. *)
 
+val frame_bytes : string -> pos:int -> int
+(** On-wire size of the frame whose header starts at [pos] (header,
+    extension and payload, as the header claims), or -1 when the 16
+    header bytes there are missing or malformed.  Allocates nothing: a
+    byte-stream reader learns how much to wait for before it decodes. *)
+
+val decode_at : string -> pos:int -> t option
+(** In-place decode of the frame starting at [pos] of a buffer that may
+    hold more after it (the next frame): [None] unless its header is
+    valid and its whole body is there.  The payload is the one copy
+    made. *)
+
 val pp : Format.formatter -> t -> unit

@@ -297,6 +297,36 @@ let r6_interprocedural () =
         "let f tr buf = Wa.write_at buf 0 (Transport.recv tr)" );
     ]
 
+(* The node's Commit intake: an echo is checked with a total [valid_*]
+   predicate, not decoded, and then kept in the round's protocol state.
+   Cut the check and the unchecked payload reaches [hear_commit]'s
+   array write; keep it and the guarded branch is clean.  The frame
+   comes from [recv] in a direct call, so the analysis sees it. *)
+let r6_commit_intake () =
+  let node check =
+    [
+      ( "lib/transport/node.ml",
+        "type 'a heard = Unheard | Malformed | Valid of 'a\n\
+         type round = { commits : string heard array; mutable n : int }\n\
+         let hear_commit st sender v =\n\
+        \  st.commits.(sender) <- v;\n\
+        \  st.n <- st.n + 1\n\
+         let dispatch st n fr =\n\
+        \  match fr.Frame.kind with\n\
+        \  | Frame.Commit when fr.Frame.sender >= 0 && fr.Frame.sender < n ->\n\
+        \    if " ^ check
+        ^ " then hear_commit st fr.Frame.sender (Valid fr.Frame.payload)\n\
+          \    else hear_commit st fr.Frame.sender Malformed\n\
+          \  | _ -> ()\n\
+           let wait st n tr =\n\
+          \  match tr.Transport.recv ~timeout:0.05 with\n\
+          \  | Some fr -> dispatch st n fr\n\
+          \  | None -> ()" );
+    ]
+  in
+  wp_fires "R6" (node "true");
+  wp_silent "R6" (node "W.valid_commands_bin ~k:1 ~dim:1 fr.Frame.payload")
+
 let r7_whole_program () =
   wp_fires "R7" [ ("lib/wire/wc.ml", "let f s = ignore (decode_cmd s)") ];
   wp_fires "R7" [ ("lib/wire/wc.ml", "let f s = let _ = decode_cmd s in ()") ];
@@ -568,6 +598,7 @@ let suites =
       [
         Alcotest.test_case "R6 untrusted to sink" `Quick r6_taint;
         Alcotest.test_case "R6 interprocedural" `Quick r6_interprocedural;
+        Alcotest.test_case "R6 sees the Commit check" `Quick r6_commit_intake;
         Alcotest.test_case "R7 verdict discarded" `Quick r7_whole_program;
         Alcotest.test_case "R8 taint into global" `Quick r8_global_escape;
         Alcotest.test_case "R9 static lock order" `Quick r9_static_lock_order;

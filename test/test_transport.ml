@@ -384,6 +384,63 @@ let binary_strictness () =
     ignore (W.decode_matrix_bin s)
   done
 
+(* The binary formats, pinned: fixed inputs must encode to fixed bytes.
+   Round trips alone would pass a rewrite that changed an encoder and
+   its decoder together, and the bytes are the wire. *)
+let hex s = String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let binary_formats_pinned () =
+  let v l = Array.of_list (List.map F.of_int l) in
+  let pin name want got = check Alcotest.string name want (hex got) in
+  pin "vector [0; 1; p-1]" "000000000000000000000000000000010000000078000000"
+    (W.encode_vector_bin (v [ 0; 1; 2013265920 ]));
+  pin "commands [[5; 6]; [7; 8]]"
+    "0000000000000005000000000000000600000000000000070000000000000008"
+    (W.encode_commands_bin [| v [ 5; 6 ]; v [ 7; 8 ] |]);
+  pin "matrix [[3]; []; [4; 5]]"
+    "00000003000000010000000000000003000000000000000200000000000000040000000000000005"
+    (W.encode_matrix_bin [| v [ 3 ]; [||]; v [ 4; 5 ] |]);
+  pin "frame v1" "43530103000000020000001100000003010203"
+    (Frame.encode (Frame.make ~kind:Frame.Result ~sender:2 ~round:17 "\x01\x02\x03"));
+  pin "frame v2" "43530202000000010000012c00000002010203040506070811121314151617186162"
+    (Frame.encode
+       (Frame.make
+          ~ext:{ Frame.trace_id = 0x0102030405060708L; hlc = 0x1112131415161718L }
+          ~kind:Frame.Commit ~sender:1 ~round:300 "ab"));
+  pin "stats payload"
+    "00000000000000010000000000000002000000000000012c0000000000061a800000000000000005"
+    (N.stats_payload
+       {
+         Transport.frames_sent = 1;
+         frames_received = 2;
+         bytes_sent = 300;
+         bytes_received = 400000;
+         frame_errors = 5;
+       });
+  (* and the decoders read the pinned bytes back *)
+  let ints a = Array.to_list (Array.map F.to_int a) in
+  (match W.decode_matrix_bin (W.encode_matrix_bin [| v [ 3 ]; [||]; v [ 4; 5 ] |]) with
+  | Some m -> check Alcotest.(list (list int)) "matrix back" [ [ 3 ]; []; [ 4; 5 ] ] (Array.to_list (Array.map ints m))
+  | None -> Alcotest.fail "pinned matrix did not decode");
+  match W.decode_commands_bin ~k:2 ~dim:2 (W.encode_commands_bin [| v [ 5; 6 ]; v [ 7; 8 ] |]) with
+  | Some c -> check Alcotest.(list (list int)) "commands back" [ [ 5; 6 ]; [ 7; 8 ] ] (Array.to_list (Array.map ints c))
+  | None -> Alcotest.fail "pinned commands did not decode"
+
+(* A short payload that claims many rows is refused before anything is
+   allocated for them: one 20-byte Output frame from a Byzantine node
+   must not cost its client half a megabyte.  [Gc.allocated_bytes]
+   counts the major heap too, where an array that large would go. *)
+let matrix_claim_allocates_nothing () =
+  let claims = [ "\x00\x01\x00\x00"; "\x00\x01\x00\x00" ^ String.make 16 '\x00' ] in
+  List.iter
+    (fun s ->
+      let before = Gc.allocated_bytes () in
+      let got = W.decode_matrix_bin s in
+      let spent = Gc.allocated_bytes () -. before in
+      checkb "refused" true (Option.is_none got);
+      checkb (Printf.sprintf "allocated %.0f bytes" spent) true (spent < 256.0))
+    claims
+
 (* [valid_commands_bin] answers exactly as [decode_commands_bin] does:
    on encoded commands, on them with one byte changed (half the time
    an element's top byte, where the range check bites), truncated,
@@ -1869,6 +1926,9 @@ let suites =
         QCheck_alcotest.to_alcotest ~long:false qcheck_valid_commands;
         Alcotest.test_case "valid_commands_bin allocates nothing" `Quick
           valid_commands_allocates_nothing;
+        Alcotest.test_case "binary formats pinned" `Quick binary_formats_pinned;
+        Alcotest.test_case "a matrix row claim allocates nothing" `Quick
+          matrix_claim_allocates_nothing;
         Alcotest.test_case "binary decoder strictness + fuzz" `Quick
           binary_strictness;
         Alcotest.test_case "sim sizers equal real wire bytes" `Quick
