@@ -1926,9 +1926,6 @@ let suites =
         QCheck_alcotest.to_alcotest ~long:false qcheck_valid_commands;
         Alcotest.test_case "valid_commands_bin allocates nothing" `Quick
           valid_commands_allocates_nothing;
-        Alcotest.test_case "binary formats pinned" `Quick binary_formats_pinned;
-        Alcotest.test_case "a matrix row claim allocates nothing" `Quick
-          matrix_claim_allocates_nothing;
         Alcotest.test_case "binary decoder strictness + fuzz" `Quick
           binary_strictness;
         Alcotest.test_case "sim sizers equal real wire bytes" `Quick
@@ -2012,5 +2009,10 @@ let suites =
           socket_corrupt_detected;
         Alcotest.test_case "suspicion reads 1 on loopback and sockets" `Quick
           suspicion_is_a_flag;
+        (* appended, so that every earlier case keeps its number for
+           [test_main.exe test transport N] *)
+        Alcotest.test_case "binary formats pinned" `Quick binary_formats_pinned;
+        Alcotest.test_case "a matrix row claim allocates nothing" `Quick
+          matrix_claim_allocates_nothing;
       ] );
   ]
