@@ -42,7 +42,13 @@
    whether parameter taint can flow to the return ([propagates]), and
    which parameters reach a sink inside when Untrusted ([sink_params],
    keyed by positional ordinal or ~label so call sites flag only the
-   arguments that actually flow to the sink).
+   arguments that actually flow to the sink).  [sink_params] is probed
+   one parameter at a time, the others Trusted, so a guard bounded by
+   another parameter (a node's config) validates; a parameter that
+   reaches a sink only when such a bound is Untrusted too is kept in
+   [bound_params] with those bounds, and a call site flags it only
+   when one of them is Untrusted there as well (comparing two
+   adversary values validates neither).
    Unknown callees conservatively propagate the join of their
    arguments.  Known blind spot, accepted for signal/noise: taint does
    not flow into lambdas passed to higher-order functions (their
@@ -253,6 +259,10 @@ type summary = {
                                          "0"/"1"/…, labelled "~l") that
                                          reach a sink inside the body
                                          when Untrusted *)
+  mutable bound_params : (string * string list) list;
+      (* parameters that reach a sink only when one of the listed
+         parameters, a bound their guard compares them with, is
+         Untrusted too *)
 }
 
 type def = {
@@ -612,30 +622,46 @@ and eval_apply ctx env app h args =
       in
       (* interprocedural R6: this callee lets exactly these parameters
          reach a sink in its body — flag only an untrusted argument in
-         one of those positions *)
-      (match s.sink_params with
-      | [] -> ()
-      | sps ->
-        let pos = ref 0 in
-        List.iter2
-          (fun (lbl, _) t ->
-            let key =
-              match lbl with
-              | Asttypes.Nolabel ->
-                let k = string_of_int !pos in
-                incr pos;
-                k
-              | Asttypes.Labelled l | Asttypes.Optional l -> "~" ^ l
-            in
-            if List.mem key sps && is_untrusted t then
-              report ctx ~loc:app.pexp_loc ~rule:"R6"
-                (Printf.sprintf
-                   "untrusted argument (%s) to %s, whose body lets that \
-                    parameter reach a sink without a sanitizer"
-                   (origin t)
-                   (String.concat "."
-                      (Option.value ~default:[ "callee" ] (head_of h)))))
-          args arg_ts);
+         one of those positions, or in a bounded one whose bound is
+         untrusted too *)
+      (if s.sink_params <> [] || s.bound_params <> [] then begin
+         let pos = ref 0 in
+         let keys =
+           List.map
+             (fun (lbl, _) ->
+               match lbl with
+               | Asttypes.Nolabel ->
+                 let k = string_of_int !pos in
+                 incr pos;
+                 k
+               | Asttypes.Labelled l | Asttypes.Optional l -> "~" ^ l)
+             args
+         in
+         let untrusted_at q =
+           List.exists2 (fun k t -> k = q && is_untrusted t) keys arg_ts
+         in
+         let callee = String.concat "." (Option.value ~default:[ "callee" ] (head_of h)) in
+         List.iter2
+           (fun key t ->
+             if is_untrusted t then
+               if List.mem key s.sink_params then
+                 report ctx ~loc:app.pexp_loc ~rule:"R6"
+                   (Printf.sprintf
+                      "untrusted argument (%s) to %s, whose body lets that \
+                       parameter reach a sink without a sanitizer"
+                      (origin t) callee)
+               else
+                 match List.assoc_opt key s.bound_params with
+                 | Some qs when List.exists untrusted_at qs ->
+                   report ctx ~loc:app.pexp_loc ~rule:"R6"
+                     (Printf.sprintf
+                        "untrusted argument (%s) to %s, whose body lets that \
+                         parameter reach a sink when its bound is untrusted \
+                         too, as it is here"
+                        (origin t) callee)
+                 | _ -> ())
+           keys arg_ts
+       end);
       join s.base from_args
     | None ->
       (* unknown callee: conservatively propagate argument taint *)
@@ -805,8 +831,10 @@ let analyze ?(registry = Hashtbl.create 1) (units : Program.unit_ list) :
                   base = Untrusted (u.Program.modname ^ "." ^ name);
                   propagates = false;
                   sink_params = [];
+                  bound_params = [];
                 }
-              else { base = Trusted; propagates = false; sink_params = [] }
+              else
+                { base = Trusted; propagates = false; sink_params = []; bound_params = [] }
             in
             (* collisions (same module name from two dirs, or shadowed
                local names): first definition wins deterministically *)
@@ -850,61 +878,82 @@ let analyze ?(registry = Hashtbl.create 1) (units : Program.unit_ list) :
           (* params-Trusted run: the unconditional return taint *)
           let env, body = strip_params empty_env Trusted d.d_expr in
           let base = eval ctx env body in
-          (* params-Untrusted runs: the conditional return, with every
-             parameter Untrusted at once, and the sink reach, one
-             parameter at a time with the others Trusted — a bound that
-             comes from another parameter (a node's config) validates,
-             so a call site is flagged only for the arguments that
-             actually reach a sink *)
-          let hits = ref [] in
-          let probe =
-            {
-              ctx with
-              report =
-                Some
-                  (fun ~loc ~rule msg ->
-                    (* an in-source `allow R6` at the sink silences the
-                       conditional summary too: the justification
-                       covers every caller *)
-                    if
-                      rule = "R6"
-                      && not
-                           (Suppress.active d.d_unit.Program.suppress
-                              ~rule:"R6"
-                              ~line:loc.Location.loc_start.Lexing.pos_lnum)
-                    then
-                      match param_key_of_msg msg with
-                      | Some k when not (List.mem k !hits) -> hits := k :: !hits
-                      | _ -> ());
-            }
+          (* params-Untrusted runs: [reach open_] evaluates the body
+             with the parameters [open_] picks Untrusted, the rest
+             Trusted, and returns the return taint and the parameters
+             it lets reach a sink.  All of them at once give the
+             conditional return; one at a time, the sink reach. *)
+          let reach open_ =
+            let hits = ref [] in
+            let probe =
+              {
+                ctx with
+                report =
+                  Some
+                    (fun ~loc ~rule msg ->
+                      (* an in-source `allow R6` at the sink silences the
+                         conditional summary too: the justification
+                         covers every caller *)
+                      if
+                        rule = "R6"
+                        && not
+                             (Suppress.active d.d_unit.Program.suppress
+                                ~rule:"R6"
+                                ~line:loc.Location.loc_start.Lexing.pos_lnum)
+                      then
+                        match param_key_of_msg msg with
+                        | Some k when not (List.mem k !hits) -> hits := k :: !hits
+                        | _ -> ());
+              }
+            in
+            let env_p, body_p =
+              strip_params_keyed empty_env
+                (fun k -> if open_ k then Untrusted (param_origin ^ ":" ^ k) else Trusted)
+                0 d.d_expr
+            in
+            let ret = eval probe env_p body_p in
+            (ret, !hits)
           in
-          let untrusted k = Untrusted (param_origin ^ ":" ^ k) in
-          let env_u, body_u = strip_params_keyed empty_env untrusted 0 d.d_expr in
-          let cond = eval (mute ctx) env_u body_u in
-          List.iter
-            (fun key ->
-              let env_k, body_k =
-                strip_params_keyed empty_env
-                  (fun k -> if k = key then untrusted k else Trusted)
-                  0 d.d_expr
-              in
-              ignore (eval probe env_k body_k))
-            (param_keys d.d_expr);
+          let cond, all_hits = reach (fun _ -> true) in
+          let keys = param_keys d.d_expr in
+          let sink_params =
+            List.sort String.compare
+              (List.filter (fun p -> List.mem p (snd (reach (String.equal p)))) keys)
+          in
+          (* a parameter that reaches a sink with every parameter
+             Untrusted but not alone: its guard's bound is another
+             parameter, found by probing it in pairs (all the others
+             when no one bound suffices) *)
+          let bound_params =
+            List.filter_map
+              (fun p ->
+                if List.mem p sink_params || not (List.mem p all_hits) then None
+                else
+                  let others = List.filter (fun q -> q <> p) keys in
+                  let qs =
+                    List.filter
+                      (fun q -> List.mem p (snd (reach (fun k -> k = p || k = q))))
+                      others
+                  in
+                  Some (p, if qs = [] then others else qs))
+              keys
+          in
           let propagates =
             match cond with
             | Untrusted o ->
               Rules.starts_with param_origin o || is_untrusted base
             | _ -> false
           in
-          let sink_params = List.sort String.compare !hits in
           let s = d.d_summary in
           if
             s.base <> base || s.propagates <> propagates
             || s.sink_params <> sink_params
+            || s.bound_params <> bound_params
           then begin
             s.base <- base;
             s.propagates <- propagates;
             s.sink_params <- sink_params;
+            s.bound_params <- bound_params;
             changed := true
           end
         end)

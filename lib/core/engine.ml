@@ -235,10 +235,6 @@ module Make (F : Field_intf.S) = struct
     done;
     if !c <= t.params.Params.b then !c else 0
 
-  let nobody _ = false
-
-  let convicted_array t convicted = Array.init t.params.Params.n convicted
-
   (* Fewest results whose agreement fixes the decode: d(K−1)+(b−c)+1
      from senders outside the c excluded ones.  If that many lie on one
      polynomial of degree ≤ d(K−1), at most b−c of them lie, so at least
@@ -249,10 +245,7 @@ module Make (F : Field_intf.S) = struct
     Params.composite_degree ~k:t.params.Params.k ~d:t.params.Params.d
     + (t.params.Params.b - c) + 1
 
-  let early_results ?(convicted = nobody) t =
-    early_of t (dropped_count t (convicted_array t convicted))
-
-  let early_count t ~convicted = early_of t (dropped_count t convicted)
+  let early_results t ~convicted = early_of t (dropped_count t convicted)
 
   (* A decode whose coordinate polynomials are [polys] and which found
      no error: each h_j evaluated at the ωs and split into next states
@@ -306,18 +299,11 @@ module Make (F : Field_intf.S) = struct
         done;
       Some (clean_decode t polys)
 
-  let verify_held t ~convicted ~senders ~vectors ~count =
+  let verify_results t ~convicted ~senders ~vectors ~count =
     if Span.enabled () then
       Span.with_ ~name:"engine.verify" (fun () ->
           verify_into t ~convicted ~senders ~vectors ~count)
     else verify_into t ~convicted ~senders ~vectors ~count
-
-  let verify_results ?(convicted = nobody) t (received : (int * F.t array) list) :
-      decoded option =
-    let senders = Array.of_list (List.map fst received) in
-    let vectors = Array.of_list (List.map snd received) in
-    verify_held t ~convicted:(convicted_array t convicted) ~senders ~vectors
-      ~count:(Array.length senders)
 
   (* Does [node]'s vector [g] agree with [d]'s coordinate polynomials at
      its point?  Stops at the first coordinate that does not. *)
@@ -332,13 +318,11 @@ module Make (F : Field_intf.S) = struct
       !ok
     end
 
-  (* The senders among [results] whose vectors disagree with [d]'s
-     coordinate polynomials at their points: the liars of a decoded
-     round, however many of its results the decode itself saw. *)
-  let liars t d (results : (int * F.t array) list) =
-    List.filter_map (fun (node, g) -> if agrees t d node g then None else Some node) results
-
-  let liars_held t d ~senders ~vectors ~count =
+  (* The senders among the first [count] results whose vectors
+     disagree with [d]'s coordinate polynomials at their points: the
+     liars of a decoded round, however many of its results the decode
+     itself saw. *)
+  let liars t d ~senders ~vectors ~count =
     let rec go i acc =
       if i < 0 then acc
       else go (i - 1) (if agrees t d senders.(i) vectors.(i) then acc else senders.(i) :: acc)

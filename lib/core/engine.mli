@@ -62,40 +62,32 @@ module Make (F : Field_intf.S) : sig
       [rs_ctx] across coordinates and rounds. *)
 
   val verify_results :
-    ?convicted:(int -> bool) -> t -> (int * F.t array) list -> decoded option
-  (** Decode on agreement.  The results of the senders
-      {!dropped_count} drops are dropped; [Some] only when at least
-      {!early_results} of the rest are given and, in every coordinate,
-      all of those lie on one polynomial of degree ≤ d(K−1) (RS's fast
-      path alone, no Gao fallback).  Then at least d(K−1)+1 of them are
-      honest, so the decode equals [decode_results]' on any honest
-      superset, with no [error_nodes].  [None] otherwise: wait for
-      {!min_results} and call [decode_results] over every valid result,
-      convicted senders' included.  The check runs on the engine's
-      scratch; nothing is cached in [rs_ctxs].  [convicted] defaults to
-      nobody. *)
-
-  val verify_held :
     t ->
     convicted:bool array ->
     senders:int array ->
     vectors:F.t array array ->
     count:int ->
     decoded option
-  (** {!verify_results} over the first [count] results of [senders]
-      and [vectors] (sender [senders.(i)] reported [vectors.(i)]), with
-      [convicted.(j)] for [?convicted j]: a node keeps its round's
-      results in arrays it reuses, and the check runs on the engine's
-      scratch, so a call allocates only the decode it returns. *)
+  (** Decode on agreement over the first [count] results: sender
+      [senders.(i)] reported [vectors.(i)].  The results of the
+      senders {!dropped_count} drops ([convicted.(j)] marks the
+      convicted ones) are dropped; [Some] only when at least
+      {!early_results} of the rest are given and, in every coordinate,
+      all of those lie on one polynomial of degree ≤ d(K−1) (RS's fast
+      path alone, no Gao fallback).  Then at least d(K−1)+1 of them are
+      honest, so the decode equals [decode_results]' on any honest
+      superset, with no [error_nodes].  [None] otherwise: wait for
+      {!min_results} and call [decode_results] over every valid result,
+      convicted senders' included.  A node keeps its round's results in
+      arrays it reuses, and the check runs on the engine's scratch
+      (nothing is cached in [rs_ctxs]), so a call allocates only the
+      decode it returns. *)
 
-  val liars : t -> decoded -> (int * F.t array) list -> int list
-  (** The senders, in the given order, whose result vectors disagree
-      with the decoded [polys] at their evaluation points. *)
-
-  val liars_held :
+  val liars :
     t -> decoded -> senders:int array -> vectors:F.t array array -> count:int -> int list
-  (** {!liars} over the first [count] results of [senders] and
-      [vectors]; allocates only the list it returns. *)
+  (** The senders among the first [count] results, in the given order,
+      whose result vectors disagree with the decoded [polys] at their
+      evaluation points; allocates only the list it returns. *)
 
   val node_update_state :
     ?scope:Scope.t -> t -> node:int -> next_states:F.t array array -> unit
@@ -143,16 +135,13 @@ module Make (F : Field_intf.S) : sig
       most b−c liars.  More than b convictions fall outside that model,
       so the early decode then runs exactly as with none. *)
 
-  val early_count : t -> convicted:bool array -> int
-  (** {!early_results} with [convicted.(j)] for [?convicted j]. *)
-
-  val early_results : ?convicted:(int -> bool) -> t -> int
+  val early_results : t -> convicted:bool array -> int
   (** Fewest results from unexcluded senders whose agreement fixes the
-      decode: d(K−1) + (b−c) + 1, c the number of dropped senders
-      (d(K−1) + b + 1 with none).  If they all lie on one polynomial of
-      degree ≤ d(K−1), at most b−c of them lie, so at least d(K−1)+1
-      are honest and it is the honest one (the certificate set τ of
-      eq. (9)). *)
+      decode: d(K−1) + (b−c) + 1, c the number of senders
+      {!dropped_count} drops (d(K−1) + b + 1 with none).  If they all
+      lie on one polynomial of degree ≤ d(K−1), at most b−c of them
+      lie, so at least d(K−1)+1 are honest and it is the honest one
+      (the certificate set τ of eq. (9)). *)
 
   val recover_coded_state :
     t -> node:int -> reports:(int * F.t array) list -> F.t array option

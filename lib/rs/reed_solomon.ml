@@ -176,62 +176,87 @@ module Make (F : Field_intf.S) = struct
     fc_tree : Sub.prepared option Atomic.t;
   }
 
+  (* Room for the fast path's matrices over up to [n] points, and the
+     candidates of up to [words] words: [prepare_fast] fills one for a
+     context, and [verify_columns] refills a caller's on every call,
+     for point sets that change from call to call (the reporters of an
+     early quorum), so such a call allocates only the polynomials it
+     returns. *)
+  type scratch = {
+    sc_k : int;
+    sc_m : F.t array;  (* k + 1: ∏ (z − xⱼ) over the head *)
+    sc_q : F.t array;  (* k: one Lagrange basis polynomial *)
+    sc_interp : F.t array array;  (* k × k, as [fc_interp] *)
+    sc_vand : F.t array array;  (* (n − k) × k, as [fc_vand] *)
+    sc_coeffs : F.t array array;  (* words × k: each word's candidate *)
+  }
+
+  let scratch ~k ~n ~words =
+    if n < k || k < 1 then invalid_arg "Reed_solomon.scratch";
+    {
+      sc_k = k;
+      sc_m = Array.make (k + 1) F.zero;
+      sc_q = Array.make k F.zero;
+      sc_interp = Array.init k (fun _ -> Array.make k F.zero);
+      sc_vand = Array.init (n - k) (fun _ -> Array.make k F.zero);
+      sc_coeffs = Array.init words (fun _ -> Array.make k F.zero);
+    }
+
+  (* The matrices for the first [m] of [points], into [sc]. *)
+  let prepare_scratch sc points m =
+    let k = sc.sc_k and mp = sc.sc_m and q = sc.sc_q in
+    (* m(z) = ∏ⱼ (z − xⱼ) over the head, expanded incrementally *)
+    Array.fill mp 0 (k + 1) F.zero;
+    mp.(0) <- F.one;
+    for j = 0 to k - 1 do
+      let x = points.(j) in
+      for i = j + 1 downto 1 do
+        mp.(i) <- F.sub mp.(i - 1) (F.mul x mp.(i))
+      done;
+      mp.(0) <- F.neg (F.mul x mp.(0))
+    done;
+    (* Lagrange basis Lⱼ = m/(z−xⱼ) · 1/m'(xⱼ): synthetic division
+       gives qⱼ = m/(z−xⱼ), and m'(xⱼ) = qⱼ(xⱼ); Lⱼ is column j *)
+    for j = 0 to k - 1 do
+      let x = points.(j) in
+      q.(k - 1) <- mp.(k);
+      for i = k - 1 downto 1 do
+        q.(i - 1) <- F.add mp.(i) (F.mul x q.(i))
+      done;
+      let at_x = ref F.zero in
+      for i = k - 1 downto 0 do
+        at_x := F.add (F.mul !at_x x) q.(i)
+      done;
+      let w = F.inv !at_x in
+      for i = 0 to k - 1 do
+        sc.sc_interp.(i).(j) <- F.mul w q.(i)
+      done
+    done;
+    for t = 0 to m - k - 1 do
+      let x = points.(k + t) and row = sc.sc_vand.(t) in
+      row.(0) <- F.one;
+      for i = 1 to k - 1 do
+        row.(i) <- F.mul row.(i - 1) x
+      done
+    done
+
   let prepare_fast ~k points =
     let n = Array.length points in
     if n < k || k < 1 then invalid_arg "Reed_solomon.prepare_fast";
-    let head = Array.sub points 0 k in
-    (* m(z) = ∏ⱼ (z − xⱼ) over the head, expanded incrementally *)
-    let m = Array.make (k + 1) F.zero in
-    m.(0) <- F.one;
-    Array.iteri
-      (fun j x ->
-        for i = j + 1 downto 1 do
-          m.(i) <- F.sub m.(i - 1) (F.mul x m.(i))
-        done;
-        m.(0) <- F.neg (F.mul x m.(0)))
-      head;
-    (* Lagrange basis Lⱼ = m/(z−xⱼ) · 1/m'(xⱼ): synthetic division
-       gives qⱼ = m/(z−xⱼ), and m'(xⱼ) = qⱼ(xⱼ) *)
-    let basis =
-      Array.map
-        (fun x ->
-          let q = Array.make k F.zero in
-          q.(k - 1) <- m.(k);
-          for i = k - 1 downto 1 do
-            q.(i - 1) <- F.add m.(i) (F.mul x q.(i))
-          done;
-          let at_x = ref F.zero in
-          for i = k - 1 downto 0 do
-            at_x := F.add (F.mul !at_x x) q.(i)
-          done;
-          let w = F.inv !at_x in
-          Array.map (fun c -> F.mul w c) q)
-        head
-    in
-    let interp =
-      Array.init k (fun i -> Array.init k (fun j -> basis.(j).(i)))
-    in
-    let vand =
-      Array.init (n - k) (fun j ->
-          let x = points.(k + j) in
-          let row = Array.make k F.one in
-          for i = 1 to k - 1 do
-            row.(i) <- F.mul row.(i - 1) x
-          done;
-          row)
-    in
+    let sc = scratch ~k ~n ~words:0 in
+    prepare_scratch sc points n;
     let interp_b, vand_b =
       match F.batch with
       | None -> (None, None)
       | Some b ->
-        ( Some (Array.map b.Field_intf.pack interp),
-          Some (Array.map b.Field_intf.pack vand) )
+        ( Some (Array.map b.Field_intf.pack sc.sc_interp),
+          Some (Array.map b.Field_intf.pack sc.sc_vand) )
     in
     {
       fc_points = Array.copy points;
       fc_k = k;
-      fc_interp = interp;
-      fc_vand = vand;
+      fc_interp = sc.sc_interp;
+      fc_vand = sc.sc_vand;
       fc_interp_b = interp_b;
       fc_vand_b = vand_b;
       fc_tree = Atomic.make None;
@@ -257,6 +282,31 @@ module Make (F : Field_intf.S) = struct
   let record_fastpath outcome =
     if Metric.enabled () then Metric.inc (Tel.rs_fastpath ~outcome)
 
+  (* The fast path's scalar loop over one word, column [j] of [rows]
+     (its value at point i is [rows.(i).(j)]): interpolate the head
+     through [interp] into [coeffs], then walk the tail's [vand] rows up
+     to point [m], bailing at the first disagreeing point. *)
+  let verify_column ~interp ~vand ~coeffs ~rows ~m j =
+    let k = Array.length coeffs in
+    for i = 0 to k - 1 do
+      let row = interp.(i) in
+      let acc = ref F.zero in
+      for l = 0 to k - 1 do
+        acc := F.add !acc (F.mul row.(l) rows.(l).(j))
+      done;
+      coeffs.(i) <- !acc
+    done;
+    let ok = ref true and t = ref 0 in
+    while !ok && !t < m - k do
+      let row = vand.(!t) in
+      let acc = ref F.zero in
+      for l = 0 to k - 1 do
+        acc := F.add !acc (F.mul row.(l) coeffs.(l))
+      done;
+      if F.equal !acc rows.(k + !t).(j) then incr t else ok := false
+    done;
+    !ok
+
   (* The fast path on its own, over [pairs] at the context's points:
      n dot products of length k — interpolate through the head, then
      walk the tail Vandermonde rows, bailing at the first disagreeing
@@ -266,18 +316,10 @@ module Make (F : Field_intf.S) = struct
   let verify ctx pairs =
     Span.with_ ~name:"rs.fastpath" (fun () ->
         let k = ctx.fc_k in
-        let head = Array.init k (fun i -> snd pairs.(i)) in
-        let scalar_dot row v =
-          let acc = ref F.zero in
-          for j = 0 to Array.length row - 1 do
-            acc := F.add !acc (F.mul row.(j) v.(j))
-          done;
-          !acc
-        in
         let coeffs, ok =
           match (F.batch, ctx.fc_interp_b, ctx.fc_vand_b) with
           | Some b, Some irows, Some vrows ->
-            let hv = b.Field_intf.pack head in
+            let hv = b.Field_intf.pack (Array.init k (fun i -> snd pairs.(i))) in
             let coeffs = Array.map (fun row -> b.Field_intf.dot row hv) irows in
             let cv = b.Field_intf.pack coeffs in
             let ok = ref true and j = ref 0 in
@@ -288,14 +330,12 @@ module Make (F : Field_intf.S) = struct
             done;
             (coeffs, !ok)
           | _ ->
-            let coeffs = Array.map (fun row -> scalar_dot row head) ctx.fc_interp in
-            let ok = ref true and j = ref 0 in
-            while !ok && !j < Array.length ctx.fc_vand do
-              if F.equal (scalar_dot ctx.fc_vand.(!j) coeffs) (snd pairs.(k + !j)) then
-                incr j
-              else ok := false
-            done;
-            (coeffs, !ok)
+            (* one word: the column of one-value rows *)
+            let coeffs = Array.make k F.zero in
+            ( coeffs,
+              verify_column ~interp:ctx.fc_interp ~vand:ctx.fc_vand ~coeffs
+                ~rows:(Array.map (fun (_, y) -> [| y |]) pairs)
+                ~m:(Array.length pairs) 0 )
         in
         if ok then Some (P.normalize coeffs) else None)
 
@@ -354,91 +394,12 @@ module Make (F : Field_intf.S) = struct
         count_decode (algorithm_name algorithm) result;
         result)
 
-  (* The fast path on caller-owned scratch, for point sets that change
-     from call to call (the reporters of an early quorum): the head's
-     Lagrange rows and the tail's Vandermonde rows are rebuilt in place
-     on every call, with [prepare_fast]'s arithmetic, so a call
-     allocates only the polynomials it returns.  Room for [n] points,
-     dimension [k] and [words] words. *)
-  type scratch = {
-    sc_k : int;
-    sc_m : F.t array;  (* k + 1: ∏ (z − xⱼ) over the head *)
-    sc_q : F.t array;  (* k: one Lagrange basis polynomial *)
-    sc_interp : F.t array array;  (* k × k, as [fc_interp] *)
-    sc_vand : F.t array array;  (* (n − k) × k, as [fc_vand] *)
-    sc_coeffs : F.t array array;  (* words × k: each word's candidate *)
-  }
+  (* Word [j] of [rows] on [sc]'s matrices. *)
+  let column sc ~rows ~m j =
+    verify_column ~interp:sc.sc_interp ~vand:sc.sc_vand ~coeffs:sc.sc_coeffs.(j) ~rows ~m j
 
-  let scratch ~k ~n ~words =
-    if n < k || k < 1 then invalid_arg "Reed_solomon.scratch";
-    {
-      sc_k = k;
-      sc_m = Array.make (k + 1) F.zero;
-      sc_q = Array.make k F.zero;
-      sc_interp = Array.init k (fun _ -> Array.make k F.zero);
-      sc_vand = Array.init (n - k) (fun _ -> Array.make k F.zero);
-      sc_coeffs = Array.init words (fun _ -> Array.make k F.zero);
-    }
-
-  (* [prepare_fast]'s matrices for the first [m] of [points], into [sc]. *)
-  let prepare_scratch sc points m =
-    let k = sc.sc_k and mp = sc.sc_m and q = sc.sc_q in
-    Array.fill mp 0 (k + 1) F.zero;
-    mp.(0) <- F.one;
-    for j = 0 to k - 1 do
-      let x = points.(j) in
-      for i = j + 1 downto 1 do
-        mp.(i) <- F.sub mp.(i - 1) (F.mul x mp.(i))
-      done;
-      mp.(0) <- F.neg (F.mul x mp.(0))
-    done;
-    for j = 0 to k - 1 do
-      let x = points.(j) in
-      q.(k - 1) <- mp.(k);
-      for i = k - 1 downto 1 do
-        q.(i - 1) <- F.add mp.(i) (F.mul x q.(i))
-      done;
-      let at_x = ref F.zero in
-      for i = k - 1 downto 0 do
-        at_x := F.add (F.mul !at_x x) q.(i)
-      done;
-      let w = F.inv !at_x in
-      for i = 0 to k - 1 do
-        sc.sc_interp.(i).(j) <- F.mul w q.(i)
-      done
-    done;
-    for t = 0 to m - k - 1 do
-      let x = points.(k + t) and row = sc.sc_vand.(t) in
-      row.(0) <- F.one;
-      for i = 1 to k - 1 do
-        row.(i) <- F.mul row.(i - 1) x
-      done
-    done
-
-  (* [verify]'s scalar loop over word [j], read as column [j] of [rows]:
-     interpolate the head into the word's candidate, then walk the tail,
-     bailing at the first disagreeing point. *)
-  let verify_column sc ~rows ~m j =
-    let k = sc.sc_k and coeffs = sc.sc_coeffs.(j) in
-    for i = 0 to k - 1 do
-      let row = sc.sc_interp.(i) in
-      let acc = ref F.zero in
-      for l = 0 to k - 1 do
-        acc := F.add !acc (F.mul row.(l) rows.(l).(j))
-      done;
-      coeffs.(i) <- !acc
-    done;
-    let ok = ref true and t = ref 0 in
-    while !ok && !t < m - k do
-      let row = sc.sc_vand.(!t) in
-      let acc = ref F.zero in
-      for l = 0 to k - 1 do
-        acc := F.add !acc (F.mul row.(l) coeffs.(l))
-      done;
-      if F.equal !acc rows.(k + !t).(j) then incr t else ok := false
-    done;
-    !ok
-
+  (* [verify] over the [dim] column words of [rows], all or nothing, on
+     [sc] rebuilt for the first [m] of [points]. *)
   let verify_columns sc ~points ~rows ~m ~dim =
     let k = sc.sc_k in
     if m < k || m - k > Array.length sc.sc_vand || dim > Array.length sc.sc_coeffs then
@@ -449,8 +410,8 @@ module Make (F : Field_intf.S) = struct
       while !ok && !j < dim do
         let w = !j in
         if Span.enabled () then
-          ok := Span.with_ ~name:"rs.fastpath" (fun () -> verify_column sc ~rows ~m w)
-        else ok := verify_column sc ~rows ~m w;
+          ok := Span.with_ ~name:"rs.fastpath" (fun () -> column sc ~rows ~m w)
+        else ok := column sc ~rows ~m w;
         incr j
       done;
       if not !ok then None

@@ -313,7 +313,7 @@ module Make (F : Field_intf.S) = struct
   let trust engine inbox st =
     let convicted = inbox.convicted in
     st.untrusted <- (if E.dropped_count engine convicted > 0 then convicted else inbox.nobody);
-    st.early <- E.early_count engine ~convicted;
+    st.early <- E.early_results engine ~convicted;
     st.n_trusted <- 0;
     for j = 0 to Array.length st.results - 1 do
       match st.results.(j) with
@@ -698,7 +698,7 @@ module Make (F : Field_intf.S) = struct
       let count = hold inbox st in
       let decoded =
         match
-          E.verify_held engine ~convicted:inbox.convicted ~senders:inbox.held_senders
+          E.verify_results engine ~convicted:inbox.convicted ~senders:inbox.held_senders
             ~vectors:inbox.held_vectors ~count
         with
         | Some _ as d -> d
@@ -764,7 +764,7 @@ module Make (F : Field_intf.S) = struct
               inbox.convicted.(j) <- true;
               if Metric.enabled () then Metric.set (Tel.node_suspicion ~node:j) 1.0
             end)
-          (E.liars_held engine d ~senders:inbox.held_senders ~vectors:inbox.held_vectors
+          (E.liars engine d ~senders:inbox.held_senders ~vectors:inbox.held_vectors
              ~count)
       | None -> ())
 

@@ -325,23 +325,6 @@ let endpoint ~addr ~id ~endpoints =
           failed_at = 0.0;
         })
   in
-  (* Frames and bytes moved since the counters were last published:
-     only this endpoint's thread touches them, and [publish] adds them
-     to [t.stats] under its lock, with no closure made per frame. *)
-  let sent_frames = ref 0 and sent_bytes = ref 0 in
-  let received_frames = ref 0 and received_bytes = ref 0 in
-  let add_pending () =
-    let s = t.Transport.stats in
-    s.Transport.frames_sent <- s.Transport.frames_sent + !sent_frames;
-    s.Transport.bytes_sent <- s.Transport.bytes_sent + !sent_bytes;
-    s.Transport.frames_received <- s.Transport.frames_received + !received_frames;
-    s.Transport.bytes_received <- s.Transport.bytes_received + !received_bytes;
-    sent_frames := 0;
-    sent_bytes := 0;
-    received_frames := 0;
-    received_bytes := 0
-  in
-  let publish () = Mutex.protect t.Transport.stats_mutex add_pending in
   (* Deliver every whole frame in [c]'s buffer from [pos] on and move
      the partial tail to its front, in a buffer that can hold the frame
      the tail starts; [false] on a malformed header. *)
@@ -357,8 +340,7 @@ let endpoint ~addr ~id ~endpoints =
       end
       else if c.len - pos < size then keep c pos size
       else begin
-        incr received_frames;
-        received_bytes := !received_bytes + size;
+        Transport.record_received t size;
         (match Frame.decode_at s ~pos with
         | Some _ as fr -> Queue.push fr ready
         | None -> Transport.record_error t);
@@ -390,9 +372,7 @@ let endpoint ~addr ~id ~endpoints =
     | 0 -> false
     | k ->
       c.len <- c.len + k;
-      let ok = parse c 0 in
-      publish ();
-      ok
+      parse c 0
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       true
     | exception Unix.Unix_error _ -> false
@@ -450,9 +430,7 @@ let endpoint ~addr ~id ~endpoints =
   let send ~dst frame =
     if (not !closed) && dst >= 0 && dst < endpoints then begin
       let bytes = Frame.encode frame in
-      incr sent_frames;
-      sent_bytes := !sent_bytes + String.length bytes;
-      publish ();
+      Transport.record_sent t (String.length bytes);
       let p = peers.(dst) in
       Queue.push bytes p.out;
       p.queued <- p.queued + String.length bytes;

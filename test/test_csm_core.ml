@@ -510,6 +510,23 @@ let honest_or_none w = function
     same_decoded (Some e) (Some { w.er_reference with E.error_nodes = [] })
     && same_polys e.E.polys w.er_reference.E.polys
 
+(* The engine's early decode and liar check over (sender, vector)
+   lists: they read a round's results as sender and vector arrays, and
+   the convicted senders as a flag per node (none by default). *)
+let no_convictions engine = Array.make engine.E.params.Params.n false
+
+let held results =
+  (Array.of_list (List.map fst results), Array.of_list (List.map snd results))
+
+let verify_list ?convicted engine results =
+  let senders, vectors = held results in
+  let convicted = match convicted with Some c -> c | None -> no_convictions engine in
+  E.verify_results engine ~convicted ~senders ~vectors ~count:(Array.length senders)
+
+let liars_of engine d results =
+  let senders, vectors = held results in
+  E.liars engine d ~senders ~vectors ~count:(Array.length senders)
+
 (* Decode on agreement.  Over random rounds, up to b liars report
    random vectors or the values of a wrong polynomial matching the d(K−1)
    honest nodes of S, and the received subset is random (in mode 1 it
@@ -526,7 +543,7 @@ let qcheck_early_decode =
       let r = Csm_rng.create (0xEA7 + seed) in
       let w = early_round r in
       let engine = w.er_engine and n = w.er_n and honest = w.er_honest in
-      let early = E.early_results engine in
+      let early = E.early_results engine ~convicted:(no_convictions engine) in
       let order = Csm_rng.sample r ~n ~k:n in
       let liars = Array.sub order 0 (Csm_rng.int r (w.er_b + 1)) in
       let agreeing = Array.sub order (Array.length liars) w.er_dk in
@@ -551,13 +568,13 @@ let qcheck_early_decode =
                 if Array.for_all2 F.equal g honest.(i) then None else Some i)
               with_lies
           in
-          agrees (E.verify_results engine with_lies)
-          && (match E.verify_results engine clean with
+          agrees (verify_list engine with_lies)
+          && (match verify_list engine clean with
              | Some _ as e -> agrees e
              | None -> false)
-          && Option.is_none (E.verify_results engine below_lies)
-          && Option.is_none (E.verify_results engine below_clean)
-          && E.liars engine w.er_reference with_lies = expected_liars)
+          && Option.is_none (verify_list engine below_lies)
+          && Option.is_none (verify_list engine below_clean)
+          && liars_of engine w.er_reference with_lies = expected_liars)
         (List.init 4 Fun.id))
 
 (* Convicted liars leave the early quorum.  Over the same random rounds
@@ -584,14 +601,14 @@ let qcheck_early_decode_convicted =
       let nc = Csm_rng.int r (nl + 1) in
       let liars = Array.sub order 0 nl in
       let agreeing = Array.sub order nl dk in
-      let convicted j = Array.exists (( = ) j) (Array.sub order 0 nc) in
+      let convicted = Array.init n (fun j -> Array.exists (( = ) j) (Array.sub order 0 nc)) in
       let threshold = dk + (b - nc) + 1 in
       let lied = lie_results r w ~mode ~liars ~agreeing in
-      let only_c = Array.mapi (fun i g -> if convicted i then lied.(i) else g) w.er_honest in
+      let only_c = Array.mapi (fun i g -> if convicted.(i) then lied.(i) else g) w.er_honest in
       let results src ids = List.map (fun i -> (i, src.(i))) ids in
-      let verify src ids = E.verify_results ~convicted engine (results src ids) in
+      let verify src ids = verify_list ~convicted engine (results src ids) in
       let check ids =
-        let u = List.length (List.filter (fun i -> not (convicted i)) ids) in
+        let u = List.length (List.filter (fun i -> not convicted.(i)) ids) in
         if u >= threshold then
           honest_or_none w (verify lied ids)
           && (match verify only_c ids with
@@ -601,9 +618,9 @@ let qcheck_early_decode_convicted =
       in
       let over = Csm_rng.sample r ~n ~k:(b + 1 + Csm_rng.int r (n - b)) in
       let ignored ids =
-        let unconvicted = E.verify_results engine (results lied ids) in
+        let unconvicted = verify_list engine (results lied ids) in
         let overconvicted =
-          E.verify_results ~convicted:(fun j -> Array.exists (( = ) j) over) engine
+          verify_list ~convicted:(Array.init n (fun j -> Array.exists (( = ) j) over)) engine
             (results lied ids)
         in
         match (unconvicted, overconvicted) with
@@ -613,7 +630,7 @@ let qcheck_early_decode_convicted =
         | _ -> false
       in
       let prefix m = Array.to_list (Array.sub order 0 m) in
-      E.early_results ~convicted engine = threshold
+      E.early_results engine ~convicted = threshold
       && check (prefix (nl + dk))
       && List.for_all
            (fun _ ->
@@ -653,16 +670,16 @@ let early_decode_refuses_a_planted_polynomial () =
         (i, if i <= 1 then Array.map (planted (alpha i)) reference.E.polys else honest.(i)))
   in
   let first m = List.filteri (fun i _ -> i < m) results in
-  Alcotest.(check int) "early quorum" 5 (E.early_results engine);
+  Alcotest.(check int) "early quorum" 5 (E.early_results engine ~convicted:(no_convictions engine));
   Alcotest.(check bool) "four of five agree on the wrong polynomial" true
-    (Option.is_none (E.verify_results engine (first 5)));
+    (Option.is_none (verify_list engine (first 5)));
   (match E.decode_results engine (first 7) with
   | Some dec ->
     Alcotest.(check bool) "full decode: honest outputs" true
       (same_decoded (Some dec) (Some { reference with E.error_nodes = [ 0; 1 ] }));
     Alcotest.(check (list int)) "both liars located" [ 0; 1 ] dec.E.error_nodes
   | None -> Alcotest.fail "the full decode failed");
-  Alcotest.(check (list int)) "liars among all eight" [ 0; 1 ] (E.liars engine reference results)
+  Alcotest.(check (list int)) "liars among all eight" [ 0; 1 ] (liars_of engine reference results)
 
 (* The Boolean machine path: CSM over GF(2^10) executing the majority
    register, coded, under faults. *)

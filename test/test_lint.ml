@@ -327,6 +327,35 @@ let r6_commit_intake () =
   wp_fires "R6" (node "true");
   wp_silent "R6" (node "W.valid_commands_bin ~k:1 ~dim:1 fr.Frame.payload")
 
+(* A guard that bounds one parameter by another validates it only
+   where that bound is trusted: [put] writes at [i] when [i < n], so a
+   caller that passes two wire values, the index and its bound, reaches
+   the index sink, and one that bounds a wire index by its own trusted
+   parameter does not.  A caller that forwards both as parameters is
+   flagged at its own callers. *)
+let r6_bound_param () =
+  let put = ("lib/wire/wa.ml", "let put buf i n = if i < n then Bytes.set buf i 'x'") in
+  wp_fires "R6"
+    [
+      put;
+      ("lib/transport/wb.ml", "let f tr buf = Wa.put buf (Transport.recv tr) (Transport.recv tr)");
+    ];
+  wp_silent "R6"
+    [ put; ("lib/transport/wb.ml", "let f tr buf n = Wa.put buf (Transport.recv tr) n") ];
+  wp_fires "R6"
+    [
+      put;
+      ( "lib/transport/wb.ml",
+        "let g buf i n = Wa.put buf i n\n\
+         let f tr buf = g buf (Transport.recv tr) (Transport.recv tr)" );
+    ];
+  wp_silent "R6"
+    [
+      put;
+      ( "lib/transport/wb.ml",
+        "let g buf i n = Wa.put buf i n\nlet f tr buf n = g buf (Transport.recv tr) n" );
+    ]
+
 let r7_whole_program () =
   wp_fires "R7" [ ("lib/wire/wc.ml", "let f s = ignore (decode_cmd s)") ];
   wp_fires "R7" [ ("lib/wire/wc.ml", "let f s = let _ = decode_cmd s in ()") ];
@@ -599,6 +628,7 @@ let suites =
         Alcotest.test_case "R6 untrusted to sink" `Quick r6_taint;
         Alcotest.test_case "R6 interprocedural" `Quick r6_interprocedural;
         Alcotest.test_case "R6 sees the Commit check" `Quick r6_commit_intake;
+        Alcotest.test_case "R6 bound by a second wire value" `Quick r6_bound_param;
         Alcotest.test_case "R7 verdict discarded" `Quick r7_whole_program;
         Alcotest.test_case "R8 taint into global" `Quick r8_global_escape;
         Alcotest.test_case "R9 static lock order" `Quick r9_static_lock_order;
